@@ -13,8 +13,6 @@ from ._backend import available_backends, backend_name
 from .bs_alloc import (
     AllocationResult,
     BandwidthRequest,
-    GrantMap,
-    GrantMode,
     InfeasibleReservationError,
     allocate_gpc,
     phase1_guarantee,
@@ -41,10 +39,8 @@ from .engine import (
 from .metrics import (
     ClassStats,
     MetricsSample,
-    delay_stats,
     jain_index,
     run_summary,
-    throughput,
     utilization,
     window_metrics,
 )

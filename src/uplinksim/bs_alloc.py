@@ -9,11 +9,10 @@ grant per subscriber station (GPSS) or issued per connection (GPC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from . import _backend
-from .model import Connection, FrameConfig, ServiceClass, guaranteed_bytes
+from .model import FrameConfig, guaranteed_bytes
 
 
 class InfeasibleReservationError(RuntimeError):
@@ -30,7 +29,6 @@ class BandwidthRequest:
 
     cid: int
     requested_bytes: int
-    issued_frame: int = 0
 
 
 @dataclass
@@ -40,30 +38,6 @@ class AllocationResult:
 
     allocated: dict[int, int]
     remaining: int
-
-
-class GrantMode(Enum):
-    GPSS = "gpss"
-    GPC = "gpc"
-
-
-@dataclass
-class GrantMap:
-    """Per-frame grants, keyed by subscriber station (GPSS) or by
-    connection (GPC)."""
-
-    mode: GrantMode
-    grants: dict[int, int] = field(default_factory=dict)
-
-
-def default_weight(service_class: ServiceClass) -> float:
-    """Excess-distribution weight defaults; delay-bounded traffic first."""
-    return {
-        ServiceClass.UGS: 1.0,
-        ServiceClass.RTPS: 4.0,
-        ServiceClass.NRTPS: 2.0,
-        ServiceClass.BE: 1.0,
-    }[service_class]
 
 
 def weights_of(connections) -> dict[int, float]:
@@ -125,22 +99,24 @@ def phase2_excess(
     return AllocationResult(allocated=allocated, remaining=result.remaining - given)
 
 
-def pool_gpss(result: AllocationResult, connections) -> GrantMap:
-    """Pool per-connection awards into one grant per subscriber station."""
+def pool_gpss(result: AllocationResult, connections) -> dict[int, int]:
+    """Pool per-connection awards into one grant per subscriber station:
+    ``{ss_id: bytes}``."""
     grants: dict[int, int] = {}
     for conn in connections:
         if conn.cid in result.allocated:
             grants[conn.ss_id] = grants.get(conn.ss_id, 0) + result.allocated[conn.cid]
-    return GrantMap(mode=GrantMode.GPSS, grants=grants)
+    return grants
 
 
 def allocate_gpc(
     requests, connections, frame: FrameConfig, weights: dict[int, float] | None = None
-) -> GrantMap:
-    """Per-connection grants from the same two-phase pipeline, ungrouped."""
+) -> dict[int, int]:
+    """Per-connection grants from the same two-phase pipeline, ungrouped:
+    ``{cid: bytes}``."""
     if weights is None:
         weights = weights_of(connections)
     result = phase2_excess(
         phase1_guarantee(requests, connections, frame), requests, weights
     )
-    return GrantMap(mode=GrantMode.GPC, grants=dict(result.allocated))
+    return result.allocated

@@ -17,7 +17,6 @@ from enum import Enum
 
 from .bs_alloc import (
     BandwidthRequest,
-    GrantMode,
     allocate_gpc,
     phase1_guarantee,
     phase2_excess,
@@ -92,9 +91,7 @@ class ScenarioError(ValueError):
 
 @dataclass(slots=True)
 class FrameTrace:
-    frame_index: int
     alloc: dict[int, int]  # per-connection bytes awarded this frame
-    grants: dict[int, int]  # per-SS (ss1/ss2) or per-connection (gpc)
     granted_bytes: int
     used_bytes: int
 
@@ -167,9 +164,6 @@ class Simulation:
         self.history: dict[int, list[Packet]] = {c.cid: [] for c in self.connections}
         self._backlog: dict[int, int] = {c.cid: 0 for c in self.connections}
 
-    def backlog_bytes(self, cid: int) -> int:
-        return self._backlog[cid]
-
     def step(self) -> FrameTrace:
         fr = self.frame_index
         cfg = self.frame_cfg
@@ -182,21 +176,21 @@ class Simulation:
                 requested_bytes=self._ugs_grant.get(
                     c.cid, self.pending_requests.get(c.cid, 0)
                 ),
-                issued_frame=fr - 1,
             )
             for c in self.connections
         ]
         if self.mode is SimMode.GPC:
-            grant_map = allocate_gpc(requests, self.connections, cfg, self.weights)
-            alloc = dict(grant_map.grants)
+            alloc = grants = allocate_gpc(
+                requests, self.connections, cfg, self.weights
+            )
         else:
             result = phase2_excess(
                 phase1_guarantee(requests, self.connections, cfg),
                 requests,
                 self.weights,
             )
-            alloc = dict(result.allocated)
-            grant_map = pool_gpss(result, self.connections)
+            alloc = result.allocated
+            grants = pool_gpss(result, self.connections)
 
         # (2) this frame's arrivals join the live queues
         for conn in self.connections:
@@ -224,7 +218,7 @@ class Simulation:
         used = 0
         if self.mode is SimMode.GPC:
             for conn in self.connections:
-                budget = grant_map.grants.get(conn.cid, 0)
+                budget = grants.get(conn.cid, 0)
                 q = conn.queue
                 while q and q[0].size <= budget:
                     pkt = q.popleft()
@@ -234,7 +228,7 @@ class Simulation:
                     self._backlog[conn.cid] -= pkt.size
         else:
             for ss in self.ss_ids:
-                grant = grant_map.grants.get(ss, 0)
+                grant = grants.get(ss, 0)
                 conns = self._ss_conns[ss]
                 if self.mode is SimMode.SS1:
                     tx = schedule_frame_ss1(conns, grant, self.dfpq[ss])
@@ -252,9 +246,7 @@ class Simulation:
 
         self.frame_index = fr + 1
         return FrameTrace(
-            frame_index=fr,
             alloc=alloc,
-            grants=dict(grant_map.grants),
             granted_bytes=sum(alloc.values()),
             used_bytes=used,
         )

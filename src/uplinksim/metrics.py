@@ -45,79 +45,6 @@ def jain_index(rates) -> float | None:
     return (total * total) / (len(rates) * square_sum)
 
 
-def _latency_of(result: RunResult) -> dict[int, float | None]:
-    return {s.cid: s.qos.max_latency_ms for s in result.conns}
-
-
-def _class_of(result: RunResult) -> dict[int, ServiceClass]:
-    return {s.cid: s.service_class for s in result.conns}
-
-
-def _select_cids(result: RunResult, class_filter) -> list[int]:
-    if class_filter is None:
-        return [s.cid for s in result.conns]
-    if isinstance(class_filter, ServiceClass):
-        return [s.cid for s in result.conns if s.service_class is class_filter]
-    return [int(class_filter)]
-
-
-def delay_stats(
-    result: RunResult, window, class_filter=None
-) -> tuple[float | None, float | None]:
-    """(mean delay, delay-violation rate) over packets delivered in window.
-
-    The violation rate is the fraction of delivered packets whose delay
-    exceeds their connection's maximum latency; connections without a
-    latency bound never violate.  Absent (None, None) when nothing was
-    delivered in the window.
-    """
-    start, end = window
-    latency = _latency_of(result)
-    total = 0.0
-    late = 0
-    count = 0
-    for cid in _select_cids(result, class_filter):
-        bound = latency[cid]
-        for pkt in result.history[cid]:
-            dep = pkt.departure_time
-            if dep is None or not (start <= dep < end):
-                continue
-            delay = dep - pkt.arrival_time
-            total += delay
-            count += 1
-            if bound is not None and delay > bound:
-                late += 1
-    if count == 0:
-        return None, None
-    return total / count, late / count
-
-
-def throughput(result: RunResult, window, group: str = "class") -> dict:
-    """Delivered kbit/s per group member ('class' or 'connection').
-
-    Every configured member appears in the result, including those that
-    delivered nothing (rate 0).  bytes * 8 / window-ms is exactly kbit/s.
-    """
-    start, end = window
-    span = end - start
-    if span <= 0:
-        raise ValueError("window length must be > 0")
-    classes = _class_of(result)
-    if group == "class":
-        totals: dict = {cls: 0 for cls in sorted(set(classes.values()))}
-    elif group == "connection":
-        totals = {cid: 0 for cid in sorted(classes)}
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    for cid, cls in classes.items():
-        key = cls if group == "class" else cid
-        for pkt in result.history[cid]:
-            dep = pkt.departure_time
-            if dep is not None and start <= dep < end:
-                totals[key] += pkt.size
-    return {key: bytes_ * 8.0 / span for key, bytes_ in totals.items()}
-
-
 def utilization(result: RunResult, window) -> float:
     """Mean used/capacity over the frames fully inside the window."""
     start, end = window
@@ -135,82 +62,60 @@ def warmup_ms(result: RunResult, warmup_fraction: float = 0.1) -> float:
     return result.frames * result.frame.frame_duration_ms * warmup_fraction
 
 
-def window_metrics(
-    result: RunResult, window_ms: float = 1000.0, warmup_fraction: float = 0.1
+def _samples(
+    result: RunResult, start: float, window_ms: float, n: int, end: float
 ) -> list[MetricsSample]:
-    """Per-window samples over the post-warm-up portion of the run.
+    """The one metrics accumulator: ``n`` windows of ``window_ms`` from
+    ``start``, the last of which ends exactly at ``end``.
 
-    Single pass over the packet history; only full windows are reported.
+    A single pass over the packet history (connections in ``result.conns``
+    order, packets in history order) adds every packet delivered in
+    [start, end) to its class's and to its connection's counters.  Both are
+    summed directly in that order, so the float delay sums, and with them
+    the CSV bytes, are reproducible.
     """
-    if window_ms <= 0:
-        raise ValueError("window_ms must be > 0")
-    total_ms = result.frames * result.frame.frame_duration_ms
-    start = warmup_ms(result, warmup_fraction)
-    n_windows = int((total_ms - start + 1e-9) // window_ms)
-    classes = sorted({s.service_class for s in result.conns})
-    if n_windows <= 0:
-        return []
+    def rows():  # per window: delivered, delay sum, late, bytes
+        return [0] * n, [0.0] * n, [0] * n, [0] * n
 
-    latency = _latency_of(result)
-    cids = [s.cid for s in result.conns]
-    cls_index = {cls: k for k, cls in enumerate(classes)}
-    cid_index = {cid: k for k, cid in enumerate(cids)}
-    nc = len(classes)
-    counts = [[0] * nc for _ in range(n_windows)]
-    delay_sums = [[0.0] * nc for _ in range(n_windows)]
-    lates = [[0] * nc for _ in range(n_windows)]
-    bytes_ = [[0] * nc for _ in range(n_windows)]
-    nconn = len(cids)
-    c_counts = [[0] * nconn for _ in range(n_windows)]
-    c_delays = [[0.0] * nconn for _ in range(n_windows)]
-    c_lates = [[0] * nconn for _ in range(n_windows)]
-    c_bytes = [[0] * nconn for _ in range(n_windows)]
+    by_class = {cls: rows() for cls in sorted({s.service_class for s in result.conns})}
+    by_conn = {}
+    last = n - 1
     for spec in result.conns:
-        k = cls_index[spec.service_class]
-        j = cid_index[spec.cid]
-        bound = latency[spec.cid]
+        count, delay_sum, late, nbytes = by_class[spec.service_class]
+        c_count, c_delay, c_late, c_bytes = by_conn[spec.cid] = rows()
+        bound = spec.qos.max_latency_ms
         for pkt in result.history[spec.cid]:
             dep = pkt.departure_time
-            if dep is None or dep < start:
+            if dep is None or dep < start or dep >= end:
                 continue
             w = int((dep - start) // window_ms)
-            if w >= n_windows:
-                continue
+            if w > last:  # float rounding just below ``end``
+                w = last
             delay = dep - pkt.arrival_time
-            counts[w][k] += 1
-            delay_sums[w][k] += delay
-            bytes_[w][k] += pkt.size
-            c_counts[w][j] += 1
-            c_delays[w][j] += delay
-            c_bytes[w][j] += pkt.size
+            size = pkt.size
+            count[w] += 1
+            c_count[w] += 1
+            delay_sum[w] += delay
+            c_delay[w] += delay
+            nbytes[w] += size
+            c_bytes[w] += size
             if bound is not None and delay > bound:
-                lates[w][k] += 1
-                c_lates[w][j] += 1
+                late[w] += 1
+                c_late[w] += 1
 
-    def stats(count, delay_sum, late, nbytes):
+    def stats(acc, w):
+        count, delay_sum, late, nbytes = (row[w] for row in acc)
         rate = nbytes * 8.0 / window_ms
         if count:
             return ClassStats(delay_sum / count, late / count, rate)
         return ClassStats(None, None, rate)
 
     samples = []
-    for w in range(n_windows):
+    for w in range(n):
         ws = start + w * window_ms
-        window = (ws, ws + window_ms)
-        per_class = {
-            cls: stats(counts[w][cls_index[cls]],
-                       delay_sums[w][cls_index[cls]],
-                       lates[w][cls_index[cls]],
-                       bytes_[w][cls_index[cls]])
-            for cls in classes
-        }
-        per_connection = {
-            cid: stats(c_counts[w][cid_index[cid]],
-                       c_delays[w][cid_index[cid]],
-                       c_lates[w][cid_index[cid]],
-                       c_bytes[w][cid_index[cid]])
-            for cid in cids
-        }
+        window = (ws, end if w == last else ws + window_ms)
+        per_class = {cls: stats(acc, w) for cls, acc in by_class.items()}
+        per_connection = {cid: stats(acc, w) for cid, acc in by_conn.items()}
         samples.append(
             MetricsSample(
                 window_start_ms=window[0],
@@ -218,34 +123,34 @@ def window_metrics(
                 per_class=per_class,
                 per_connection=per_connection,
                 utilization=utilization(result, window),
-                jfi=jain_index([per_class[cls].throughput_kbps
-                                for cls in classes]),
+                jfi=jain_index([s.throughput_kbps for s in per_class.values()]),
             )
         )
     return samples
 
 
-def run_summary(result: RunResult, warmup_fraction: float = 0.1) -> MetricsSample:
-    """One sample covering the whole post-warm-up region."""
+def window_metrics(
+    result: RunResult, window_ms: float = 1000.0, warmup_fraction: float = 0.1
+) -> list[MetricsSample]:
+    """Per-window samples over the post-warm-up portion of the run; only
+    full windows are reported."""
+    if window_ms <= 0:
+        raise ValueError("window_ms must be > 0")
     total_ms = result.frames * result.frame.frame_duration_ms
     start = warmup_ms(result, warmup_fraction)
-    window = (start, total_ms)
-    classes = sorted({s.service_class for s in result.conns})
-    per_class = {}
-    rates = throughput(result, window, group="class")
-    for cls in classes:
-        mean, viol = delay_stats(result, window, cls)
-        per_class[cls] = ClassStats(mean, viol, rates[cls])
-    conn_rates = throughput(result, window, group="connection")
-    per_connection = {}
-    for spec in result.conns:
-        mean, viol = delay_stats(result, window, spec.cid)
-        per_connection[spec.cid] = ClassStats(mean, viol, conn_rates[spec.cid])
-    return MetricsSample(
-        window_start_ms=window[0],
-        window_end_ms=window[1],
-        per_class=per_class,
-        per_connection=per_connection,
-        utilization=utilization(result, window),
-        jfi=jain_index([rates[cls] for cls in classes]),
-    )
+    n_windows = int((total_ms - start + 1e-9) // window_ms)
+    if n_windows <= 0:
+        return []
+    # the last window's ``ws + window_ms``, computed as for the others
+    end = start + (n_windows - 1) * window_ms + window_ms
+    return _samples(result, start, window_ms, n_windows, end)
+
+
+def run_summary(result: RunResult, warmup_fraction: float = 0.1) -> MetricsSample:
+    """One sample covering the whole post-warm-up region [warm-up end,
+    run end)."""
+    total_ms = result.frames * result.frame.frame_duration_ms
+    start = warmup_ms(result, warmup_fraction)
+    if total_ms <= start:
+        raise ValueError("window length must be > 0")
+    return _samples(result, start, total_ms - start, 1, total_ms)[0]

@@ -32,15 +32,6 @@ class ServiceClass(IntEnum):
             raise ValueError(f"unknown service class {label!r}") from None
 
 
-#: Classes ordered highest priority first, as the schedulers visit them.
-PRIORITY_ORDER = (
-    ServiceClass.UGS,
-    ServiceClass.RTPS,
-    ServiceClass.NRTPS,
-    ServiceClass.BE,
-)
-
-
 @dataclass(frozen=True)
 class QosParams:
     """Per-connection QoS contract.

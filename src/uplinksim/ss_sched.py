@@ -32,11 +32,10 @@ class DfpqState:
 
 @dataclass
 class FrameBudget:
-    """Byte budget of one SS for one frame.  ``after_ugs_rtps`` is fixed when
-    the priority phases finish; ``running`` is what is still spendable."""
+    """Byte budget of one SS for one frame; ``running`` is what is still
+    spendable."""
 
     total: int
-    after_ugs_rtps: int | None = None
     running: int = -1
 
     def __post_init__(self):
@@ -179,7 +178,6 @@ def schedule_frame_ss1(ss_conns, grant: int, state: DfpqState) -> TransmissionLi
         by_class[conn.service_class].append(conn)
     entries = serve_ugs(by_class[ServiceClass.UGS], budget)
     entries += serve_rtps_edf(by_class[ServiceClass.RTPS], budget)
-    budget.after_ugs_rtps = budget.running
     entries += dfpq_round(
         by_class[ServiceClass.NRTPS], by_class[ServiceClass.BE], state, budget
     )

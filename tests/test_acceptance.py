@@ -196,7 +196,7 @@ def test_criterion_6_deficit_round_oracle():
         for q in range(nq):
             st.quantum[q] = quanta[q]
             st.deficit[q] = deficits[q]
-        fb = FrameBudget(total=budget, after_ugs_rtps=budget)
+        fb = FrameBudget(total=budget)
         entries = dfpq_round(conns, [], st, fb)
 
         sent, dc, pos, used = reference_dfpq(queues, quanta, deficits,

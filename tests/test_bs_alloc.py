@@ -7,7 +7,6 @@ from reference import brute_force_alloc
 from uplinksim.bs_alloc import (
     AllocationResult,
     BandwidthRequest,
-    GrantMode,
     InfeasibleReservationError,
     allocate_gpc,
     phase1_guarantee,
@@ -88,12 +87,11 @@ def test_pool_gpss_sums_per_station():
     ]
     result = AllocationResult(allocated={1: 640, 2: 320, 3: 50}, remaining=0)
     grants = pool_gpss(result, conns)
-    assert grants.mode is GrantMode.GPSS
-    assert grants.grants == {1: 960, 2: 50}
+    assert grants == {1: 960, 2: 50}  # keyed by station, not connection
 
 
 def test_pool_gpss_empty():
-    assert pool_gpss(AllocationResult({}, 100), []).grants == {}
+    assert pool_gpss(AllocationResult({}, 100), []) == {}
 
 
 def test_allocate_gpc_equals_two_phase_pipeline():
@@ -105,15 +103,15 @@ def test_allocate_gpc_equals_two_phase_pipeline():
         phase1_guarantee(requests, conns, frame()), requests, weights
     )
     grants = allocate_gpc(requests, conns, frame())
-    assert grants.mode is GrantMode.GPC
-    assert grants.grants == expected.allocated
+    assert set(grants) == {c.cid for c in conns}  # keyed by connection
+    assert grants == expected.allocated
 
 
 def test_allocate_gpc_ugs_fixed_grant_every_frame():
     conns = [make_conn(1, ServiceClass.UGS), make_conn(2, ServiceClass.UGS)]
     for _ in range(5):
         grants = allocate_gpc([req(1, 320), req(2, 320)], conns, frame())
-        assert grants.grants == {1: 320, 2: 320}
+        assert grants == {1: 320, 2: 320}
 
 
 def random_instance(rng, max_conns=4, max_capacity=64):

@@ -142,3 +142,46 @@ def test_rho_sweep_utilization_rises_until_saturation(tmp_path):
     ]
     for lo, hi in zip(utils, utils[1:]):
         assert hi >= lo - 0.01
+
+
+# sha256 of the CLI's CSVs for the built-in cell, all modes, seed 1, rho 1.2,
+# 400 frames, 500 ms windows, trace on; keyed by --drop-expired.  Output may
+# change only with a bug fix that the change log names, together with these.
+PINNED_DIGESTS = {
+    False: {
+        "summary.csv":
+            "b4623309ef4e07e2d4b0f1e5bedde6cbe545be9357e70927d6214133b67e1f3d",
+        "timeseries.csv":
+            "ba2992cbeb5de50297e67f8dc27cf552968eeded8871da6772674403afddd8fc",
+        "packets.csv":
+            "cff5295849872f33b2bbcc4a03b0ea0afd76227b06c8bda7bb921f570a67f963",
+    },
+    True: {
+        "summary.csv":
+            "64a4db69e613ad36f6d2822a06a663db2c6f7100bd96b73ee0f13985ebcf9467",
+        "timeseries.csv":
+            "ee4bb6fa179d4016b95d24918c9b7f22d5220591c4c8affc01a4e853bdd1870f",
+        "packets.csv":
+            "2a326c88fb82a8c8b9ea4133607046abedf808875d1be5ffd7e9fad2fe2ab015",
+    },
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    import hashlib
+    from dataclasses import replace
+
+    from uplinksim.config import serialize_config
+
+    cfg = replace(baseline_config(), frames=400, seeds=(1,), rhos=(1.2,),
+                  window_ms=500.0)
+    cfg_path = tmp_path / "pinned.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    for drop_expired, expected in PINNED_DIGESTS.items():
+        out = tmp_path / f"drop{int(drop_expired)}"
+        argv = ["--config", str(cfg_path), "--mode", "all", "--trace",
+                "--out", str(out)]
+        assert main(argv + ["--drop-expired"] * drop_expired) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in expected}
+        assert digests == expected, f"drop_expired={drop_expired}"

@@ -4,13 +4,12 @@ import random
 import pytest
 
 from conftest import QOS, frame
+from reference import delay_stats, throughput
 from uplinksim.config import baseline_config
 from uplinksim.engine import ConnSpec, RunResult, Scenario, SimMode, run
 from uplinksim.metrics import (
-    delay_stats,
     jain_index,
     run_summary,
-    throughput,
     utilization,
     window_metrics,
 )
@@ -41,20 +40,25 @@ def pkt(size, arrival, departure, deadline=None):
                   departure_time=departure)
 
 
+# The hand-built runs last frames x 10 ms, so a summary without warm-up
+# covers exactly [0, frames * 10 ms).
+
 def test_delay_stats_example():
     result = synthetic_result(
         {1: [pkt(100, 0.0, 15.0), pkt(100, 0.0, 25.0), pkt(100, 0.0, 18.0)]},
         {1: ServiceClass.RTPS},
     )
-    mean, viol = delay_stats(result, (0.0, 1000.0), ServiceClass.RTPS)
-    assert mean == pytest.approx((15 + 25 + 18) / 3)
-    assert viol == pytest.approx(1 / 3)
+    stats = run_summary(result, warmup_fraction=0.0).per_class[ServiceClass.RTPS]
+    assert stats.mean_delay_ms == pytest.approx((15 + 25 + 18) / 3)
+    assert stats.violation_rate == pytest.approx(1 / 3)
 
 
 def test_delay_stats_absent_when_nothing_delivered():
     result = synthetic_result({1: [pkt(100, 0.0, None)]},
                               {1: ServiceClass.RTPS})
-    assert delay_stats(result, (0.0, 1000.0)) == (None, None)
+    summary = run_summary(result, warmup_fraction=0.0)
+    for stats in (summary.per_class[ServiceClass.RTPS], summary.per_connection[1]):
+        assert (stats.mean_delay_ms, stats.violation_rate) == (None, None)
 
 
 def test_delay_stats_no_violations_below_bound():
@@ -62,8 +66,9 @@ def test_delay_stats_no_violations_below_bound():
         {1: [pkt(100, 0.0, 10.0), pkt(100, 5.0, 25.0)]},
         {1: ServiceClass.RTPS},
     )
-    mean, viol = delay_stats(result, (0.0, 1000.0))
-    assert viol == 0.0  # 20 ms delay is not strictly larger than the bound
+    summary = run_summary(result, warmup_fraction=0.0)
+    # a 20 ms delay is not strictly larger than the bound
+    assert summary.per_class[ServiceClass.RTPS].violation_rate == 0.0
 
 
 def test_classes_without_latency_never_violate():
@@ -71,40 +76,41 @@ def test_classes_without_latency_never_violate():
         {1: [pkt(100, 0.0, 500.0)]},
         {1: ServiceClass.BE},
     )
-    _, viol = delay_stats(result, (0.0, 1000.0))
-    assert viol == 0.0
+    summary = run_summary(result, warmup_fraction=0.0)
+    assert summary.per_class[ServiceClass.BE].violation_rate == 0.0
 
 
 def test_throughput_unit_conversion():
     result = synthetic_result(
         {1: [pkt(1280, 0.0, 5.0)]},
         {1: ServiceClass.NRTPS},
+        frames=1,
     )
-    rates = throughput(result, (0.0, 10.0), group="class")
-    assert rates[ServiceClass.NRTPS] == pytest.approx(1024.0)
+    summary = run_summary(result, warmup_fraction=0.0)
+    assert summary.per_class[ServiceClass.NRTPS].throughput_kbps == 1024.0
 
 
 def test_throughput_zero_and_grouping():
     result = synthetic_result(
         {1: [], 2: [pkt(100, 0.0, 5.0)]},
         {1: ServiceClass.BE, 2: ServiceClass.NRTPS},
+        frames=10,
     )
-    rates = throughput(result, (0.0, 100.0), group="connection")
-    assert rates[1] == 0.0
-    assert rates[2] == pytest.approx(8.0)
+    rates = run_summary(result, warmup_fraction=0.0).per_connection
+    assert rates[1].throughput_kbps == 0.0
+    assert rates[2].throughput_kbps == 8.0
 
 
 def test_throughput_conservation_on_real_run():
     cfg = baseline_config()
     result = run(cfg.scenario, SimMode.SS1, 500, seed=1, rho=1.0)
-    window = (0.0, 5000.0)
-    per_conn = throughput(result, window, group="connection")
+    summary = run_summary(result, warmup_fraction=0.0)  # window [0, 5000)
     delivered = sum(
         p.size for s in result.conns for p in result.history[s.cid]
         if p.departure_time is not None and p.departure_time < 5000.0
     )
-    total_kbps = sum(per_conn.values())
-    assert total_kbps * (window[1] - window[0]) / 8.0 == pytest.approx(delivered)
+    total_kbps = sum(s.throughput_kbps for s in summary.per_connection.values())
+    assert total_kbps * 5000.0 / 8.0 == pytest.approx(delivered)
 
 
 def test_utilization_handbuilt_patterns():
@@ -171,19 +177,35 @@ def test_window_metrics_per_connection_consistent_with_classes():
                 sum(m.throughput_kbps for m in members))
 
 
+def _assert_matches_oracle(result, sample):
+    window = (sample.window_start_ms, sample.window_end_ms)
+    for group, members in (("class", sample.per_class),
+                           ("connection", sample.per_connection)):
+        rates = throughput(result, window, group=group)
+        assert set(members) == set(rates)
+        for member, stats in members.items():
+            mean, viol = delay_stats(result, window, member)
+            assert stats.mean_delay_ms == mean, (group, member, window)
+            assert stats.violation_rate == viol, (group, member, window)
+            assert stats.throughput_kbps == rates[member], (group, member, window)
+    assert sample.utilization == utilization(result, window)
+
+
 def test_window_metrics_agree_with_direct_computation():
     cfg = baseline_config()
-    result = run(cfg.scenario, SimMode.SS2, 600, seed=2, rho=1.1)
-    samples = window_metrics(result, window_ms=500.0, warmup_fraction=0.0)
-    probe = samples[3]
-    window = (probe.window_start_ms, probe.window_end_ms)
-    rates = throughput(result, window, group="class")
-    for cls, stats in probe.per_class.items():
-        mean, viol = delay_stats(result, window, cls)
-        assert stats.mean_delay_ms == mean
-        assert stats.violation_rate == viol
-        assert stats.throughput_kbps == pytest.approx(rates[cls])
-    assert probe.utilization == pytest.approx(utilization(result, window))
+    for mode in SimMode:
+        for drop_expired in (False, True):
+            result = run(cfg.scenario, mode, 600, seed=2, rho=1.1,
+                         drop_expired=drop_expired)
+            samples = window_metrics(result, window_ms=500.0,
+                                     warmup_fraction=0.0)
+            assert len(samples) == 12
+            for sample in samples:
+                _assert_matches_oracle(result, sample)
+            summary = run_summary(result)
+            assert (summary.window_start_ms, summary.window_end_ms) == \
+                (600.0, 6000.0)
+            _assert_matches_oracle(result, summary)
 
 
 def test_run_summary_never_nan():

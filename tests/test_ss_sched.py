@@ -123,7 +123,7 @@ def test_edf_minimizes_max_lateness_small_sets():
 def test_dfpq_two_visits_then_reset_on_empty():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     st = state_for([conn], quanta={1: 500})
-    budget = FrameBudget(total=10_000, after_ugs_rtps=10_000)
+    budget = FrameBudget(total=10_000)
     entries = dfpq_round([conn], [], st, budget)
     # visit 1: counter 500, send 300 (200 left, next 300 too big);
     # visit 2: counter 700, send 300, queue drains, counter forfeited
@@ -153,7 +153,7 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     nrtps = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     st = state_for([nrtps, be])  # quanta 1280 / 320
-    budget = FrameBudget(total=2500, after_ugs_rtps=2500)
+    budget = FrameBudget(total=2500)
     entries = dfpq_round([nrtps], [be], st, budget)
     # BE's counter needs four rounds of credit for a 1250-byte packet, so the
     # scarce budget goes to nrtPS alone
@@ -161,7 +161,7 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     nrtps2 = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be2 = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     st2 = state_for([nrtps2, be2])
-    budget2 = FrameBudget(total=20_000, after_ugs_rtps=20_000)
+    budget2 = FrameBudget(total=20_000)
     entries2 = dfpq_round([nrtps2], [be2], st2, budget2)
     # ample budget: everything drains; nrtPS finishes while BE still accrues
     assert [cid for cid, _ in entries2] == [1, 1, 1, 1, 2, 2, 2, 2]
@@ -174,7 +174,7 @@ def test_dfpq_long_run_fairness_equal_quanta():
     st = state_for([a, b], quanta={1: 150, 2: 150})
     sent = {1: 0, 2: 0}
     for _ in range(1000):
-        budget = FrameBudget(total=300, after_ugs_rtps=300)
+        budget = FrameBudget(total=300)
         for cid, p in dfpq_round([a, b], [], st, budget):
             sent[cid] += p.size
     assert abs(sent[1] - sent[2]) <= 100  # within one packet
@@ -198,7 +198,7 @@ def test_dfpq_matches_reference_simulator():
             conns.append(make_conn(q, ServiceClass.NRTPS, sizes=queues[q]))
         st = state_for(conns, quanta=dict(enumerate(quanta)),
                        deficits=dict(enumerate(deficits)), cursor=cursor)
-        fb = FrameBudget(total=budget, after_ugs_rtps=budget)
+        fb = FrameBudget(total=budget)
         entries = dfpq_round(conns, [], st, fb)
 
         ref_sent, ref_dc, ref_cursor, ref_used = reference_dfpq(
