@@ -5,8 +5,6 @@ implementation of the same kernels is selected at import time), so a
 missing Cython or C compiler must not break installation.
 """
 
-import os
-
 from setuptools import setup
 from setuptools.command.build_ext import build_ext
 
@@ -30,14 +28,11 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-if os.environ.get("UPLINKSIM_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            ["src/uplinksim/_kernels.pyx"], language_level=3
-        )
-    except ImportError:
-        print("warning: Cython not available; installing pure-Python kernels only")
+    ext_modules = cythonize(["src/uplinksim/_kernels.pyx"], language_level=3)
+except ImportError:
+    print("warning: Cython not available; installing pure-Python kernels only")
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -1,13 +1,11 @@
 """Kernel backend selection.
 
 The compiled extension is preferred when importable; the pure-Python kernels
-are the always-available fallback.  ``UPLINKSIM_PURE=1`` in the environment
-forces the fallback, and ``use()`` switches at runtime (benchmarks, tests).
+are the always-available fallback, and ``use()`` switches at runtime
+(benchmarks, tests).
 """
 
 from __future__ import annotations
-
-import os
 
 from . import _kernels_py
 
@@ -16,10 +14,7 @@ try:
 except ImportError:
     _compiled = None
 
-if _compiled is not None and os.environ.get("UPLINKSIM_PURE") != "1":
-    kernels = _compiled
-else:
-    kernels = _kernels_py
+kernels = _compiled or _kernels_py
 
 
 def backend_name() -> str:

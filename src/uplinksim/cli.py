@@ -9,11 +9,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import _backend
-from .config import ConfigError, ScenarioConfig, baseline_config, parse_config
+from .config import (
+    ConfigError,
+    ScenarioConfig,
+    baseline_config,
+    override_run,
+    parse_config,
+)
 from .engine import RunResult, SimMode, run
 from .metrics import run_summary, window_metrics
 
@@ -28,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario file (built-in 4-station cell if omitted)")
     parser.add_argument("--mode", choices=["ss1", "ss2", "gpc", "all"],
                         help="scheduler mode(s) to run")
-    parser.add_argument("--frames", type=int, metavar="N",
+    parser.add_argument("--frames", metavar="N",
                         help="frames per run")
     parser.add_argument("--seeds", metavar="LIST",
                         help="comma-separated seeds, e.g. 1,2,3")
@@ -45,40 +50,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """Flag > SIM_OUT environment variable > config file."""
-    updates: dict = {}
-    if args.mode:
-        if args.mode == "all":
-            updates["modes"] = (SimMode.SS1, SimMode.SS2, SimMode.GPC)
-        else:
-            updates["modes"] = (SimMode.from_label(args.mode),)
-    if args.frames is not None:
-        if args.frames <= 0:
-            raise ConfigError(["--frames must be > 0"])
-        updates["frames"] = args.frames
-    if args.seeds:
-        try:
-            updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError([f"--seeds must be integers, got {args.seeds!r}"])
-    if args.rho:
-        try:
-            rhos = tuple(float(r) for r in args.rho.split(","))
-        except ValueError:
-            raise ConfigError([f"--rho must be numbers, got {args.rho!r}"])
-        if any(r < 0 for r in rhos):
-            raise ConfigError(["--rho values must be >= 0"])
-        updates["rhos"] = rhos
-    env_out = os.environ.get("SIM_OUT")
-    if env_out:
-        updates["outdir"] = env_out
-    if args.out:
-        updates["outdir"] = args.out
-    if args.trace:
-        updates["trace"] = True
-    if args.drop_expired:
-        updates["drop_expired"] = True
-    return replace(cfg, **updates) if updates else cfg
+    """Flag > SIM_OUT environment variable > config file.
+
+    Each value is checked by the scenario file's rules for its [run] key,
+    with lists comma-separated; an empty --seeds, --rho or --out counts as
+    not given.
+    """
+    given = {}
+    if os.environ.get("SIM_OUT"):
+        given["outdir"] = (os.environ["SIM_OUT"], "SIM_OUT")
+    for flag, key, text in (
+        ("--mode", "modes", args.mode),
+        ("--frames", "frames", args.frames),
+        ("--seeds", "seeds", args.seeds or None),
+        ("--rho", "rhos", args.rho or None),
+        ("--out", "outdir", args.out or None),
+        ("--trace", "trace", "on" if args.trace else None),
+        ("--drop-expired", "drop_expired", "on" if args.drop_expired else None),
+    ):
+        if text is not None:
+            given[key] = (text, flag)
+    return override_run(cfg, given)
 
 
 def matrix_cells(cfg: ScenarioConfig) -> list[tuple[SimMode, int, float]]:

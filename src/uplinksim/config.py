@@ -33,22 +33,22 @@ Grammar (see README for the full reference)::
     on_ms = 500
     off_ms = 500
 
-Parsing is strict: unknown sections or keys are errors, and every scenario
-validation check runs at parse time.  Errors carry line numbers.
+Parsing is strict: unknown sections or keys are errors, numbers must be
+finite, and every scenario validation check runs at parse time.  Errors
+carry line numbers.  Command-line overrides of [run] keys go through the
+same per-key rules (``override_run``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .engine import ConnSpec, Scenario, SimMode
-from .model import (
-    FrameConfig,
-    QosParams,
-    ServiceClass,
-    validate_scenario,
-)
-from .traffic import TrafficKind, TrafficModel, default_models, model_violations
+from .model import FrameConfig, QosParams, ServiceClass
+from .traffic import TrafficKind, TrafficModel, default_models
 
 #: QoS fallbacks applied when a connection omits its whole QoS block.
 DEFAULT_QOS: dict[ServiceClass, QosParams] = {
@@ -64,16 +64,6 @@ DEFAULT_QOS: dict[ServiceClass, QosParams] = {
 }
 
 _QOS_KEYS = ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms")
-_FRAME_KEYS = {"duration_ms", "capacity_bytes", "bandwidth_mhz"}
-_RUN_KEYS = {
-    "modes", "frames", "seeds", "rhos", "window_ms", "warmup",
-    "drop_expired", "trace", "outdir",
-}
-_CONN_KEYS = {
-    "cid", "ss", "class", "max_sustained_kbps", "min_reserved_kbps",
-    "max_latency_ms", "weight", "model", "rate_kbps", "size_bytes",
-    "on_ms", "off_ms",
-}
 
 
 class ConfigError(ValueError):
@@ -113,102 +103,191 @@ def _tokenize(text: str):
             yield line_no, "bad", line
 
 
-def _parse_bool(value: str, line: int, key: str, errors: list[str]) -> bool:
-    if value.lower() in ("on", "true", "yes", "1"):
+# Value parsers share one signature: (text, where, key, errors) -> value.
+# ``where`` locates the value in messages ("line 12", "--rho"); a bad value
+# appends one error and yields a fallback so the key's rule still runs.
+
+def _parse_bool(text: str, where: str, key: str, errors: list[str]) -> bool:
+    if text.lower() in ("on", "true", "yes", "1"):
         return True
-    if value.lower() in ("off", "false", "no", "0"):
+    if text.lower() in ("off", "false", "no", "0"):
         return False
-    errors.append(f"line {line}: {key} must be on/off, got {value!r}")
+    errors.append(f"{where}: {key} must be on/off, got {text!r}")
     return False
 
 
-def _parse_float(value: str, line: int, key: str, errors: list[str]) -> float:
+def _parse_float(text: str, where: str, key: str, errors: list[str]) -> float:
     try:
-        return float(value)
+        value = float(text)
     except ValueError:
-        errors.append(f"line {line}: {key} must be a number, got {value!r}")
+        errors.append(f"{where}: {key} must be a number, got {text!r}")
         return 0.0
+    if not math.isfinite(value):
+        errors.append(f"{where}: {key} must be finite, got {text!r}")
+        return 0.0
+    return value
 
 
-def _parse_int(value: str, line: int, key: str, errors: list[str]) -> int:
+def _parse_int(text: str, where: str, key: str, errors: list[str]) -> int:
     try:
-        return int(value)
+        return int(text)
     except ValueError:
-        errors.append(f"line {line}: {key} must be an integer, got {value!r}")
+        errors.append(f"{where}: {key} must be an integer, got {text!r}")
         return 0
 
 
-def _build_conn(raw: dict, line: int, errors: list[str]) -> ConnSpec | None:
+def _parse_label(noun, members, fold, text, where, key, errors):
+    """One enum label; ``members`` maps spellings folded by ``fold``."""
+    member = members.get(fold(text.strip()))
+    if member is None:
+        errors.append(f"{where}: unknown {noun} {text!r}")
+    return member
+
+
+_parse_mode = partial(_parse_label, "mode", {m.value: m for m in SimMode}, str.lower)
+_parse_class = partial(_parse_label, "service class", ServiceClass.__members__,
+                       str.upper)
+_parse_model = partial(_parse_label, "traffic model",
+                       {k.value: k for k in TrafficKind}, str.lower)
+
+
+def _parse_list(parse, tokens, where, key, errors) -> tuple:
+    """A non-empty token list, ``parse`` applied to each token."""
+    if not tokens:
+        errors.append(f"{where}: {key} must list at least one value")
+    return tuple(parse(tok, where, key, errors) for tok in tokens)
+
+
+def _parse_modes(tokens, where, key, errors) -> tuple[SimMode, ...]:
+    if tokens == ["all"]:
+        return tuple(SimMode)
+    return tuple(_parse_mode(tok, where, key, errors) for tok in tokens)
+
+
+def _parse_sizes(tokens, where, key, errors) -> tuple[int, int]:
+    """One value is a fixed size, two a uniform range: (lo, hi)."""
+    if not 1 <= len(tokens) <= 2:
+        errors.append(f"{where}: {key} takes one or two values")
+        return 1, 1
+    sizes = [_parse_int(tok, where, key, errors) for tok in tokens]
+    return sizes[0], sizes[-1]
+
+
+class _Key(NamedTuple):
+    parse: Callable
+    many: bool = False          # a list: the text is split before parsing
+    rule: tuple | None = None   # (ok(value), what the message says otherwise)
+    field: str | None = None    # dataclass field it fills, if not the key
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+
+# One entry per key of each section; the allowed keys are these.
+_FRAME = {
+    "duration_ms": _Key(_parse_float, field="frame_duration_ms"),
+    "capacity_bytes": _Key(_parse_int, field="uplink_capacity_bytes"),
+    "bandwidth_mhz": _Key(_parse_float, field="channel_bandwidth_mhz"),
+}
+_RUN = {
+    "modes": _Key(_parse_modes, many=True),
+    "frames": _Key(_parse_int, rule=_POSITIVE),
+    "seeds": _Key(partial(_parse_list, _parse_int), many=True),
+    "rhos": _Key(partial(_parse_list, _parse_float), many=True,
+                 rule=(lambda v: all(r >= 0 for r in v), "must be >= 0")),
+    "window_ms": _Key(_parse_float, rule=_POSITIVE),
+    "warmup": _Key(_parse_float, rule=(lambda v: 0 <= v < 1, "must be in [0, 1)")),
+    "drop_expired": _Key(_parse_bool),
+    "trace": _Key(_parse_bool),
+    "outdir": _Key(lambda text, *_: text),
+}
+_CONN = {
+    "cid": _Key(_parse_int),
+    "ss": _Key(_parse_int),
+    "class": _Key(_parse_class),
+    **{key: _Key(_parse_float) for key in _QOS_KEYS},
+    "weight": _Key(_parse_float),
+    "model": _Key(_parse_model),
+    "rate_kbps": _Key(_parse_float),
+    "size_bytes": _Key(_parse_sizes, many=True),
+    "on_ms": _Key(_parse_float, field="mean_on_ms"),
+    "off_ms": _Key(_parse_float, field="mean_off_ms"),
+}
+_SECTIONS = {"frame": _FRAME, "run": _RUN, "connection": _CONN}
+
+
+def _value(spec: _Key, key: str, text: str, where: str, errors: list[str],
+           sep: str | None = None):
+    """Parse and check one key's text; a list splits on ``sep``."""
+    value = spec.parse(text.split(sep) if spec.many else text, where, key, errors)
+    if spec.rule and not spec.rule[0](value):
+        errors.append(f"{where}: {key} {spec.rule[1]}")
+    return value
+
+
+def _values(table: dict, given: dict[str, tuple[str, str]], errors: list[str],
+            sep: str | None = None) -> dict:
+    """{field: value} for each key ``given`` as (text, where); keys are
+    taken in table order, which is the order their errors are reported in."""
+    return {spec.field or key: _value(spec, key, *given[key], errors, sep)
+            for key, spec in table.items() if key in given}
+
+
+def override_run(cfg: ScenarioConfig,
+                 given: dict[str, tuple[str, str]]) -> ScenarioConfig:
+    """``cfg`` with the given [run] keys replaced, each checked exactly as
+    in a scenario file; ``given`` maps a key to its (text, where), and list
+    values are comma-separated as on the command line.  Raises ConfigError."""
+    errors: list[str] = []
+    updates = _values(_RUN, given, errors, sep=",")
+    if errors:
+        raise ConfigError(errors)
+    return replace(cfg, **updates)
+
+
+def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
     for key in ("cid", "ss", "class"):
         if key not in raw:
-            errors.append(f"line {line}: connection is missing required key {key}")
+            errors.append(f"{where}: connection is missing required key {key}")
             return None
-    local: list[str] = []
-    cid = _parse_int(raw["cid"][0], raw["cid"][1], "cid", local)
-    ss = _parse_int(raw["ss"][0], raw["ss"][1], "ss", local)
-    try:
-        service_class = ServiceClass.from_label(raw["class"][0])
-    except ValueError as exc:
-        local.append(f"line {raw['class'][1]}: {exc}")
-        errors.extend(local)
+    start = len(errors)
+
+    def value(key):
+        return _value(_CONN[key], key, *raw[key], errors)
+
+    cid, ss, service_class = value("cid"), value("ss"), value("class")
+    if service_class is None:
         return None
 
-    qos_given = {k: raw[k] for k in _QOS_KEYS if k in raw}
-    if qos_given:
-        # a partially specified QoS block is an error: the class decides
-        # which fields are mandatory, so fill nothing in silently
-        fields = {}
-        for key, (value, kline) in qos_given.items():
-            fields[key] = _parse_float(value, kline, key, local)
-        qos = QosParams(**fields)
-    else:
-        qos = DEFAULT_QOS[service_class]
+    # a partially specified QoS block is an error: the class decides which
+    # fields are mandatory, so fill nothing in silently
+    fields = {key: value(key) for key in _QOS_KEYS if key in raw}
+    qos = QosParams(**fields) if fields else DEFAULT_QOS[service_class]
     if "weight" in raw:
-        qos = replace(qos, weight=_parse_float(raw["weight"][0], raw["weight"][1],
-                                               "weight", local))
+        qos = replace(qos, weight=value("weight"))
 
     if "model" in raw:
-        value, kline = raw["model"]
-        try:
-            kind = TrafficKind.from_label(value)
-        except ValueError as exc:
-            local.append(f"line {kline}: {exc}")
-            errors.extend(local)
+        kind = value("model")
+        if kind is None:
             return None
         if "rate_kbps" not in raw or "size_bytes" not in raw:
-            local.append(
-                f"line {kline}: cid {cid}: an explicit model needs rate_kbps "
-                "and size_bytes"
+            errors.append(
+                f"{raw['model'][1]}: cid {cid}: an explicit model needs "
+                "rate_kbps and size_bytes"
             )
-            errors.extend(local)
             return None
-        rate = _parse_float(*raw["rate_kbps"][:2], "rate_kbps", local)
-        size_text, sline = raw["size_bytes"]
-        parts = size_text.split()
-        if len(parts) == 1:
-            lo = hi = _parse_int(parts[0], sline, "size_bytes", local)
-        elif len(parts) == 2:
-            lo = _parse_int(parts[0], sline, "size_bytes", local)
-            hi = _parse_int(parts[1], sline, "size_bytes", local)
-        else:
-            local.append(f"line {sline}: size_bytes takes one or two values")
-            lo = hi = 1
-        on_ms = (_parse_float(*raw["on_ms"][:2], "on_ms", local)
-                 if "on_ms" in raw else 500.0)
-        off_ms = (_parse_float(*raw["off_ms"][:2], "off_ms", local)
-                  if "off_ms" in raw else 500.0)
-        model = TrafficModel(kind, rate, lo, hi, on_ms, off_ms)
+        rate, (lo, hi) = value("rate_kbps"), value("size_bytes")
+        model = TrafficModel(kind, rate, lo, hi, **{
+            _CONN[key].field: value(key) for key in ("on_ms", "off_ms") if key in raw
+        })
     else:
         for key in ("rate_kbps", "size_bytes", "on_ms", "off_ms"):
             if key in raw:
-                local.append(
-                    f"line {raw[key][1]}: cid {cid}: {key} requires an "
-                    "explicit model"
+                errors.append(
+                    f"{raw[key][1]}: cid {cid}: {key} requires an explicit model"
                 )
         model = default_models()[service_class]
 
-    errors.extend(local)
-    if local:
+    if len(errors) > start:
         return None
     return ConnSpec(cid=cid, ss_id=ss, service_class=service_class,
                     qos=qos, traffic=model)
@@ -220,122 +299,56 @@ def parse_config(text: str) -> ScenarioConfig:
     Raises ConfigError carrying every problem found, each with its line.
     """
     errors: list[str] = []
-    frame_raw: dict[str, tuple[str, int]] = {}
-    run_raw: dict[str, tuple[str, int]] = {}
-    conn_raws: list[tuple[dict, int]] = []
+    raws: dict[str, dict[str, tuple[str, str]]] = {"frame": {}, "run": {}}
+    conn_raws: list[tuple[dict, str]] = []
     section = None
-    current: dict[str, tuple[str, int]] | None = None
+    current: dict[str, tuple[str, str]] | None = None
 
     for line_no, kind, payload in _tokenize(text):
+        where = f"line {line_no}"
         if kind == "bad":
-            errors.append(f"line {line_no}: expected 'key = value', got {payload!r}")
+            errors.append(f"{where}: expected 'key = value', got {payload!r}")
             continue
         if kind == "section":
-            if payload == "frame":
-                section, current = "frame", frame_raw
-            elif payload == "run":
-                section, current = "run", run_raw
-            elif payload == "connection":
-                current = {}
-                conn_raws.append((current, line_no))
-                section = "connection"
+            if payload == "connection":
+                section, current = payload, {}
+                conn_raws.append((current, where))
+            elif payload in raws:
+                section, current = payload, raws[payload]
             else:
-                errors.append(f"line {line_no}: unknown section [{payload}]")
+                errors.append(f"{where}: unknown section [{payload}]")
                 section, current = None, None
             continue
         key, value = payload
         if section is None or current is None:
-            errors.append(f"line {line_no}: {key} appears outside any section")
+            errors.append(f"{where}: {key} appears outside any section")
             continue
-        allowed = {"frame": _FRAME_KEYS, "run": _RUN_KEYS,
-                   "connection": _CONN_KEYS}[section]
-        if key not in allowed:
-            errors.append(f"line {line_no}: unknown key {key!r} in [{section}]")
+        if key not in _SECTIONS[section]:
+            errors.append(f"{where}: unknown key {key!r} in [{section}]")
             continue
         if key in current:
-            errors.append(f"line {line_no}: duplicate key {key!r}")
+            errors.append(f"{where}: duplicate key {key!r}")
             continue
-        current[key] = (value, line_no)
+        current[key] = (value, where)
 
-    frame = FrameConfig(
-        frame_duration_ms=(
-            _parse_float(*frame_raw["duration_ms"][:2], "duration_ms", errors)
-            if "duration_ms" in frame_raw else 10.0),
-        uplink_capacity_bytes=(
-            _parse_int(*frame_raw["capacity_bytes"][:2], "capacity_bytes", errors)
-            if "capacity_bytes" in frame_raw else 5375),
-        channel_bandwidth_mhz=(
-            _parse_float(*frame_raw["bandwidth_mhz"][:2], "bandwidth_mhz", errors)
-            if "bandwidth_mhz" in frame_raw else 4.3),
-    )
+    frame = FrameConfig(**_values(_FRAME, raws["frame"], errors))
 
     specs: list[ConnSpec] = []
-    for raw, line in conn_raws:
-        spec = _build_conn(raw, line, errors)
+    for raw, where in conn_raws:
+        spec = _build_conn(raw, where, errors)
         if spec is not None:
             specs.append(spec)
     if not conn_raws:
         errors.append("config defines no subscriber stations (no [connection] sections)")
 
-    kwargs: dict = {}
-    if "modes" in run_raw:
-        value, line = run_raw["modes"]
-        labels = value.split()
-        if labels == ["all"]:
-            kwargs["modes"] = (SimMode.SS1, SimMode.SS2, SimMode.GPC)
-        else:
-            modes = []
-            for label in labels:
-                try:
-                    modes.append(SimMode.from_label(label))
-                except ValueError as exc:
-                    errors.append(f"line {line}: {exc}")
-            kwargs["modes"] = tuple(modes)
-    if "frames" in run_raw:
-        kwargs["frames"] = _parse_int(*run_raw["frames"][:2], "frames", errors)
-        if kwargs["frames"] <= 0:
-            errors.append(f"line {run_raw['frames'][1]}: frames must be > 0")
-    if "seeds" in run_raw:
-        value, line = run_raw["seeds"]
-        kwargs["seeds"] = tuple(
-            _parse_int(tok, line, "seeds", errors) for tok in value.split()
-        )
-        if not kwargs["seeds"]:
-            errors.append(f"line {line}: seeds must list at least one value")
-    if "rhos" in run_raw:
-        value, line = run_raw["rhos"]
-        kwargs["rhos"] = tuple(
-            _parse_float(tok, line, "rhos", errors) for tok in value.split()
-        )
-        if not kwargs["rhos"]:
-            errors.append(f"line {line}: rhos must list at least one value")
-        elif any(r < 0 for r in kwargs["rhos"]):
-            errors.append(f"line {line}: rhos must be >= 0")
-    if "window_ms" in run_raw:
-        kwargs["window_ms"] = _parse_float(*run_raw["window_ms"][:2],
-                                           "window_ms", errors)
-        if kwargs["window_ms"] <= 0:
-            errors.append(f"line {run_raw['window_ms'][1]}: window_ms must be > 0")
-    if "warmup" in run_raw:
-        kwargs["warmup"] = _parse_float(*run_raw["warmup"][:2], "warmup", errors)
-        if not (0 <= kwargs["warmup"] < 1):
-            errors.append(f"line {run_raw['warmup'][1]}: warmup must be in [0, 1)")
-    if "drop_expired" in run_raw:
-        kwargs["drop_expired"] = _parse_bool(*run_raw["drop_expired"][:2],
-                                             "drop_expired", errors)
-    if "trace" in run_raw:
-        kwargs["trace"] = _parse_bool(*run_raw["trace"][:2], "trace", errors)
-    if "outdir" in run_raw:
-        kwargs["outdir"] = run_raw["outdir"][0]
+    run_values = _values(_RUN, raws["run"], errors)
 
     scenario = Scenario(frame=frame, conns=tuple(sorted(specs, key=lambda s: s.cid)))
     if not errors:
-        errors.extend(validate_scenario(scenario.build_connections(), frame))
-        for spec in scenario.conns:
-            errors.extend(model_violations(spec.cid, spec.traffic, frame))
+        errors.extend(scenario.problems())
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(scenario=scenario, **kwargs)
+    return ScenarioConfig(scenario=scenario, **run_values)
 
 
 def _fmt(value: float) -> str:

@@ -12,7 +12,7 @@ That asymmetry is the whole difference between the operating modes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .bs_alloc import (
@@ -37,20 +37,13 @@ from .ss_sched import (
     schedule_frame_ss1,
     schedule_frame_ss2,
 )
-from .traffic import TrafficModel, TrafficSource
+from .traffic import TrafficModel, TrafficSource, model_violations
 
 
 class SimMode(Enum):
     SS1 = "ss1"  # pooled grant, proposed station scheduler
     SS2 = "ss2"  # pooled grant, strict-priority comparison scheduler
     GPC = "gpc"  # per-connection grants, no station scheduler
-
-    @classmethod
-    def from_label(cls, label: str) -> "SimMode":
-        for mode in cls:
-            if mode.value == label.strip().lower():
-                return mode
-        raise ValueError(f"unknown mode {label!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +74,14 @@ class Scenario:
             )
             for s in sorted(self.conns, key=lambda s: s.cid)
         ]
+
+    def problems(self) -> list[str]:
+        """Every QoS, reservation and traffic-model violation; empty when
+        the scenario can run."""
+        problems = validate_scenario(self.build_connections(), self.frame)
+        for spec in self.conns:
+            problems.extend(model_violations(spec.cid, spec.traffic, self.frame))
+        return problems
 
 
 class ScenarioError(ValueError):
@@ -136,7 +137,7 @@ class Simulation:
         self.rho = rho
         self.drop_expired = drop_expired
         self.connections = scenario.build_connections()
-        problems = validate_scenario(self.connections, self.frame_cfg)
+        problems = scenario.problems()
         if problems:
             raise ScenarioError(problems)
 

@@ -7,6 +7,7 @@ the configuration are converted exactly once at scenario load (see
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -23,13 +24,6 @@ class ServiceClass(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> "ServiceClass":
-        try:
-            return cls[label.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown service class {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -131,12 +125,15 @@ def qos_violations(cid: int, service_class: ServiceClass, qos: QosParams) -> lis
             problems.append(
                 f"cid {cid}: {service_class.label} connection must not set {name}"
             )
-    for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms"):
+    for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
+                 "weight"):
         value = getattr(qos, name)
-        if value is not None and value <= 0:
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            problems.append(f"cid {cid}: {name} must be finite, got {value}")
+        elif value <= 0:
             problems.append(f"cid {cid}: {name} must be > 0, got {value}")
-    if qos.weight <= 0:
-        problems.append(f"cid {cid}: weight must be > 0, got {qos.weight}")
     if (
         qos.max_sustained_kbps is not None
         and qos.min_reserved_kbps is not None
@@ -177,7 +174,7 @@ def validate_scenario(connections, frame: FrameConfig) -> list[str]:
         problems.extend(qos_violations(conn.cid, conn.service_class, conn.qos))
         try:
             reserved += guaranteed_bytes(conn, frame)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass  # already reported as a rate violation above
 
     if reserved > frame.uplink_capacity_bytes:

@@ -21,13 +21,6 @@ class TrafficKind(Enum):
     POISSON_BULK = "poisson_bulk"
     POISSON_MIX = "poisson_mix"
 
-    @classmethod
-    def from_label(cls, label: str) -> "TrafficKind":
-        for kind in cls:
-            if kind.value == label.strip().lower():
-                return kind
-        raise ValueError(f"unknown traffic model {label!r}")
-
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -62,9 +55,12 @@ def default_models() -> dict[ServiceClass, TrafficModel]:
 
 
 def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[str]:
-    """Sanity checks: positive rate, packet sizes within one frame's capacity."""
+    """Sanity checks: positive finite rate and on/off means, packet sizes
+    within one frame's capacity."""
     problems = []
-    if model.mean_rate_kbps <= 0:
+    if not math.isfinite(model.mean_rate_kbps):
+        problems.append(f"cid {cid}: traffic mean rate must be finite")
+    elif model.mean_rate_kbps <= 0:
         problems.append(f"cid {cid}: traffic mean rate must be > 0")
     if not (1 <= model.size_lo <= model.size_hi):
         problems.append(f"cid {cid}: packet size range must satisfy 1 <= lo <= hi")
@@ -74,7 +70,10 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
             f"{frame.uplink_capacity_bytes} bytes/frame"
         )
     if model.kind is TrafficKind.ONOFF_VBR:
-        if model.mean_on_ms <= 0 or model.mean_off_ms <= 0:
+        means = (model.mean_on_ms, model.mean_off_ms)
+        if not all(map(math.isfinite, means)):
+            problems.append(f"cid {cid}: on/off mean durations must be finite")
+        elif min(means) <= 0:
             problems.append(f"cid {cid}: on/off mean durations must be > 0")
     return problems
 
@@ -108,8 +107,8 @@ class TrafficSource:
         rho: float = 1.0,
         seed: int = 0,
     ):
-        if rho < 0:
-            raise ValueError(f"traffic intensity must be >= 0, got {rho}")
+        if not 0 <= rho < math.inf:
+            raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
         self.conn = conn
         self.model = model
         self.frame = frame

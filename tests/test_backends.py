@@ -1,14 +1,42 @@
-"""The compiled kernels must be drop-in identical to the pure-Python ones."""
+"""The compiled kernels must be drop-in identical to the pure-Python ones.
 
+The tracked ``_kernels.c`` is built with the system C compiler into a
+temporary directory, so these tests run wherever a compiler and the Python
+headers exist, whether or not the extension was built in place.
+"""
+
+import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from uplinksim import _backend, _kernels_py
 
-compiled = pytest.importorskip(
-    "uplinksim._kernels", reason="compiled kernels not built"
-)
+KERNELS_C = Path(_kernels_py.__file__).with_name("_kernels.c")
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) found")
+    if not Path(include, "Python.h").exists():
+        pytest.skip(f"no Python.h under {include}")
+    out = tmp_path_factory.mktemp("kernels") / (
+        "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(cc + ["-shared", "-fPIC", "-O2", "-I", include,
+                         str(KERNELS_C), "-o", str(out)], check=True)
+    spec = importlib.util.spec_from_file_location("uplinksim._kernels", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
 
 
 def random_dfpq_instance(rng):
@@ -23,7 +51,7 @@ def random_dfpq_instance(rng):
     return sizes, full, quanta, deficits, cursor, budget
 
 
-def test_dfpq_kernels_agree():
+def test_dfpq_kernels_agree(compiled):
     rng = random.Random(17)
     for _ in range(1500):
         sizes, full, quanta, deficits, cursor, budget = random_dfpq_instance(rng)
@@ -36,7 +64,7 @@ def test_dfpq_kernels_agree():
         assert a == b
 
 
-def test_edf_kernels_agree():
+def test_edf_kernels_agree(compiled):
     rng = random.Random(23)
     for _ in range(1500):
         nq = rng.randint(1, 5)
@@ -53,7 +81,7 @@ def test_edf_kernels_agree():
         assert a == b
 
 
-def test_waterfill_kernels_agree():
+def test_waterfill_kernels_agree(compiled):
     rng = random.Random(29)
     for _ in range(3000):
         n = rng.randint(1, 16)
@@ -66,28 +94,25 @@ def test_waterfill_kernels_agree():
         assert a == b
 
 
-def test_full_runs_identical_across_backends():
+def test_full_runs_identical_across_backends(compiled, monkeypatch):
     from uplinksim.config import baseline_config
     from uplinksim.engine import SimMode, run
 
     cfg = baseline_config()
     keys = {}
-    active = _backend.backend_name()
-    try:
-        for name in ("python", "compiled"):
-            _backend.use(name)
-            result = run(cfg.scenario, SimMode.SS1, 600, seed=1, rho=1.2)
-            keys[name] = (
-                [
-                    (p.size, p.arrival_time, p.departure_time)
-                    for s in result.conns
-                    for p in result.history[s.cid]
-                ],
-                result.used,
-                result.granted,
-            )
-    finally:
-        _backend.use(active)
+    for name, kernels in (("python", _kernels_py), ("compiled", compiled)):
+        monkeypatch.setattr(_backend, "kernels", kernels)
+        assert _backend.backend_name() == name
+        result = run(cfg.scenario, SimMode.SS1, 600, seed=1, rho=1.2)
+        keys[name] = (
+            [
+                (p.size, p.arrival_time, p.departure_time)
+                for s in result.conns
+                for p in result.history[s.cid]
+            ],
+            result.used,
+            result.granted,
+        )
     assert keys["python"] == keys["compiled"]
 
 

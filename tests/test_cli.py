@@ -1,5 +1,16 @@
-from uplinksim.cli import main, matrix_cells, run_matrix, write_outputs
-from uplinksim.config import baseline_config, parse_config
+import re
+
+import pytest
+
+from uplinksim.cli import (
+    apply_overrides,
+    build_parser,
+    main,
+    matrix_cells,
+    run_matrix,
+    write_outputs,
+)
+from uplinksim.config import ConfigError, baseline_config, parse_config
 from uplinksim.engine import SimMode
 
 SMALL = """
@@ -95,10 +106,65 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_flag_validation():
+def with_run_key(key, value):
+    """SMALL with one [run] key set, replacing its line if present."""
+    text = re.sub(rf"^{key} = .*\n", "", SMALL, flags=re.M)
+    return text.replace("[run]\n", f"[run]\n{key} = {value}\n")
+
+
+# (flag, [run] key, flag text, file text): command-line lists are
+# comma-separated, file lists whitespace-separated
+BAD_VALUES = [
+    ("--frames", "frames", "-5", "-5"),
+    ("--frames", "frames", "0", "0"),
+    ("--frames", "frames", "ten", "ten"),
+    ("--frames", "frames", "", ""),
+    ("--seeds", "seeds", "x,y", "x y"),
+    ("--seeds", "seeds", "1.5", "1.5"),
+    ("--rho", "rhos", "-1", "-1"),
+    ("--rho", "rhos", "0.5,x", "0.5 x"),
+    ("--rho", "rhos", "nan", "nan"),
+    ("--rho", "rhos", "inf", "inf"),
+    ("--rho", "rhos", "0.5,-inf", "0.5 -inf"),
+    ("--rho", "rhos", "1e999", "1e999"),
+]
+GOOD_VALUES = [
+    ("--mode", "modes", "all", "all"),
+    ("--mode", "modes", "gpc", "gpc"),
+    ("--frames", "frames", "50", "50"),
+    ("--seeds", "seeds", "3,1,4", "3 1 4"),
+    ("--rho", "rhos", "0.5,1.25", "0.5 1.25"),
+    ("--out", "outdir", "somewhere", "somewhere"),
+    ("--trace", "trace", None, "on"),
+    ("--drop-expired", "drop_expired", None, "on"),
+]
+
+
+def test_cli_flag_validation(monkeypatch):
+    # no cell runs: a bad flag stops at apply_overrides, which is checked
+    # directly, and by the same per-key rules as a scenario file
+    monkeypatch.delenv("SIM_OUT", raising=False)
+    parser = build_parser()
+    base = parse_config(SMALL)
+    for flag, key, flag_text, file_text in BAD_VALUES:
+        args = parser.parse_args([f"{flag}={flag_text}"])
+        with pytest.raises(ConfigError) as info:
+            apply_overrides(base, args)
+        assert all(e.startswith(f"{flag}: {key} ") for e in info.value.errors)
+        with pytest.raises(ConfigError):
+            parse_config(with_run_key(key, file_text))
+    for flag, key, flag_text, file_text in GOOD_VALUES:
+        argv = [flag] if flag_text is None else [flag, flag_text]
+        by_flag = apply_overrides(base, parser.parse_args(argv))
+        assert by_flag == parse_config(with_run_key(key, file_text)), flag
+
     assert main(["--frames", "-5"]) == 2
     assert main(["--seeds", "x,y"]) == 2
     assert main(["--rho", "-1"]) == 2
+    assert main(["--rho", "nan"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["--mode", "bogus"])
+    assert info.value.code == 2
 
 
 def test_cli_io_error_exit_code(tmp_path):

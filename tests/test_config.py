@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from uplinksim.config import (
@@ -148,3 +150,166 @@ def test_shipped_scenarios_parse():
     for path in files:
         cfg = parse_config(path.read_text(encoding="utf-8"))
         assert cfg.scenario.conns
+
+
+def test_error_messages_are_pinned():
+    # every message, in order, exactly as the scenario parser has always
+    # worded it; the two files cover the parse stage and the validation stage
+    parse_stage = """\
+stray = 1
+[frame]
+duration_ms = x
+capacity_bytes = 1.5
+not a pair
+[nonsense]
+[run]
+modes = ss1 bogus
+frames = ten
+seeds =
+rhos = -1 0.5
+window_ms = 0
+warmup = 1
+trace = maybe
+bogus = 1
+trace = on
+[connection]
+cid = 0
+class = be
+[connection]
+cid = 1
+ss = 0
+class = hyper
+[connection]
+cid = x
+ss = 0
+class = rtps
+weight = w
+model = bursty
+[connection]
+cid = 3
+ss = 0
+class = nrtps
+min_reserved_kbps = lo
+max_sustained_kbps = hi
+model = cbr
+rate_kbps = 64
+[connection]
+cid = 4
+ss = 0
+class = be
+rate_kbps = 64
+on_ms = 5
+[connection]
+cid = 5
+ss = 0
+class = be
+model = poisson_mix
+rate_kbps = fast
+size_bytes = 1 2 3
+"""
+    assert errors_of(parse_stage) == [
+        "line 1: stray appears outside any section",
+        "line 5: expected 'key = value', got 'not a pair'",
+        "line 6: unknown section [nonsense]",
+        "line 15: unknown key 'bogus' in [run]",
+        "line 16: duplicate key 'trace'",
+        "line 3: duration_ms must be a number, got 'x'",
+        "line 4: capacity_bytes must be an integer, got '1.5'",
+        "line 17: connection is missing required key ss",
+        "line 23: unknown service class 'hyper'",
+        "line 25: cid must be an integer, got 'x'",
+        "line 28: weight must be a number, got 'w'",
+        "line 29: unknown traffic model 'bursty'",
+        "line 35: max_sustained_kbps must be a number, got 'hi'",
+        "line 34: min_reserved_kbps must be a number, got 'lo'",
+        "line 36: cid 3: an explicit model needs rate_kbps and size_bytes",
+        "line 42: cid 4: rate_kbps requires an explicit model",
+        "line 43: cid 4: on_ms requires an explicit model",
+        "line 49: rate_kbps must be a number, got 'fast'",
+        "line 50: size_bytes takes one or two values",
+        "line 8: unknown mode 'bogus'",
+        "line 9: frames must be an integer, got 'ten'",
+        "line 9: frames must be > 0",
+        "line 10: seeds must list at least one value",
+        "line 11: rhos must be >= 0",
+        "line 12: window_ms must be > 0",
+        "line 13: warmup must be in [0, 1)",
+        "line 14: trace must be on/off, got 'maybe'",
+    ]
+    validation_stage = """\
+[frame]
+capacity_bytes = 1000
+[connection]
+cid = 0
+ss = 0
+class = rtps
+max_sustained_kbps = 256
+min_reserved_kbps = 512
+weight = 0
+[connection]
+cid = 1
+ss = 0
+class = ugs
+min_reserved_kbps = 64
+model = onoff
+rate_kbps = -1
+size_bytes = 1200 900
+on_ms = 0
+"""
+    assert errors_of(validation_stage) == [
+        "cid 0: rtps connection requires max_latency_ms",
+        "cid 0: weight must be > 0, got 0.0",
+        "cid 0: min_reserved_kbps 512.0 exceeds max_sustained_kbps 256.0",
+        "cid 1: ugs connection requires max_sustained_kbps",
+        "cid 1: ugs connection must not set min_reserved_kbps",
+        "cid 0: packet size 1250 exceeds uplink capacity 1000 bytes/frame",
+        "cid 1: traffic mean rate must be > 0",
+        "cid 1: packet size range must satisfy 1 <= lo <= hi",
+        "cid 1: on/off mean durations must be > 0",
+    ]
+
+
+EVERY_FLOAT_KEY = """
+[frame]
+duration_ms = 10
+bandwidth_mhz = 4.3
+capacity_bytes = 16000
+
+[run]
+rhos = 0.5 1.0
+window_ms = 500
+warmup = 0.2
+
+[connection]
+cid = 0
+ss = 0
+class = rtps
+max_sustained_kbps = 1024
+min_reserved_kbps = 512
+max_latency_ms = 20
+weight = 4
+model = onoff
+rate_kbps = 1024
+size_bytes = 100 1250
+on_ms = 500
+off_ms = 400
+"""
+
+
+def test_non_finite_numbers_rejected_with_their_line():
+    parse_config(EVERY_FLOAT_KEY)
+    lines = EVERY_FLOAT_KEY.splitlines()
+    float_keys = ("duration_ms", "bandwidth_mhz", "rhos", "window_ms", "warmup",
+                  "max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
+                  "weight", "rate_kbps", "on_ms", "off_ms")
+    for key in float_keys:
+        line_no = next(n for n, line in enumerate(lines, start=1)
+                       if line.startswith(f"{key} ="))
+        for bad in ("nan", "inf", "-inf", "1e999", "0.5 NaN"):
+            if " " in bad and key != "rhos":
+                continue
+            text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", EVERY_FLOAT_KEY,
+                          flags=re.M)
+            token = bad.split()[-1]
+            assert (f"line {line_no}: {key} must be finite, got {token!r}"
+                    in errors_of(text)), (key, bad)

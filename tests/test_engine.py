@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import QOS, frame
@@ -92,6 +94,22 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
     )
     with pytest.raises(ScenarioError):
         run(bad, SimMode.SS1, 10, seed=1)
+
+    # non-finite contracts, sources and intensities fail before frame 0
+    good = baseline_scenario()
+    rtps = next(s for s in good.conns if s.service_class is ServiceClass.RTPS)
+    nan, inf = float("nan"), float("inf")
+    for spec in (replace(rtps, qos=replace(rtps.qos, weight=nan)),
+                 replace(rtps, qos=replace(rtps.qos, min_reserved_kbps=inf)),
+                 replace(rtps, traffic=replace(rtps.traffic, mean_rate_kbps=nan)),
+                 replace(rtps, traffic=replace(rtps.traffic, mean_on_ms=inf))):
+        scenario = replace(good, conns=tuple(
+            spec if s.cid == spec.cid else s for s in good.conns))
+        with pytest.raises(ScenarioError):
+            Simulation(scenario, SimMode.SS1, seed=1)
+    for rho in (nan, inf):
+        with pytest.raises(ValueError):
+            Simulation(good, SimMode.SS1, seed=1, rho=rho)
 
 
 def test_packet_conservation_every_mode():

@@ -101,6 +101,14 @@ def test_validate_rate_ordering_and_positivity():
     problems = validate_scenario([nonpositive], frame())
     assert any("must be > 0" in p for p in problems)
 
+    for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
+                 "weight"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            qos = QosParams(**{**vars(QOS[ServiceClass.RTPS]), name: bad})
+            problems = validate_scenario([make_conn(1, ServiceClass.RTPS, qos=qos)],
+                                         frame())
+            assert f"cid 1: {name} must be finite, got {bad}" in problems
+
 
 def test_validate_ok_implies_phase1_feasible():
     # the reservation sum counts the fixed UGS grant, so a valid scenario can

@@ -1,3 +1,7 @@
+from dataclasses import replace
+
+import pytest
+
 from conftest import frame, make_conn
 from uplinksim.model import ServiceClass
 from uplinksim.traffic import (
@@ -122,3 +126,17 @@ def test_default_models_match_contracts():
     assert models[ServiceClass.NRTPS].kind is TrafficKind.POISSON_BULK
     assert models[ServiceClass.BE].kind is TrafficKind.POISSON_MIX
     assert models[ServiceClass.BE].mean_rate_kbps == 512.0
+
+
+def test_non_finite_intensity_and_model_values_rejected():
+    conn = make_conn(1, ServiceClass.RTPS)
+    model = default_models()[ServiceClass.RTPS]
+    for rho in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="traffic intensity"):
+            TrafficSource(conn, model, frame(), rho, seed=1)
+    for field, problem in (("mean_rate_kbps", "traffic mean rate must be finite"),
+                           ("mean_on_ms", "on/off mean durations must be finite"),
+                           ("mean_off_ms", "on/off mean durations must be finite")):
+        for bad in (float("nan"), float("inf")):
+            bad_model = replace(model, **{field: bad})
+            assert model_violations(1, bad_model, frame()) == [f"cid 1: {problem}"]
