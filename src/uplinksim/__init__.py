@@ -9,7 +9,7 @@ and BE).  Two baselines ship alongside: a strict-priority station scheduler
 and per-connection grants with no station scheduler at all.
 """
 
-from ._backend import available_backends, backend_name
+from ._backend import backend_name
 from .bs_alloc import (
     AllocationResult,
     BandwidthRequest,

@@ -1,95 +1,107 @@
-"""Pure-Python scheduling kernels.
+"""Scheduling kernels.
 
 These are the hot inner loops of the simulator: weighted excess filling,
-earliest-deadline selection and the deficit round.  A compiled twin with
-identical semantics lives in ``_kernels.pyx``; ``_backend`` picks whichever
-is importable.  Both operate on plain lists so results are bit-identical.
+earliest-deadline selection and the deficit round.  They work on plain
+lists of numbers, and the excess filling on integers only, so every result
+is exact and reproducible.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from functools import lru_cache
+
 BACKEND = "python"
 
 
-def waterfill(deficits: list, weights: list, remaining: int) -> list:
-    """Distribute ``remaining`` bytes over unmet demands by weight.
+@lru_cache(maxsize=32)
+def _key_steps(weights: tuple) -> tuple:
+    """(L, steps, scaled) for one weight set.
 
-    Byte-granular weighted filling: conceptually every next byte goes to the
-    entry whose served excess per weight is smallest (ties to the lowest
-    index), capped at its deficit.  That outcome equals taking the R
-    cheapest elements of the merged key sequences k/w_i, which is what this
-    computes directly: bisect for the threshold key, award everything below
-    it, then hand out the few threshold-level bytes in ascending index
-    order.  Returns the per-index byte increments.
+    Integer-valued weights are used as they are.  Any other weight is read
+    as the exact decimal it prints as, and the whole set is scaled by the
+    common denominator to integers ``W_i`` (``scaled``).  With
+    ``L = lcm(W)`` and ``steps[i] = L / W_i``, the key of byte ``k`` of
+    entry ``i`` is the integer ``k * steps[i]``, which orders bytes exactly
+    as ``k / w_i`` does.
     """
+    if all(float(w).is_integer() for w in weights):
+        scaled = tuple(int(w) for w in weights)
+    else:
+        from fractions import Fraction
+
+        exact = [Fraction(str(w)) for w in weights]
+        den = math.lcm(*(f.denominator for f in exact))
+        scaled = tuple(int(f * den) for f in exact)
+    lcm = math.lcm(*scaled)
+    return lcm, tuple(lcm // w for w in scaled), scaled
+
+
+def waterfill(deficits: list, weights: list, remaining: int) -> list:
+    """Distribute ``remaining`` (R) bytes over unmet demands by weight.
+
+    Byte-granular weighted filling: every next byte goes to the entry whose
+    served excess per weight is smallest (ties to the lowest index), capped
+    at its deficit.  That outcome is the R smallest (key, index) pairs,
+    where byte ``k`` of entry ``i`` has the key ``k / w_i``; on the integer
+    keys of ``_key_steps`` it is computed exactly.  Every key below the
+    level of the continuous solution is taken, which overshoots R by fewer
+    than n bytes, and the largest (key, index) pairs are given back.
+    Weights must be > 0.  Returns the per-index byte increments.
+    """
+    unmet = 0
+    for d in deficits:
+        if d > 0:
+            unmet += d
+    if remaining >= unmet:
+        return [d if d > 0 else 0 for d in deficits]
     n = len(deficits)
     inc = [0] * n
-    total_cap = 0
-    for i in range(n):
-        if deficits[i] > 0:
-            total_cap += deficits[i]
-    R = remaining if remaining < total_cap else total_cap
-    if R <= 0:
+    if remaining <= 0:
         return inc
+    lcm, steps, scaled = _key_steps(tuple(weights))
 
-    def count_leq(t):
-        # keys of entry i are k/w_i for k = 0..deficit-1; count those <= t
-        c = 0
-        for i in range(n):
-            d = deficits[i]
-            if d <= 0:
-                continue
-            k = int(t * weights[i]) + 1
-            c += d if d < k else k
-        return c
-
-    if count_leq(0.0) >= R:
-        given = 0
-        for i in range(n):
-            if given == R:
-                break
-            if deficits[i] > 0:
-                inc[i] = 1
-                given += 1
-        return inc
-
-    hi = 0.0
-    for i in range(n):
-        if deficits[i] > 0:
-            key = (deficits[i] - 1) / weights[i]
-            if key > hi:
-                hi = key
-    lo = 0.0
-    for _ in range(200):
-        mid = (lo + hi) * 0.5
-        if mid <= lo or mid >= hi:
+    # Continuous level T: an unsaturated entry holds T / steps[i] bytes,
+    # i.e. T * W_i / L.  Walk the entries in the order they saturate
+    # (at T = d_i * steps[i]) until the filled total reaches R.
+    active = [(deficits[i] * steps[i], i) for i in range(n) if deficits[i] > 0]
+    active.sort()
+    filled = 0          # bytes of the saturated entries
+    wsum = 0            # sum of W_i over the unsaturated ones
+    for _, i in active:
+        wsum += scaled[i]
+    target = remaining * lcm
+    for sat, i in active:
+        if filled * lcm + sat * wsum >= target:
             break
-        if count_leq(mid) >= R:
-            hi = mid
-        else:
-            lo = mid
-
-    base_total = 0
-    for i in range(n):
+        filled += deficits[i]
+        wsum -= scaled[i]
+    # integer keys below T* = (R - filled) * L / wsum are those below ceil(T*)
+    level = -((filled - remaining) * lcm // wsum)
+    given = 0
+    for _, i in active:
         d = deficits[i]
-        if d <= 0:
-            continue
-        k = int(lo * weights[i]) + 1
-        b = d if d < k else k
-        inc[i] = b
-        base_total += b
-    extra = R - base_total
-    while extra > 0:
-        progressed = False
-        for i in range(n):
-            if extra == 0:
-                break
-            if inc[i] < deficits[i] and inc[i] <= int(hi * weights[i]):
-                inc[i] += 1
-                extra -= 1
-                progressed = True
-        if not progressed:
-            break
+        k = -(-level // steps[i])
+        if k > d:
+            k = d
+        inc[i] = k
+        given += k
+
+    # each unsaturated entry overshoots by less than one byte; give back the
+    # largest (key, index) pairs, from a max-heap of each entry's last key
+    surplus = given - remaining
+    if surplus:
+        heap = [(-(inc[i] - 1) * steps[i], -i) for _, i in active]
+        heapq.heapify(heap)
+        for _ in range(surplus):
+            key, neg = heap[0]
+            i = -neg
+            inc[i] -= 1
+            if inc[i]:
+                heapq.heapreplace(heap, (key + steps[i], neg))
+            else:
+                heapq.heappop(heap)
     return inc
 
 

@@ -161,7 +161,7 @@ def _parse_list(parse, tokens, where, key, errors) -> tuple:
 def _parse_modes(tokens, where, key, errors) -> tuple[SimMode, ...]:
     if tokens == ["all"]:
         return tuple(SimMode)
-    return tuple(_parse_mode(tok, where, key, errors) for tok in tokens)
+    return _parse_list(_parse_mode, tokens, where, key, errors)
 
 
 def _parse_sizes(tokens, where, key, errors) -> tuple[int, int]:

@@ -7,6 +7,7 @@ deliveries yields absent (None) statistics rather than NaN.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import RunResult
@@ -134,8 +135,8 @@ def window_metrics(
 ) -> list[MetricsSample]:
     """Per-window samples over the post-warm-up portion of the run; only
     full windows are reported."""
-    if window_ms <= 0:
-        raise ValueError("window_ms must be > 0")
+    if not (math.isfinite(window_ms) and window_ms > 0):
+        raise ValueError(f"window_ms must be finite and > 0, got {window_ms}")
     total_ms = result.frames * result.frame.frame_duration_ms
     start = warmup_ms(result, warmup_fraction)
     n_windows = int((total_ms - start + 1e-9) // window_ms)

@@ -2,11 +2,13 @@
 
 These deliberately share no code with the package: the allocator oracle
 awards one byte at a time, the deficit-round oracle interprets the rules
-directly over plain queue copies, the lateness oracle enumerates every
-permutation, and the metric oracles make one pass over the packet history
-per statistic and group member.
+directly over plain queue copies, the earliest-deadline oracle sorts every
+queued packet at once, the lateness oracle enumerates every permutation,
+and the metric oracles make one pass over the packet history per statistic
+and group member.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from uplinksim.model import ServiceClass
@@ -17,24 +19,25 @@ def brute_force_alloc(requested, bwmin, weights, capacity):
 
     Guaranteed minimums first (capped at the request), then every next byte
     goes to the unmet connection most under-served relative to its weight;
-    ties break toward the lowest index.
+    ties break toward the lowest index.  Weights are read as the exact
+    decimals they print as, and ``excess / weight`` is compared by
+    cross-multiplication, so no comparison rounds.
     """
     n = len(requested)
     if sum(bwmin) > capacity:
         raise ValueError("reservations exceed capacity")
+    exact = [Fraction(str(w)) for w in weights]
     alloc = [min(requested[i], bwmin[i]) for i in range(n)]
     excess = [0] * n
     remaining = capacity - sum(alloc)
     while remaining > 0:
         best = -1
-        best_score = 0.0
         for i in range(n):
             if alloc[i] >= requested[i]:
                 continue
-            score = excess[i] / weights[i]
-            if best < 0 or score < best_score:
+            # excess[i] / w_i < excess[best] / w_best
+            if best < 0 or excess[i] * exact[best] < excess[best] * exact[i]:
                 best = i
-                best_score = score
         if best < 0:
             break
         alloc[best] += 1
@@ -71,6 +74,29 @@ def reference_dfpq(queues, quanta, deficits, cursor, budget):
                 dc[pos] = 0
         pos = (pos + 1) % n
     return sent, dc, pos, used
+
+
+def reference_edf(deadlines, arrivals, sizes, cids, budget):
+    """Earliest-deadline service over FIFO queues whose (deadline, arrival)
+    pairs rise along each queue: one global sort by (deadline, arrival, cid,
+    position), cut at the first packet that does not fit.
+
+    Returns (sent, used); ``sent`` holds one queue index per packet.
+    """
+    packets = sorted(
+        (d, a, cids[q], k, q, sizes[q][k])
+        for q in range(len(sizes))
+        for k, (d, a) in enumerate(zip(deadlines[q], arrivals[q]))
+    )
+    sent = []
+    used = 0
+    for *_, q, size in packets:
+        if size > budget:
+            break
+        budget -= size
+        used += size
+        sent.append(q)
+    return sent, used
 
 
 def min_max_lateness(packets):

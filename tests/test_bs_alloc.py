@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from uplinksim.bs_alloc import (
     pool_gpss,
     weights_of,
 )
+from uplinksim._kernels_py import waterfill
 from uplinksim.model import QosParams, ServiceClass
 
 
@@ -114,6 +118,11 @@ def test_allocate_gpc_ugs_fixed_grant_every_frame():
         assert grants == {1: 320, 2: 320}
 
 
+# powers of two, other integers and fractions: a float rule is exact only
+# on the first
+WEIGHTS = [1, 1, 2, 4, 10, 0.3, 1.5, 3, 3.25, 6, 7, 9, 11]
+
+
 def random_instance(rng, max_conns=4, max_capacity=64):
     n = rng.randint(1, max_conns)
     while True:
@@ -122,7 +131,7 @@ def random_instance(rng, max_conns=4, max_capacity=64):
         if sum(bwmin) <= capacity:
             break
     requested = [rng.randint(0, 40) for _ in range(n)]
-    weights = [float(rng.choice([1, 1, 2, 3, 4, 10])) for _ in range(n)]
+    weights = [float(rng.choice(WEIGHTS)) for _ in range(n)]
     return requested, bwmin, weights, capacity
 
 
@@ -169,9 +178,34 @@ def test_allocator_matches_byte_granular_oracle():
         requested, bwmin, weights, capacity = random_instance(rng)
         alloc, _ = run_pipeline(requested, bwmin, weights, capacity)
         oracle = brute_force_alloc(requested, bwmin, weights, capacity)
-        assert all(abs(a - b) <= 1 for a, b in zip(alloc, oracle)), (
+        assert alloc == oracle, (
             requested, bwmin, weights, capacity, alloc, oracle,
         )
+
+
+def test_waterfill_exact_for_non_power_of_two_weights():
+    # a float threshold counted 61 of 62 bytes, and split the exact tie
+    # 3 * (1 / 0.3) == 5 * (1 / 1.5) toward the higher index
+    assert waterfill([62], [7], 293) == [62]
+    assert waterfill([62], [7.0], 293) == [62]
+    assert waterfill([23, 24], [0.3, 1.5], 7) == [2, 5]
+    assert waterfill([13, 25, 19], [9.0, 0.3, 3.0], 25) == [13, 2, 10]
+
+
+def test_integer_weights_never_import_fractions():
+    # exact rationals are only needed for non-integer weights; importing
+    # ``fractions`` costs every run start-up time and memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from uplinksim.config import baseline_config\n"
+        "from uplinksim.engine import SimMode, run\n"
+        "run(baseline_config().scenario, SimMode.SS1, 50, seed=1, rho=1.2)\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_weight_monotonicity():

@@ -108,6 +108,11 @@ def test_round_trip_identity():
     assert parse_config(serialize_config(custom)) == custom
 
 
+def test_empty_mode_list_is_an_error():
+    text = MINIMAL.replace("modes = ss1", "modes =")
+    assert errors_of(text) == ["line 6: modes must list at least one value"]
+
+
 def test_run_section_parsing():
     text = """
 [frame]

@@ -164,6 +164,13 @@ def test_window_metrics_layout_and_warmup():
         }
 
 
+def test_window_metrics_rejects_non_finite_and_non_positive_windows():
+    result = run(baseline_config().scenario, SimMode.SS1, 20, seed=1, rho=1.0)
+    for window_ms in (math.inf, -math.inf, math.nan, 0.0, -5.0):
+        with pytest.raises(ValueError, match="window_ms must be finite and > 0"):
+            window_metrics(result, window_ms=window_ms)
+
+
 def test_window_metrics_per_connection_consistent_with_classes():
     cfg = baseline_config()
     result = run(cfg.scenario, SimMode.SS1, 600, seed=4, rho=1.0)

@@ -2,7 +2,8 @@ import random
 from collections import deque
 
 from conftest import QOS, frame, make_conn
-from reference import max_lateness, min_max_lateness, reference_dfpq
+from reference import max_lateness, min_max_lateness, reference_dfpq, reference_edf
+from uplinksim._kernels_py import dfpq_take, edf_take
 from uplinksim.model import Packet, QosParams, ServiceClass
 from uplinksim.ss_sched import (
     DfpqState,
@@ -335,3 +336,45 @@ def test_ss2_matches_ss1_packet_set_when_uncontended():
     tx2 = schedule_frame_ss2(conns2, 50_000)
     key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
     assert key(tx1) == key(tx2)
+
+
+def head_segment(queue, budget):
+    """The leading packets a station scheduler hands the kernels: up to and
+    including the first one past ``budget``; (segment, whole queue?)."""
+    total = 0
+    for k, size in enumerate(queue):
+        total += size
+        if total > budget:
+            return queue[:k + 1], False
+    return list(queue), True
+
+
+def test_dfpq_take_matches_reference():
+    rng = random.Random(17)
+    for _ in range(1500):
+        nq = rng.randint(1, 6)
+        queues = [[rng.randint(1, 1400) for _ in range(rng.randint(0, 12))]
+                  for _ in range(nq)]
+        quanta = [rng.randint(1, 1500) for _ in range(nq)]
+        deficits = [rng.randint(0, 800) if queues[q] else 0 for q in range(nq)]
+        cursor = rng.randint(0, nq - 1)
+        budget = rng.randint(0, 6000)
+        segments, fulls = zip(*(head_segment(q, budget) for q in queues))
+        got = dfpq_take(list(segments), list(fulls), quanta, deficits, cursor,
+                        budget)
+        assert got == reference_dfpq(queues, quanta, deficits, cursor, budget)
+
+
+def test_edf_take_matches_sorted_reference():
+    rng = random.Random(23)
+    for _ in range(1500):
+        nq = rng.randint(1, 5)
+        counts = [rng.randint(0, 8) for _ in range(nq)]
+        # whole-millisecond times, so equal deadlines and arrivals occur
+        deadlines = [sorted(rng.randint(0, 40) for _ in range(c)) for c in counts]
+        arrivals = [sorted(rng.randint(0, 20) for _ in range(c)) for c in counts]
+        sizes = [[rng.randint(1, 1000) for _ in range(c)] for c in counts]
+        cids = rng.sample(range(100), nq)
+        budget = rng.randint(0, 5000)
+        assert list(edf_take(deadlines, arrivals, sizes, cids, budget)) == list(
+            reference_edf(deadlines, arrivals, sizes, cids, budget))
