@@ -11,10 +11,12 @@ and per-connection grants with no station scheduler at all.
 
 from ._backend import backend_name
 from .bs_alloc import (
+    AllocationPlan,
     AllocationResult,
     BandwidthRequest,
     InfeasibleReservationError,
     allocate_gpc,
+    allocation_plan,
     phase1_guarantee,
     phase2_excess,
     pool_gpss,
@@ -56,6 +58,7 @@ from .model import (
 from .ss_sched import (
     DfpqState,
     FrameBudget,
+    Station,
     TransmissionList,
     dfpq_round,
     schedule_frame_ss1,

@@ -21,7 +21,7 @@ class InfeasibleReservationError(RuntimeError):
     Only reachable when scenario validation was skipped."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BandwidthRequest:
     """Absolute current backlog demanded by one connection.  UGS connections
     never signal demand; the engine injects a synthetic request equal to
@@ -40,83 +40,93 @@ class AllocationResult:
     remaining: int
 
 
-def weights_of(connections) -> dict[int, float]:
-    return {c.cid: c.qos.weight for c in connections}
+@dataclass(frozen=True)
+class AllocationPlan:
+    """What the allocator needs of one cell that never changes between
+    frames, as tuples aligned in ascending cid order: the guaranteed
+    minimum, the excess weight and the station of every connection.
+    Requests handed to the allocator come in the same order."""
+
+    cids: tuple[int, ...]
+    minimums: tuple[int, ...]
+    weights: tuple[float, ...]
+    ss_ids: tuple[int, ...]
+    capacity: int
 
 
-def phase1_guarantee(
-    requests, connections, frame: FrameConfig
-) -> AllocationResult:
-    """Award each connection min(requested, guaranteed minimum).
-
-    A connection never receives more than it requested, so idle connections
-    leave their reservation for the excess phase.
-    """
-    by_cid = {c.cid: c for c in connections}
-    minimums = {}
-    total_min = 0
-    for req in requests:
-        bwmin = guaranteed_bytes(by_cid[req.cid], frame)
-        minimums[req.cid] = bwmin
-        total_min += bwmin
+def allocation_plan(connections, frame: FrameConfig) -> AllocationPlan:
+    """The cell's plan; raises InfeasibleReservationError when the
+    guaranteed minimums alone exceed the capacity."""
+    conns = sorted(connections, key=lambda c: c.cid)
+    minimums = tuple(guaranteed_bytes(c, frame) for c in conns)
     capacity = frame.uplink_capacity_bytes
-    if total_min > capacity:
+    if sum(minimums) > capacity:
         raise InfeasibleReservationError(
-            f"guaranteed minimums need {total_min} bytes/frame "
+            f"guaranteed minimums need {sum(minimums)} bytes/frame "
             f"but capacity is {capacity}"
         )
+    return AllocationPlan(
+        cids=tuple(c.cid for c in conns),
+        minimums=minimums,
+        weights=tuple(float(c.qos.weight) for c in conns),
+        ss_ids=tuple(c.ss_id for c in conns),
+        capacity=capacity,
+    )
+
+
+def phase1_guarantee(requests, plan: AllocationPlan) -> AllocationResult:
+    """Award each connection min(requested, guaranteed minimum).
+
+    ``requests`` are aligned with the plan.  A connection never receives
+    more than it requested, so idle connections leave their reservation for
+    the excess phase.
+    """
     allocated = {}
-    for req in requests:
+    given = 0
+    for req, bwmin in zip(requests, plan.minimums):
         take = req.requested_bytes
-        if take > minimums[req.cid]:
-            take = minimums[req.cid]
+        if take > bwmin:
+            take = bwmin
         allocated[req.cid] = take
-    remaining = capacity - sum(allocated.values())
-    return AllocationResult(allocated=allocated, remaining=remaining)
+        given += take
+    return AllocationResult(allocated=allocated, remaining=plan.capacity - given)
 
 
 def phase2_excess(
-    result: AllocationResult, requests, weights: dict[int, float]
+    result: AllocationResult, requests, weights: tuple[float, ...]
 ) -> AllocationResult:
     """Water-fill the residual capacity over unmet demands by weight.
 
-    Allocations stay capped at the requests; leftover capacity survives only
-    when every connection is fully satisfied.
+    ``requests`` come in ascending cid order with ``weights`` aligned to
+    them.  Allocations stay capped at the requests; leftover capacity
+    survives only when every connection is fully satisfied.
     """
     if result.remaining <= 0:
         return AllocationResult(dict(result.allocated), result.remaining)
-    cids = sorted(r.cid for r in requests)
-    requested = {r.cid: r.requested_bytes for r in requests}
-    deficits = [requested[cid] - result.allocated.get(cid, 0) for cid in cids]
-    wlist = [float(weights[cid]) for cid in cids]
-    increments = _backend.kernels.waterfill(deficits, wlist, result.remaining)
     allocated = dict(result.allocated)
+    deficits = [r.requested_bytes - allocated[r.cid] for r in requests]
+    increments = _backend.kernels.waterfill(deficits, weights, result.remaining)
     given = 0
-    for cid, inc in zip(cids, increments):
+    for req, inc in zip(requests, increments):
         if inc:
-            allocated[cid] = allocated.get(cid, 0) + inc
+            allocated[req.cid] += inc
             given += inc
     return AllocationResult(allocated=allocated, remaining=result.remaining - given)
 
 
-def pool_gpss(result: AllocationResult, connections) -> dict[int, int]:
+def pool_gpss(result: AllocationResult, plan: AllocationPlan) -> dict[int, int]:
     """Pool per-connection awards into one grant per subscriber station:
     ``{ss_id: bytes}``."""
     grants: dict[int, int] = {}
-    for conn in connections:
-        if conn.cid in result.allocated:
-            grants[conn.ss_id] = grants.get(conn.ss_id, 0) + result.allocated[conn.cid]
+    allocated = result.allocated
+    for cid, ss in zip(plan.cids, plan.ss_ids):
+        if cid in allocated:
+            grants[ss] = grants.get(ss, 0) + allocated[cid]
     return grants
 
 
-def allocate_gpc(
-    requests, connections, frame: FrameConfig, weights: dict[int, float] | None = None
-) -> dict[int, int]:
+def allocate_gpc(requests, plan: AllocationPlan) -> dict[int, int]:
     """Per-connection grants from the same two-phase pipeline, ungrouped:
     ``{cid: bytes}``."""
-    if weights is None:
-        weights = weights_of(connections)
-    result = phase2_excess(
-        phase1_guarantee(requests, connections, frame), requests, weights
-    )
+    result = phase2_excess(phase1_guarantee(requests, plan), requests, plan.weights)
     return result.allocated

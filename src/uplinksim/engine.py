@@ -18,6 +18,7 @@ from enum import Enum
 from .bs_alloc import (
     BandwidthRequest,
     allocate_gpc,
+    allocation_plan,
     phase1_guarantee,
     phase2_excess,
     pool_gpss,
@@ -31,12 +32,7 @@ from .model import (
     guaranteed_bytes,
     validate_scenario,
 )
-from .ss_sched import (
-    DfpqState,
-    new_dfpq_state,
-    schedule_frame_ss1,
-    schedule_frame_ss2,
-)
+from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
 from .traffic import TrafficModel, TrafficSource, model_violations
 
 
@@ -121,7 +117,14 @@ class RunResult:
 
 
 class Simulation:
-    """Single deterministic run; drive with step() or run_frames()."""
+    """Single deterministic run; drive it with step(), or use run().
+
+    Everything that is fixed for the cell is built here once: the
+    allocation plan, one request per connection in cid order (UGS requests
+    hold their fixed grant, the others are refreshed from the backlog after
+    every frame's transmission), the traffic feeds and the per-station
+    class partitions.
+    """
 
     def __init__(
         self,
@@ -141,79 +144,64 @@ class Simulation:
         if problems:
             raise ScenarioError(problems)
 
+        cfg = self.frame_cfg
+        conns = self.connections
         models = {s.cid: s.traffic for s in scenario.conns}
-        self.sources = {
-            c.cid: TrafficSource(c, models[c.cid], self.frame_cfg, rho, seed)
-            for c in self.connections
+        self.plan = allocation_plan(conns, cfg)
+        ugs = [c.service_class is ServiceClass.UGS for c in conns]
+        self.requests = list(map(
+            BandwidthRequest,
+            self.plan.cids,
+            [guaranteed_bytes(c, cfg) if u else 0 for c, u in zip(conns, ugs)],
+        ))
+        self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
+        self.history: dict[int, list[Packet]] = {c.cid: [] for c in conns}
+        self._feeds = [
+            (c, TrafficSource(c, models[c.cid], cfg, rho, seed), self.history[c.cid])
+            for c in conns
+        ]
+        self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
+        self._stations = {
+            ss: Station([c for c in conns if c.ss_id == ss], cfg)
+            for ss in sorted({c.ss_id for c in conns})
         }
-        self.weights = {c.cid: c.qos.weight for c in self.connections}
-        self._ugs_grant = {
-            c.cid: guaranteed_bytes(c, self.frame_cfg)
-            for c in self.connections
-            if c.service_class is ServiceClass.UGS
-        }
-        self.ss_ids = sorted({c.ss_id for c in self.connections})
-        self._ss_conns = {
-            ss: [c for c in self.connections if c.ss_id == ss] for ss in self.ss_ids
-        }
-        self.dfpq: dict[int, DfpqState] = {
-            ss: new_dfpq_state(self._ss_conns[ss], self.frame_cfg)
-            for ss in self.ss_ids
-        }
-        self.pending_requests: dict[int, int] = {}
         self.frame_index = 0
-        self.history: dict[int, list[Packet]] = {c.cid: [] for c in self.connections}
-        self._backlog: dict[int, int] = {c.cid: 0 for c in self.connections}
+        self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
 
     def step(self) -> FrameTrace:
         fr = self.frame_index
-        cfg = self.frame_cfg
+        backlog = self._backlog
 
-        # (1) allocate against last frame's requests; UGS gets its synthetic
-        # fixed request every frame
-        requests = [
-            BandwidthRequest(
-                cid=c.cid,
-                requested_bytes=self._ugs_grant.get(
-                    c.cid, self.pending_requests.get(c.cid, 0)
-                ),
-            )
-            for c in self.connections
-        ]
+        # (1) allocate against last frame's requests
+        requests = self.requests
         if self.mode is SimMode.GPC:
-            alloc = grants = allocate_gpc(
-                requests, self.connections, cfg, self.weights
-            )
+            alloc = grants = allocate_gpc(requests, self.plan)
         else:
             result = phase2_excess(
-                phase1_guarantee(requests, self.connections, cfg),
-                requests,
-                self.weights,
+                phase1_guarantee(requests, self.plan), requests, self.plan.weights
             )
             alloc = result.allocated
-            grants = pool_gpss(result, self.connections)
+            grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for conn in self.connections:
-            pkts = self.sources[conn.cid].generate(fr)
+        for conn, source, history in self._feeds:
+            pkts = source.generate(fr)
             if pkts:
                 conn.queue.extend(pkts)
-                self.history[conn.cid].extend(pkts)
-                self._backlog[conn.cid] += sum(p.size for p in pkts)
+                history.extend(pkts)
+                backlog[conn.cid] += sum(p.size for p in pkts)
 
-        frame_end = (fr + 1) * cfg.frame_duration_ms
+        frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
         # optional drop-on-expiry: a delay-bounded packet that could no
         # longer meet its deadline even if sent right now is discarded
         if self.drop_expired:
-            for conn in self.connections:
-                if conn.service_class is not ServiceClass.RTPS:
-                    continue
+            for conn in self._rtps:
                 q = conn.queue
                 while q and q[0].deadline is not None and q[0].deadline < frame_end:
                     pkt = q.popleft()
                     pkt.dropped = True
-                    self._backlog[conn.cid] -= pkt.size
+                    backlog[conn.cid] -= pkt.size
 
         # (3) transmission against the grants
         used = 0
@@ -226,24 +214,20 @@ class Simulation:
                     budget -= pkt.size
                     used += pkt.size
                     pkt.departure_time = frame_end
-                    self._backlog[conn.cid] -= pkt.size
+                    backlog[conn.cid] -= pkt.size
         else:
-            for ss in self.ss_ids:
-                grant = grants.get(ss, 0)
-                conns = self._ss_conns[ss]
-                if self.mode is SimMode.SS1:
-                    tx = schedule_frame_ss1(conns, grant, self.dfpq[ss])
-                else:
-                    tx = schedule_frame_ss2(conns, grant)
+            schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
+                        else schedule_frame_ss2)
+            for ss, station in self._stations.items():
+                tx = schedule(station, grants.get(ss, 0))
                 for cid, pkt in tx.entries:
                     pkt.departure_time = frame_end
-                    self._backlog[cid] -= pkt.size
+                    backlog[cid] -= pkt.size
                 used += tx.total_bytes
 
-        # (5) next frame's requests report the post-transmission backlog
-        for conn in self.connections:
-            if conn.cid not in self._ugs_grant:
-                self.pending_requests[conn.cid] = self._backlog[conn.cid]
+        # (4) next frame's requests report the post-transmission backlog
+        for req in self._elastic:
+            req.requested_bytes = backlog[req.cid]
 
         self.frame_index = fr + 1
         return FrameTrace(

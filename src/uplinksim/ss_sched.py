@@ -21,12 +21,13 @@ from .model import Connection, FrameConfig, Packet, ServiceClass, bytes_per_fram
 
 @dataclass
 class DfpqState:
-    """Deficit-round state for one subscriber station: per-connection
-    quantum and deficit counter, plus the visit cursor that persists across
-    frames so interrupted rounds resume where they stopped."""
+    """Deficit-round state for one subscriber station: quantum and deficit
+    counter of each visited connection (aligned with ``Station.drr``), plus
+    the visit cursor that persists across frames so interrupted rounds
+    resume where they stopped."""
 
-    quantum: dict[int, int] = field(default_factory=dict)
-    deficit: dict[int, int] = field(default_factory=dict)
+    quantum: list[int]
+    deficit: list[int]
     cursor: int = 0
 
 
@@ -60,13 +61,26 @@ def quantum_for(conn: Connection, frame: FrameConfig) -> int:
     return bytes_per_frame(rate, frame)
 
 
-def new_dfpq_state(connections, frame: FrameConfig) -> DfpqState:
-    state = DfpqState()
-    for conn in connections:
-        if conn.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
-            state.quantum[conn.cid] = quantum_for(conn, frame)
-            state.deficit[conn.cid] = 0
-    return state
+class Station:
+    """One subscriber station's connections, split by service class once:
+    ``ugs``, ``rtps``, ``nrtps`` and ``be`` each in ascending cid order,
+    ``drr`` the deficit round's visit order (nrtPS then BE) and ``dfpq``
+    its state."""
+
+    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr", "dfpq")
+
+    def __init__(self, connections, frame: FrameConfig):
+        by_class: dict[ServiceClass, list[Connection]] = {
+            cls: [] for cls in ServiceClass}
+        for conn in sorted(connections, key=lambda c: c.cid):
+            by_class[conn.service_class].append(conn)
+        self.ugs = by_class[ServiceClass.UGS]
+        self.rtps = by_class[ServiceClass.RTPS]
+        self.nrtps = by_class[ServiceClass.NRTPS]
+        self.be = by_class[ServiceClass.BE]
+        self.drr = self.nrtps + self.be
+        self.dfpq = DfpqState(quantum=[quantum_for(c, frame) for c in self.drr],
+                              deficit=[0] * len(self.drr))
 
 
 def _drain_fifo(conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
@@ -92,7 +106,7 @@ def _drain_fifo(conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
 
 def serve_ugs(ugs_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     """Drain UGS queues in arrival order while whole packets fit."""
-    return _drain_fifo(sorted(ugs_conns, key=lambda c: c.cid), budget)
+    return _drain_fifo(ugs_conns, budget)
 
 
 def _head_segment(conn: Connection, limit: int) -> tuple[list[Packet], bool]:
@@ -114,7 +128,7 @@ def serve_rtps_edf(rtps_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     Ties break on (arrival time, cid).  The phase ends at the first selected
     packet that does not fit the remaining budget whole.
     """
-    conns = [c for c in sorted(rtps_conns, key=lambda c: c.cid) if c.queue]
+    conns = [c for c in rtps_conns if c.queue]
     if not conns or budget.running <= 0:
         return []
     segments = [_head_segment(c, budget.running)[0] for c in conns]
@@ -133,18 +147,17 @@ def serve_rtps_edf(rtps_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     return entries
 
 
-def dfpq_round(nrtps_conns, be_conns, state: DfpqState,
+def dfpq_round(conns, state: DfpqState,
                budget: FrameBudget) -> list[tuple[int, Packet]]:
-    """Deficit rounds over nrtPS queues then BE queues (ascending cid).
+    """Deficit rounds over ``conns`` in the order given (a station visits
+    its nrtPS queues, then its BE queues, each by ascending cid); ``state``
+    is aligned with them.
 
     Each visit credits the queue's quantum to its deficit counter, then sends
     head packets while they fit both counter and budget.  A drained queue
     forfeits its counter; non-empty queues keep theirs for later rounds.
     The round stops once no pending head fits the leftover budget.
     """
-    conns = sorted(nrtps_conns, key=lambda c: c.cid) + sorted(
-        be_conns, key=lambda c: c.cid
-    )
     if not conns:
         return []
     segments = []
@@ -154,37 +167,27 @@ def dfpq_round(nrtps_conns, be_conns, state: DfpqState,
         segments.append(seg)
         fulls.append(is_full)
     sizes = [[p.size for p in seg] for seg in segments]
-    quanta = [state.quantum[c.cid] for c in conns]
-    deficits = [state.deficit[c.cid] for c in conns]
-    order, new_dc, new_cursor, used = _backend.kernels.dfpq_take(
-        sizes, fulls, quanta, deficits, state.cursor, budget.running
+    order, state.deficit, state.cursor, used = _backend.kernels.dfpq_take(
+        sizes, fulls, state.quantum, state.deficit, state.cursor, budget.running
     )
     entries = []
     for q in order:
         conn = conns[q]
         entries.append((conn.cid, conn.queue.popleft()))
-    for conn, dc in zip(conns, new_dc):
-        state.deficit[conn.cid] = dc
-    state.cursor = new_cursor
     budget.running -= used
     return entries
 
 
-def schedule_frame_ss1(ss_conns, grant: int, state: DfpqState) -> TransmissionList:
+def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
     """Full per-frame schedule for one SS under the proposed discipline."""
     budget = FrameBudget(total=grant)
-    by_class: dict[ServiceClass, list[Connection]] = {cls: [] for cls in ServiceClass}
-    for conn in ss_conns:
-        by_class[conn.service_class].append(conn)
-    entries = serve_ugs(by_class[ServiceClass.UGS], budget)
-    entries += serve_rtps_edf(by_class[ServiceClass.RTPS], budget)
-    entries += dfpq_round(
-        by_class[ServiceClass.NRTPS], by_class[ServiceClass.BE], state, budget
-    )
+    entries = serve_ugs(station.ugs, budget)
+    entries += serve_rtps_edf(station.rtps, budget)
+    entries += dfpq_round(station.drr, station.dfpq, budget)
     return TransmissionList(entries=entries, total_bytes=grant - budget.running)
 
 
-def schedule_frame_ss2(ss_conns, grant: int) -> TransmissionList:
+def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
     """Comparison discipline: strict class priority, FIFO within a class.
 
     The first packet (in priority order) that does not fit the remaining
@@ -192,13 +195,8 @@ def schedule_frame_ss2(ss_conns, grant: int) -> TransmissionList:
     all lower classes.
     """
     budget = FrameBudget(total=grant)
-    by_class: dict[ServiceClass, list[Connection]] = {cls: [] for cls in ServiceClass}
-    for conn in ss_conns:
-        by_class[conn.service_class].append(conn)
     entries: list[tuple[int, Packet]] = []
-    for cls in (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS,
-                ServiceClass.BE):
-        conns = sorted(by_class[cls], key=lambda c: c.cid)
+    for conns in (station.ugs, station.rtps, station.nrtps, station.be):
         entries += _drain_fifo(conns, budget)
         if any(c.queue for c in conns):
             # head-of-line packet did not fit: strict priority blocks the rest

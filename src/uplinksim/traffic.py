@@ -78,11 +78,14 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
     return problems
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's product method; adequate for the small per-frame means here."""
-    if lam <= 0.0:
-        return 0
-    limit = math.exp(-lam)
+# Knuth's product method multiplies uniforms down to exp(-lambda), which
+# underflows to 0 near lambda = 745; larger means are drawn as a sum of
+# independent Poisson chunks of mean at most _POISSON_CHUNK each
+_POISSON_CHUNK = 500.0
+
+
+def _poisson(rng: random.Random, limit: float) -> int:
+    """Knuth's product method for one chunk; ``limit`` is exp(-mean)."""
     k = 0
     p = rng.random()
     while p > limit:
@@ -116,48 +119,56 @@ class TrafficSource:
         self.rate_kbps = model.mean_rate_kbps * effective_rho
         self.rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
         self._latency = conn.qos.max_latency_ms
+        self._dur = frame.frame_duration_ms
+        self._lo = model.size_lo
+        self._hi = model.size_hi
         # model state
         self._credit = 0.0  # bytes accrued toward the next packet
         self._on = False
         self._phase_left = 0.0
         self._next_size = 0
         self._on_rate_bpms = 0.0
-        if model.kind is TrafficKind.ONOFF_VBR and self.rate_kbps > 0:
+        # the generator is kept as a plain function, not a bound method,
+        # so a source holds no reference cycle to itself
+        if self.rate_kbps <= 0:
+            self._generate = TrafficSource._generate_nothing
+        elif model.kind is TrafficKind.CBR:
+            self._generate = TrafficSource._generate_cbr
+        elif model.kind is TrafficKind.ONOFF_VBR:
+            self._generate = TrafficSource._generate_onoff
             self._phase_left = self.rng.expovariate(1.0 / model.mean_off_ms)
             self._next_size = self._draw_size()
             duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
             self._on_rate_bpms = self.rate_kbps / duty / 8.0  # burst rate while ON
+        else:
+            self._generate = TrafficSource._generate_poisson
+            lam = self.rate_kbps * self._dur / 8.0 / model.mean_size
+            self._chunks = math.ceil(lam / _POISSON_CHUNK)
+            self._chunk_limit = math.exp(-lam / self._chunks)
 
     def _draw_size(self) -> int:
-        m = self.model
-        if m.size_lo == m.size_hi:
-            return m.size_lo
-        return self.rng.randint(m.size_lo, m.size_hi)
-
-    def _packet(self, size: int, arrival: float) -> Packet:
-        deadline = None if self._latency is None else arrival + self._latency
-        return Packet(size=size, arrival_time=arrival, deadline=deadline)
+        if self._lo == self._hi:
+            return self._lo
+        # what randint(lo, hi) calls, minus one call layer
+        return self.rng.randrange(self._lo, self._hi + 1)
 
     def generate(self, frame_index: int) -> list[Packet]:
         """Arrivals within frame ``frame_index``, timestamps non-decreasing."""
-        if self.rate_kbps <= 0:
-            return []
-        kind = self.model.kind
-        if kind is TrafficKind.CBR:
-            return self._generate_cbr(frame_index)
-        if kind is TrafficKind.ONOFF_VBR:
-            return self._generate_onoff(frame_index)
-        return self._generate_poisson(frame_index)
+        return self._generate(self, frame_index)
+
+    def _generate_nothing(self, frame_index: int) -> list[Packet]:
+        return []
 
     def _generate_cbr(self, frame_index: int) -> list[Packet]:
         # fixed-size packets emitted at frame start whenever a full packet
         # of credit has accumulated
-        start = frame_index * self.frame.frame_duration_ms
-        self._credit += self.rate_kbps * self.frame.frame_duration_ms / 8.0
-        size = self.model.size_lo
+        start = frame_index * self._dur
+        self._credit += self.rate_kbps * self._dur / 8.0
+        size = self._lo
+        deadline = None if self._latency is None else start + self._latency
         out = []
         while self._credit >= size:
-            out.append(self._packet(size, start))
+            out.append(Packet(size, start, deadline))
             self._credit -= size
         return out
 
@@ -165,9 +176,10 @@ class TrafficSource:
         # walk the exponential on/off process across the frame; while ON,
         # bytes accrue at the burst rate and a packet leaves the instant its
         # full size has accrued
-        dur = self.frame.frame_duration_ms
+        dur = self._dur
         start = frame_index * dur
         end = start + dur
+        latency = self._latency
         out = []
         t = start
         while t < end:
@@ -179,7 +191,8 @@ class TrafficSource:
                     dt = (self._next_size - self._credit) / self._on_rate_bpms
                     if u + dt < seg_end:
                         u += dt
-                        out.append(self._packet(self._next_size, u))
+                        out.append(Packet(self._next_size, u, None if latency is None
+                                          else u + latency))
                         self._credit = 0.0
                         self._next_size = self._draw_size()
                     else:
@@ -194,9 +207,15 @@ class TrafficSource:
         return out
 
     def _generate_poisson(self, frame_index: int) -> list[Packet]:
-        dur = self.frame.frame_duration_ms
+        dur = self._dur
         start = frame_index * dur
-        lam = self.rate_kbps * dur / 8.0 / self.model.mean_size
-        n = _poisson(self.rng, lam)
-        times = sorted(start + self.rng.random() * dur for _ in range(n))
-        return [self._packet(self._draw_size(), t) for t in times]
+        rng = self.rng
+        n = 0
+        for _ in range(self._chunks):
+            n += _poisson(rng, self._chunk_limit)
+        if not n:
+            return []
+        times = sorted([start + rng.random() * dur for _ in range(n)])
+        latency = self._latency
+        return [Packet(self._draw_size(), t, None if latency is None else t + latency)
+                for t in times]

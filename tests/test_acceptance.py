@@ -20,7 +20,7 @@ from uplinksim.engine import Scenario, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import DfpqState, FrameBudget, dfpq_round, \
-    new_dfpq_state, serve_rtps_edf
+    serve_rtps_edf
 from uplinksim.traffic import TrafficKind, TrafficModel
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -192,12 +192,10 @@ def test_criterion_6_deficit_round_oracle():
 
         conns = [make_conn(q, ServiceClass.NRTPS, sizes=queues[q])
                  for q in range(nq)]
-        st = DfpqState(cursor=cursor)
-        for q in range(nq):
-            st.quantum[q] = quanta[q]
-            st.deficit[q] = deficits[q]
+        st = DfpqState(quantum=list(quanta), deficit=list(deficits),
+                       cursor=cursor)
         fb = FrameBudget(total=budget)
-        entries = dfpq_round(conns, [], st, fb)
+        entries = dfpq_round(conns, st, fb)
 
         sent, dc, pos, used = reference_dfpq(queues, quanta, deficits,
                                              cursor, budget)

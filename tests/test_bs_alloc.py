@@ -12,10 +12,10 @@ from uplinksim.bs_alloc import (
     BandwidthRequest,
     InfeasibleReservationError,
     allocate_gpc,
+    allocation_plan,
     phase1_guarantee,
     phase2_excess,
     pool_gpss,
-    weights_of,
 )
 from uplinksim._kernels_py import waterfill
 from uplinksim.model import QosParams, ServiceClass
@@ -28,21 +28,22 @@ def req(cid, n):
 def test_phase1_caps_at_request_and_minimum():
     # two 512 kbit/s reservations (640 B/frame each) against 5375 B capacity
     conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.NRTPS)]
-    result = phase1_guarantee([req(1, 2000), req(2, 100)], conns, frame(5375))
+    result = phase1_guarantee([req(1, 2000), req(2, 100)],
+                              allocation_plan(conns, frame(5375)))
     assert result.allocated == {1: 640, 2: 100}
     assert result.remaining == 4635
 
 
 def test_phase1_zero_requests():
     conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.BE)]
-    result = phase1_guarantee([req(1, 0), req(2, 0)], conns, frame())
+    result = phase1_guarantee([req(1, 0), req(2, 0)], allocation_plan(conns, frame()))
     assert result.allocated == {1: 0, 2: 0}
     assert result.remaining == frame().uplink_capacity_bytes
 
 
 def test_phase1_single_request_below_minimum():
     conns = [make_conn(1, ServiceClass.NRTPS)]
-    result = phase1_guarantee([req(1, 17)], conns, frame())
+    result = phase1_guarantee([req(1, 17)], allocation_plan(conns, frame()))
     assert result.allocated == {1: 17}
 
 
@@ -56,13 +57,13 @@ def test_phase1_infeasible_reservations_raise():
         for k in range(2)
     ]
     with pytest.raises(InfeasibleReservationError):
-        phase1_guarantee([req(0, 10), req(1, 10)], conns, frame(5375))
+        allocation_plan(conns, frame(5375))
 
 
 def test_phase2_worked_example():
     requests = [req(1, 600), req(2, 600)]
     start = AllocationResult(allocated={1: 0, 2: 0}, remaining=900)
-    result = phase2_excess(start, requests, {1: 1.0, 2: 2.0})
+    result = phase2_excess(start, requests, (1.0, 2.0))
     assert result.allocated == {1: 300, 2: 600}
     assert result.remaining == 0
 
@@ -70,7 +71,7 @@ def test_phase2_worked_example():
 def test_phase2_no_excess_is_identity():
     requests = [req(1, 500)]
     start = AllocationResult(allocated={1: 100}, remaining=0)
-    result = phase2_excess(start, requests, {1: 1.0})
+    result = phase2_excess(start, requests, (1.0,))
     assert result.allocated == {1: 100}
     assert result.remaining == 0
 
@@ -78,7 +79,7 @@ def test_phase2_no_excess_is_identity():
 def test_phase2_single_unmet_fully_satisfied():
     requests = [req(1, 500)]
     start = AllocationResult(allocated={1: 100}, remaining=1000)
-    result = phase2_excess(start, requests, {1: 3.0})
+    result = phase2_excess(start, requests, (3.0,))
     assert result.allocated == {1: 500}
     assert result.remaining == 600
 
@@ -90,31 +91,46 @@ def test_pool_gpss_sums_per_station():
         make_conn(3, ServiceClass.BE, ss=2),
     ]
     result = AllocationResult(allocated={1: 640, 2: 320, 3: 50}, remaining=0)
-    grants = pool_gpss(result, conns)
+    grants = pool_gpss(result, allocation_plan(conns, frame()))
     assert grants == {1: 960, 2: 50}  # keyed by station, not connection
 
 
 def test_pool_gpss_empty():
-    assert pool_gpss(AllocationResult({}, 100), []) == {}
+    assert pool_gpss(AllocationResult({}, 100), allocation_plan([], frame())) == {}
+
+
+def test_allocation_plan_is_aligned_in_cid_order():
+    conns = [
+        make_conn(7, ServiceClass.BE, ss=2),
+        make_conn(3, ServiceClass.UGS, ss=1),
+        make_conn(5, ServiceClass.RTPS, ss=2),
+    ]
+    plan = allocation_plan(conns, frame(5375))
+    assert plan.cids == (3, 5, 7)
+    assert plan.minimums == (320, 640, 320)
+    assert plan.weights == (1.0, 4.0, 1.0)
+    assert plan.ss_ids == (1, 2, 2)
+    assert plan.capacity == 5375
 
 
 def test_allocate_gpc_equals_two_phase_pipeline():
     conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.NRTPS),
              make_conn(3, ServiceClass.BE)]
     requests = [req(1, 2000), req(2, 3000), req(3, 4000)]
-    weights = weights_of(conns)
+    plan = allocation_plan(conns, frame())
     expected = phase2_excess(
-        phase1_guarantee(requests, conns, frame()), requests, weights
+        phase1_guarantee(requests, plan), requests, plan.weights
     )
-    grants = allocate_gpc(requests, conns, frame())
+    grants = allocate_gpc(requests, plan)
     assert set(grants) == {c.cid for c in conns}  # keyed by connection
     assert grants == expected.allocated
 
 
 def test_allocate_gpc_ugs_fixed_grant_every_frame():
     conns = [make_conn(1, ServiceClass.UGS), make_conn(2, ServiceClass.UGS)]
+    plan = allocation_plan(conns, frame())
     for _ in range(5):
-        grants = allocate_gpc([req(1, 320), req(2, 320)], conns, frame())
+        grants = allocate_gpc([req(1, 320), req(2, 320)], plan)
         assert grants == {1: 320, 2: 320}
 
 
@@ -140,7 +156,6 @@ def run_pipeline(requested, bwmin, weights, capacity):
     contracts whose reservations equal the requested minimums."""
     conns = []
     requests = []
-    wmap = {}
     f = frame(capacity=capacity)
     for i, (r, m, w) in enumerate(zip(requested, bwmin, weights)):
         # reservation of m bytes/frame <=> m * 8 / duration kbit/s
@@ -150,8 +165,8 @@ def run_pipeline(requested, bwmin, weights, capacity):
                         weight=w)
         conns.append(make_conn(i, ServiceClass.BE, qos=qos))
         requests.append(req(i, r))
-        wmap[i] = w
-    result = phase2_excess(phase1_guarantee(requests, conns, f), requests, wmap)
+    plan = allocation_plan(conns, f)
+    result = phase2_excess(phase1_guarantee(requests, plan), requests, plan.weights)
     return [result.allocated[i] for i in range(len(requested))], result.remaining
 
 
@@ -217,5 +232,5 @@ def test_weight_monotonicity():
         remaining = rng.randint(0, 80)
         requests = [req(1, demand), req(2, demand)]
         start = AllocationResult(allocated={1: 0, 2: 0}, remaining=remaining)
-        result = phase2_excess(start, requests, {1: w_small, 2: w_big})
+        result = phase2_excess(start, requests, (w_small, w_big))
         assert result.allocated[2] >= result.allocated[1] - 1

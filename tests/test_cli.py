@@ -263,3 +263,47 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in expected}
         assert digests == expected, f"drop_expired={drop_expired}"
+
+
+def test_connection_order_does_not_change_outputs(tmp_path):
+    # every station holds one connection of each class, stations interleave
+    # in cid order, and the [connection] sections are listed in reverse: the
+    # per-cell allocation plan and station partitions must still give the
+    # sorted twin's bytes, through a file and through the API
+    from dataclasses import replace
+
+    from uplinksim.config import serialize_config
+
+    base = baseline_config()
+    specs = tuple(replace(s, ss_id=(s.cid // 4 + s.cid) % 4)
+                  for s in base.scenario.conns)
+    cfg = replace(base, scenario=replace(base.scenario, conns=specs),
+                  frames=300, seeds=(3,), rhos=(1.3,), window_ms=500.0)
+    text = serialize_config(cfg)
+    head, *sections = text.split("\n[connection]\n")
+    reverse_text = head + "".join("\n[connection]\n" + s for s in reversed(sections))
+    cids = [int(m) for m in re.findall(r"^cid = (\d+)$", reverse_text, re.M)]
+    assert cids == sorted(cids, reverse=True) and len(cids) == 16
+    reverse_cfg = replace(cfg, scenario=replace(cfg.scenario,
+                                                conns=tuple(reversed(specs))))
+
+    names = ("summary.csv", "timeseries.csv", "packets.csv")
+    for drop in (False, True):
+        outs = {}
+        for label, body in (("sorted", text), ("reverse", reverse_text)):
+            path = tmp_path / f"{label}.cfg"
+            path.write_text(body)
+            out = tmp_path / f"{label}-{drop}"
+            argv = ["--config", str(path), "--mode", "all", "--trace",
+                    "--out", str(out)]
+            assert main(argv + ["--drop-expired"] * drop) == 0
+            outs[label] = out
+        api = replace(reverse_cfg, drop_expired=drop, trace=True)
+        results, errors = run_matrix(api)
+        assert not errors
+        outs["api"] = tmp_path / f"api-{drop}"
+        write_outputs(results, api, outs["api"])
+        for name in names:
+            expected = (outs["sorted"] / name).read_bytes()
+            assert (outs["reverse"] / name).read_bytes() == expected, name
+            assert (outs["api"] / name).read_bytes() == expected, name

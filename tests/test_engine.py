@@ -195,7 +195,8 @@ def test_gpc_spends_grants_only_on_their_own_connection():
             sim.connections[0].queue.append(pkt)
             sim.history[0].append(pkt)
             sim._backlog[0] += 640
-        sim.pending_requests = {0: 0, 1: 1280}
+        for req in sim.requests:
+            req.requested_bytes = {0: 0, 1: 1280}[req.cid]
         return sim
 
     gpc = prepared(SimMode.GPC)

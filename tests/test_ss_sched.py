@@ -8,8 +8,8 @@ from uplinksim.model import Packet, QosParams, ServiceClass
 from uplinksim.ss_sched import (
     DfpqState,
     FrameBudget,
+    Station,
     dfpq_round,
-    new_dfpq_state,
     quantum_for,
     schedule_frame_ss1,
     schedule_frame_ss2,
@@ -19,16 +19,13 @@ from uplinksim.ss_sched import (
 
 
 def state_for(conns, quanta=None, deficits=None, cursor=0):
-    ordered = sorted(
-        (c for c in conns
-         if c.service_class in (ServiceClass.NRTPS, ServiceClass.BE)),
-        key=lambda c: (-c.service_class, c.cid),
+    """Deficit-round state aligned with ``conns``; ``quanta`` and
+    ``deficits`` override the defaults by cid."""
+    return DfpqState(
+        quantum=[(quanta or {}).get(c.cid, quantum_for(c, frame())) for c in conns],
+        deficit=[(deficits or {}).get(c.cid, 0) for c in conns],
+        cursor=cursor,
     )
-    st = DfpqState(cursor=cursor)
-    for k, c in enumerate(ordered):
-        st.quantum[c.cid] = (quanta or {}).get(c.cid, quantum_for(c, frame()))
-        st.deficit[c.cid] = (deficits or {}).get(c.cid, 0)
-    return st
 
 
 # --- UGS phase ---------------------------------------------------------------
@@ -125,28 +122,28 @@ def test_dfpq_two_visits_then_reset_on_empty():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     st = state_for([conn], quanta={1: 500})
     budget = FrameBudget(total=10_000)
-    entries = dfpq_round([conn], [], st, budget)
+    entries = dfpq_round([conn], st, budget)
     # visit 1: counter 500, send 300 (200 left, next 300 too big);
     # visit 2: counter 700, send 300, queue drains, counter forfeited
     assert [p.size for _, p in entries] == [300, 300]
-    assert st.deficit[1] == 0
+    assert st.deficit == [0]
     assert not conn.queue
 
 
 def test_dfpq_untouched_empty_queue_keeps_zero_counter():
     conn = make_conn(1, ServiceClass.NRTPS)
     st = state_for([conn])
-    assert dfpq_round([conn], [], st, FrameBudget(total=1000)) == []
-    assert st.deficit[1] == 0
+    assert dfpq_round([conn], st, FrameBudget(total=1000)) == []
+    assert st.deficit == [0]
 
 
 def test_dfpq_counter_persists_for_backlogged_queue():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     st = state_for([conn], quanta={1: 500})
     budget = FrameBudget(total=300)  # only room for one packet
-    entries = dfpq_round([conn], [], st, budget)
+    entries = dfpq_round([conn], st, budget)
     assert [p.size for _, p in entries] == [300]
-    assert st.deficit[1] == 200  # unspent credit carried, queue non-empty
+    assert st.deficit == [200]  # unspent credit carried, queue non-empty
     assert budget.running == 0
 
 
@@ -155,7 +152,7 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     be = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     st = state_for([nrtps, be])  # quanta 1280 / 320
     budget = FrameBudget(total=2500)
-    entries = dfpq_round([nrtps], [be], st, budget)
+    entries = dfpq_round([nrtps, be], st, budget)
     # BE's counter needs four rounds of credit for a 1250-byte packet, so the
     # scarce budget goes to nrtPS alone
     assert [cid for cid, _ in entries] == [1, 1]
@@ -163,7 +160,7 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     be2 = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     st2 = state_for([nrtps2, be2])
     budget2 = FrameBudget(total=20_000)
-    entries2 = dfpq_round([nrtps2], [be2], st2, budget2)
+    entries2 = dfpq_round([nrtps2, be2], st2, budget2)
     # ample budget: everything drains; nrtPS finishes while BE still accrues
     assert [cid for cid, _ in entries2] == [1, 1, 1, 1, 2, 2, 2, 2]
 
@@ -176,7 +173,7 @@ def test_dfpq_long_run_fairness_equal_quanta():
     sent = {1: 0, 2: 0}
     for _ in range(1000):
         budget = FrameBudget(total=300)
-        for cid, p in dfpq_round([a, b], [], st, budget):
+        for cid, p in dfpq_round([a, b], st, budget):
             sent[cid] += p.size
     assert abs(sent[1] - sent[2]) <= 100  # within one packet
 
@@ -200,7 +197,7 @@ def test_dfpq_matches_reference_simulator():
         st = state_for(conns, quanta=dict(enumerate(quanta)),
                        deficits=dict(enumerate(deficits)), cursor=cursor)
         fb = FrameBudget(total=budget)
-        entries = dfpq_round(conns, [], st, fb)
+        entries = dfpq_round(conns, st, fb)
 
         ref_sent, ref_dc, ref_cursor, ref_used = reference_dfpq(
             queues, quanta, deficits, cursor, budget
@@ -227,24 +224,49 @@ def four_class_station(backlog=3):
     ]
 
 
+def test_station_partitions_classes_once_in_cid_order():
+    conns = [
+        make_conn(9, ServiceClass.BE),
+        make_conn(8, ServiceClass.NRTPS),
+        make_conn(7, ServiceClass.BE),
+        make_conn(6, ServiceClass.RTPS),
+        make_conn(5, ServiceClass.NRTPS),
+        make_conn(4, ServiceClass.UGS),
+        make_conn(3, ServiceClass.RTPS),
+    ]
+    station = Station(conns, frame())
+
+    def cids(group):
+        return [c.cid for c in group]
+
+    assert cids(station.ugs) == [4]
+    assert cids(station.rtps) == [3, 6]
+    assert cids(station.nrtps) == [5, 8]
+    assert cids(station.be) == [7, 9]
+    assert cids(station.drr) == [5, 8, 7, 9]  # nrtPS visited before BE
+    assert station.dfpq.quantum == [1280, 1280, 320, 320]
+    assert station.dfpq.deficit == [0, 0, 0, 0]
+    assert station.dfpq.cursor == 0
+
+
 def test_ss1_zero_grant_schedules_nothing():
     conns = four_class_station()
-    tx = schedule_frame_ss1(conns, 0, new_dfpq_state(conns, frame()))
+    tx = schedule_frame_ss1(Station(conns, frame()), 0)
     assert tx.entries == []
     assert tx.total_bytes == 0
 
 
 def test_ss1_only_be_uses_reserved_rate_quantum():
     be = make_conn(9, ServiceClass.BE, sizes=[100] * 5)
-    st = new_dfpq_state([be], frame())
-    assert st.quantum[9] == 320  # one frame at the 256 kbit/s reserved rate
-    tx = schedule_frame_ss1([be], 5000, st)
+    station = Station([be], frame())
+    assert station.dfpq.quantum == [320]  # one frame at the 256 kbit/s reserved rate
+    tx = schedule_frame_ss1(station, 5000)
     assert [p.size for _, p in tx.entries] == [100] * 5
 
 
 def test_ss1_ample_grant_sends_everything_class_ordered():
     conns = four_class_station()
-    tx = schedule_frame_ss1(conns, 50_000, new_dfpq_state(conns, frame()))
+    tx = schedule_frame_ss1(Station(conns, frame()), 50_000)
     assert len(tx.entries) == 12
     # phase order: all UGS, then all rtPS, then the deficit round (which may
     # interleave nrtPS and BE)
@@ -272,7 +294,7 @@ def test_ss1_budget_safety_random():
         ]
         grant = rng.randint(0, 4000)
         queued_before = {c.cid: list(c.queue) for c in conns}
-        tx = schedule_frame_ss1(conns, grant, new_dfpq_state(conns, frame()))
+        tx = schedule_frame_ss1(Station(conns, frame()), grant)
         assert tx.total_bytes <= grant
         assert tx.total_bytes == sum(p.size for _, p in tx.entries)
         # no duplication, no fabrication
@@ -298,8 +320,9 @@ def test_ss1_weak_work_conservation():
             )
         ]
         grant = rng.randint(0, 5000)
-        st = new_dfpq_state(conns, frame())
-        tx = schedule_frame_ss1(conns, grant, st)
+        station = Station(conns, frame())
+        tx = schedule_frame_ss1(station, grant)
+        deficit = dict(zip((c.cid for c in station.drr), station.dfpq.deficit))
         leftover = grant - tx.total_bytes
         for c in conns:
             if not c.queue:
@@ -308,7 +331,7 @@ def test_ss1_weak_work_conservation():
             if c.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
                 # head fitting both leftover and its current counter would
                 # contradict round termination
-                assert not (head <= leftover and head <= st.deficit[c.cid])
+                assert not (head <= leftover and head <= deficit[c.cid])
 
 
 def test_ss2_starves_lower_classes_behind_backlog():
@@ -316,7 +339,7 @@ def test_ss2_starves_lower_classes_behind_backlog():
         make_conn(1, ServiceClass.NRTPS, sizes=[1000] * 10),
         make_conn(2, ServiceClass.BE, sizes=[50] * 10),
     ]
-    tx = schedule_frame_ss2(conns, 3500)
+    tx = schedule_frame_ss2(Station(conns, frame()), 3500)
     assert [cid for cid, _ in tx.entries] == [1, 1, 1]
     # 500 bytes leftover would fit BE heads, but strict priority blocks them
     assert tx.total_bytes == 3000
@@ -325,15 +348,15 @@ def test_ss2_starves_lower_classes_behind_backlog():
 
 def test_ss2_fifo_over_be_alone():
     be = make_conn(1, ServiceClass.BE, sizes=[10, 20, 30], arrivals=[0, 1, 2])
-    tx = schedule_frame_ss2([be], 1000)
+    tx = schedule_frame_ss2(Station([be], frame()), 1000)
     assert [p.size for _, p in tx.entries] == [10, 20, 30]
 
 
 def test_ss2_matches_ss1_packet_set_when_uncontended():
     conns1 = four_class_station()
     conns2 = four_class_station()
-    tx1 = schedule_frame_ss1(conns1, 50_000, new_dfpq_state(conns1, frame()))
-    tx2 = schedule_frame_ss2(conns2, 50_000)
+    tx1 = schedule_frame_ss1(Station(conns1, frame()), 50_000)
+    tx2 = schedule_frame_ss2(Station(conns2, frame()), 50_000)
     key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
     assert key(tx1) == key(tx2)
 

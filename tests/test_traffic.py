@@ -1,9 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from conftest import frame, make_conn
-from uplinksim.model import ServiceClass
+from uplinksim.model import QosParams, ServiceClass
 from uplinksim.traffic import (
     TrafficKind,
     TrafficModel,
@@ -140,3 +141,114 @@ def test_non_finite_intensity_and_model_values_rejected():
         for bad in (float("nan"), float("inf")):
             bad_model = replace(model, **{field: bad})
             assert model_violations(1, bad_model, frame()) == [f"cid 1: {problem}"]
+
+
+def stream_digest(kind, sizes, latency, rho, frames=300):
+    """sha256 over the (size, arrival, deadline) reprs of every packet one
+    source generates in ``frames`` frames."""
+    qos = QosParams(max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
+                    max_latency_ms=latency, weight=1.0)
+    cls = ServiceClass.NRTPS if latency is None else ServiceClass.RTPS
+    model = TrafficModel(kind, 900.0, *sizes)
+    src = TrafficSource(make_conn(3, cls, qos=qos), model, frame(), rho, seed=12)
+    h = hashlib.sha256()
+    for k in range(frames):
+        for p in src.generate(k):
+            h.update(repr((p.size, p.arrival_time, p.deadline)).encode())
+    return h.hexdigest()
+
+
+STREAM_CASES = [
+    (kind, sizes, latency, rho)
+    for kind in TrafficKind
+    for sizes in ((320, 320), (64, 1250))
+    for latency in (None, 20.0)
+    for rho in (0.5, 1.7)
+]
+
+# recorded before the generators were restructured; any change to the RNG
+# draw order, the size draws or the packet fields shows up here
+PINNED_STREAMS = {
+    "cbr 320-320 latency=None rho=0.5":
+        "148d74b0e9f66f0a68b45faf67145efbf904b397eb10ac1abb44524aa3bfa7a4",
+    "cbr 320-320 latency=None rho=1.7":
+        "371e343fba026477fd780a422999b192b7ca84b16f56c188e9e82107e551d60d",
+    "cbr 320-320 latency=20.0 rho=0.5":
+        "702f5f4d1d9fd1f59d7d62c157c3f7a16e7974cbf1a4233c2c94397268e89a67",
+    "cbr 320-320 latency=20.0 rho=1.7":
+        "8788bfd9a36e4090e3ed6e695dc0aed14273aeefd73ee217b7cde9cdc40794bd",
+    "cbr 64-1250 latency=None rho=0.5":
+        "b60114ae33ffb46940b3d42e4739f1c16e8df09430cbd273d822ac3c9666ba46",
+    "cbr 64-1250 latency=None rho=1.7":
+        "02a88d5e5bb0814cc42e05a7999d1bdfaf9bf703d958d6977a8ed91cad112bf7",
+    "cbr 64-1250 latency=20.0 rho=0.5":
+        "3f76c2fcfb6b6a3314b80f890564e2b7d031c43135e9bf716d46c90c0505fef0",
+    "cbr 64-1250 latency=20.0 rho=1.7":
+        "fb3bd9e4243a58fdfa0184e944b348a6de3af5923b842d7db7ab5588667e8f06",
+    "onoff 320-320 latency=None rho=0.5":
+        "b98908ea3db99fef9d6a627845a12b13e65f6fd24adb2dec52db27aa40bdbd4d",
+    "onoff 320-320 latency=None rho=1.7":
+        "a897233a3a9f450a2c08a0fc0bfd5f702e791f6d6311ca248409a2297e076987",
+    "onoff 320-320 latency=20.0 rho=0.5":
+        "09ada4f601f9a04adbbf042813bb54c15a082a25b143c87e6359cba38f09dde1",
+    "onoff 320-320 latency=20.0 rho=1.7":
+        "497398dd2ed50be416dca30e1627f0b735d5e5f89c5628081097e7294fbe2e79",
+    "onoff 64-1250 latency=None rho=0.5":
+        "06f2c28728ce15013ead89fe34e50a463933f0a7ebb6a96d6245f44843107aa6",
+    "onoff 64-1250 latency=None rho=1.7":
+        "f0b55e51326e938b95031237b154ebff797b740569e4383bc7331a0f4c907422",
+    "onoff 64-1250 latency=20.0 rho=0.5":
+        "a01dc265e846be8396ff2de7bdb13106f794c1c3d3c5a94e2d3cdcd4bae4b564",
+    "onoff 64-1250 latency=20.0 rho=1.7":
+        "87c4f8a6e96e562643b4ba1ab887326d0c061684500fb268541f3226c4410366",
+    "poisson_bulk 320-320 latency=None rho=0.5":
+        "28c6eff90e7e260b438af502b9362540e8ecbd3b02b7d9172dfaf52cf871290b",
+    "poisson_bulk 320-320 latency=None rho=1.7":
+        "42522295eb77d904817491c0336edf9a583a4ceb88d2a414fc6dfafa2a3193ce",
+    "poisson_bulk 320-320 latency=20.0 rho=0.5":
+        "be6ac1df4d8630643b0e31ef83c9789965f9209888faad788e3e984528551c80",
+    "poisson_bulk 320-320 latency=20.0 rho=1.7":
+        "3a3059a95695410ed07fca87366cb0863c2995f0f75efea075bd5ccf3c229722",
+    "poisson_bulk 64-1250 latency=None rho=0.5":
+        "2c9f30d2d9b138567437f539d0fa8d499ea0f7fce8fff06b0fc4d1c7a7321237",
+    "poisson_bulk 64-1250 latency=None rho=1.7":
+        "3bd879a1f6d5b883d28c9f580ca7a4dd48b5378ef620fbfa304b10490fae513b",
+    "poisson_bulk 64-1250 latency=20.0 rho=0.5":
+        "f39ebba07522c57a118784508a287ea958b98a1cc28e1ed67cf9222491195d98",
+    "poisson_bulk 64-1250 latency=20.0 rho=1.7":
+        "939b0aea5f50a735fc96aab73f1b6ee4cc6f56ba55952828a76981334393a440",
+    "poisson_mix 320-320 latency=None rho=0.5":
+        "28c6eff90e7e260b438af502b9362540e8ecbd3b02b7d9172dfaf52cf871290b",
+    "poisson_mix 320-320 latency=None rho=1.7":
+        "42522295eb77d904817491c0336edf9a583a4ceb88d2a414fc6dfafa2a3193ce",
+    "poisson_mix 320-320 latency=20.0 rho=0.5":
+        "be6ac1df4d8630643b0e31ef83c9789965f9209888faad788e3e984528551c80",
+    "poisson_mix 320-320 latency=20.0 rho=1.7":
+        "3a3059a95695410ed07fca87366cb0863c2995f0f75efea075bd5ccf3c229722",
+    "poisson_mix 64-1250 latency=None rho=0.5":
+        "2c9f30d2d9b138567437f539d0fa8d499ea0f7fce8fff06b0fc4d1c7a7321237",
+    "poisson_mix 64-1250 latency=None rho=1.7":
+        "3bd879a1f6d5b883d28c9f580ca7a4dd48b5378ef620fbfa304b10490fae513b",
+    "poisson_mix 64-1250 latency=20.0 rho=0.5":
+        "f39ebba07522c57a118784508a287ea958b98a1cc28e1ed67cf9222491195d98",
+    "poisson_mix 64-1250 latency=20.0 rho=1.7":
+        "939b0aea5f50a735fc96aab73f1b6ee4cc6f56ba55952828a76981334393a440",
+}
+
+
+@pytest.mark.parametrize("kind,sizes,latency,rho", STREAM_CASES)
+def test_traffic_streams_match_pinned_digests(kind, sizes, latency, rho):
+    key = f"{kind.value} {sizes[0]}-{sizes[1]} latency={latency} rho={rho}"
+    assert stream_digest(kind, sizes, latency, rho) == PINNED_STREAMS[key]
+
+
+def test_poisson_large_mean_is_not_truncated():
+    # lambda = 100000 kbit/s * 10 ms / 8 / 64 B = 1953.125 packets per frame;
+    # a single product of uniforms underflows exp(-lambda) and stalls near 745
+    conn = make_conn(1, ServiceClass.BE)
+    model = TrafficModel(TrafficKind.POISSON_BULK, 100_000.0, 64, 64)
+    src = TrafficSource(conn, model, frame(capacity=200_000), 1.0, seed=4)
+    assert model_violations(1, model, frame(capacity=200_000)) == []
+    frames = 200
+    mean = sum(len(src.generate(k)) for k in range(frames)) / frames
+    assert abs(mean - 1953.125) / 1953.125 < 0.02
