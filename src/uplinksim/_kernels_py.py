@@ -1,9 +1,10 @@
 """Scheduling kernels.
 
 These are the hot inner loops of the simulator: weighted excess filling,
-earliest-deadline selection and the deficit round.  They work on plain
-lists of numbers, and the excess filling on integers only, so every result
-is exact and reproducible.
+earliest-deadline selection and the deficit round.  The excess filling
+works on plain lists of integers, so its result is exact and reproducible;
+earliest-deadline selection and the deficit round read the heads of the
+connections' live queues and pop the packets they send.
 """
 
 from __future__ import annotations
@@ -105,97 +106,77 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     return inc
 
 
-def edf_take(
-    deadlines: list, arrivals: list, sizes: list, cids: list, budget: int
-) -> tuple:
-    """Earliest-deadline-first over queue heads.
+def edf_take(conns, budget: int) -> tuple:
+    """Earliest-deadline-first over the connections' live queues.
 
-    ``deadlines[q]`` / ``arrivals[q]`` / ``sizes[q]`` hold the leading packets
-    of queue ``q`` in FIFO order.  Repeatedly picks the head with the smallest
-    (deadline, arrival, cid); the phase ends at the first pick that does not
-    fit the remaining budget whole.  Returns (order, used) where ``order``
-    lists one queue index per packet in transmission order.
+    Repeatedly picks the head packet with the smallest (deadline, arrival,
+    cid) and pops it; the phase ends at the first pick that does not fit
+    the remaining budget whole.  Every queued packet must carry a deadline.
+    Returns (entries, used) where ``entries`` lists (cid, packet) in
+    transmission order.
     """
-    n = len(sizes)
-    heads = [0] * n
-    order = []
+    # the cid is unique, so two heap items never compare their queues
+    heap = [(q[0].deadline, q[0].arrival_time, c.cid, q)
+            for c in conns if (q := c.queue)]
+    heapq.heapify(heap)
+    entries = []
     used = 0
-    while True:
-        best = -1
-        bd = ba = 0.0
-        bc = 0
-        for q in range(n):
-            h = heads[q]
-            if h >= len(sizes[q]):
-                continue
-            d = deadlines[q][h]
-            a = arrivals[q][h]
-            c = cids[q]
-            if best < 0 or (d, a, c) < (bd, ba, bc):
-                best = q
-                bd, ba, bc = d, a, c
-        if best < 0:
+    while heap:
+        _, _, cid, q = heap[0]
+        pkt = q[0]
+        if pkt.size > budget:
             break
-        size = sizes[best][heads[best]]
-        if size > budget:
-            break
-        budget -= size
-        used += size
-        order.append(best)
-        heads[best] += 1
-    return order, used
+        q.popleft()
+        budget -= pkt.size
+        used += pkt.size
+        entries.append((cid, pkt))
+        if q:
+            head = q[0]
+            heapq.heapreplace(heap, (head.deadline, head.arrival_time, cid, q))
+        else:
+            heapq.heappop(heap)
+    return entries, used
 
 
-def dfpq_take(
-    sizes: list,
-    full: list,
-    quanta: list,
-    deficits: list,
-    cursor: int,
-    budget: int,
-) -> tuple:
-    """Deficit rounds over the queues' head segments.
+def dfpq_take(conns, quanta: list, deficits: list, cursor: int,
+              budget: int) -> tuple:
+    """Deficit rounds over the connections' live queues.
 
-    ``sizes[q]`` holds leading packet sizes in FIFO order; ``full[q]`` says
-    whether that segment is the entire queue (a truncated segment can never
-    be fully consumed, because its total exceeds the budget).  Visits cycle
-    from ``cursor`` over non-empty queues: each visit adds the quantum to the
-    deficit counter, then sends head packets while they fit both counter and
-    budget.  A drained queue forfeits its counter.  The round stops when no
-    pending head fits the leftover budget.
+    Visits cycle from ``cursor`` over non-empty queues: each visit adds the
+    quantum to the deficit counter, then pops head packets while they fit
+    both counter and budget.  A queue left empty by its visit forfeits its
+    counter.  The round stops when no pending head fits the leftover budget.
 
-    Returns (order, new_deficits, new_cursor, used).
+    Returns (entries, new_deficits, new_cursor, used) where ``entries``
+    lists (cid, packet) in transmission order.
     """
-    n = len(sizes)
+    n = len(conns)
     dc = list(deficits)
     if n == 0:
         return [], dc, cursor, 0
+    queues = [c.queue for c in conns]
     pos = cursor % n
-    heads = [0] * n
-    order = []
+    entries = []
     used = 0
     while True:
-        any_fit = False
-        for q in range(n):
-            h = heads[q]
-            if h < len(sizes[q]) and sizes[q][h] <= budget:
-                any_fit = True
+        # the round ends once no pending head fits the leftover budget
+        for q in queues:
+            if q and q[0].size <= budget:
                 break
-        if not any_fit:
+        else:
             break
-        q = pos
-        qs = sizes[q]
-        h = heads[q]
-        if h < len(qs):
-            dc[q] += quanta[q]
-            while h < len(qs) and qs[h] <= dc[q] and qs[h] <= budget:
-                dc[q] -= qs[h]
-                budget -= qs[h]
-                used += qs[h]
-                order.append(q)
-                h += 1
-            heads[q] = h
-            if h == len(qs) and full[q]:
-                dc[q] = 0
+        q = queues[pos]
+        if q:
+            credit = dc[pos] + quanta[pos]
+            cid = conns[pos].cid
+            while q:
+                size = q[0].size
+                if size > credit or size > budget:
+                    break
+                credit -= size
+                budget -= size
+                used += size
+                entries.append((cid, q.popleft()))
+            dc[pos] = credit if q else 0
         pos = (pos + 1) % n
-    return order, dc, pos, used
+    return entries, dc, pos, used

@@ -11,7 +11,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import _backend
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -44,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the per-packet trace (packets.csv)")
     parser.add_argument("--drop-expired", action="store_true",
                         help="drop delay-bounded packets that passed their deadline")
-    parser.add_argument("--backend", action="store_true",
-                        help="print the active kernel backend and exit")
     return parser
 
 
@@ -186,9 +183,6 @@ def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend:
-        print(f"kernel backend: {_backend.backend_name()}")
-        return 0
     try:
         if args.config:
             try:

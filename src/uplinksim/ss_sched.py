@@ -109,40 +109,15 @@ def serve_ugs(ugs_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     return _drain_fifo(ugs_conns, budget)
 
 
-def _head_segment(conn: Connection, limit: int) -> tuple[list[Packet], bool]:
-    # leading packets up to the first whose cumulative size exceeds the
-    # budget; anything beyond can never be sent this frame
-    packets = []
-    total = 0
-    for pkt in conn.queue:
-        packets.append(pkt)
-        total += pkt.size
-        if total > limit:
-            return packets, False
-    return packets, True
-
-
 def serve_rtps_edf(rtps_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     """Send rtPS head-of-line packets in earliest-deadline order.
 
     Ties break on (arrival time, cid).  The phase ends at the first selected
     packet that does not fit the remaining budget whole.
     """
-    conns = [c for c in rtps_conns if c.queue]
-    if not conns or budget.running <= 0:
+    if budget.running <= 0 or not any(c.queue for c in rtps_conns):
         return []
-    segments = [_head_segment(c, budget.running)[0] for c in conns]
-    deadlines = [[p.deadline if p.deadline is not None else 0.0 for p in seg]
-                 for seg in segments]
-    arrivals = [[p.arrival_time for p in seg] for seg in segments]
-    sizes = [[p.size for p in seg] for seg in segments]
-    cids = [c.cid for c in conns]
-    order, used = _backend.kernels.edf_take(deadlines, arrivals, sizes, cids,
-                                            budget.running)
-    entries = []
-    for q in order:
-        conn = conns[q]
-        entries.append((conn.cid, conn.queue.popleft()))
+    entries, used = _backend.kernels.edf_take(rtps_conns, budget.running)
     budget.running -= used
     return entries
 
@@ -160,20 +135,9 @@ def dfpq_round(conns, state: DfpqState,
     """
     if not conns:
         return []
-    segments = []
-    fulls = []
-    for conn in conns:
-        seg, is_full = _head_segment(conn, budget.running)
-        segments.append(seg)
-        fulls.append(is_full)
-    sizes = [[p.size for p in seg] for seg in segments]
-    order, state.deficit, state.cursor, used = _backend.kernels.dfpq_take(
-        sizes, fulls, state.quantum, state.deficit, state.cursor, budget.running
+    entries, state.deficit, state.cursor, used = _backend.kernels.dfpq_take(
+        conns, state.quantum, state.deficit, state.cursor, budget.running
     )
-    entries = []
-    for q in order:
-        conn = conns[q]
-        entries.append((conn.cid, conn.queue.popleft()))
     budget.running -= used
     return entries
 

@@ -174,11 +174,6 @@ def test_cli_empty_modes_exit_code(tmp_path, capsys):
     assert "modes must list at least one value" in capsys.readouterr().err
 
 
-def test_backend_flag_reports_python(capsys):
-    assert main(["--backend"]) == 0
-    assert capsys.readouterr().out == "kernel backend: python\n"
-
-
 def test_cli_io_error_exit_code(tmp_path):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text(SMALL)

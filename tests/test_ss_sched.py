@@ -1,10 +1,9 @@
 import random
-from collections import deque
 
-from conftest import QOS, frame, make_conn
+from conftest import frame, make_conn
 from reference import max_lateness, min_max_lateness, reference_dfpq, reference_edf
 from uplinksim._kernels_py import dfpq_take, edf_take
-from uplinksim.model import Packet, QosParams, ServiceClass
+from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
     DfpqState,
     FrameBudget,
@@ -361,15 +360,20 @@ def test_ss2_matches_ss1_packet_set_when_uncontended():
     assert key(tx1) == key(tx2)
 
 
-def head_segment(queue, budget):
-    """The leading packets a station scheduler hands the kernels: up to and
-    including the first one past ``budget``; (segment, whole queue?)."""
-    total = 0
-    for k, size in enumerate(queue):
-        total += size
-        if total > budget:
-            return queue[:k + 1], False
-    return list(queue), True
+def oracle_split(sent, cids, originals):
+    """The (cid, packet) entries an oracle's list of queue indices stands
+    for, and the packets it leaves on each queue."""
+    heads = [0] * len(originals)
+    entries = []
+    for q in sent:
+        entries.append((cids[q], originals[q][heads[q]]))
+        heads[q] += 1
+    return entries, [orig[h:] for orig, h in zip(originals, heads)]
+
+
+def same_packets(got, expected):
+    return ([(cid, id(p)) for cid, p in got]
+            == [(cid, id(p)) for cid, p in expected])
 
 
 def test_dfpq_take_matches_reference():
@@ -382,10 +386,19 @@ def test_dfpq_take_matches_reference():
         deficits = [rng.randint(0, 800) if queues[q] else 0 for q in range(nq)]
         cursor = rng.randint(0, nq - 1)
         budget = rng.randint(0, 6000)
-        segments, fulls = zip(*(head_segment(q, budget) for q in queues))
-        got = dfpq_take(list(segments), list(fulls), quanta, deficits, cursor,
-                        budget)
-        assert got == reference_dfpq(queues, quanta, deficits, cursor, budget)
+        # descending cids: the visit order is the list order, not the cid's
+        cids = [nq - q for q in range(nq)]
+        conns = [make_conn(cids[q], ServiceClass.NRTPS, sizes=queues[q])
+                 for q in range(nq)]
+        originals = [list(c.queue) for c in conns]
+        entries, dc, pos, used = dfpq_take(conns, quanta, deficits, cursor,
+                                           budget)
+        sent, ref_dc, ref_pos, ref_used = reference_dfpq(
+            queues, quanta, deficits, cursor, budget)
+        expected, leftovers = oracle_split(sent, cids, originals)
+        assert same_packets(entries, expected)
+        assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
+        assert [list(c.queue) for c in conns] == leftovers
 
 
 def test_edf_take_matches_sorted_reference():
@@ -394,10 +407,20 @@ def test_edf_take_matches_sorted_reference():
         nq = rng.randint(1, 5)
         counts = [rng.randint(0, 8) for _ in range(nq)]
         # whole-millisecond times, so equal deadlines and arrivals occur
-        deadlines = [sorted(rng.randint(0, 40) for _ in range(c)) for c in counts]
-        arrivals = [sorted(rng.randint(0, 20) for _ in range(c)) for c in counts]
+        deadlines = [sorted(float(rng.randint(0, 40)) for _ in range(c))
+                     for c in counts]
+        arrivals = [sorted(float(rng.randint(0, 20)) for _ in range(c))
+                    for c in counts]
         sizes = [[rng.randint(1, 1000) for _ in range(c)] for c in counts]
         cids = rng.sample(range(100), nq)
         budget = rng.randint(0, 5000)
-        assert list(edf_take(deadlines, arrivals, sizes, cids, budget)) == list(
-            reference_edf(deadlines, arrivals, sizes, cids, budget))
+        conns = [make_conn(cids[q], ServiceClass.RTPS, sizes=sizes[q],
+                           arrivals=arrivals[q], deadlines=deadlines[q])
+                 for q in range(nq)]
+        originals = [list(c.queue) for c in conns]
+        entries, used = edf_take(conns, budget)
+        sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
+        expected, leftovers = oracle_split(sent, cids, originals)
+        assert same_packets(entries, expected)
+        assert used == ref_used
+        assert [list(c.queue) for c in conns] == leftovers
