@@ -27,7 +27,9 @@ Grammar (see README for the full reference)::
     min_reserved_kbps = 512      per-class defaults; a partial block is an
     max_latency_ms = 20          error (the class decides which are needed)
     weight = 4
-    model = onoff                omit model to get the class default source
+    model = onoff                cbr, onoff or poisson (also spelled
+                                 poisson_bulk or poisson_mix); omit model
+                                 to get the class default source
     rate_kbps = 1024
     size_bytes = 100 1250        one value = fixed size, two = uniform range
     on_ms = 500
@@ -147,8 +149,12 @@ def _parse_label(noun, members, fold, text, where, key, errors):
 _parse_mode = partial(_parse_label, "mode", {m.value: m for m in SimMode}, str.lower)
 _parse_class = partial(_parse_label, "service class", ServiceClass.__members__,
                        str.upper)
-_parse_model = partial(_parse_label, "traffic model",
-                       {k.value: k for k in TrafficKind}, str.lower)
+_parse_model = partial(_parse_label, "traffic model", {
+    **{k.value: k for k in TrafficKind},
+    # earlier spellings of the one Poisson model, still accepted
+    "poisson_bulk": TrafficKind.POISSON,
+    "poisson_mix": TrafficKind.POISSON,
+}, str.lower)
 
 
 def _parse_list(parse, tokens, where, key, errors) -> tuple:

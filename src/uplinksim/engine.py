@@ -74,7 +74,8 @@ class Scenario:
     def problems(self) -> list[str]:
         """Every QoS, reservation and traffic-model violation; empty when
         the scenario can run."""
-        problems = validate_scenario(self.build_connections(), self.frame)
+        problems = validate_scenario(
+            sorted(self.conns, key=lambda s: s.cid), self.frame)
         for spec in self.conns:
             problems.extend(model_violations(spec.cid, spec.traffic, self.frame))
         return problems
@@ -139,10 +140,10 @@ class Simulation:
         self.seed = seed
         self.rho = rho
         self.drop_expired = drop_expired
-        self.connections = scenario.build_connections()
         problems = scenario.problems()
         if problems:
             raise ScenarioError(problems)
+        self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg
         conns = self.connections

@@ -147,7 +147,8 @@ def qos_violations(cid: int, service_class: ServiceClass, qos: QosParams) -> lis
 
 
 def validate_scenario(connections, frame: FrameConfig) -> list[str]:
-    """Check every QoS contract plus the cell-wide reservation budget.
+    """Check every QoS contract plus the cell-wide reservation budget of
+    ``connections``, which need only ``cid``, ``service_class`` and ``qos``.
 
     Returns all violations found (not just the first); an empty list means
     the scenario is valid.  The reservation budget includes the fixed UGS

@@ -18,8 +18,7 @@ from .model import Connection, FrameConfig, Packet, ServiceClass
 class TrafficKind(Enum):
     CBR = "cbr"
     ONOFF_VBR = "onoff"
-    POISSON_BULK = "poisson_bulk"
-    POISSON_MIX = "poisson_mix"
+    POISSON = "poisson"  # packet sizes come from the size range alone
 
 
 @dataclass(frozen=True)
@@ -44,13 +43,14 @@ class TrafficModel:
 
 def default_models() -> dict[ServiceClass, TrafficModel]:
     """Per-class source defaults matching each class's traffic archetype:
-    fixed-rate voice-like UGS, bursty on/off video-like rtPS, bulk-transfer
-    nrtPS, and mixed-size best-effort background."""
+    fixed-rate voice-like UGS, bursty on/off video-like rtPS, and Poisson
+    arrivals of fixed-size bulk-transfer nrtPS and mixed-size best-effort
+    background packets."""
     return {
         ServiceClass.UGS: TrafficModel(TrafficKind.CBR, 256.0, 320, 320),
         ServiceClass.RTPS: TrafficModel(TrafficKind.ONOFF_VBR, 1024.0, 100, 1250),
-        ServiceClass.NRTPS: TrafficModel(TrafficKind.POISSON_BULK, 1024.0, 1250, 1250),
-        ServiceClass.BE: TrafficModel(TrafficKind.POISSON_MIX, 512.0, 64, 1250),
+        ServiceClass.NRTPS: TrafficModel(TrafficKind.POISSON, 1024.0, 1250, 1250),
+        ServiceClass.BE: TrafficModel(TrafficKind.POISSON, 512.0, 64, 1250),
     }
 
 

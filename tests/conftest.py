@@ -5,7 +5,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from uplinksim.config import ScenarioConfig, parse_config
 from uplinksim.model import Connection, FrameConfig, Packet, QosParams, ServiceClass
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def recipe(name: str) -> ScenarioConfig:
+    """The parsed ``scenarios/<name>.cfg``."""
+    return parse_config((SCENARIOS / f"{name}.cfg").read_text(encoding="utf-8"))
 
 # Standard QoS contracts used across the tests (rates in kbit/s, latency ms).
 QOS = {

@@ -1,75 +1,81 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single PASS line once its criterion holds (visible with
-``pytest -s`` or in the captured output).  Shared simulation runs live in
-session-scoped fixtures so the suite stays fast.
+``pytest -s`` or in the captured output).  Criteria 1-4 and 9 run recipes
+from ``scenarios/`` exactly as parsed, so the matrices users run are the
+ones checked here.  Shared simulation runs live in session-scoped fixtures
+so the suite stays fast.
 """
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
 from reference import brute_force_alloc, max_lateness, min_max_lateness, \
     reference_dfpq
-from conftest import frame as make_frame, make_conn
-from uplinksim.cli import run_matrix, write_outputs
-from uplinksim.config import baseline_config
+from conftest import make_conn, recipe
+from uplinksim.cli import matrix_cells, run_matrix, write_outputs
 from uplinksim.engine import Scenario, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import DfpqState, FrameBudget, dfpq_round, \
     serve_rtps_edf
-from uplinksim.traffic import TrafficKind, TrafficModel
-
-SEEDS = (1, 2, 3, 4, 5)
-FRAMES = 10_000
-RHO_OVERLOAD = 1.2
-FRAME_MS = 10.0
 
 
 def report(criterion, text):
     print(f"ACCEPTANCE {criterion}: {text}: PASS")
 
 
-@pytest.fixture(scope="session")
-def baseline():
-    return baseline_config()
+def simulate(cfg, mode, seed, rho, scenario=None):
+    """One cell of the recipe ``cfg``, optionally on another scenario."""
+    return run(scenario or cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
+               drop_expired=cfg.drop_expired)
 
 
 @pytest.fixture(scope="session")
-def overload_runs(baseline):
-    """(mode, seed) -> (RunResult summary, wall seconds) at rho 1.2."""
+def fig2():
+    return recipe("fig2-delay")
+
+
+@pytest.fixture(scope="session")
+def overload_runs(fig2):
+    """The recipe's ss1 and gpc cells, the ones criteria 1 and 2 compare:
+    (mode, seed) -> (RunResult summary, wall seconds)."""
+    (rho,) = fig2.rhos
     runs = {}
-    for mode in (SimMode.SS1, SimMode.GPC):
-        for seed in SEEDS:
+    for mode in fig2.modes:
+        if mode not in (SimMode.SS1, SimMode.GPC):
+            continue
+        for seed in fig2.seeds:
             t0 = time.perf_counter()
-            result = run(baseline.scenario, mode, FRAMES, seed=seed,
-                         rho=RHO_OVERLOAD)
+            result = simulate(fig2, mode, seed, rho)
             wall = time.perf_counter() - t0
-            runs[(mode, seed)] = (run_summary(result), wall)
+            runs[(mode, seed)] = (run_summary(result, fig2.warmup), wall)
     return runs
 
 
 @pytest.fixture(scope="session")
-def uncontended_rtps(baseline):
-    """rtPS flows running alone: the reference delay for criterion 1."""
+def uncontended_rtps(fig2):
+    """The recipe's rtPS flows running alone: the reference delay for
+    criterion 1."""
     rtps_only = Scenario(
-        frame=baseline.scenario.frame,
-        conns=tuple(s for s in baseline.scenario.conns
+        frame=fig2.scenario.frame,
+        conns=tuple(s for s in fig2.scenario.conns
                     if s.service_class is ServiceClass.RTPS),
     )
-    out = {}
-    for seed in SEEDS:
-        result = run(rtps_only, SimMode.SS1, FRAMES, seed=seed,
-                     rho=RHO_OVERLOAD)
-        out[seed] = run_summary(result).per_class[ServiceClass.RTPS]
-    return out
+    (rho,) = fig2.rhos
+    return {
+        seed: run_summary(simulate(fig2, SimMode.SS1, seed, rho, rtps_only),
+                          fig2.warmup).per_class[ServiceClass.RTPS]
+        for seed in fig2.seeds
+    }
 
 
-def test_criterion_1_priority_ordered_delay(overload_runs, uncontended_rtps):
-    for seed in SEEDS:
+def test_criterion_1_priority_ordered_delay(fig2, overload_runs,
+                                            uncontended_rtps):
+    frame_ms = fig2.scenario.frame.frame_duration_ms
+    for seed in fig2.seeds:
         summary, wall = overload_runs[(SimMode.SS1, seed)]
         delays = {
             cls: summary.per_class[cls].mean_delay_ms
@@ -79,16 +85,17 @@ def test_criterion_1_priority_ordered_delay(overload_runs, uncontended_rtps):
         assert delays[ServiceClass.RTPS] < delays[ServiceClass.NRTPS] \
             < delays[ServiceClass.BE], f"seed {seed}: {delays}"
         reference_delay = uncontended_rtps[seed].mean_delay_ms
-        assert delays[ServiceClass.RTPS] <= reference_delay + 2 * FRAME_MS, \
+        assert delays[ServiceClass.RTPS] <= reference_delay + 2 * frame_ms, \
             f"seed {seed}: {delays[ServiceClass.RTPS]} vs {reference_delay}"
-        assert wall < 10.0, f"seed {seed}: {wall:.1f}s per 10k-frame run"
-    report(1, "mean delay rtps < nrtps < be in all 5 seeds, rtps within "
-              "2 frames of its uncontended value, < 10 s per seed")
+        assert wall < 10.0, f"seed {seed}: {wall:.1f}s per {fig2.frames}-frame run"
+    report(1, f"mean delay rtps < nrtps < be in all {len(fig2.seeds)} seeds, "
+              "rtps within 2 frames of its uncontended value, < 10 s per seed")
 
 
-def test_criterion_2_violation_rate_benefit(overload_runs):
+def test_criterion_2_violation_rate_benefit(fig2, overload_runs):
+    n = len(fig2.seeds)
     strict = 0
-    for seed in SEEDS:
+    for seed in fig2.seeds:
         ss1 = overload_runs[(SimMode.SS1, seed)][0] \
             .per_class[ServiceClass.RTPS].violation_rate
         gpc = overload_runs[(SimMode.GPC, seed)][0] \
@@ -97,63 +104,55 @@ def test_criterion_2_violation_rate_benefit(overload_runs):
         assert ss1 <= gpc, f"seed {seed}: {ss1} > {gpc}"
         if ss1 < gpc:
             strict += 1
-    assert strict >= 4, f"strict improvement in only {strict}/5 seeds"
+    assert strict >= n - 1, f"strict improvement in only {strict}/{n} seeds"
     report(2, "rtps delay-violation rate: pooled scheduler <= per-connection "
-              f"grants in 5/5 seeds, strictly better in {strict}/5")
+              f"grants in {n}/{n} seeds, strictly better in {strict}/{n}")
 
 
-def test_criterion_3_be_starvation_contrast(baseline):
-    # bulk-transfer flood: nrtPS offered load alone equals the frame capacity
-    heavy = Scenario(
-        frame=baseline.scenario.frame,
-        conns=tuple(
-            replace(s, traffic=TrafficModel(TrafficKind.POISSON_BULK,
-                                            3200.0, 1250, 1250))
-            if s.service_class is ServiceClass.NRTPS else s
-            for s in baseline.scenario.conns
-        ),
-    )
-    assert 4 * 3200 * FRAME_MS / 8 >= 0.8 * heavy.frame.uplink_capacity_bytes
-    for seed in (1, 2, 3):
-        for mode, check in ((SimMode.SS1, lambda t: t > 0.0),
-                            (SimMode.SS2, lambda t: t == 0.0)):
-            result = run(heavy, mode, 5000, seed=seed, rho=1.0)
-            windows = window_metrics(result, 1000.0, warmup_fraction=0.1)
-            assert windows
-            for w in windows:
-                tput = w.per_class[ServiceClass.BE].throughput_kbps
-                assert check(tput), (mode, seed, w.window_start_ms, tput)
+def test_criterion_3_be_starvation_contrast():
+    cfg = recipe("fig5-fig6-throughput")
+    frame = cfg.scenario.frame
+    # bulk-transfer flood: nrtPS alone offers at least 80 % of the capacity
+    flood_kbps = sum(s.traffic.mean_rate_kbps for s in cfg.scenario.conns
+                     if s.service_class is ServiceClass.NRTPS)
+    assert flood_kbps * frame.frame_duration_ms / 8 \
+        >= 0.8 * frame.uplink_capacity_bytes
+    checks = {SimMode.SS1: lambda t: t > 0.0, SimMode.SS2: lambda t: t == 0.0}
+    for mode, seed, rho in matrix_cells(cfg):
+        windows = window_metrics(simulate(cfg, mode, seed, rho),
+                                 cfg.window_ms, cfg.warmup)
+        assert windows
+        for w in windows:
+            tput = w.per_class[ServiceClass.BE].throughput_kbps
+            assert checks[mode](tput), (mode, seed, w.window_start_ms, tput)
     report(3, "under an nrtPS flood the deficit round keeps BE throughput "
               "> 0 in every window; strict priority pins it to exactly 0")
 
 
-def test_criterion_4_utilization_and_fairness_sweep(baseline):
-    rhos = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)
-    seeds = (1, 2)
+def test_criterion_4_utilization_and_fairness_sweep():
+    cfg = recipe("fig7-fig8-utilization-jfi")
     tolerance = 0.01  # the criterion's stated absolute tolerance
-    summaries = {}
-    for mode in (SimMode.SS1, SimMode.SS2, SimMode.GPC):
-        for rho in rhos:
-            for seed in seeds:
-                result = run(baseline.scenario, mode, 4000, seed=seed, rho=rho)
-                summaries[(mode, rho, seed)] = run_summary(result)
+    summaries = {
+        cell: run_summary(simulate(cfg, *cell), cfg.warmup)
+        for cell in matrix_cells(cfg)
+    }
 
     def mean(mode, rho, field):
-        vals = [getattr(summaries[(mode, rho, s)], field) for s in seeds]
+        vals = [getattr(summaries[(mode, s, rho)], field) for s in cfg.seeds]
         vals = [v for v in vals if v is not None]
         return sum(vals) / len(vals)
 
-    for rho in rhos:
+    for rho in cfg.rhos:
         ss1_util = mean(SimMode.SS1, rho, "utilization")
         gpc_util = mean(SimMode.GPC, rho, "utilization")
         assert ss1_util >= gpc_util - tolerance, (rho, ss1_util, gpc_util)
-    for rho in (0.8, 1.0, 1.2, 1.4):
+    for rho in (r for r in cfg.rhos if r >= 0.8):
         ss1_jfi = mean(SimMode.SS1, rho, "jfi")
         ss2_jfi = mean(SimMode.SS2, rho, "jfi")
         assert ss1_jfi >= ss2_jfi - tolerance, (rho, ss1_jfi, ss2_jfi)
     report(4, "pooled scheduling dominates per-connection grants on "
-              "utilization at all 7 intensities and strict priority on "
-              "fairness at every intensity >= 0.8")
+              f"utilization at all {len(cfg.rhos)} intensities and strict "
+              "priority on fairness at every intensity >= 0.8")
 
 
 def test_criterion_5_allocator_property_suite():
@@ -232,7 +231,7 @@ def test_criterion_7_edf_minimal_max_lateness():
               f"of the maximum lateness over {checked} packet sets")
 
 
-def test_criterion_8_metric_identities(baseline):
+def test_criterion_8_metric_identities():
     rng = random.Random(5)
     for n in (1, 2, 3, 7, 19):
         assert jain_index([7.5] * n) == pytest.approx(1.0, abs=1e-12)
@@ -245,8 +244,9 @@ def test_criterion_8_metric_identities(baseline):
             assert jain_index([c * r for r in rates]) == \
                 pytest.approx(j, abs=1e-12)
 
+    scenario = recipe("baseline-4ss").scenario
     for mode in SimMode:
-        result = run(baseline.scenario, mode, 1200, seed=3, rho=1.1)
+        result = run(scenario, mode, 1200, seed=3, rho=1.1)
         for s in result.conns:
             hist = result.history[s.cid]
             arrived = sum(p.size for p in hist)
@@ -257,17 +257,14 @@ def test_criterion_8_metric_identities(baseline):
               "conservation in every mode")
 
 
-def test_criterion_9_matrix_determinism(baseline, tmp_path):
+def test_criterion_9_matrix_determinism(tmp_path):
+    cfg = recipe("baseline-4ss")
     outputs = []
     for attempt in ("first", "second"):
-        results, errors = run_matrix(baseline)
+        results, errors = run_matrix(cfg)
         assert not errors
-        outdir = tmp_path / attempt
-        write_outputs(results, baseline, outdir)
-        outputs.append({
-            name: (outdir / name).read_bytes()
-            for name in ("summary.csv", "timeseries.csv")
-        })
+        written = write_outputs(results, cfg, tmp_path / attempt)
+        outputs.append({p.name: p.read_bytes() for p in written})
     assert outputs[0] == outputs[1]
     report(9, "two executions of the full default matrix produce "
               "byte-identical CSV outputs")

@@ -1,7 +1,9 @@
 import re
+from dataclasses import replace
 
 import pytest
 
+from conftest import SCENARIOS, recipe
 from uplinksim.config import (
     ConfigError,
     baseline_config,
@@ -55,6 +57,13 @@ def test_baseline_scenario_has_sixteen_connections():
     assert all(v == 4 for v in per_class.values())
 
 
+def test_builtin_cell_equals_its_recipe():
+    # plain ``uplinksim`` without --config runs baseline_config(), the
+    # acceptance suite runs the recipe; they may differ only in outdir
+    cfg = recipe("baseline-4ss")
+    assert cfg == replace(baseline_config(), outdir=cfg.outdir)
+
+
 def test_empty_config_reports_no_stations():
     errors = errors_of("")
     assert any("no subscriber stations" in e for e in errors)
@@ -106,6 +115,7 @@ def test_round_trip_identity():
         + "weight = 2.5\n"
     )
     assert parse_config(serialize_config(custom)) == custom
+    assert "model = poisson\n" in serialize_config(custom)
 
 
 def test_empty_mode_list_is_an_error():
@@ -147,14 +157,10 @@ class = be
 
 
 def test_shipped_scenarios_parse():
-    from pathlib import Path
-
-    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
-    files = sorted(scenario_dir.glob("*.cfg"))
-    assert len(files) >= 6
+    files = sorted(SCENARIOS.glob("*.cfg"))
+    assert len(files) >= 5
     for path in files:
-        cfg = parse_config(path.read_text(encoding="utf-8"))
-        assert cfg.scenario.conns
+        assert recipe(path.stem).scenario.conns
 
 
 def test_error_messages_are_pinned():

@@ -247,11 +247,11 @@ def test_be_flows_only_through_station_scheduler_vs_strict_priority():
     for ss in range(2):
         specs.append(ConnSpec(ss * 2, ss, ServiceClass.NRTPS,
                               QOS[ServiceClass.NRTPS],
-                              TrafficModel(TrafficKind.POISSON_BULK, 3000.0,
+                              TrafficModel(TrafficKind.POISSON, 3000.0,
                                            1250, 1250)))
         specs.append(ConnSpec(ss * 2 + 1, ss, ServiceClass.BE,
                               QOS[ServiceClass.BE],
-                              TrafficModel(TrafficKind.POISSON_MIX, 512.0,
+                              TrafficModel(TrafficKind.POISSON, 512.0,
                                            64, 1250)))
     scenario = Scenario(frame=frame(capacity=5375), conns=tuple(specs))
 

@@ -9,14 +9,12 @@ change log names, together with these digests.
 
 import hashlib
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
+from conftest import SCENARIOS, recipe
 from uplinksim.cli import run_matrix, write_outputs
-from uplinksim.config import parse_config
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FRAMES = 120
 
 RECIPE_DIGESTS = {
@@ -84,7 +82,7 @@ RECIPE_DIGESTS = {
         "packets.csv":
             "40504659f6839b67690254500a23ab391ca6a8a3d8276a51e04039e5bac3a0dd",
     },
-    ("fig7-utilization", False): {
+    ("fig7-fig8-utilization-jfi", False): {
         "summary.csv":
             "a16517644456936d12712209e91abef42617ae31e21485dfb2cab9bc1a6f9014",
         "timeseries.csv":
@@ -92,23 +90,7 @@ RECIPE_DIGESTS = {
         "packets.csv":
             "9647c024fd7c9df3f287f2b07aaaf82e13a64ac8f2c17efdc489da32a00df168",
     },
-    ("fig7-utilization", True): {
-        "summary.csv":
-            "eae2a161e2989bc06760b3819a5eac21e88eebe406e32d328acd6f6c9d62ef95",
-        "timeseries.csv":
-            "513ad0d7b2aedb6b46d921c090dbd9860f5c27c8240144c6b0b5352ae7604496",
-        "packets.csv":
-            "9ec428e42cc8aaeaefe3e2b79ca8c48becaea5a4aac03ab4facc80ea2f8e85b7",
-    },
-    ("fig8-jfi", False): {
-        "summary.csv":
-            "a16517644456936d12712209e91abef42617ae31e21485dfb2cab9bc1a6f9014",
-        "timeseries.csv":
-            "ff18b0bdef9074d90e7b3989e6f86f160ecd5c7cee6883ac4657fc6fac9d7161",
-        "packets.csv":
-            "9647c024fd7c9df3f287f2b07aaaf82e13a64ac8f2c17efdc489da32a00df168",
-    },
-    ("fig8-jfi", True): {
+    ("fig7-fig8-utilization-jfi", True): {
         "summary.csv":
             "eae2a161e2989bc06760b3819a5eac21e88eebe406e32d328acd6f6c9d62ef95",
         "timeseries.csv":
@@ -124,14 +106,13 @@ def test_every_recipe_is_pinned():
         {name for name, _ in RECIPE_DIGESTS})
 
 
-@pytest.mark.parametrize("recipe,drop_expired", sorted(RECIPE_DIGESTS))
-def test_recipe_outputs_match_pinned_digests(recipe, drop_expired, tmp_path):
-    text = (SCENARIOS / f"{recipe}.cfg").read_text(encoding="utf-8")
-    cfg = replace(parse_config(text), frames=FRAMES, trace=True,
+@pytest.mark.parametrize("name,drop_expired", sorted(RECIPE_DIGESTS))
+def test_recipe_outputs_match_pinned_digests(name, drop_expired, tmp_path):
+    cfg = replace(recipe(name), frames=FRAMES, trace=True,
                   drop_expired=drop_expired)
     results, errors = run_matrix(cfg)
     assert not errors
     written = write_outputs(results, cfg, tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in written}
-    assert digests == RECIPE_DIGESTS[(recipe, drop_expired)]
+    assert digests == RECIPE_DIGESTS[(name, drop_expired)]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import frame, make_conn
+from uplinksim.config import parse_config
 from uplinksim.model import QosParams, ServiceClass
 from uplinksim.traffic import (
     TrafficKind,
@@ -47,7 +48,7 @@ def test_ugs_does_not_scale_beyond_provisioned_rate():
 
 def test_poisson_bulk_long_run_rate():
     conn = make_conn(1, ServiceClass.NRTPS)
-    model = TrafficModel(TrafficKind.POISSON_BULK, 512.0, 1250, 1250)
+    model = TrafficModel(TrafficKind.POISSON, 512.0, 1250, 1250)
     src = TrafficSource(conn, model, frame(), 1.0, seed=11)
     got = total_bytes(src, 10_000)
     expected = 512_000 * 100 / 8  # 512 kbit/s for 100 s
@@ -113,7 +114,7 @@ def test_no_packet_exceeds_frame_capacity():
 
 
 def test_model_violations_flag_oversized_packets():
-    model = TrafficModel(TrafficKind.POISSON_MIX, 512.0, 64, 9000)
+    model = TrafficModel(TrafficKind.POISSON, 512.0, 64, 9000)
     assert any("exceeds uplink capacity" in p
                for p in model_violations(1, model, frame()))
 
@@ -124,8 +125,8 @@ def test_default_models_match_contracts():
     assert models[ServiceClass.UGS].size_lo == 320
     assert models[ServiceClass.RTPS].kind is TrafficKind.ONOFF_VBR
     assert models[ServiceClass.RTPS].mean_rate_kbps == 1024.0
-    assert models[ServiceClass.NRTPS].kind is TrafficKind.POISSON_BULK
-    assert models[ServiceClass.BE].kind is TrafficKind.POISSON_MIX
+    assert models[ServiceClass.NRTPS].kind is TrafficKind.POISSON
+    assert models[ServiceClass.BE].kind is TrafficKind.POISSON
     assert models[ServiceClass.BE].mean_rate_kbps == 512.0
 
 
@@ -143,13 +144,17 @@ def test_non_finite_intensity_and_model_values_rejected():
             assert model_violations(1, bad_model, frame()) == [f"cid 1: {problem}"]
 
 
-def stream_digest(kind, sizes, latency, rho, frames=300):
+def stream_digest(spelling, sizes, latency, rho, frames=300):
     """sha256 over the (size, arrival, deadline) reprs of every packet one
-    source generates in ``frames`` frames."""
+    source, of the model a scenario file spells ``spelling``, generates in
+    ``frames`` frames."""
     qos = QosParams(max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
                     max_latency_ms=latency, weight=1.0)
     cls = ServiceClass.NRTPS if latency is None else ServiceClass.RTPS
-    model = TrafficModel(kind, 900.0, *sizes)
+    (spec,) = parse_config(
+        f"[connection]\ncid = 0\nss = 0\nclass = be\nmodel = {spelling}\n"
+        "rate_kbps = 900\nsize_bytes = 64\n").scenario.conns
+    model = TrafficModel(spec.traffic.kind, 900.0, *sizes)
     src = TrafficSource(make_conn(3, cls, qos=qos), model, frame(), rho, seed=12)
     h = hashlib.sha256()
     for k in range(frames):
@@ -158,13 +163,25 @@ def stream_digest(kind, sizes, latency, rho, frames=300):
     return h.hexdigest()
 
 
+# every model spelling a scenario file accepts; poisson_bulk and poisson_mix
+# both select the one Poisson model, so their digests coincide.  Each case
+# keeps the id it was recorded under, which names the spelling's enum member
+# of that time.
+SPELLINGS = {
+    "cbr": "TrafficKind.CBR",
+    "onoff": "TrafficKind.ONOFF_VBR",
+    "poisson_bulk": "TrafficKind.POISSON_BULK",
+    "poisson_mix": "TrafficKind.POISSON_MIX",
+}
 STREAM_CASES = [
-    (kind, sizes, latency, rho)
-    for kind in TrafficKind
+    (spelling, sizes, latency, rho)
+    for spelling in SPELLINGS
     for sizes in ((320, 320), (64, 1250))
     for latency in (None, 20.0)
     for rho in (0.5, 1.7)
 ]
+STREAM_IDS = [f"{SPELLINGS[spelling]}-sizes{k}-{latency}-{rho}"
+              for k, (spelling, _, latency, rho) in enumerate(STREAM_CASES)]
 
 # recorded before the generators were restructured; any change to the RNG
 # draw order, the size draws or the packet fields shows up here
@@ -236,17 +253,18 @@ PINNED_STREAMS = {
 }
 
 
-@pytest.mark.parametrize("kind,sizes,latency,rho", STREAM_CASES)
-def test_traffic_streams_match_pinned_digests(kind, sizes, latency, rho):
-    key = f"{kind.value} {sizes[0]}-{sizes[1]} latency={latency} rho={rho}"
-    assert stream_digest(kind, sizes, latency, rho) == PINNED_STREAMS[key]
+@pytest.mark.parametrize("spelling,sizes,latency,rho", STREAM_CASES,
+                         ids=STREAM_IDS)
+def test_traffic_streams_match_pinned_digests(spelling, sizes, latency, rho):
+    key = f"{spelling} {sizes[0]}-{sizes[1]} latency={latency} rho={rho}"
+    assert stream_digest(spelling, sizes, latency, rho) == PINNED_STREAMS[key]
 
 
 def test_poisson_large_mean_is_not_truncated():
     # lambda = 100000 kbit/s * 10 ms / 8 / 64 B = 1953.125 packets per frame;
     # a single product of uniforms underflows exp(-lambda) and stalls near 745
     conn = make_conn(1, ServiceClass.BE)
-    model = TrafficModel(TrafficKind.POISSON_BULK, 100_000.0, 64, 64)
+    model = TrafficModel(TrafficKind.POISSON, 100_000.0, 64, 64)
     src = TrafficSource(conn, model, frame(capacity=200_000), 1.0, seed=4)
     assert model_violations(1, model, frame(capacity=200_000)) == []
     frames = 200
