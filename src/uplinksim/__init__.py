@@ -56,8 +56,6 @@ from .model import (
     validate_scenario,
 )
 from .ss_sched import (
-    DfpqState,
-    FrameBudget,
     Station,
     TransmissionList,
     dfpq_round,

@@ -349,7 +349,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     run_values = _values(_RUN, raws["run"], errors)
 
-    scenario = Scenario(frame=frame, conns=tuple(sorted(specs, key=lambda s: s.cid)))
+    scenario = Scenario(frame=frame, conns=tuple(specs))
     if not errors:
         errors.extend(scenario.problems())
     if errors:

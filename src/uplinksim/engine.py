@@ -56,8 +56,15 @@ class ConnSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A cell's frame and connections; ``conns`` is stored in ascending
+    cid order, whatever order it is given in."""
+
     frame: FrameConfig
     conns: tuple[ConnSpec, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "conns",
+                           tuple(sorted(self.conns, key=lambda s: s.cid)))
 
     def build_connections(self) -> list[Connection]:
         return [
@@ -68,14 +75,13 @@ class Scenario:
                 qos=s.qos,
                 queue=deque(),
             )
-            for s in sorted(self.conns, key=lambda s: s.cid)
+            for s in self.conns
         ]
 
     def problems(self) -> list[str]:
         """Every QoS, reservation and traffic-model violation; empty when
         the scenario can run."""
-        problems = validate_scenario(
-            sorted(self.conns, key=lambda s: s.cid), self.frame)
+        problems = validate_scenario(self.conns, self.frame)
         for spec in self.conns:
             problems.extend(model_violations(spec.cid, spec.traffic, self.frame))
         return problems
@@ -137,8 +143,6 @@ class Simulation:
     ):
         self.frame_cfg = scenario.frame
         self.mode = mode
-        self.seed = seed
-        self.rho = rho
         self.drop_expired = drop_expired
         problems = scenario.problems()
         if problems:
@@ -262,7 +266,7 @@ def run(
         rho=rho,
         frames=frames,
         frame=scenario.frame,
-        conns=tuple(sorted(scenario.conns, key=lambda s: s.cid)),
+        conns=scenario.conns,
         history=sim.history,
         granted=granted,
         used=used,

@@ -13,43 +13,21 @@ Packets are never fragmented: a packet is either sent whole or left queued.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _backend
 from .model import Connection, FrameConfig, Packet, ServiceClass, bytes_per_frame
 
-
-@dataclass
-class DfpqState:
-    """Deficit-round state for one subscriber station: quantum and deficit
-    counter of each visited connection (aligned with ``Station.drr``), plus
-    the visit cursor that persists across frames so interrupted rounds
-    resume where they stopped."""
-
-    quantum: list[int]
-    deficit: list[int]
-    cursor: int = 0
-
-
-@dataclass
-class FrameBudget:
-    """Byte budget of one SS for one frame; ``running`` is what is still
-    spendable."""
-
-    total: int
-    running: int = -1
-
-    def __post_init__(self):
-        if self.running < 0:
-            self.running = self.total
+# (cid, packet) pairs in transmission order
+Entries = list[tuple[int, Packet]]
 
 
 @dataclass
 class TransmissionList:
     """Packets chosen for one frame, in transmission order."""
 
-    entries: list[tuple[int, Packet]] = field(default_factory=list)
-    total_bytes: int = 0
+    entries: Entries
+    total_bytes: int
 
 
 def quantum_for(conn: Connection, frame: FrameConfig) -> int:
@@ -63,11 +41,17 @@ def quantum_for(conn: Connection, frame: FrameConfig) -> int:
 
 class Station:
     """One subscriber station's connections, split by service class once:
-    ``ugs``, ``rtps``, ``nrtps`` and ``be`` each in ascending cid order,
-    ``drr`` the deficit round's visit order (nrtPS then BE) and ``dfpq``
-    its state."""
+    ``ugs``, ``rtps``, ``nrtps`` and ``be`` each in ascending cid order, and
+    ``drr`` the deficit round's visit order (nrtPS then BE).
 
-    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr", "dfpq")
+    The station owns its deficit round: ``quantum`` and ``deficit`` hold
+    each ``drr`` connection's quantum and counter, and ``cursor`` the next
+    visit, which persists across frames so an interrupted round resumes
+    where it stopped.
+    """
+
+    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr",
+                 "quantum", "deficit", "cursor")
 
     def __init__(self, connections, frame: FrameConfig):
         by_class: dict[ServiceClass, list[Connection]] = {
@@ -79,11 +63,12 @@ class Station:
         self.nrtps = by_class[ServiceClass.NRTPS]
         self.be = by_class[ServiceClass.BE]
         self.drr = self.nrtps + self.be
-        self.dfpq = DfpqState(quantum=[quantum_for(c, frame) for c in self.drr],
-                              deficit=[0] * len(self.drr))
+        self.quantum = [quantum_for(c, frame) for c in self.drr]
+        self.deficit = [0] * len(self.drr)
+        self.cursor = 0
 
 
-def _drain_fifo(conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
+def _drain_fifo(conns, budget: int) -> tuple[Entries, int]:
     # global arrival order across the given queues, cid breaking ties;
     # the phase stops at the first head that does not fit whole
     heap = [
@@ -91,64 +76,65 @@ def _drain_fifo(conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
     ]
     heapq.heapify(heap)
     entries = []
+    used = 0
     while heap:
         _, cid, conn = heapq.heappop(heap)
         pkt = conn.queue[0]
-        if pkt.size > budget.running:
+        if used + pkt.size > budget:
             break
         conn.queue.popleft()
-        budget.running -= pkt.size
+        used += pkt.size
         entries.append((cid, pkt))
         if conn.queue:
             heapq.heappush(heap, (conn.queue[0].arrival_time, cid, conn))
-    return entries
+    return entries, used
 
 
-def serve_ugs(ugs_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
-    """Drain UGS queues in arrival order while whole packets fit."""
+def serve_ugs(ugs_conns, budget: int) -> tuple[Entries, int]:
+    """Drain UGS queues in arrival order while whole packets fit ``budget``
+    bytes.  Returns (entries, used)."""
     return _drain_fifo(ugs_conns, budget)
 
 
-def serve_rtps_edf(rtps_conns, budget: FrameBudget) -> list[tuple[int, Packet]]:
+def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
     """Send rtPS head-of-line packets in earliest-deadline order.
 
     Ties break on (arrival time, cid).  The phase ends at the first selected
-    packet that does not fit the remaining budget whole.
+    packet that does not fit the remaining budget whole.  Returns
+    (entries, used).
     """
-    if budget.running <= 0 or not any(c.queue for c in rtps_conns):
-        return []
-    entries, used = _backend.kernels.edf_take(rtps_conns, budget.running)
-    budget.running -= used
-    return entries
+    if budget <= 0 or not any(c.queue for c in rtps_conns):
+        return [], 0
+    return _backend.kernels.edf_take(rtps_conns, budget)
 
 
-def dfpq_round(conns, state: DfpqState,
-               budget: FrameBudget) -> list[tuple[int, Packet]]:
-    """Deficit rounds over ``conns`` in the order given (a station visits
-    its nrtPS queues, then its BE queues, each by ascending cid); ``state``
-    is aligned with them.
+def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
+    """Deficit rounds over ``station.drr`` (its nrtPS queues, then its BE
+    queues, each by ascending cid), resuming at ``station.cursor``.
 
     Each visit credits the queue's quantum to its deficit counter, then sends
     head packets while they fit both counter and budget.  A drained queue
     forfeits its counter; non-empty queues keep theirs for later rounds.
-    The round stops once no pending head fits the leftover budget.
+    The round stops once no pending head fits the leftover budget.  Updates
+    ``station.deficit`` and ``station.cursor``; returns (entries, used).
     """
-    if not conns:
-        return []
-    entries, state.deficit, state.cursor, used = _backend.kernels.dfpq_take(
-        conns, state.quantum, state.deficit, state.cursor, budget.running
+    if not station.drr:
+        return [], 0
+    entries, station.deficit, station.cursor, used = _backend.kernels.dfpq_take(
+        station.drr, station.quantum, station.deficit, station.cursor, budget
     )
-    budget.running -= used
-    return entries
+    return entries, used
 
 
 def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
     """Full per-frame schedule for one SS under the proposed discipline."""
-    budget = FrameBudget(total=grant)
-    entries = serve_ugs(station.ugs, budget)
-    entries += serve_rtps_edf(station.rtps, budget)
-    entries += dfpq_round(station.drr, station.dfpq, budget)
-    return TransmissionList(entries=entries, total_bytes=grant - budget.running)
+    entries, used = serve_ugs(station.ugs, grant)
+    more, spent = serve_rtps_edf(station.rtps, grant - used)
+    entries += more
+    used += spent
+    more, spent = dfpq_round(station, grant - used)
+    entries += more
+    return TransmissionList(entries=entries, total_bytes=used + spent)
 
 
 def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
@@ -158,11 +144,13 @@ def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
     budget blocks everything behind it, so a backlogged higher class starves
     all lower classes.
     """
-    budget = FrameBudget(total=grant)
-    entries: list[tuple[int, Packet]] = []
+    entries: Entries = []
+    used = 0
     for conns in (station.ugs, station.rtps, station.nrtps, station.be):
-        entries += _drain_fifo(conns, budget)
+        more, spent = _drain_fifo(conns, grant - used)
+        entries += more
+        used += spent
         if any(c.queue for c in conns):
             # head-of-line packet did not fit: strict priority blocks the rest
             break
-    return TransmissionList(entries=entries, total_bytes=grant - budget.running)
+    return TransmissionList(entries=entries, total_bytes=used)

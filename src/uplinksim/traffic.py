@@ -114,7 +114,6 @@ class TrafficSource:
             raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
         self.conn = conn
         self.model = model
-        self.frame = frame
         effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
         self.rate_kbps = model.mean_rate_kbps * effective_rho
         self.rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)

