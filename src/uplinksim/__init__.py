@@ -50,6 +50,7 @@ from .model import (
     Connection,
     FrameConfig,
     Packet,
+    PacketLog,
     QosParams,
     ServiceClass,
     bytes_per_frame,

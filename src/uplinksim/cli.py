@@ -7,6 +7,7 @@ I/O failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,14 +170,21 @@ def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path
             for cell in _sorted_cells(results):
                 result = results[cell]
                 for spec in result.conns:
-                    for pkt in result.history[spec.cid]:
-                        f.write(
-                            f"{cell[0].value},{cell[1]},{cell[2]:.6f},"
-                            f"{spec.cid},{spec.ss_id},{spec.service_class.label},"
-                            f"{pkt.size},{pkt.arrival_time:.6f},"
-                            f"{_num(pkt.departure_time)},"
-                            f"{1 if pkt.dropped else 0}\n"
-                        )
+                    row = (f"{cell[0].value},{cell[1]},{cell[2]:.6f},"
+                           f"{spec.cid},{spec.ss_id},{spec.service_class.label},")
+                    log = result.logs[spec.cid]
+                    # the exited prefix (NaN departure = dropped), then
+                    # the packets still queued
+                    for size, arrival, dep in zip(log.size, log.arrival,
+                                                  log.departure):
+                        if math.isnan(dep):
+                            f.write(f"{row}{size},{arrival:.6f},,1\n")
+                        else:
+                            f.write(f"{row}{size},{arrival:.6f},{dep:.6f},0\n")
+                    exited = len(log.departure)
+                    for size, arrival in zip(log.size[exited:],
+                                             log.arrival[exited:]):
+                        f.write(f"{row}{size},{arrival:.6f},,0\n")
         written.append(trace_path)
     return written
 

@@ -11,8 +11,10 @@ That asymmetry is the whole difference between the operating modes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .bs_alloc import (
@@ -27,6 +29,7 @@ from .model import (
     Connection,
     FrameConfig,
     Packet,
+    PacketLog,
     QosParams,
     ServiceClass,
     guaranteed_bytes,
@@ -100,10 +103,39 @@ class FrameTrace:
     used_bytes: int
 
 
+class PacketHistory(Mapping):
+    """Read-only cid -> ``list[Packet]`` view of a run's packet logs.
+
+    A connection's list is built on first access and kept, so the same
+    objects come back on every later access, and edits to them stay
+    visible.
+    """
+
+    def __init__(self, logs: dict[int, PacketLog], conns):
+        self._logs = logs
+        self._latency = {s.cid: s.qos.max_latency_ms for s in conns}
+        self._built: dict[int, list[Packet]] = {}
+
+    def __getitem__(self, cid: int) -> list[Packet]:
+        pkts = self._built.get(cid)
+        if pkts is None:
+            pkts = self._built[cid] = self._logs[cid].packets(self._latency[cid])
+        return pkts
+
+    def __iter__(self):
+        return iter(self._logs)
+
+    def __len__(self) -> int:
+        return len(self._logs)
+
+
 @dataclass
 class RunResult:
-    """Everything the metrics need: per-packet records (the full generation
-    history of every connection, delivered or not) and per-frame counters."""
+    """Everything the metrics need: one ``PacketLog`` per connection (the
+    full generation history, delivered, dropped or still queued) and the
+    per-frame counters.  ``history`` presents the logs as ``Packet``
+    objects for callers that want them; the metrics and the CSV writer
+    read the columns."""
 
     mode: SimMode
     seed: int
@@ -111,16 +143,18 @@ class RunResult:
     frames: int
     frame: FrameConfig
     conns: tuple[ConnSpec, ...]
-    history: dict[int, list[Packet]]
+    logs: dict[int, PacketLog]
     granted: list[int]
     used: list[int]
+    history: PacketHistory = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.history = PacketHistory(self.logs, self.conns)
 
     def backlog(self, cid: int) -> int:
-        return sum(
-            p.size
-            for p in self.history[cid]
-            if p.departure_time is None and not p.dropped
-        )
+        """Bytes still queued at run end."""
+        log = self.logs[cid]
+        return sum(log.size[len(log.departure):])
 
 
 class Simulation:
@@ -129,8 +163,10 @@ class Simulation:
     Everything that is fixed for the cell is built here once: the
     allocation plan, one request per connection in cid order (UGS requests
     hold their fixed grant, the others are refreshed from the backlog after
-    every frame's transmission), the traffic feeds and the per-station
-    class partitions.
+    every frame's transmission), the traffic feeds, the per-connection
+    packet logs and the per-station class partitions.  ``logs`` holds the
+    packets that have left their queues; ``run()`` appends what is still
+    queued at the end.
     """
 
     def __init__(
@@ -160,10 +196,15 @@ class Simulation:
             [guaranteed_bytes(c, cfg) if u else 0 for c, u in zip(conns, ugs)],
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
-        self.history: dict[int, list[Packet]] = {c.cid: [] for c in conns}
+        self.logs = {c.cid: PacketLog() for c in conns}
+        # each connection's three column appends, bound once: a packet is
+        # logged on every exit from its queue
+        self._log = {
+            cid: (log.size.append, log.arrival.append, log.departure.append)
+            for cid, log in self.logs.items()
+        }
         self._feeds = [
-            (c, TrafficSource(c, models[c.cid], cfg, rho, seed), self.history[c.cid])
-            for c in conns
+            (c, TrafficSource(c, models[c.cid], cfg, rho, seed)) for c in conns
         ]
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
         self._stations = {
@@ -189,11 +230,10 @@ class Simulation:
             grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for conn, source, history in self._feeds:
+        for conn, source in self._feeds:
             pkts = source.generate(fr)
             if pkts:
                 conn.queue.extend(pkts)
-                history.extend(pkts)
                 backlog[conn.cid] += sum(p.size for p in pkts)
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
@@ -203,31 +243,43 @@ class Simulation:
         if self.drop_expired:
             for conn in self._rtps:
                 q = conn.queue
+                log_size, log_arrival, log_departure = self._log[conn.cid]
                 while q and q[0].deadline is not None and q[0].deadline < frame_end:
                     pkt = q.popleft()
-                    pkt.dropped = True
+                    log_size(pkt.size)
+                    log_arrival(pkt.arrival_time)
+                    log_departure(math.nan)
                     backlog[conn.cid] -= pkt.size
 
         # (3) transmission against the grants
         used = 0
+        log = self._log
         if self.mode is SimMode.GPC:
             for conn in self.connections:
                 budget = grants.get(conn.cid, 0)
                 q = conn.queue
+                log_size, log_arrival, log_departure = log[conn.cid]
                 while q and q[0].size <= budget:
                     pkt = q.popleft()
-                    budget -= pkt.size
-                    used += pkt.size
-                    pkt.departure_time = frame_end
-                    backlog[conn.cid] -= pkt.size
+                    size = pkt.size
+                    budget -= size
+                    used += size
+                    log_size(size)
+                    log_arrival(pkt.arrival_time)
+                    log_departure(frame_end)
+                    backlog[conn.cid] -= size
         else:
             schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
                         else schedule_frame_ss2)
             for ss, station in self._stations.items():
                 tx = schedule(station, grants.get(ss, 0))
                 for cid, pkt in tx.entries:
-                    pkt.departure_time = frame_end
-                    backlog[cid] -= pkt.size
+                    size = pkt.size
+                    log_size, log_arrival, log_departure = log[cid]
+                    log_size(size)
+                    log_arrival(pkt.arrival_time)
+                    log_departure(frame_end)
+                    backlog[cid] -= size
                 used += tx.total_bytes
 
         # (4) next frame's requests report the post-transmission backlog
@@ -260,6 +312,11 @@ def run(
         trace = sim.step()
         granted.append(trace.granted_bytes)
         used.append(trace.used_bytes)
+    # what is still queued follows the exited prefix, without a departure
+    for conn in sim.connections:
+        log = sim.logs[conn.cid]
+        log.size.extend(p.size for p in conn.queue)
+        log.arrival.extend(p.arrival_time for p in conn.queue)
     return RunResult(
         mode=mode,
         seed=seed,
@@ -267,7 +324,7 @@ def run(
         frames=frames,
         frame=scenario.frame,
         conns=scenario.conns,
-        history=sim.history,
+        logs=sim.logs,
         granted=granted,
         used=used,
     )

@@ -69,11 +69,12 @@ def _samples(
     """The one metrics accumulator: ``n`` windows of ``window_ms`` from
     ``start``, the last of which ends exactly at ``end``.
 
-    A single pass over the packet history (connections in ``result.conns``
+    A single pass over the packet logs (connections in ``result.conns``
     order, packets in history order) adds every packet delivered in
     [start, end) to its class's and to its connection's counters.  Both are
     summed directly in that order, so the float delay sums, and with them
-    the CSV bytes, are reproducible.
+    the CSV bytes, are reproducible.  Only a log's exited prefix has
+    departures; a dropped packet's NaN departure lies in no window.
     """
     def rows():  # per window: delivered, delay sum, late, bytes
         return [0] * n, [0.0] * n, [0] * n, [0] * n
@@ -85,15 +86,14 @@ def _samples(
         count, delay_sum, late, nbytes = by_class[spec.service_class]
         c_count, c_delay, c_late, c_bytes = by_conn[spec.cid] = rows()
         bound = spec.qos.max_latency_ms
-        for pkt in result.history[spec.cid]:
-            dep = pkt.departure_time
-            if dep is None or dep < start or dep >= end:
+        log = result.logs[spec.cid]
+        for dep, arrival, size in zip(log.departure, log.arrival, log.size):
+            if not start <= dep < end:
                 continue
             w = int((dep - start) // window_ms)
             if w > last:  # float rounding just below ``end``
                 w = last
-            delay = dep - pkt.arrival_time
-            size = pkt.size
+            delay = dep - arrival
             count[w] += 1
             c_count[w] += 1
             delay_sum[w] += delay

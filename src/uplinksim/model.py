@@ -1,4 +1,5 @@
-"""Domain model: service classes, QoS contracts, connections, packets, frames.
+"""Domain model: service classes, QoS contracts, connections, packets and
+their logs, frames.
 
 All scheduling arithmetic runs on integer bytes per frame; kbit/s rates from
 the configuration are converted exactly once at scenario load (see
@@ -8,6 +9,7 @@ the configuration are converted exactly once at scenario load (see
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -59,14 +61,56 @@ _QOS_FORBIDDEN: dict[ServiceClass, tuple[str, ...]] = {
 
 @dataclass(slots=True)
 class Packet:
-    """One uplink packet.  ``deadline`` is set only for delay-bounded (rtPS)
-    connections; ``departure_time`` stays ``None`` until transmission."""
+    """One uplink packet while it is queued.  ``deadline`` is set only for
+    delay-bounded (rtPS) connections.
+
+    The engine never writes ``departure_time`` or ``dropped``: a packet
+    that leaves its queue is recorded in its connection's ``PacketLog``.
+    Only the ``Packet`` objects that ``RunResult.history`` rebuilds from
+    the logs carry them (``None``/``False`` while still queued)."""
 
     size: int
     arrival_time: float
     deadline: float | None = None
     departure_time: float | None = None
     dropped: bool = False
+
+
+# the largest size a PacketLog's signed 64-bit size column holds
+MAX_PACKET_BYTES = 2**63 - 1
+
+
+class PacketLog:
+    """One connection's packets in generation order, as columns.
+
+    The engine appends a packet when it leaves its queue: its ``size``,
+    ``arrival`` and ``departure``, the end of the frame that sent it, or NaN
+    when it was dropped on deadline expiry.  Every exit is a pop from the
+    head of a FIFO queue, so the exited packets are a prefix of the
+    history; at run end the packets still queued follow it in ``size`` and
+    ``arrival`` only.  Row ``k`` has therefore departed or been dropped iff
+    ``k < len(departure)``.
+    """
+
+    __slots__ = ("size", "arrival", "departure")
+
+    def __init__(self):
+        self.size = array("q")
+        self.arrival = array("d")
+        self.departure = array("d")
+
+    def packets(self, max_latency_ms: float | None) -> list[Packet]:
+        """The log as ``Packet`` objects; deadlines are rebuilt from the
+        connection's latency bound exactly as the traffic sources set them."""
+        out = [Packet(size, arrival, None if max_latency_ms is None
+                      else arrival + max_latency_ms)
+               for size, arrival in zip(self.size, self.arrival)]
+        for pkt, dep in zip(out, self.departure):
+            if math.isnan(dep):
+                pkt.dropped = True
+            else:
+                pkt.departure_time = dep
+        return out
 
 
 @dataclass

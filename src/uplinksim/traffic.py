@@ -12,7 +12,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Connection, FrameConfig, Packet, ServiceClass
+from .model import (
+    MAX_PACKET_BYTES,
+    Connection,
+    FrameConfig,
+    Packet,
+    ServiceClass,
+)
 
 
 class TrafficKind(Enum):
@@ -56,7 +62,7 @@ def default_models() -> dict[ServiceClass, TrafficModel]:
 
 def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[str]:
     """Sanity checks: positive finite rate and on/off means, packet sizes
-    within one frame's capacity."""
+    within one frame's capacity and within what a ``PacketLog`` holds."""
     problems = []
     if not math.isfinite(model.mean_rate_kbps):
         problems.append(f"cid {cid}: traffic mean rate must be finite")
@@ -68,6 +74,11 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
         problems.append(
             f"cid {cid}: packet size {model.size_hi} exceeds uplink capacity "
             f"{frame.uplink_capacity_bytes} bytes/frame"
+        )
+    elif model.size_hi > MAX_PACKET_BYTES:
+        problems.append(
+            f"cid {cid}: packet size {model.size_hi} exceeds the packet log's "
+            f"{MAX_PACKET_BYTES} bytes"
         )
     if model.kind is TrafficKind.ONOFF_VBR:
         means = (model.mean_on_ms, model.mean_off_ms)

@@ -105,6 +105,19 @@ def test_oversized_traffic_rejected_at_parse_time():
     assert any("exceeds uplink capacity" in e for e in errors)
 
 
+def test_packet_sizes_beyond_the_log_column_rejected_at_parse_time():
+    # a finished run logs sizes in a signed 64-bit column; a larger size is
+    # a config error even when the capacity would admit it
+    text = MINIMAL.replace("capacity_bytes = 16000",
+                           f"capacity_bytes = {2**64}")
+    model = "\nmodel = cbr\nrate_kbps = 64\nsize_bytes = {}\n"
+    parse_config(text + model.format(2**63 - 1))
+    assert errors_of(text + model.format(2**63)) == [
+        "cid 0: packet size 9223372036854775808 exceeds the packet log's "
+        "9223372036854775807 bytes"
+    ]
+
+
 def test_round_trip_identity():
     cfg = baseline_config()
     assert parse_config(serialize_config(cfg)) == cfg

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,7 @@ from uplinksim.engine import (
     run,
 )
 from uplinksim.model import QosParams, ServiceClass
-from uplinksim.traffic import TrafficKind, TrafficModel
+from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource
 
 
 def cbr_scenario(rate_kbps=256.0, size=320, classes=(ServiceClass.NRTPS,),
@@ -193,7 +194,6 @@ def test_gpc_spends_grants_only_on_their_own_connection():
         for k in range(2):
             pkt = Packet(size=640, arrival_time=-10.0 + k)
             sim.connections[0].queue.append(pkt)
-            sim.history[0].append(pkt)
             sim._backlog[0] += 640
         for req in sim.requests:
             req.requested_bytes = {0: 0, 1: 1280}[req.cid]
@@ -267,3 +267,54 @@ def test_be_flows_only_through_station_scheduler_vs_strict_priority():
     ss2 = run(scenario, SimMode.SS2, 2000, seed=1)
     assert be_delivered(ss1) > 0
     assert be_delivered(ss2) == 0
+
+
+def test_finished_run_keeps_packets_as_columns():
+    # no Packet object outlives its queue: a finished run retains about the
+    # 24 bytes of its three log columns per generated packet
+    scenario = baseline_scenario()
+    for mode in SimMode:
+        for drop_expired in (False, True):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run(scenario, mode, 2000, seed=1, rho=1.2,
+                             drop_expired=drop_expired)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            packets = sum(len(h) for h in result.history.values())
+            assert retained / packets <= 32, (mode, drop_expired, retained,
+                                               packets)
+
+
+def test_history_view_rebuilds_every_generated_packet(monkeypatch):
+    generated = {}
+    generate = TrafficSource.generate
+
+    def recording(source, frame_index):
+        pkts = generate(source, frame_index)
+        generated.setdefault(source.conn.cid, []).extend(
+            (p.size, p.arrival_time, p.deadline) for p in pkts)
+        return pkts
+
+    monkeypatch.setattr(TrafficSource, "generate", recording)
+    scenario = baseline_scenario()
+    states = {"sent": 0, "dropped": 0, "queued": 0}
+    for mode in SimMode:
+        for drop_expired in (False, True):
+            generated.clear()
+            result = run(scenario, mode, 300, seed=2, rho=1.4,
+                         drop_expired=drop_expired)
+            for s in result.conns:
+                view = result.history[s.cid]
+                assert view is result.history[s.cid]
+                assert [(p.size, p.arrival_time, p.deadline)
+                        for p in view] == generated.get(s.cid, [])
+                queued = [p for p in view
+                          if p.departure_time is None and not p.dropped]
+                assert result.backlog(s.cid) == sum(p.size for p in queued)
+                states["sent"] += sum(p.departure_time is not None for p in view)
+                states["dropped"] += sum(p.dropped for p in view)
+                states["queued"] += len(queued)
+    assert all(states.values()), states

@@ -13,8 +13,20 @@ from uplinksim.metrics import (
     utilization,
     window_metrics,
 )
-from uplinksim.model import Packet, ServiceClass
+from uplinksim.model import Packet, PacketLog, ServiceClass
 from uplinksim.traffic import TrafficKind, TrafficModel
+
+
+def packet_log(pkts):
+    """The log the engine would write: departed packets first, in the given
+    order, then the ones still queued."""
+    log = PacketLog()
+    departed = [p for p in pkts if p.departure_time is not None]
+    for p in departed + [p for p in pkts if p.departure_time is None]:
+        log.size.append(p.size)
+        log.arrival.append(p.arrival_time)
+    log.departure.extend(p.departure_time for p in departed)
+    return log
 
 
 def synthetic_result(packets_by_cid, classes, used=None, frames=100,
@@ -29,7 +41,7 @@ def synthetic_result(packets_by_cid, classes, used=None, frames=100,
         mode=SimMode.SS1, seed=1, rho=1.0, frames=frames,
         frame=frame(capacity=capacity),
         conns=conns,
-        history={cid: list(pkts) for cid, pkts in packets_by_cid.items()},
+        logs={cid: packet_log(pkts) for cid, pkts in packets_by_cid.items()},
         granted=used or [0] * frames,
         used=used or [0] * frames,
     )
