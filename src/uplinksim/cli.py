@@ -10,6 +10,8 @@ import argparse
 import math
 import os
 import sys
+from contextlib import ExitStack
+from itertools import product
 from pathlib import Path
 
 from .config import (
@@ -72,22 +74,16 @@ def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def matrix_cells(cfg: ScenarioConfig) -> list[tuple[SimMode, int, float]]:
-    """Unique (mode, seed, rho) cells in a stable order."""
-    cells = []
-    seen = set()
-    for mode in cfg.modes:
-        for seed in cfg.seeds:
-            for rho in cfg.rhos:
-                cell = (mode, seed, rho)
-                if cell not in seen:
-                    seen.add(cell)
-                    cells.append(cell)
-    return cells
+    """The unique (mode, seed, rho) cells in output order: mode label, then
+    seed, then rho.  Of equal cells the first spelling is kept."""
+    return sorted(dict.fromkeys(product(cfg.modes, cfg.seeds, cfg.rhos)),
+                  key=lambda cell: (cell[0].value, cell[1], cell[2]))
 
 
 def run_matrix(cfg: ScenarioConfig):
-    """Execute every cell; failures are collected per cell, not fatal to
-    the rest of the matrix.  Returns (results, errors)."""
+    """Execute every cell in ``matrix_cells`` order; failures are collected
+    per cell, not fatal to the rest of the matrix.  Returns (results,
+    errors), each in that order."""
     results: dict[tuple[SimMode, int, float], RunResult] = {}
     errors: dict[tuple[SimMode, int, float], Exception] = {}
     for mode, seed, rho in matrix_cells(cfg):
@@ -105,87 +101,80 @@ def _num(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _sorted_cells(results):
-    return sorted(results, key=lambda c: (c[0].value, c[1], c[2]))
+def _write_classes(f, prefix: str, sample) -> None:
+    """One row per class of ``sample``: ``prefix``, the class label and the
+    five statistics columns (delay, violation rate, throughput, then the
+    cell-wide utilization and jfi)."""
+    cell_wide = f",{sample.utilization:.6f},{_num(sample.jfi)}\n"
+    for cls, stats in sample.per_class.items():
+        f.write(f"{prefix}{cls.label},{_num(stats.mean_delay_ms)},"
+                f"{_num(stats.violation_rate)},{stats.throughput_kbps:.6f}"
+                f"{cell_wide}")
+
+
+def _write_packets(f, cell: str, result: RunResult) -> None:
+    for spec in result.conns:
+        row = f"{cell}{spec.cid},{spec.ss_id},{spec.service_class.label},"
+        log = result.logs[spec.cid]
+        # the exited prefix (NaN departure = dropped), then the packets
+        # still queued
+        for size, arrival, dep in zip(log.size, log.arrival, log.departure):
+            if math.isnan(dep):
+                f.write(f"{row}{size},{arrival:.6f},,1\n")
+            else:
+                f.write(f"{row}{size},{arrival:.6f},{dep:.6f},0\n")
+        exited = len(log.departure)
+        for size, arrival in zip(log.size[exited:], log.arrival[exited:]):
+            f.write(f"{row}{size},{arrival:.6f},,0\n")
+
+
+_HEADERS = {
+    "summary.csv":
+        "# one row per (mode, seed, rho, service class), post-warm-up aggregates\n"
+        "# utilization and jfi are cell-wide, repeated on each class row\n"
+        "# empty delay/violation fields mean no packet was delivered\n"
+        "mode,seed,rho,service_class,mean_delay_ms,"
+        "delay_violation_rate,throughput_kbps,utilization,jfi\n",
+    "timeseries.csv":
+        "# one row per (mode, seed, rho, window, service class)\n"
+        "# windows tile the post-warm-up region\n"
+        "mode,seed,rho,window_start_ms,service_class,mean_delay_ms,"
+        "delay_violation_rate,throughput_kbps,utilization,jfi\n",
+    "packets.csv":
+        "# every generated packet; empty departure = still queued at run "
+        "end, dropped = discarded on deadline expiry\n"
+        "mode,seed,rho,cid,ss,service_class,size_bytes,"
+        "arrival_ms,departure_ms,dropped\n",
+}
 
 
 def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path]:
-    """Write summary.csv and timeseries.csv (plus packets.csv with trace on).
+    """Write summary.csv and timeseries.csv (plus packets.csv with trace on),
+    the cells in the order of ``results``.
 
     Row order and number formatting are fixed, so reruns of the same config
     are byte-identical.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    summary_path = outdir / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("# one row per (mode, seed, rho, service class), "
-                "post-warm-up aggregates\n")
-        f.write("# utilization and jfi are cell-wide, repeated on each class row\n")
-        f.write("# empty delay/violation fields mean no packet was delivered\n")
-        f.write("mode,seed,rho,service_class,mean_delay_ms,"
-                "delay_violation_rate,throughput_kbps,utilization,jfi\n")
-        for cell in _sorted_cells(results):
-            result = results[cell]
-            summary = run_summary(result, warmup_fraction=cfg.warmup)
-            for cls in sorted(summary.per_class, key=lambda c: c.label):
-                stats = summary.per_class[cls]
-                f.write(
-                    f"{cell[0].value},{cell[1]},{cell[2]:.6f},{cls.label},"
-                    f"{_num(stats.mean_delay_ms)},{_num(stats.violation_rate)},"
-                    f"{stats.throughput_kbps:.6f},{summary.utilization:.6f},"
-                    f"{_num(summary.jfi)}\n"
-                )
-    written.append(summary_path)
-
-    series_path = outdir / "timeseries.csv"
-    with open(series_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("# one row per (mode, seed, rho, window, service class)\n")
-        f.write("# windows tile the post-warm-up region\n")
-        f.write("mode,seed,rho,window_start_ms,service_class,mean_delay_ms,"
-                "delay_violation_rate,throughput_kbps,utilization,jfi\n")
-        for cell in _sorted_cells(results):
-            result = results[cell]
+    names = list(_HEADERS)[:3 if cfg.trace else 2]
+    written = [outdir / name for name in names]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8",
+                                          newline="\n"))
+                 for path in written]
+        for f, name in zip(files, names):
+            f.write(_HEADERS[name])
+        summary, series, *trace = files
+        for (mode, seed, rho), result in results.items():
+            cell = f"{mode.value},{seed},{rho:.6f},"
+            _write_classes(summary, cell,
+                           run_summary(result, warmup_fraction=cfg.warmup))
             for sample in window_metrics(result, cfg.window_ms, cfg.warmup):
-                for cls in sorted(sample.per_class, key=lambda c: c.label):
-                    stats = sample.per_class[cls]
-                    f.write(
-                        f"{cell[0].value},{cell[1]},{cell[2]:.6f},"
-                        f"{sample.window_start_ms:.6f},{cls.label},"
-                        f"{_num(stats.mean_delay_ms)},{_num(stats.violation_rate)},"
-                        f"{stats.throughput_kbps:.6f},{sample.utilization:.6f},"
-                        f"{_num(sample.jfi)}\n"
-                    )
-    written.append(series_path)
-
-    if cfg.trace:
-        trace_path = outdir / "packets.csv"
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("# every generated packet; empty departure = still queued "
-                    "at run end, dropped = discarded on deadline expiry\n")
-            f.write("mode,seed,rho,cid,ss,service_class,size_bytes,"
-                    "arrival_ms,departure_ms,dropped\n")
-            for cell in _sorted_cells(results):
-                result = results[cell]
-                for spec in result.conns:
-                    row = (f"{cell[0].value},{cell[1]},{cell[2]:.6f},"
-                           f"{spec.cid},{spec.ss_id},{spec.service_class.label},")
-                    log = result.logs[spec.cid]
-                    # the exited prefix (NaN departure = dropped), then
-                    # the packets still queued
-                    for size, arrival, dep in zip(log.size, log.arrival,
-                                                  log.departure):
-                        if math.isnan(dep):
-                            f.write(f"{row}{size},{arrival:.6f},,1\n")
-                        else:
-                            f.write(f"{row}{size},{arrival:.6f},{dep:.6f},0\n")
-                    exited = len(log.departure)
-                    for size, arrival in zip(log.size[exited:],
-                                             log.arrival[exited:]):
-                        f.write(f"{row}{size},{arrival:.6f},,0\n")
-        written.append(trace_path)
+                _write_classes(series, f"{cell}{sample.window_start_ms:.6f},",
+                               sample)
+            if trace:
+                _write_packets(trace[0], cell, result)
     return written
 
 
@@ -195,7 +184,7 @@ def main(argv=None) -> int:
         if args.config:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
                 return 2
             cfg = parse_config(text)
@@ -208,10 +197,9 @@ def main(argv=None) -> int:
         return 2
 
     results, errors = run_matrix(cfg)
-    for cell, exc in sorted(errors.items(),
-                            key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2])):
-        print(f"error: run {cell[0].value} seed={cell[1]} rho={cell[2]} "
-              f"failed: {exc}", file=sys.stderr)
+    for (mode, seed, rho), exc in errors.items():
+        print(f"error: run {mode.value} seed={seed} rho={rho} failed: {exc}",
+              file=sys.stderr)
     if not results:
         return 3
     try:

@@ -13,7 +13,7 @@ Grammar (see README for the full reference)::
     frames = 3000
     seeds = 1 2
     rhos = 1.0
-    window_ms = 1000
+    window_ms = 1000        >= duration_ms: packets depart at frame ends
     warmup = 0.1
     drop_expired = off
     trace = off
@@ -49,7 +49,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .engine import ConnSpec, Scenario, SimMode
-from .model import FrameConfig, QosParams, ServiceClass
+from .model import QOS_FIELDS, FrameConfig, QosParams, ServiceClass
 from .traffic import TrafficKind, TrafficModel, default_models
 
 #: QoS fallbacks applied when a connection omits its whole QoS block.
@@ -64,8 +64,6 @@ DEFAULT_QOS: dict[ServiceClass, QosParams] = {
     ),
     ServiceClass.BE: QosParams(min_reserved_kbps=256.0, weight=1.0),
 }
-
-_QOS_KEYS = ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms")
 
 
 class ConfigError(ValueError):
@@ -210,7 +208,7 @@ _CONN = {
     "cid": _Key(_parse_int),
     "ss": _Key(_parse_int),
     "class": _Key(_parse_class),
-    **{key: _Key(_parse_float) for key in _QOS_KEYS},
+    **{key: _Key(_parse_float) for key in QOS_FIELDS},
     "weight": _Key(_parse_float),
     "model": _Key(_parse_model),
     "rate_kbps": _Key(_parse_float),
@@ -266,7 +264,7 @@ def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
 
     # a partially specified QoS block is an error: the class decides which
     # fields are mandatory, so fill nothing in silently
-    fields = {key: value(key) for key in _QOS_KEYS if key in raw}
+    fields = {key: value(key) for key in QOS_FIELDS if key in raw}
     qos = QosParams(**fields) if fields else DEFAULT_QOS[service_class]
     if "weight" in raw:
         qos = replace(qos, weight=value("weight"))
@@ -352,6 +350,13 @@ def parse_config(text: str) -> ScenarioConfig:
     scenario = Scenario(frame=frame, conns=tuple(specs))
     if not errors:
         errors.extend(scenario.problems())
+        # packets depart only at frame ends, so a shorter window adds
+        # nothing but rows
+        window_ms = run_values.get("window_ms", ScenarioConfig.window_ms)
+        if window_ms < frame.frame_duration_ms:
+            where = (raws["run"].get("window_ms") or raws["frame"]["duration_ms"])[1]
+            errors.append(f"{where}: window_ms {window_ms} is shorter than "
+                          f"the frame duration {frame.frame_duration_ms} ms")
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(scenario=scenario, **run_values)
@@ -386,7 +391,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
         out.append(f"cid = {spec.cid}")
         out.append(f"ss = {spec.ss_id}")
         out.append(f"class = {spec.service_class.label}")
-        for key in _QOS_KEYS:
+        for key in QOS_FIELDS:
             value = getattr(spec.qos, key)
             if value is not None:
                 out.append(f"{key} = {_fmt(value)}")

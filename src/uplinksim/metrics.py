@@ -23,10 +23,13 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class MetricsSample:
+    """Statistics over [window_start_ms, window_end_ms).  ``per_class`` has
+    one entry per configured class in ascending ``ServiceClass`` order,
+    which is also the label order of the CSV rows (be, nrtps, rtps, ugs)."""
+
     window_start_ms: float
     window_end_ms: float
     per_class: dict[ServiceClass, ClassStats]
-    per_connection: dict[int, ClassStats]
     utilization: float
     jfi: float | None
 
@@ -70,21 +73,19 @@ def _samples(
     ``start``, the last of which ends exactly at ``end``.
 
     A single pass over the packet logs (connections in ``result.conns``
-    order, packets in history order) adds every packet delivered in
-    [start, end) to its class's and to its connection's counters.  Both are
-    summed directly in that order, so the float delay sums, and with them
-    the CSV bytes, are reproducible.  Only a log's exited prefix has
-    departures; a dropped packet's NaN departure lies in no window.
+    order, packets in log order) adds every packet delivered in [start, end)
+    to its class's counters.  They are summed directly in that order, so
+    the float delay sums, and with them the CSV bytes, are reproducible.
+    Only a log's exited prefix has departures; a dropped packet's NaN
+    departure lies in no window.
     """
     def rows():  # per window: delivered, delay sum, late, bytes
         return [0] * n, [0.0] * n, [0] * n, [0] * n
 
     by_class = {cls: rows() for cls in sorted({s.service_class for s in result.conns})}
-    by_conn = {}
     last = n - 1
     for spec in result.conns:
         count, delay_sum, late, nbytes = by_class[spec.service_class]
-        c_count, c_delay, c_late, c_bytes = by_conn[spec.cid] = rows()
         bound = spec.qos.max_latency_ms
         log = result.logs[spec.cid]
         for dep, arrival, size in zip(log.departure, log.arrival, log.size):
@@ -95,14 +96,10 @@ def _samples(
                 w = last
             delay = dep - arrival
             count[w] += 1
-            c_count[w] += 1
             delay_sum[w] += delay
-            c_delay[w] += delay
             nbytes[w] += size
-            c_bytes[w] += size
             if bound is not None and delay > bound:
                 late[w] += 1
-                c_late[w] += 1
 
     def stats(acc, w):
         count, delay_sum, late, nbytes = (row[w] for row in acc)
@@ -116,13 +113,11 @@ def _samples(
         ws = start + w * window_ms
         window = (ws, end if w == last else ws + window_ms)
         per_class = {cls: stats(acc, w) for cls, acc in by_class.items()}
-        per_connection = {cid: stats(acc, w) for cid, acc in by_conn.items()}
         samples.append(
             MetricsSample(
                 window_start_ms=window[0],
                 window_end_ms=window[1],
                 per_class=per_class,
-                per_connection=per_connection,
                 utilization=utilization(result, window),
                 jfi=jain_index([s.throughput_kbps for s in per_class.values()]),
             )

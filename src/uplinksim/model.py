@@ -44,18 +44,15 @@ class QosParams:
     weight: float = 1.0
 
 
-# field name -> (classes requiring it, classes forbidding it)
+#: The QoS contract's optional fields, in message and file order.
+QOS_FIELDS = ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms")
+
+# the fields each class requires; it must leave the others unset
 _QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
     ServiceClass.UGS: ("max_sustained_kbps",),
-    ServiceClass.RTPS: ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms"),
+    ServiceClass.RTPS: QOS_FIELDS,
     ServiceClass.NRTPS: ("max_sustained_kbps", "min_reserved_kbps"),
     ServiceClass.BE: ("min_reserved_kbps",),
-}
-_QOS_FORBIDDEN: dict[ServiceClass, tuple[str, ...]] = {
-    ServiceClass.UGS: ("min_reserved_kbps", "max_latency_ms"),
-    ServiceClass.RTPS: (),
-    ServiceClass.NRTPS: ("max_latency_ms",),
-    ServiceClass.BE: ("max_sustained_kbps", "max_latency_ms"),
 }
 
 
@@ -158,19 +155,13 @@ def guaranteed_bytes(conn: Connection, frame: FrameConfig) -> int:
 
 def qos_violations(cid: int, service_class: ServiceClass, qos: QosParams) -> list[str]:
     """All contract violations for one connection's QoS block."""
-    problems: list[str] = []
-    for name in _QOS_REQUIRED[service_class]:
-        if getattr(qos, name) is None:
-            problems.append(
-                f"cid {cid}: {service_class.label} connection requires {name}"
-            )
-    for name in _QOS_FORBIDDEN[service_class]:
-        if getattr(qos, name) is not None:
-            problems.append(
-                f"cid {cid}: {service_class.label} connection must not set {name}"
-            )
-    for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
-                 "weight"):
+    required = _QOS_REQUIRED[service_class]
+    problems = [f"cid {cid}: {service_class.label} connection requires {name}"
+                for name in required if getattr(qos, name) is None]
+    problems += [f"cid {cid}: {service_class.label} connection must not set {name}"
+                 for name in QOS_FIELDS
+                 if name not in required and getattr(qos, name) is not None]
+    for name in (*QOS_FIELDS, "weight"):
         value = getattr(qos, name)
         if value is None:
             continue

@@ -5,13 +5,11 @@ awards one byte at a time, the deficit-round oracle interprets the rules
 directly over plain queue copies, the earliest-deadline oracle sorts every
 queued packet at once, the lateness oracle enumerates every permutation,
 and the metric oracles make one pass over the packet history per statistic
-and group member.
+and service class.
 """
 
 from fractions import Fraction
 from itertools import permutations
-
-from uplinksim.model import ServiceClass
 
 
 def brute_force_alloc(requested, bwmin, weights, capacity):
@@ -131,16 +129,9 @@ def max_lateness(order):
     return worst
 
 
-def _select_cids(result, class_filter):
-    if class_filter is None:
-        return [s.cid for s in result.conns]
-    if isinstance(class_filter, ServiceClass):
-        return [s.cid for s in result.conns if s.service_class is class_filter]
-    return [int(class_filter)]
-
-
-def delay_stats(result, window, class_filter=None):
-    """(mean delay, delay-violation rate) over packets delivered in window.
+def delay_stats(result, window, cls):
+    """(mean delay, delay-violation rate) over the packets of class ``cls``
+    delivered in window.
 
     The violation rate is the fraction of delivered packets whose delay
     exceeds their connection's maximum latency; connections without a
@@ -148,13 +139,14 @@ def delay_stats(result, window, class_filter=None):
     delivered in the window.
     """
     start, end = window
-    latency = {s.cid: s.qos.max_latency_ms for s in result.conns}
     total = 0.0
     late = 0
     count = 0
-    for cid in _select_cids(result, class_filter):
-        bound = latency[cid]
-        for pkt in result.history[cid]:
+    for spec in result.conns:
+        if spec.service_class is not cls:
+            continue
+        bound = spec.qos.max_latency_ms
+        for pkt in result.history[spec.cid]:
             dep = pkt.departure_time
             if dep is None or not (start <= dep < end):
                 continue
@@ -168,27 +160,21 @@ def delay_stats(result, window, class_filter=None):
     return total / count, late / count
 
 
-def throughput(result, window, group="class"):
-    """Delivered kbit/s per group member ('class' or 'connection').
+def throughput(result, window):
+    """Delivered kbit/s per configured service class, in ascending class
+    order.
 
-    Every configured member appears in the result, including those that
+    Every configured class appears in the result, including those that
     delivered nothing (rate 0).  bytes * 8 / window-ms is exactly kbit/s.
     """
     start, end = window
     span = end - start
     if span <= 0:
         raise ValueError("window length must be > 0")
-    classes = {s.cid: s.service_class for s in result.conns}
-    if group == "class":
-        totals = {cls: 0 for cls in sorted(set(classes.values()))}
-    elif group == "connection":
-        totals = {cid: 0 for cid in sorted(classes)}
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    for cid, cls in classes.items():
-        key = cls if group == "class" else cid
-        for pkt in result.history[cid]:
+    totals = {cls: 0 for cls in sorted({s.service_class for s in result.conns})}
+    for spec in result.conns:
+        for pkt in result.history[spec.cid]:
             dep = pkt.departure_time
             if dep is not None and start <= dep < end:
-                totals[key] += pkt.size
-    return {key: bytes_ * 8.0 / span for key, bytes_ in totals.items()}
+                totals[spec.service_class] += pkt.size
+    return {cls: bytes_ * 8.0 / span for cls, bytes_ in totals.items()}

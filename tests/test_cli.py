@@ -106,6 +106,13 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_undecodable_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + SMALL.encode("utf-16-le"))
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 def with_run_key(key, value):
     """SMALL with one [run] key set, replacing its line if present."""
     text = re.sub(rf"^{key} = .*\n", "", SMALL, flags=re.M)
@@ -302,3 +309,28 @@ def test_connection_order_does_not_change_outputs(tmp_path):
             expected = (outs["sorted"] / name).read_bytes()
             assert (outs["reverse"] / name).read_bytes() == expected, name
             assert (outs["api"] / name).read_bytes() == expected, name
+
+
+def test_cells_run_and_write_in_sorted_order(tmp_path):
+    def config(**run_keys):
+        text = SMALL
+        for key, value in {"frames": "40", **run_keys}.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        return parse_config(text)
+
+    unsorted = config(modes="ss2 gpc ss1", seeds="3 1", rhos="1.2 0.8 1.2")
+    expected = [(mode, seed, rho)
+                for mode in (SimMode.GPC, SimMode.SS1, SimMode.SS2)
+                for seed in (1, 3) for rho in (0.8, 1.2)]
+    assert matrix_cells(unsorted) == expected
+    outs = {}
+    for label, cfg in (("unsorted", unsorted),
+                       ("sorted", config(modes="gpc ss1 ss2", seeds="1 3",
+                                         rhos="0.8 1.2"))):
+        results, errors = run_matrix(cfg)
+        assert not errors and list(results) == expected
+        outs[label] = tmp_path / label
+        write_outputs(results, cfg, outs[label])
+    for name in ("summary.csv", "timeseries.csv"):
+        assert (outs["unsorted"] / name).read_bytes() == \
+            (outs["sorted"] / name).read_bytes(), name

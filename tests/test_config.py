@@ -293,6 +293,27 @@ on_ms = 0
     ]
 
 
+def test_windows_shorter_than_a_frame_rejected_at_parse_time():
+    # packets depart only at frame ends, so a shorter window adds nothing
+    # but rows: 100 frames at window_ms = 0.01 made 90,000 windows
+    def with_window(window):
+        return MINIMAL.replace("[run]\n", f"[run]\nwindow_ms = {window}\n")
+
+    assert errors_of(with_window(0.01)) == [
+        "line 6: window_ms 0.01 is shorter than the frame duration 10.0 ms",
+    ]
+    assert parse_config(with_window(10)).window_ms == 10.0
+    # the default 1000 ms window against a longer frame: the message points
+    # at the frame duration
+    long_frame = MINIMAL.replace("capacity_bytes = 16000",
+                                 "duration_ms = 2000\ncapacity_bytes = 1000000")
+    assert errors_of(long_frame) == [
+        "line 3: window_ms 1000.0 is shorter than the frame duration 2000.0 ms",
+    ]
+    long_frame = long_frame.replace("[run]\n", "[run]\nwindow_ms = 2000\n")
+    assert parse_config(long_frame).window_ms == 2000.0
+
+
 EVERY_FLOAT_KEY = """
 [frame]
 duration_ms = 10

@@ -68,9 +68,8 @@ def test_delay_stats_example():
 def test_delay_stats_absent_when_nothing_delivered():
     result = synthetic_result({1: [pkt(100, 0.0, None)]},
                               {1: ServiceClass.RTPS})
-    summary = run_summary(result, warmup_fraction=0.0)
-    for stats in (summary.per_class[ServiceClass.RTPS], summary.per_connection[1]):
-        assert (stats.mean_delay_ms, stats.violation_rate) == (None, None)
+    stats = run_summary(result, warmup_fraction=0.0).per_class[ServiceClass.RTPS]
+    assert (stats.mean_delay_ms, stats.violation_rate) == (None, None)
 
 
 def test_delay_stats_no_violations_below_bound():
@@ -108,9 +107,9 @@ def test_throughput_zero_and_grouping():
         {1: ServiceClass.BE, 2: ServiceClass.NRTPS},
         frames=10,
     )
-    rates = run_summary(result, warmup_fraction=0.0).per_connection
-    assert rates[1].throughput_kbps == 0.0
-    assert rates[2].throughput_kbps == 8.0
+    rates = run_summary(result, warmup_fraction=0.0).per_class
+    assert rates[ServiceClass.BE].throughput_kbps == 0.0
+    assert rates[ServiceClass.NRTPS].throughput_kbps == 8.0
 
 
 def test_throughput_conservation_on_real_run():
@@ -121,7 +120,7 @@ def test_throughput_conservation_on_real_run():
         p.size for s in result.conns for p in result.history[s.cid]
         if p.departure_time is not None and p.departure_time < 5000.0
     )
-    total_kbps = sum(s.throughput_kbps for s in summary.per_connection.values())
+    total_kbps = sum(s.throughput_kbps for s in summary.per_class.values())
     assert total_kbps * 5000.0 / 8.0 == pytest.approx(delivered)
 
 
@@ -183,30 +182,15 @@ def test_window_metrics_rejects_non_finite_and_non_positive_windows():
             window_metrics(result, window_ms=window_ms)
 
 
-def test_window_metrics_per_connection_consistent_with_classes():
-    cfg = baseline_config()
-    result = run(cfg.scenario, SimMode.SS1, 600, seed=4, rho=1.0)
-    by_class = {s.cid: s.service_class for s in result.conns}
-    for sample in window_metrics(result, 1000.0, warmup_fraction=0.1):
-        assert set(sample.per_connection) == set(by_class)
-        for cls, stats in sample.per_class.items():
-            members = [sample.per_connection[cid]
-                       for cid, c in by_class.items() if c is cls]
-            assert stats.throughput_kbps == pytest.approx(
-                sum(m.throughput_kbps for m in members))
-
-
 def _assert_matches_oracle(result, sample):
     window = (sample.window_start_ms, sample.window_end_ms)
-    for group, members in (("class", sample.per_class),
-                           ("connection", sample.per_connection)):
-        rates = throughput(result, window, group=group)
-        assert set(members) == set(rates)
-        for member, stats in members.items():
-            mean, viol = delay_stats(result, window, member)
-            assert stats.mean_delay_ms == mean, (group, member, window)
-            assert stats.violation_rate == viol, (group, member, window)
-            assert stats.throughput_kbps == rates[member], (group, member, window)
+    rates = throughput(result, window)
+    assert list(sample.per_class) == list(rates)
+    for cls, stats in sample.per_class.items():
+        mean, viol = delay_stats(result, window, cls)
+        assert stats.mean_delay_ms == mean, (cls, window)
+        assert stats.violation_rate == viol, (cls, window)
+        assert stats.throughput_kbps == rates[cls], (cls, window)
     assert sample.utilization == utilization(result, window)
 
 
