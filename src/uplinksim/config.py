@@ -125,7 +125,7 @@ def _parse_float(text: str, where: str, key: str, errors: list[str]) -> float:
     if not math.isfinite(value):
         errors.append(f"{where}: {key} must be finite, got {text!r}")
         return 0.0
-    return value
+    return 0.0 if value == 0 else value  # -0 would print as "-0.000000"
 
 
 def _parse_int(text: str, where: str, key: str, errors: list[str]) -> int:

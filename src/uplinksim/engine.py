@@ -131,11 +131,11 @@ class PacketHistory(Mapping):
 
 @dataclass
 class RunResult:
-    """Everything the metrics need: one ``PacketLog`` per connection (the
-    full generation history, delivered, dropped or still queued) and the
-    per-frame counters.  ``history`` presents the logs as ``Packet``
-    objects for callers that want them; the metrics and the CSV writer
-    read the columns."""
+    """Everything the metrics need: the simulation's ``PacketLog`` per
+    connection (every packet logged on arrival: delivered, dropped or still
+    queued) and the per-frame counters.  ``history`` presents the logs as
+    ``Packet`` objects for callers that want them; the metrics and the CSV
+    writer read the columns."""
 
     mode: SimMode
     seed: int
@@ -164,9 +164,9 @@ class Simulation:
     allocation plan, one request per connection in cid order (UGS requests
     hold their fixed grant, the others are refreshed from the backlog after
     every frame's transmission), the traffic feeds, the per-connection
-    packet logs and the per-station class partitions.  ``logs`` holds the
-    packets that have left their queues; ``run()`` appends what is still
-    queued at the end.
+    packet logs and the per-station class partitions.  ``logs`` is the
+    complete record after every ``step()``: each packet is logged when it
+    arrives, and its departure when it leaves its queue.
     """
 
     def __init__(
@@ -197,15 +197,14 @@ class Simulation:
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog() for c in conns}
-        # each connection's three column appends, bound once: a packet is
-        # logged on every exit from its queue
-        self._log = {
-            cid: (log.size.append, log.arrival.append, log.departure.append)
-            for cid, log in self.logs.items()
-        }
+        # column appends bound once per connection: a packet's size and
+        # arrival are logged when it arrives, its departure when it exits
         self._feeds = [
-            (c, TrafficSource(c, models[c.cid], cfg, rho, seed)) for c in conns
+            (c, TrafficSource(c, models[c.cid], cfg, rho, seed),
+             self.logs[c.cid].size.append, self.logs[c.cid].arrival.append)
+            for c in conns
         ]
+        self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
         self._stations = {
             ss: Station([c for c in conns if c.ss_id == ss], cfg)
@@ -230,11 +229,17 @@ class Simulation:
             grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for conn, source in self._feeds:
+        for conn, source, log_size, log_arrival in self._feeds:
             pkts = source.generate(fr)
             if pkts:
                 conn.queue.extend(pkts)
-                backlog[conn.cid] += sum(p.size for p in pkts)
+                nbytes = 0
+                for p in pkts:
+                    size = p.size
+                    log_size(size)
+                    log_arrival(p.arrival_time)
+                    nbytes += size
+                backlog[conn.cid] += nbytes
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
@@ -243,29 +248,22 @@ class Simulation:
         if self.drop_expired:
             for conn in self._rtps:
                 q = conn.queue
-                log_size, log_arrival, log_departure = self._log[conn.cid]
                 while q and q[0].deadline is not None and q[0].deadline < frame_end:
-                    pkt = q.popleft()
-                    log_size(pkt.size)
-                    log_arrival(pkt.arrival_time)
-                    log_departure(math.nan)
-                    backlog[conn.cid] -= pkt.size
+                    self._depart[conn.cid](math.nan)
+                    backlog[conn.cid] -= q.popleft().size
 
         # (3) transmission against the grants
         used = 0
-        log = self._log
+        depart = self._depart
         if self.mode is SimMode.GPC:
             for conn in self.connections:
                 budget = grants.get(conn.cid, 0)
                 q = conn.queue
-                log_size, log_arrival, log_departure = log[conn.cid]
+                log_departure = depart[conn.cid]
                 while q and q[0].size <= budget:
-                    pkt = q.popleft()
-                    size = pkt.size
+                    size = q.popleft().size
                     budget -= size
                     used += size
-                    log_size(size)
-                    log_arrival(pkt.arrival_time)
                     log_departure(frame_end)
                     backlog[conn.cid] -= size
         else:
@@ -274,12 +272,8 @@ class Simulation:
             for ss, station in self._stations.items():
                 tx = schedule(station, grants.get(ss, 0))
                 for cid, pkt in tx.entries:
-                    size = pkt.size
-                    log_size, log_arrival, log_departure = log[cid]
-                    log_size(size)
-                    log_arrival(pkt.arrival_time)
-                    log_departure(frame_end)
-                    backlog[cid] -= size
+                    depart[cid](frame_end)
+                    backlog[cid] -= pkt.size
                 used += tx.total_bytes
 
         # (4) next frame's requests report the post-transmission backlog
@@ -312,11 +306,6 @@ def run(
         trace = sim.step()
         granted.append(trace.granted_bytes)
         used.append(trace.used_bytes)
-    # what is still queued follows the exited prefix, without a departure
-    for conn in sim.connections:
-        log = sim.logs[conn.cid]
-        log.size.extend(p.size for p in conn.queue)
-        log.arrival.extend(p.arrival_time for p in conn.queue)
     return RunResult(
         mode=mode,
         seed=seed,

@@ -34,6 +34,15 @@ class MetricsSample:
     jfi: float | None
 
 
+def _sum(values):
+    """``sum`` as Python 3.11 adds floats, left to right: from 3.12 on the
+    builtin compensates rounding, which moved the CSVs' last digits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def jain_index(rates) -> float | None:
     """Fairness index (sum r)^2 / (n * sum r^2); 1 when all rates are equal,
     1/n when exactly one is positive, undefined (None) when all are zero."""
@@ -42,10 +51,10 @@ def jain_index(rates) -> float | None:
         raise ValueError("jain_index needs at least one rate")
     if any(r < 0 for r in rates):
         raise ValueError("rates must be non-negative")
-    total = sum(rates)
+    total = _sum(rates)
     if total == 0:
         return None
-    square_sum = sum(r * r for r in rates)
+    square_sum = _sum(r * r for r in rates)
     return (total * total) / (len(rates) * square_sum)
 
 
@@ -59,7 +68,7 @@ def utilization(result: RunResult, window) -> float:
         return 0.0
     capacity = result.frame.uplink_capacity_bytes
     used = result.used[first:last]
-    return sum(u / capacity for u in used) / len(used)
+    return _sum(u / capacity for u in used) / len(used)
 
 
 def warmup_ms(result: RunResult, warmup_fraction: float = 0.1) -> float:

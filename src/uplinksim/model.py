@@ -61,10 +61,10 @@ class Packet:
     """One uplink packet while it is queued.  ``deadline`` is set only for
     delay-bounded (rtPS) connections.
 
-    The engine never writes ``departure_time`` or ``dropped``: a packet
-    that leaves its queue is recorded in its connection's ``PacketLog``.
-    Only the ``Packet`` objects that ``RunResult.history`` rebuilds from
-    the logs carry them (``None``/``False`` while still queued)."""
+    The engine never writes ``departure_time`` or ``dropped``: a packet is
+    recorded in its connection's ``PacketLog``.  Only the ``Packet`` objects
+    that ``RunResult.history`` rebuilds from the logs carry them
+    (``None``/``False`` while still queued)."""
 
     size: int
     arrival_time: float
@@ -80,12 +80,12 @@ MAX_PACKET_BYTES = 2**63 - 1
 class PacketLog:
     """One connection's packets in generation order, as columns.
 
-    The engine appends a packet when it leaves its queue: its ``size``,
-    ``arrival`` and ``departure``, the end of the frame that sent it, or NaN
-    when it was dropped on deadline expiry.  Every exit is a pop from the
-    head of a FIFO queue, so the exited packets are a prefix of the
-    history; at run end the packets still queued follow it in ``size`` and
-    ``arrival`` only.  Row ``k`` has therefore departed or been dropped iff
+    The engine appends a packet's ``size`` and ``arrival`` when it arrives,
+    and its ``departure`` when it leaves its queue: the end of the frame
+    that sent it, or NaN when it was dropped on deadline expiry.  Every
+    exit is a pop from the head of a FIFO queue, so the exited packets are
+    a prefix of the log, and the rows from ``len(departure)`` on are the
+    queue.  Row ``k`` has therefore departed or been dropped iff
     ``k < len(departure)``.
     """
 

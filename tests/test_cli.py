@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -334,3 +335,14 @@ def test_cells_run_and_write_in_sorted_order(tmp_path):
     for name in ("summary.csv", "timeseries.csv"):
         assert (outs["unsorted"] / name).read_bytes() == \
             (outs["sorted"] / name).read_bytes(), name
+
+
+def test_negative_zero_rho_is_zero(tmp_path):
+    cfg = parse_config(SMALL.replace("rhos = 1.0", "rhos = -0"))
+    assert cfg.rhos == (0.0,) and math.copysign(1.0, cfg.rhos[0]) == 1.0
+    out = tmp_path / "results"
+    assert main(["--mode", "ss1", "--frames", "20", "--seeds", "1",
+                 "--rho=-0,0", "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    rows = [l for l in lines if l.startswith("ss1,")]
+    assert rows and all(l.startswith("ss1,1,0.000000,") for l in rows)

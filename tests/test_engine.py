@@ -318,3 +318,20 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
                 states["dropped"] += sum(p.dropped for p in view)
                 states["queued"] += len(queued)
     assert all(states.values()), states
+
+
+@pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
+def test_logs_are_complete_at_every_frame_boundary(mode):
+    # a packet is logged when it arrives, so between frames each log's rows
+    # past its departures are exactly the live queue and its backlog
+    sim = Simulation(baseline_scenario(), mode, seed=4, rho=1.4,
+                     drop_expired=True)
+    for _ in range(300):
+        sim.step()
+        for conn in sim.connections:
+            log = sim.logs[conn.cid]
+            head = len(log.departure)
+            assert sum(log.size[head:]) == sim._backlog[conn.cid]
+            assert list(zip(log.size[head:], log.arrival[head:])) == [
+                (p.size, p.arrival_time) for p in conn.queue]
+    assert any(sim._backlog.values())
