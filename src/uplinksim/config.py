@@ -31,9 +31,10 @@ Grammar (see README for the full reference)::
                                  poisson_bulk or poisson_mix); omit model
                                  to get the class default source
     rate_kbps = 1024
-    size_bytes = 100 1250        one value = fixed size, two = uniform range
-    on_ms = 500
-    off_ms = 500
+    size_bytes = 100 1250        one value = fixed size, two = uniform range;
+                                 cbr takes one value
+    on_ms = 500                  onoff only
+    off_ms = 500                 onoff only
 
 Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
@@ -273,6 +274,9 @@ def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
         kind = value("model")
         if kind is None:
             return None
+        for key in ("on_ms", "off_ms"):
+            if key in raw and kind is not TrafficKind.ONOFF_VBR:
+                errors.append(f"{raw[key][1]}: cid {cid}: {key} requires model = onoff")
         if "rate_kbps" not in raw or "size_bytes" not in raw:
             errors.append(
                 f"{raw['model'][1]}: cid {cid}: an explicit model needs "

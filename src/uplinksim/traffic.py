@@ -31,8 +31,8 @@ class TrafficKind(Enum):
 class TrafficModel:
     """Stochastic source description.
 
-    ``size_lo == size_hi`` means fixed-size packets.  ``mean_on_ms`` and
-    ``mean_off_ms`` apply to the on/off model only.
+    ``size_lo == size_hi`` means fixed-size packets, which CBR requires.
+    ``mean_on_ms`` and ``mean_off_ms`` apply to the on/off model only.
     """
 
     kind: TrafficKind
@@ -61,8 +61,9 @@ def default_models() -> dict[ServiceClass, TrafficModel]:
 
 
 def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[str]:
-    """Sanity checks: positive finite rate and on/off means, packet sizes
-    within one frame's capacity and within what a ``PacketLog`` holds."""
+    """Sanity checks: positive finite rate and on/off means, one packet
+    size for CBR, packet sizes within one frame's capacity and within what
+    a ``PacketLog`` holds."""
     problems = []
     if not math.isfinite(model.mean_rate_kbps):
         problems.append(f"cid {cid}: traffic mean rate must be finite")
@@ -70,6 +71,8 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
         problems.append(f"cid {cid}: traffic mean rate must be > 0")
     if not (1 <= model.size_lo <= model.size_hi):
         problems.append(f"cid {cid}: packet size range must satisfy 1 <= lo <= hi")
+    elif model.kind is TrafficKind.CBR and model.size_lo != model.size_hi:
+        problems.append(f"cid {cid}: a cbr model takes one packet size")
     if model.size_hi > frame.uplink_capacity_bytes:
         problems.append(
             f"cid {cid}: packet size {model.size_hi} exceeds uplink capacity "
@@ -95,16 +98,6 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
 _POISSON_CHUNK = 500.0
 
 
-def _poisson(rng: random.Random, limit: float) -> int:
-    """Knuth's product method for one chunk; ``limit`` is exp(-mean)."""
-    k = 0
-    p = rng.random()
-    while p > limit:
-        k += 1
-        p *= rng.random()
-    return k
-
-
 class TrafficSource:
     """Stateful packet generator for one connection.
 
@@ -128,10 +121,15 @@ class TrafficSource:
         effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
         self.rate_kbps = model.mean_rate_kbps * effective_rho
         self.rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
+        self._getrandbits = self.rng.getrandbits
+        self._random = self.rng.random
         self._latency = conn.qos.max_latency_ms
         self._dur = frame.frame_duration_ms
         self._lo = model.size_lo
-        self._hi = model.size_hi
+        self._width = model.size_hi - model.size_lo + 1
+        if self._width < 1:
+            raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
+        self._bits = self._width.bit_length()
         # model state
         self._credit = 0.0  # bytes accrued toward the next packet
         self._on = False
@@ -157,10 +155,16 @@ class TrafficSource:
             self._chunk_limit = math.exp(-lam / self._chunks)
 
     def _draw_size(self) -> int:
-        if self._lo == self._hi:
+        width = self._width
+        if width == 1:
             return self._lo
-        # what randint(lo, hi) calls, minus one call layer
-        return self.rng.randrange(self._lo, self._hi + 1)
+        # randrange(lo, hi + 1) minus its Python layers: the same draws, and
+        # the same RNG state after, on Python 3.10-3.13 (see README)
+        bits = self._bits
+        r = self._getrandbits(bits)
+        while r >= width:
+            r = self._getrandbits(bits)
+        return self._lo + r
 
     def generate(self, frame_index: int) -> list[Packet]:
         """Arrivals within frame ``frame_index``, timestamps non-decreasing."""
@@ -190,42 +194,53 @@ class TrafficSource:
         start = frame_index * dur
         end = start + dur
         latency = self._latency
+        rate = self._on_rate_bpms
+        credit, size = self._credit, self._next_size
+        phase_left, on = self._phase_left, self._on
         out = []
         t = start
         while t < end:
-            seg = min(self._phase_left, end - t)
+            seg = min(phase_left, end - t)
             seg_end = t + seg
-            if self._on:
+            if on:
                 u = t
                 while True:
-                    dt = (self._next_size - self._credit) / self._on_rate_bpms
+                    dt = (size - credit) / rate
                     if u + dt < seg_end:
                         u += dt
-                        out.append(Packet(self._next_size, u, None if latency is None
+                        out.append(Packet(size, u, None if latency is None
                                           else u + latency))
-                        self._credit = 0.0
-                        self._next_size = self._draw_size()
+                        credit = 0.0
+                        size = self._draw_size()
                     else:
-                        self._credit += self._on_rate_bpms * (seg_end - u)
+                        credit += rate * (seg_end - u)
                         break
             t = seg_end
-            self._phase_left -= seg
-            if self._phase_left <= 1e-12:
-                self._on = not self._on
-                mean = self.model.mean_on_ms if self._on else self.model.mean_off_ms
-                self._phase_left = self.rng.expovariate(1.0 / mean)
+            phase_left -= seg
+            if phase_left <= 1e-12:
+                on = not on
+                mean = self.model.mean_on_ms if on else self.model.mean_off_ms
+                phase_left = self.rng.expovariate(1.0 / mean)
+        self._credit, self._next_size = credit, size
+        self._phase_left, self._on = phase_left, on
         return out
 
     def _generate_poisson(self, frame_index: int) -> list[Packet]:
         dur = self._dur
         start = frame_index * dur
-        rng = self.rng
+        uniform = self._random
+        limit = self._chunk_limit
+        # Knuth's product method, once per chunk: the count is how many
+        # uniforms multiply in before the product falls to exp(-mean)
         n = 0
         for _ in range(self._chunks):
-            n += _poisson(rng, self._chunk_limit)
+            p = uniform()
+            while p > limit:
+                n += 1
+                p *= uniform()
         if not n:
             return []
-        times = sorted([start + rng.random() * dur for _ in range(n)])
+        times = sorted([start + uniform() * dur for _ in range(n)])
         latency = self._latency
         return [Packet(self._draw_size(), t, None if latency is None else t + latency)
                 for t in times]

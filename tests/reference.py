@@ -4,8 +4,8 @@ These deliberately share no code with the package: the allocator oracle
 awards one byte at a time, the deficit-round oracle interprets the rules
 directly over plain queue copies, the earliest-deadline oracle sorts every
 queued packet at once, the lateness oracle enumerates every permutation,
-and the metric oracles make one pass over the packet history per statistic
-and service class.
+the metric oracles make one pass over the packet history per statistic
+and service class, and the size-draw oracle calls ``random.randrange``.
 """
 
 from fractions import Fraction
@@ -178,3 +178,9 @@ def throughput(result, window):
             if dep is not None and start <= dep < end:
                 totals[spec.service_class] += pkt.size
     return {cls: bytes_ * 8.0 / span for cls, bytes_ in totals.items()}
+
+
+def reference_draw_size(rng, lo, hi):
+    """One packet size uniform over ``lo``..``hi``, drawn as the traffic
+    sources first drew it."""
+    return lo if lo == hi else rng.randrange(lo, hi + 1)

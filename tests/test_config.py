@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import SCENARIOS, recipe
+from uplinksim.cli import main
 from uplinksim.config import (
     ConfigError,
     baseline_config,
@@ -129,6 +130,32 @@ def test_round_trip_identity():
     )
     assert parse_config(serialize_config(custom)) == custom
     assert "model = poisson\n" in serialize_config(custom)
+
+
+def test_cbr_takes_one_packet_size(tmp_path, capsys):
+    # a cbr source emits fixed-size packets, so a range would silently
+    # shrink to its low end
+    text = MINIMAL + "model = cbr\nrate_kbps = 256\nsize_bytes = 64 1250\n"
+    assert errors_of(text) == ["cid 0: a cbr model takes one packet size"]
+    path = tmp_path / "cbr-range.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    assert "cid 0: a cbr model takes one packet size" in capsys.readouterr().err
+    fixed = parse_config(text.replace("64 1250", "64"))
+    assert fixed.scenario.conns[0].traffic.size_lo == 64
+
+
+def test_on_off_durations_require_the_onoff_model():
+    durations = "rate_kbps = 256\nsize_bytes = 64\non_ms = 5\noff_ms = 7\n"
+    for model in ("cbr", "poisson"):
+        assert errors_of(MINIMAL + f"model = {model}\n" + durations) == [
+            "line 17: cid 0: on_ms requires model = onoff",
+            "line 18: cid 0: off_ms requires model = onoff",
+        ]
+    onoff = parse_config(MINIMAL + "model = onoff\n" + durations)
+    traffic = onoff.scenario.conns[0].traffic
+    assert (traffic.mean_on_ms, traffic.mean_off_ms) == (5.0, 7.0)
+    assert parse_config(serialize_config(onoff)) == onoff
 
 
 def test_empty_mode_list_is_an_error():

@@ -1,0 +1,33 @@
+"""Property test of the packet-size draw against the standard library's rule."""
+
+import random
+
+import pytest
+
+from conftest import frame, make_conn
+from reference import reference_draw_size
+from uplinksim.model import ServiceClass
+from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# 1, and every power of two up to 2**62 with its neighbours
+WIDTHS = sorted({2**k + d for k in range(63) for d in (-1, 0, 1)} - {0})
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(), lo=st.integers(min_value=1),
+       width=st.sampled_from(WIDTHS), draws=st.integers(1, 50))
+@example(seed=12, lo=64, width=1187, draws=50)
+@example(seed=0, lo=1, width=2**62, draws=50)
+def test_draw_size_matches_randrange(seed, lo, width, draws):
+    hi = lo + width - 1
+    model = TrafficModel(TrafficKind.POISSON, 512.0, lo, hi)
+    src = TrafficSource(make_conn(1, ServiceClass.BE), model, frame(), 1.0, seed)
+    ref = random.Random()
+    ref.setstate(src.rng.getstate())
+    assert ([src._draw_size() for _ in range(draws)]
+            == [reference_draw_size(ref, lo, hi) for _ in range(draws)])
+    assert src.rng.getstate() == ref.getstate()

@@ -144,7 +144,7 @@ def test_non_finite_intensity_and_model_values_rejected():
             assert model_violations(1, bad_model, frame()) == [f"cid 1: {problem}"]
 
 
-def stream_digest(spelling, sizes, latency, rho, frames=300):
+def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
     """sha256 over the (size, arrival, deadline) reprs of every packet one
     source, of the model a scenario file spells ``spelling``, generates in
     ``frames`` frames."""
@@ -154,7 +154,7 @@ def stream_digest(spelling, sizes, latency, rho, frames=300):
     (spec,) = parse_config(
         f"[connection]\ncid = 0\nss = 0\nclass = be\nmodel = {spelling}\n"
         "rate_kbps = 900\nsize_bytes = 64\n").scenario.conns
-    model = TrafficModel(spec.traffic.kind, 900.0, *sizes)
+    model = TrafficModel(spec.traffic.kind, rate_kbps, *sizes)
     src = TrafficSource(make_conn(3, cls, qos=qos), model, frame(), rho, seed=12)
     h = hashlib.sha256()
     for k in range(frames):
@@ -258,6 +258,24 @@ PINNED_STREAMS = {
 def test_traffic_streams_match_pinned_digests(spelling, sizes, latency, rho):
     key = f"{spelling} {sizes[0]}-{sizes[1]} latency={latency} rho={rho}"
     assert stream_digest(spelling, sizes, latency, rho) == PINNED_STREAMS[key]
+
+
+def test_multi_chunk_poisson_stream_matches_pinned_digest():
+    # 300000 kbit/s of 575.5-byte mean packets is 651.6 a frame, summed
+    # from two Knuth chunks; width 1024 makes about half of the raw size
+    # draws redraw.  Recorded before the size and Poisson draws were inlined.
+    sizes, rate = (64, 1087), 300_000.0
+    model = TrafficModel(TrafficKind.POISSON, rate, *sizes)
+    assert TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame())._chunks == 2
+    assert stream_digest("poisson", sizes, 20.0, 1.0, frames=20, rate_kbps=rate) == (
+        "67d9b0568acc7c9a9192b131966681f70ec98bcedc62bc2f793865ca74c071fd")
+
+
+def test_empty_size_range_is_refused():
+    conn = make_conn(1, ServiceClass.BE)
+    model = TrafficModel(TrafficKind.POISSON, 512.0, 100, 99)
+    with pytest.raises(ValueError, match="empty packet size range 100-99"):
+        TrafficSource(conn, model, frame(), 1.0, seed=1)
 
 
 def test_poisson_large_mean_is_not_truncated():
