@@ -109,20 +109,20 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
 def edf_take(conns, budget: int) -> tuple:
     """Earliest-deadline-first over the connections' live queues.
 
-    Repeatedly picks the head packet with the smallest (deadline, arrival,
-    cid) and pops it; the phase ends at the first pick that does not fit
-    the remaining budget whole.  Every queued packet must carry a deadline.
-    Returns (entries, used) where ``entries`` lists (cid, packet) in
-    transmission order.
+    A packet's deadline is its arrival time plus its connection's
+    ``max_latency_ms``.  Repeatedly picks the head packet with the smallest
+    (deadline, arrival, cid) and pops it; the phase ends at the first pick
+    that does not fit the remaining budget whole.  Returns (entries, used)
+    where ``entries`` lists (cid, packet) in transmission order.
     """
     # the cid is unique, so two heap items never compare their queues
-    heap = [(q[0].deadline, q[0].arrival_time, c.cid, q)
-            for c in conns if (q := c.queue)]
+    heap = [(q[0].arrival_time + c.qos.max_latency_ms, q[0].arrival_time, c.cid,
+             c.qos.max_latency_ms, q) for c in conns if (q := c.queue)]
     heapq.heapify(heap)
     entries = []
     used = 0
     while heap:
-        _, _, cid, q = heap[0]
+        _, _, cid, bound, q = heap[0]
         pkt = q[0]
         if pkt.size > budget:
             break
@@ -131,8 +131,8 @@ def edf_take(conns, budget: int) -> tuple:
         used += pkt.size
         entries.append((cid, pkt))
         if q:
-            head = q[0]
-            heapq.heapreplace(heap, (head.deadline, head.arrival_time, cid, q))
+            arrival = q[0].arrival_time
+            heapq.heapreplace(heap, (arrival + bound, arrival, cid, bound, q))
         else:
             heapq.heappop(heap)
     return entries, used

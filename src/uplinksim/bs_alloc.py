@@ -120,8 +120,7 @@ def pool_gpss(result: AllocationResult, plan: AllocationPlan) -> dict[int, int]:
     grants: dict[int, int] = {}
     allocated = result.allocated
     for cid, ss in zip(plan.cids, plan.ss_ids):
-        if cid in allocated:
-            grants[ss] = grants.get(ss, 0) + allocated[cid]
+        grants[ss] = grants.get(ss, 0) + allocated[cid]
     return grants
 
 

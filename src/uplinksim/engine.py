@@ -33,6 +33,7 @@ from .model import (
     QosParams,
     ServiceClass,
     guaranteed_bytes,
+    qos_violations,
     validate_scenario,
 )
 from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
@@ -87,6 +88,21 @@ class Scenario:
         problems = validate_scenario(self.conns, self.frame)
         for spec in self.conns:
             problems.extend(model_violations(spec.cid, spec.traffic, self.frame))
+            # a UGS packet larger than the fixed grant never fits it and
+            # blocks its FIFO for good; checked only on a valid frame,
+            # contract and size range, whose faults are reported above
+            size = spec.traffic.size_hi
+            if (spec.service_class is ServiceClass.UGS
+                    and self.frame.frame_duration_ms > 0
+                    and 1 <= spec.traffic.size_lo <= size
+                    and not qos_violations(spec.cid, spec.service_class, spec.qos)):
+                try:
+                    grant = guaranteed_bytes(spec, self.frame)
+                except OverflowError:
+                    continue  # a grant past the float range fits any packet
+                if size > grant:
+                    problems.append(f"cid {spec.cid}: ugs packet size {size} "
+                                    f"exceeds its unsolicited grant {grant} bytes/frame")
         return problems
 
 
@@ -111,15 +127,14 @@ class PacketHistory(Mapping):
     visible.
     """
 
-    def __init__(self, logs: dict[int, PacketLog], conns):
+    def __init__(self, logs: dict[int, PacketLog]):
         self._logs = logs
-        self._latency = {s.cid: s.qos.max_latency_ms for s in conns}
         self._built: dict[int, list[Packet]] = {}
 
     def __getitem__(self, cid: int) -> list[Packet]:
         pkts = self._built.get(cid)
         if pkts is None:
-            pkts = self._built[cid] = self._logs[cid].packets(self._latency[cid])
+            pkts = self._built[cid] = self._logs[cid].packets()
         return pkts
 
     def __iter__(self):
@@ -149,7 +164,7 @@ class RunResult:
     history: PacketHistory = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.history = PacketHistory(self.logs, self.conns)
+        self.history = PacketHistory(self.logs)
 
     def backlog(self, cid: int) -> int:
         """Bytes still queued at run end."""
@@ -243,12 +258,13 @@ class Simulation:
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
-        # optional drop-on-expiry: a delay-bounded packet that could no
-        # longer meet its deadline even if sent right now is discarded
+        # optional drop-on-expiry: an rtPS packet that would miss its deadline
+        # (arrival plus its connection's bound) even if sent now is discarded
         if self.drop_expired:
             for conn in self._rtps:
                 q = conn.queue
-                while q and q[0].deadline is not None and q[0].deadline < frame_end:
+                bound = conn.qos.max_latency_ms
+                while q and q[0].arrival_time + bound < frame_end:
                     self._depart[conn.cid](math.nan)
                     backlog[conn.cid] -= q.popleft().size
 

@@ -58,8 +58,8 @@ _QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
 
 @dataclass(slots=True)
 class Packet:
-    """One uplink packet while it is queued.  ``deadline`` is set only for
-    delay-bounded (rtPS) connections.
+    """One uplink packet while it is queued.  An rtPS packet's deadline is
+    ``arrival_time`` plus its connection's ``max_latency_ms``.
 
     The engine never writes ``departure_time`` or ``dropped``: a packet is
     recorded in its connection's ``PacketLog``.  Only the ``Packet`` objects
@@ -68,7 +68,6 @@ class Packet:
 
     size: int
     arrival_time: float
-    deadline: float | None = None
     departure_time: float | None = None
     dropped: bool = False
 
@@ -96,12 +95,9 @@ class PacketLog:
         self.arrival = array("d")
         self.departure = array("d")
 
-    def packets(self, max_latency_ms: float | None) -> list[Packet]:
-        """The log as ``Packet`` objects; deadlines are rebuilt from the
-        connection's latency bound exactly as the traffic sources set them."""
-        out = [Packet(size, arrival, None if max_latency_ms is None
-                      else arrival + max_latency_ms)
-               for size, arrival in zip(self.size, self.arrival)]
+    def packets(self) -> list[Packet]:
+        """The log as ``Packet`` objects."""
+        out = list(map(Packet, self.size, self.arrival))
         for pkt, dep in zip(out, self.departure):
             if math.isnan(dep):
                 pkt.dropped = True

@@ -99,9 +99,10 @@ def serve_ugs(ugs_conns, budget: int) -> tuple[Entries, int]:
 def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
     """Send rtPS head-of-line packets in earliest-deadline order.
 
-    Ties break on (arrival time, cid).  The phase ends at the first selected
-    packet that does not fit the remaining budget whole.  Returns
-    (entries, used).
+    The key is (deadline, arrival time, cid), where a packet's deadline is
+    its arrival time plus its connection's ``max_latency_ms``.  The phase
+    ends at the first selected packet that does not fit the remaining
+    budget whole.  Returns (entries, used).
     """
     if budget <= 0 or not any(c.queue for c in rtps_conns):
         return [], 0

@@ -123,7 +123,6 @@ class TrafficSource:
         self.rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
         self._getrandbits = self.rng.getrandbits
         self._random = self.rng.random
-        self._latency = conn.qos.max_latency_ms
         self._dur = frame.frame_duration_ms
         self._lo = model.size_lo
         self._width = model.size_hi - model.size_lo + 1
@@ -179,10 +178,9 @@ class TrafficSource:
         start = frame_index * self._dur
         self._credit += self.rate_kbps * self._dur / 8.0
         size = self._lo
-        deadline = None if self._latency is None else start + self._latency
         out = []
         while self._credit >= size:
-            out.append(Packet(size, start, deadline))
+            out.append(Packet(size, start))
             self._credit -= size
         return out
 
@@ -193,7 +191,6 @@ class TrafficSource:
         dur = self._dur
         start = frame_index * dur
         end = start + dur
-        latency = self._latency
         rate = self._on_rate_bpms
         credit, size = self._credit, self._next_size
         phase_left, on = self._phase_left, self._on
@@ -208,8 +205,7 @@ class TrafficSource:
                     dt = (size - credit) / rate
                     if u + dt < seg_end:
                         u += dt
-                        out.append(Packet(size, u, None if latency is None
-                                          else u + latency))
+                        out.append(Packet(size, u))
                         credit = 0.0
                         size = self._draw_size()
                     else:
@@ -241,6 +237,4 @@ class TrafficSource:
         if not n:
             return []
         times = sorted([start + uniform() * dur for _ in range(n)])
-        latency = self._latency
-        return [Packet(self._draw_size(), t, None if latency is None else t + latency)
-                for t in times]
+        return [Packet(self._draw_size(), t) for t in times]

@@ -1,5 +1,6 @@
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -29,19 +30,22 @@ QOS = {
 }
 
 
-def make_conn(cid, cls, ss=0, sizes=(), arrivals=None, deadlines=None, qos=None):
+def make_conn(cid, cls, ss=0, sizes=(), arrivals=None, qos=None):
     """Connection with a pre-filled queue for scheduler-level tests."""
     conn = Connection(
         cid=cid, ss_id=ss, service_class=cls, qos=qos or QOS[cls], queue=deque()
     )
     for k, size in enumerate(sizes):
         arrival = arrivals[k] if arrivals else float(k)
-        deadline = deadlines[k] if deadlines else (
-            arrival + conn.qos.max_latency_ms
-            if conn.qos.max_latency_ms is not None else None
-        )
-        conn.queue.append(Packet(size=size, arrival_time=arrival, deadline=deadline))
+        conn.queue.append(Packet(size=size, arrival_time=arrival))
     return conn
+
+
+def rtps_conn(cid, bound, sizes=(), arrivals=None):
+    """rtPS connection whose latency bound is ``bound`` ms, so each queued
+    packet's deadline is its arrival plus ``bound``."""
+    return make_conn(cid, ServiceClass.RTPS, sizes=sizes, arrivals=arrivals,
+                     qos=replace(QOS[ServiceClass.RTPS], max_latency_ms=bound))
 
 
 def frame(capacity=5375, duration=10.0):

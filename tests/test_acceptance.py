@@ -14,7 +14,7 @@ import pytest
 
 from reference import brute_force_alloc, max_lateness, min_max_lateness, \
     reference_dfpq
-from conftest import frame, make_conn, recipe
+from conftest import frame, make_conn, recipe, rtps_conn
 from uplinksim.cli import matrix_cells, run_matrix, write_outputs
 from uplinksim.engine import Scenario, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
@@ -218,13 +218,12 @@ def test_criterion_7_edf_minimal_max_lateness():
         n = rng.randint(1, 6)
         packets = [(rng.randint(1, 60), float(rng.randint(1, 150)))
                    for _ in range(n)]
-        conns = [
-            make_conn(k, ServiceClass.RTPS, sizes=[size], arrivals=[0.0],
-                      deadlines=[deadline])
-            for k, (size, deadline) in enumerate(packets)
-        ]
+        # every packet arrives at 0, so its deadline is its connection's bound
+        conns = [rtps_conn(k, deadline, sizes=[size], arrivals=[0.0])
+                 for k, (size, deadline) in enumerate(packets)]
         entries, _ = serve_rtps_edf(conns, 10**9)
-        got = max_lateness([(p.size, p.deadline) for _, p in entries])
+        got = max_lateness([(p.size, p.arrival_time + conns[cid].qos.max_latency_ms)
+                            for cid, p in entries])
         assert got == min_max_lateness(packets), packets
         checked += 1
     report(7, f"earliest-deadline order achieves the brute-force minimum "

@@ -1,8 +1,13 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uplinksim
 from uplinksim.cli import (
     apply_overrides,
     build_parser,
@@ -70,6 +75,29 @@ def test_outputs_byte_identical_across_reruns(tmp_path):
     for name in ("summary.csv", "timeseries.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and so the order of str-keyed sets, change with
+    # PYTHONHASHSEED from one process to the next, which a rerun inside one
+    # process never varies
+    src = str(Path(uplinksim.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-m", "uplinksim", "--mode", "all", "--frames", "100",
+             "--seeds", "1", "--rho", "1.4", "--trace", "--drop-expired",
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120)
+        outs.append(out)
+    packets = (outs[0] / "packets.csv").read_text().splitlines()
+    assert any(line.endswith(",1") for line in packets)  # some packet dropped
+    for name in ("summary.csv", "timeseries.csv", "packets.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -145,6 +145,24 @@ def test_cbr_takes_one_packet_size(tmp_path, capsys):
     assert fixed.scenario.conns[0].traffic.size_lo == 64
 
 
+def test_ugs_packets_must_fit_the_unsolicited_grant(tmp_path, capsys):
+    # the fixed grant is one frame of the sustained rate, 256 kbit/s x 10 ms
+    # = 320 B; a larger packet never fits it and blocks its queue for good,
+    # so the run delivered nothing and exited 0
+    ugs = MINIMAL.replace("class = rtps", "class = ugs")
+    cbr = ugs + "model = cbr\nrate_kbps = 256\nsize_bytes = 400\n"
+    poisson = ugs + "model = poisson\nrate_kbps = 256\nsize_bytes = 64 1250\n"
+    assert errors_of(cbr) == [
+        "cid 0: ugs packet size 400 exceeds its unsolicited grant 320 bytes/frame"]
+    assert errors_of(poisson) == [
+        "cid 0: ugs packet size 1250 exceeds its unsolicited grant 320 bytes/frame"]
+    path = tmp_path / "ugs-oversize.cfg"
+    path.write_text(cbr)
+    assert main(["--config", str(path)]) == 2
+    assert "exceeds its unsolicited grant" in capsys.readouterr().err
+    assert parse_config(cbr.replace("400", "320")).scenario.conns[0].traffic.size_hi == 320
+
+
 def test_on_off_durations_require_the_onoff_model():
     durations = "rate_kbps = 256\nsize_bytes = 64\non_ms = 5\noff_ms = 7\n"
     for model in ("cbr", "poisson"):

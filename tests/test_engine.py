@@ -220,7 +220,7 @@ def test_drop_expired_removes_late_rtps():
             if s.service_class is not ServiceClass.RTPS:
                 continue
             for p in result.history[s.cid]:
-                if p.departure_time is not None and p.deadline is not None:
+                if p.departure_time is not None:
                     if p.departure_time - p.arrival_time > 20.0:
                         n += 1
         return n
@@ -295,7 +295,7 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
     def recording(source, frame_index):
         pkts = generate(source, frame_index)
         generated.setdefault(source.conn.cid, []).extend(
-            (p.size, p.arrival_time, p.deadline) for p in pkts)
+            (p.size, p.arrival_time) for p in pkts)
         return pkts
 
     monkeypatch.setattr(TrafficSource, "generate", recording)
@@ -309,7 +309,7 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
             for s in result.conns:
                 view = result.history[s.cid]
                 assert view is result.history[s.cid]
-                assert [(p.size, p.arrival_time, p.deadline)
+                assert [(p.size, p.arrival_time)
                         for p in view] == generated.get(s.cid, [])
                 queued = [p for p in view
                           if p.departure_time is None and not p.dropped]

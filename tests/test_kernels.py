@@ -1,9 +1,14 @@
-"""Property tests of the water-filling kernel against the exact oracle."""
+"""Property tests of the scheduling kernels against their oracles: the
+water-filling kernel against the exact allocation, earliest-deadline
+selection against one global sort, and the deficit round against a plain
+list simulation."""
 
 import pytest
 
-from reference import brute_force_alloc
-from uplinksim._kernels_py import waterfill
+from conftest import make_conn, rtps_conn
+from reference import brute_force_alloc, reference_dfpq, reference_edf
+from uplinksim._kernels_py import dfpq_take, edf_take, waterfill
+from uplinksim.model import ServiceClass
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -39,3 +44,89 @@ def test_waterfill_matches_exact_oracle(instance):
     assert all(0 <= i <= u for i, u in zip(inc, unmet))
     if remaining >= sum(unmet):
         assert inc == unmet
+
+
+def oracle_split(sent, cids, originals):
+    """The (cid, packet) entries an oracle's list of queue indices stands
+    for, and the packets it leaves on each queue."""
+    heads = [0] * len(originals)
+    entries = []
+    for q in sent:
+        entries.append((cids[q], originals[q][heads[q]]))
+        heads[q] += 1
+    return entries, [orig[h:] for orig, h in zip(originals, heads)]
+
+
+def same_packets(got, expected):
+    return ([(cid, id(p)) for cid, p in got]
+            == [(cid, id(p)) for cid, p in expected])
+
+
+@st.composite
+def edf_instances(draw):
+    nq = draw(st.integers(1, 5))
+    # whole-millisecond bounds and arrivals, so equal deadlines and equal
+    # arrivals occur, within a queue and across queues
+    bounds = draw(st.lists(st.integers(1, 20).map(float), min_size=nq, max_size=nq))
+    arrivals, sizes = [], []
+    for _ in range(nq):
+        n = draw(st.integers(0, 8))
+        arrivals.append(sorted(draw(st.lists(st.integers(0, 20).map(float),
+                                             min_size=n, max_size=n))))
+        sizes.append(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n)))
+    cids = draw(st.lists(st.integers(0, 99), min_size=nq, max_size=nq, unique=True))
+    budget = draw(st.integers(0, 5000))
+    return bounds, arrivals, sizes, cids, budget
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(edf_instances())
+@example(([20.0], [[]], [[]], [7], 100))                        # empty queue
+@example(([20.0], [[0.0, 1.0]], [[10, 20]], [7], 0))            # zero budget
+@example(([20.0, 5.0], [[0.0], [10.0]], [[300], [200]], [1, 2], 200))  # exact fit
+def test_edf_take_matches_sorted_reference(instance):
+    bounds, arrivals, sizes, cids, budget = instance
+    conns = [rtps_conn(cids[q], bounds[q], sizes=sizes[q], arrivals=arrivals[q])
+             for q in range(len(cids))]
+    originals = [list(c.queue) for c in conns]
+    entries, used = edf_take(conns, budget)
+    deadlines = [[a + bound for a in arr] for arr, bound in zip(arrivals, bounds)]
+    sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
+    expected, leftovers = oracle_split(sent, cids, originals)
+    assert same_packets(entries, expected)
+    assert used == ref_used
+    assert [list(c.queue) for c in conns] == leftovers
+
+
+@st.composite
+def dfpq_instances(draw):
+    nq = draw(st.integers(1, 6))
+    queues = draw(st.lists(st.lists(st.integers(1, 1400), max_size=12),
+                           min_size=nq, max_size=nq))
+    quanta = draw(st.lists(st.integers(1, 1500), min_size=nq, max_size=nq))
+    deficits = [draw(st.integers(0, 800)) if q else 0 for q in queues]
+    cursor = draw(st.integers(0, nq - 1))
+    budget = draw(st.integers(0, 6000))
+    return queues, quanta, deficits, cursor, budget
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(dfpq_instances())
+@example(([[]], [500], [0], 0, 1000))                 # empty queue
+@example(([[300, 300]], [500], [0], 0, 0))            # zero budget
+@example(([[300, 200], [100]], [500, 50], [0, 0], 0, 500))  # exact fit
+def test_dfpq_take_matches_reference(instance):
+    queues, quanta, deficits, cursor, budget = instance
+    nq = len(queues)
+    # descending cids: the visit order is the list order, not the cid's
+    cids = [nq - q for q in range(nq)]
+    conns = [make_conn(cids[q], ServiceClass.NRTPS, sizes=queues[q])
+             for q in range(nq)]
+    originals = [list(c.queue) for c in conns]
+    entries, dc, pos, used = dfpq_take(conns, quanta, deficits, cursor, budget)
+    sent, ref_dc, ref_pos, ref_used = reference_dfpq(
+        queues, quanta, deficits, cursor, budget)
+    expected, leftovers = oracle_split(sent, cids, originals)
+    assert same_packets(entries, expected)
+    assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
+    assert [list(c.queue) for c in conns] == leftovers

@@ -47,9 +47,8 @@ def synthetic_result(packets_by_cid, classes, used=None, frames=100,
     )
 
 
-def pkt(size, arrival, departure, deadline=None):
-    return Packet(size=size, arrival_time=arrival, deadline=deadline,
-                  departure_time=departure)
+def pkt(size, arrival, departure):
+    return Packet(size=size, arrival_time=arrival, departure_time=departure)
 
 
 # The hand-built runs last frames x 10 ms, so a summary without warm-up

@@ -1,8 +1,6 @@
 import random
 
-from conftest import frame, make_conn
-from reference import reference_dfpq, reference_edf
-from uplinksim._kernels_py import dfpq_take, edf_take
+from conftest import frame, make_conn, rtps_conn
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
     Station,
@@ -53,28 +51,35 @@ def test_serve_ugs_global_arrival_order_with_cid_ties():
 # --- rtPS EDF phase ----------------------------------------------------------
 
 def test_edf_orders_by_deadline():
-    a = make_conn(1, ServiceClass.RTPS, sizes=[100, 100],
-                  arrivals=[0.0, 1.0], deadlines=[120.0, 130.0])
-    b = make_conn(2, ServiceClass.RTPS, sizes=[100],
-                  arrivals=[0.5], deadlines=[95.0])
+    a = rtps_conn(1, 120.0, sizes=[100, 100], arrivals=[0.0, 10.0])
+    b = rtps_conn(2, 94.5, sizes=[100], arrivals=[0.5])
     entries, _ = serve_rtps_edf([a, b], 1000)
-    assert [(cid, p.deadline) for cid, p in entries] == [
-        (2, 95.0), (1, 120.0), (1, 130.0),
+    assert [(cid, p.arrival_time) for cid, p in entries] == [
+        (2, 0.5), (1, 0.0), (1, 10.0),  # deadlines 95, 120 and 130
     ]
 
 
+def test_edf_derives_each_deadline_from_its_connections_bound():
+    # the later arrivals on the tighter bound go first: deadlines 15 and 25
+    # against 30 and 31, also once each queue's next head is keyed
+    loose = rtps_conn(1, 30.0, sizes=[100, 100], arrivals=[0.0, 1.0])
+    tight = rtps_conn(2, 5.0, sizes=[100, 100], arrivals=[10.0, 20.0])
+    entries, used = serve_rtps_edf([loose, tight], 1000)
+    assert [(cid, p.arrival_time) for cid, p in entries] == [
+        (2, 10.0), (2, 20.0), (1, 0.0), (1, 1.0),
+    ]
+    assert used == 400
+
+
 def test_edf_tie_breaks_on_arrival_then_cid():
-    a = make_conn(1, ServiceClass.RTPS, sizes=[50], arrivals=[3.0],
-                  deadlines=[100.0])
-    b = make_conn(2, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
-                  deadlines=[100.0])
+    # equal deadlines of 100 ms
+    a = rtps_conn(1, 97.0, sizes=[50], arrivals=[3.0])
+    b = rtps_conn(2, 99.0, sizes=[50], arrivals=[1.0])
     entries, _ = serve_rtps_edf([a, b], 1000)
     assert [cid for cid, _ in entries] == [2, 1]
 
-    c = make_conn(3, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
-                  deadlines=[100.0])
-    d = make_conn(4, ServiceClass.RTPS, sizes=[50], arrivals=[1.0],
-                  deadlines=[100.0])
+    c = rtps_conn(3, 99.0, sizes=[50], arrivals=[1.0])
+    d = rtps_conn(4, 99.0, sizes=[50], arrivals=[1.0])
     entries, _ = serve_rtps_edf([d, c], 1000)
     assert [cid for cid, _ in entries] == [3, 4]
 
@@ -82,8 +87,7 @@ def test_edf_tie_breaks_on_arrival_then_cid():
 def test_edf_stops_at_first_nonfitting_candidate():
     # the most urgent packet is too big: the whole phase ends, even though
     # the later packet would fit
-    a = make_conn(1, ServiceClass.RTPS, sizes=[500, 50],
-                  arrivals=[0.0, 1.0], deadlines=[10.0, 99.0])
+    a = rtps_conn(1, 10.0, sizes=[500, 50], arrivals=[0.0, 1.0])
     assert serve_rtps_edf([a], 499) == ([], 0)
     assert len(a.queue) == 2
 
@@ -292,69 +296,3 @@ def test_ss2_matches_ss1_packet_set_when_uncontended():
     tx2 = schedule_frame_ss2(Station(conns2, frame()), 50_000)
     key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
     assert key(tx1) == key(tx2)
-
-
-def oracle_split(sent, cids, originals):
-    """The (cid, packet) entries an oracle's list of queue indices stands
-    for, and the packets it leaves on each queue."""
-    heads = [0] * len(originals)
-    entries = []
-    for q in sent:
-        entries.append((cids[q], originals[q][heads[q]]))
-        heads[q] += 1
-    return entries, [orig[h:] for orig, h in zip(originals, heads)]
-
-
-def same_packets(got, expected):
-    return ([(cid, id(p)) for cid, p in got]
-            == [(cid, id(p)) for cid, p in expected])
-
-
-def test_dfpq_take_matches_reference():
-    rng = random.Random(17)
-    for _ in range(1500):
-        nq = rng.randint(1, 6)
-        queues = [[rng.randint(1, 1400) for _ in range(rng.randint(0, 12))]
-                  for _ in range(nq)]
-        quanta = [rng.randint(1, 1500) for _ in range(nq)]
-        deficits = [rng.randint(0, 800) if queues[q] else 0 for q in range(nq)]
-        cursor = rng.randint(0, nq - 1)
-        budget = rng.randint(0, 6000)
-        # descending cids: the visit order is the list order, not the cid's
-        cids = [nq - q for q in range(nq)]
-        conns = [make_conn(cids[q], ServiceClass.NRTPS, sizes=queues[q])
-                 for q in range(nq)]
-        originals = [list(c.queue) for c in conns]
-        entries, dc, pos, used = dfpq_take(conns, quanta, deficits, cursor,
-                                           budget)
-        sent, ref_dc, ref_pos, ref_used = reference_dfpq(
-            queues, quanta, deficits, cursor, budget)
-        expected, leftovers = oracle_split(sent, cids, originals)
-        assert same_packets(entries, expected)
-        assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
-        assert [list(c.queue) for c in conns] == leftovers
-
-
-def test_edf_take_matches_sorted_reference():
-    rng = random.Random(23)
-    for _ in range(1500):
-        nq = rng.randint(1, 5)
-        counts = [rng.randint(0, 8) for _ in range(nq)]
-        # whole-millisecond times, so equal deadlines and arrivals occur
-        deadlines = [sorted(float(rng.randint(0, 40)) for _ in range(c))
-                     for c in counts]
-        arrivals = [sorted(float(rng.randint(0, 20)) for _ in range(c))
-                    for c in counts]
-        sizes = [[rng.randint(1, 1000) for _ in range(c)] for c in counts]
-        cids = rng.sample(range(100), nq)
-        budget = rng.randint(0, 5000)
-        conns = [make_conn(cids[q], ServiceClass.RTPS, sizes=sizes[q],
-                           arrivals=arrivals[q], deadlines=deadlines[q])
-                 for q in range(nq)]
-        originals = [list(c.queue) for c in conns]
-        entries, used = edf_take(conns, budget)
-        sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
-        expected, leftovers = oracle_split(sent, cids, originals)
-        assert same_packets(entries, expected)
-        assert used == ref_used
-        assert [list(c.queue) for c in conns] == leftovers

@@ -27,7 +27,6 @@ def test_ugs_cbr_exactly_one_packet_per_frame():
         assert len(pkts) == 1
         assert pkts[0].size == 320
         assert pkts[0].arrival_time == k * 10.0  # frame start
-        assert pkts[0].deadline is None
 
 
 def test_zero_intensity_silences_every_model():
@@ -69,14 +68,6 @@ def test_onoff_long_run_rate_and_frame_bounds():
         total += sum(p.size for p in pkts)
     expected = 1024_000 * 100 / 8
     assert abs(total - expected) / expected < 0.05
-
-
-def test_rtps_packets_carry_deadline():
-    conn = make_conn(1, ServiceClass.RTPS)
-    src = TrafficSource(conn, default_models()[ServiceClass.RTPS], frame(), 1.0, 7)
-    pkts = [p for k in range(300) for p in src.generate(k)]
-    assert pkts
-    assert all(p.deadline == p.arrival_time + 20.0 for p in pkts)
 
 
 def test_determinism_and_seed_sensitivity():
@@ -147,7 +138,8 @@ def test_non_finite_intensity_and_model_values_rejected():
 def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
     """sha256 over the (size, arrival, deadline) reprs of every packet one
     source, of the model a scenario file spells ``spelling``, generates in
-    ``frames`` frames."""
+    ``frames`` frames.  The deadline is arrival plus ``latency``, or None
+    without a bound."""
     qos = QosParams(max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
                     max_latency_ms=latency, weight=1.0)
     cls = ServiceClass.NRTPS if latency is None else ServiceClass.RTPS
@@ -159,7 +151,8 @@ def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
     h = hashlib.sha256()
     for k in range(frames):
         for p in src.generate(k):
-            h.update(repr((p.size, p.arrival_time, p.deadline)).encode())
+            deadline = None if latency is None else p.arrival_time + latency
+            h.update(repr((p.size, p.arrival_time, deadline)).encode())
     return h.hexdigest()
 
 
