@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import ExitStack
 from itertools import product
 from pathlib import Path
@@ -83,17 +84,35 @@ def matrix_cells(cfg: ScenarioConfig) -> list[tuple[SimMode, int, float]]:
 def run_matrix(cfg: ScenarioConfig):
     """Execute every cell in ``matrix_cells`` order; failures are collected
     per cell, not fatal to the rest of the matrix.  Returns (results,
-    errors), each in that order."""
+    errors), each in that order.
+
+    A cell's traffic depends on its seed and rho only, so the modes of a
+    (seed, rho) stream share it: the first cell that runs it records it
+    when a later mode will use it, and the later modes replay that record.
+    A cell that raises while recording leaves none behind.
+    """
     results: dict[tuple[SimMode, int, float], RunResult] = {}
     errors: dict[tuple[SimMode, int, float], Exception] = {}
-    for mode, seed, rho in matrix_cells(cfg):
+    cells = matrix_cells(cfg)
+    modes_left = Counter((seed, rho) for _, seed, rho in cells)
+    recorded: dict[tuple[int, float], dict] = {}
+    for mode, seed, rho in cells:
+        stream = (seed, rho)
+        modes_left[stream] -= 1
+        recording = modes_left[stream] > 0 and stream not in recorded
+        tapes = {} if recording else recorded.get(stream)
+        if not modes_left[stream]:  # the record goes with the stream's last mode
+            recorded.pop(stream, None)
         try:
             results[(mode, seed, rho)] = run(
                 cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
-                drop_expired=cfg.drop_expired,
+                drop_expired=cfg.drop_expired, tapes=tapes,
             )
         except Exception as exc:
             errors[(mode, seed, rho)] = exc
+        else:
+            if recording:
+                recorded[stream] = tapes
     return results, errors
 
 

@@ -37,7 +37,7 @@ from .model import (
     validate_scenario,
 )
 from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
-from .traffic import TrafficModel, TrafficSource, model_violations
+from .traffic import Tape, TrafficModel, TrafficSource, model_violations
 
 
 class SimMode(Enum):
@@ -99,7 +99,7 @@ class Scenario:
                 try:
                     grant = guaranteed_bytes(spec, self.frame)
                 except OverflowError:
-                    continue  # a grant past the float range fits any packet
+                    continue  # reported by validate_scenario
                 if size > grant:
                     problems.append(f"cid {spec.cid}: ugs packet size {size} "
                                     f"exceeds its unsolicited grant {grant} bytes/frame")
@@ -182,6 +182,12 @@ class Simulation:
     packet logs and the per-station class partitions.  ``logs`` is the
     complete record after every ``step()``: each packet is logged when it
     arrives, and its departure when it leaves its queue.
+
+    ``tapes`` maps cid to the ``Tape`` of that connection's traffic.  None
+    draws every stream; an empty dict is filled with tapes that record
+    this run's streams, whose packet columns are its own logs'; and a dict
+    filled by a finished run of the same scenario, seed and rho, for at
+    least as many frames, is replayed without drawing.
     """
 
     def __init__(
@@ -191,6 +197,7 @@ class Simulation:
         seed: int = 1,
         rho: float = 1.0,
         drop_expired: bool = False,
+        tapes: dict[int, Tape] | None = None,
     ):
         self.frame_cfg = scenario.frame
         self.mode = mode
@@ -212,10 +219,14 @@ class Simulation:
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog() for c in conns}
+        if tapes is not None and not tapes:
+            tapes.update((cid, Tape(log.size, log.arrival))
+                         for cid, log in self.logs.items())
         # column appends bound once per connection: a packet's size and
         # arrival are logged when it arrives, its departure when it exits
         self._feeds = [
-            (c, TrafficSource(c, models[c.cid], cfg, rho, seed),
+            (c, TrafficSource(c, models[c.cid], cfg, rho, seed,
+                              None if tapes is None else tapes[c.cid]),
              self.logs[c.cid].size.append, self.logs[c.cid].arrival.append)
             for c in conns
         ]
@@ -311,11 +322,14 @@ def run(
     seed: int = 1,
     rho: float = 1.0,
     drop_expired: bool = False,
+    tapes: dict[int, Tape] | None = None,
 ) -> RunResult:
-    """Execute a full deterministic run and gather the metric inputs."""
+    """Execute a full deterministic run and gather the metric inputs;
+    ``tapes`` records or replays the traffic as in ``Simulation``."""
     if frames <= 0:
         raise ValueError(f"frames must be > 0, got {frames}")
-    sim = Simulation(scenario, mode, seed=seed, rho=rho, drop_expired=drop_expired)
+    sim = Simulation(scenario, mode, seed=seed, rho=rho,
+                     drop_expired=drop_expired, tapes=tapes)
     granted = []
     used = []
     for _ in range(frames):

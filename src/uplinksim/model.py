@@ -204,6 +204,14 @@ def validate_scenario(connections, frame: FrameConfig) -> list[str]:
             problems.append(f"cid {conn.cid}: duplicate connection id")
         seen.add(conn.cid)
         problems.extend(qos_violations(conn.cid, conn.service_class, conn.qos))
+        # a finite rate may still overflow when converted to bytes per frame
+        # (a grant, reservation or deficit-round quantum)
+        for name in ("max_sustained_kbps", "min_reserved_kbps"):
+            rate = getattr(conn.qos, name)
+            if (rate is not None and 0 < rate < math.inf
+                    and rate * frame.frame_duration_ms / 8.0 == math.inf):
+                problems.append(f"cid {conn.cid}: {name} must give a finite "
+                                f"byte count per frame, got {rate}")
         try:
             reserved += guaranteed_bytes(conn, frame)
         except (ValueError, OverflowError):

@@ -2,15 +2,19 @@
 
 Every connection owns an independent, deterministically seeded RNG stream
 derived from (run seed, cid), so a scenario replays byte-identically for the
-same seed regardless of which other connections run beside it.
+same seed regardless of which other connections run beside it.  A stream
+so depends on (seed, cid, rho) only, and a ``Tape`` lets the cells of a
+matrix that share it draw it once and replay it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .model import (
     MAX_PACKET_BYTES,
@@ -98,102 +102,72 @@ def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[
 _POISSON_CHUNK = 500.0
 
 
-class TrafficSource:
-    """Stateful packet generator for one connection.
+def _poisson_chunks(lam: float) -> tuple[int, float]:
+    """How many chunks a Poisson count of mean ``lam`` is summed from, and
+    the ``exp(-mean)`` each chunk's product of uniforms stops at."""
+    chunks = math.ceil(lam / _POISSON_CHUNK)
+    return chunks, math.exp(-lam / chunks)
 
-    UGS sources are capped at their provisioned rate: the unsolicited grant
-    is fixed, so offered load beyond it would only build an unserviceable
-    backlog.  Intensities below 1 scale UGS down like every other class.
-    """
 
-    def __init__(
-        self,
-        conn: Connection,
-        model: TrafficModel,
-        frame: FrameConfig,
-        rho: float = 1.0,
-        seed: int = 0,
-    ):
-        if not 0 <= rho < math.inf:
-            raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
-        self.conn = conn
-        self.model = model
-        effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
-        self.rate_kbps = model.mean_rate_kbps * effective_rho
-        self.rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
-        self._getrandbits = self.rng.getrandbits
-        self._random = self.rng.random
-        self._dur = frame.frame_duration_ms
-        self._lo = model.size_lo
-        self._width = model.size_hi - model.size_lo + 1
-        if self._width < 1:
-            raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
-        self._bits = self._width.bit_length()
-        # model state
-        self._credit = 0.0  # bytes accrued toward the next packet
-        self._on = False
-        self._phase_left = 0.0
-        self._next_size = 0
-        self._on_rate_bpms = 0.0
-        # the generator is kept as a plain function, not a bound method,
-        # so a source holds no reference cycle to itself
-        if self.rate_kbps <= 0:
-            self._generate = TrafficSource._generate_nothing
-        elif model.kind is TrafficKind.CBR:
-            self._generate = TrafficSource._generate_cbr
-        elif model.kind is TrafficKind.ONOFF_VBR:
-            self._generate = TrafficSource._generate_onoff
-            self._phase_left = self.rng.expovariate(1.0 / model.mean_off_ms)
-            self._next_size = self._draw_size()
-            duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
-            self._on_rate_bpms = self.rate_kbps / duty / 8.0  # burst rate while ON
-        else:
-            self._generate = TrafficSource._generate_poisson
-            lam = self.rate_kbps * self._dur / 8.0 / model.mean_size
-            self._chunks = math.ceil(lam / _POISSON_CHUNK)
-            self._chunk_limit = math.exp(-lam / self._chunks)
+def _size_draw(getrandbits, lo: int, hi: int):
+    """A function drawing one packet size uniform over ``lo``..``hi``.
 
-    def _draw_size(self) -> int:
-        width = self._width
-        if width == 1:
-            return self._lo
-        # randrange(lo, hi + 1) minus its Python layers: the same draws, and
-        # the same RNG state after, on Python 3.10-3.13 (see README)
-        bits = self._bits
-        r = self._getrandbits(bits)
+    It is ``randrange(lo, hi + 1)`` minus its Python layers: the same draws,
+    and the same RNG state after, on Python 3.10-3.13 (see README).  A
+    fixed size draws nothing."""
+    if lo == hi:
+        return lambda: lo
+    width = hi - lo + 1
+    bits = width.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(bits)
         while r >= width:
-            r = self._getrandbits(bits)
-        return self._lo + r
+            r = getrandbits(bits)
+        return lo + r
 
-    def generate(self, frame_index: int) -> list[Packet]:
-        """Arrivals within frame ``frame_index``, timestamps non-decreasing."""
-        return self._generate(self, frame_index)
+    return draw
 
-    def _generate_nothing(self, frame_index: int) -> list[Packet]:
-        return []
 
-    def _generate_cbr(self, frame_index: int) -> list[Packet]:
-        # fixed-size packets emitted at frame start whenever a full packet
-        # of credit has accumulated
-        start = frame_index * self._dur
-        self._credit += self.rate_kbps * self._dur / 8.0
-        size = self._lo
+# Each stream below is a generator that is sent frame indices, in order from
+# 0, and answers each with that frame's arrivals: a list of Packets,
+# timestamps non-decreasing.  It keeps its state in its own locals and is
+# primed (run to its first yield) before the first frame is sent.
+
+def _silent():
+    while True:
+        yield []
+
+
+def _cbr(size: int, accrual: float, dur: float):
+    # fixed-size packets emitted at frame start whenever a full packet of
+    # credit has accumulated; ``accrual`` is one frame's bytes
+    credit = 0.0
+    out = None
+    while True:
+        fr = yield out
+        start = fr * dur
+        credit += accrual
         out = []
-        while self._credit >= size:
+        while credit >= size:
             out.append(Packet(size, start))
-            self._credit -= size
-        return out
+            credit -= size
 
-    def _generate_onoff(self, frame_index: int) -> list[Packet]:
-        # walk the exponential on/off process across the frame; while ON,
-        # bytes accrue at the burst rate and a packet leaves the instant its
-        # full size has accrued
-        dur = self._dur
-        start = frame_index * dur
+
+def _onoff(expovariate, draw, rate: float, mean_on: float, mean_off: float,
+           dur: float):
+    # walk the exponential on/off process across the frame; while ON, bytes
+    # accrue at the burst rate (bytes per ms) and a packet leaves the
+    # instant its full size has accrued
+    phase_left = expovariate(1.0 / mean_off)
+    size = draw()
+    credit = 0.0
+    on = False
+    out = None
+    while True:
+        fr = yield out
+        start = fr * dur
         end = start + dur
-        rate = self._on_rate_bpms
-        credit, size = self._credit, self._next_size
-        phase_left, on = self._phase_left, self._on
         out = []
         t = start
         while t < end:
@@ -207,7 +181,7 @@ class TrafficSource:
                         u += dt
                         out.append(Packet(size, u))
                         credit = 0.0
-                        size = self._draw_size()
+                        size = draw()
                     else:
                         credit += rate * (seg_end - u)
                         break
@@ -215,26 +189,124 @@ class TrafficSource:
             phase_left -= seg
             if phase_left <= 1e-12:
                 on = not on
-                mean = self.model.mean_on_ms if on else self.model.mean_off_ms
-                phase_left = self.rng.expovariate(1.0 / mean)
-        self._credit, self._next_size = credit, size
-        self._phase_left, self._on = phase_left, on
-        return out
+                phase_left = expovariate(1.0 / (mean_on if on else mean_off))
 
-    def _generate_poisson(self, frame_index: int) -> list[Packet]:
-        dur = self._dur
-        start = frame_index * dur
-        uniform = self._random
-        limit = self._chunk_limit
+
+def _poisson(uniform, draw, lam: float, dur: float):
+    chunks, limit = _poisson_chunks(lam)
+    out = None
+    while True:
+        fr = yield out
         # Knuth's product method, once per chunk: the count is how many
         # uniforms multiply in before the product falls to exp(-mean)
         n = 0
-        for _ in range(self._chunks):
+        for _ in range(chunks):
             p = uniform()
             while p > limit:
                 n += 1
                 p *= uniform()
-        if not n:
-            return []
-        times = sorted([start + uniform() * dur for _ in range(n)])
-        return [Packet(self._draw_size(), t) for t in times]
+        if n:
+            start = fr * dur
+            times = sorted([start + uniform() * dur for _ in range(n)])
+            out = [Packet(draw(), t) for t in times]
+        else:
+            out = []
+
+
+def _record(frames, counts):
+    # the stream ``frames``, each frame's packet count appended to ``counts``
+    next(frames)
+    out = None
+    while True:
+        fr = yield out
+        out = frames.send(fr)
+        counts.append(len(out))
+
+
+def _replay(size, arrival, counts):
+    packets = map(Packet, size, arrival)
+    out = None
+    while True:
+        fr = yield out
+        out = list(islice(packets, counts[fr]))
+
+
+def _draws(conn: Connection, model: TrafficModel, frame: FrameConfig,
+           rho: float, seed: int):
+    """The stream that draws ``model``'s arrivals for ``conn`` from the RNG
+    seeded by (``seed``, cid)."""
+    effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
+    rate_kbps = model.mean_rate_kbps * effective_rho
+    dur = frame.frame_duration_ms
+    if rate_kbps <= 0:
+        return _silent()
+    if model.kind is TrafficKind.CBR:
+        return _cbr(model.size_lo, rate_kbps * dur / 8.0, dur)
+    rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
+    draw = _size_draw(rng.getrandbits, model.size_lo, model.size_hi)
+    if model.kind is TrafficKind.ONOFF_VBR:
+        duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
+        return _onoff(rng.expovariate, draw, rate_kbps / duty / 8.0,
+                      model.mean_on_ms, model.mean_off_ms, dur)
+    return _poisson(rng.random, draw, rate_kbps * dur / 8.0 / model.mean_size, dur)
+
+
+class Tape:
+    """One connection's recorded stream: every packet's ``size`` and
+    ``arrival`` in generation order, and ``counts[f]`` the number of them
+    generated in frame ``f``.
+
+    The counts are kept because they cannot be rebuilt from the arrivals:
+    a Poisson arrival ``start + uniform() * dur`` can round up to the next
+    frame's start."""
+
+    __slots__ = ("size", "arrival", "counts")
+
+    def __init__(self, size: array, arrival: array):
+        self.size = size
+        self.arrival = arrival
+        self.counts = array("q")
+
+
+class TrafficSource:
+    """One connection's packet generator.
+
+    UGS sources are capped at their provisioned rate: the unsolicited grant
+    is fixed, so offered load beyond it would only build an unserviceable
+    backlog.  Intensities below 1 scale UGS down like every other class.
+
+    Given a blank ``tape``, the source records into it: it draws as usual
+    and appends each frame's packet count to ``tape.counts``, while its
+    caller appends every packet ``generate`` returns to ``tape.size`` and
+    ``tape.arrival`` (the engine's packet log does).  Given a recorded
+    tape, it draws nothing and replays the tape's packets, frame by frame,
+    as new ``Packet`` objects.
+    """
+
+    def __init__(
+        self,
+        conn: Connection,
+        model: TrafficModel,
+        frame: FrameConfig,
+        rho: float = 1.0,
+        seed: int = 0,
+        tape: Tape | None = None,
+    ):
+        if not 0 <= rho < math.inf:
+            raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
+        if model.size_lo > model.size_hi:
+            raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
+        self.conn = conn
+        if tape is None:
+            frames = _draws(conn, model, frame, rho, seed)
+        elif not tape.counts:
+            frames = _record(_draws(conn, model, frame, rho, seed), tape.counts)
+        else:
+            frames = _replay(tape.size, tape.arrival, tape.counts)
+        next(frames)
+        self._frames = frames
+
+    def generate(self, frame_index: int) -> list[Packet]:
+        """Arrivals within frame ``frame_index``, timestamps non-decreasing;
+        frames are generated in order from 0."""
+        return self._frames.send(frame_index)

@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -192,16 +191,3 @@ def test_integer_weights_never_import_fractions():
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
-
-
-def test_weight_monotonicity():
-    rng = random.Random(55)
-    for _ in range(300):
-        demand = rng.randint(5, 60)
-        w_small = float(rng.randint(1, 4))
-        w_big = w_small + rng.randint(1, 6)
-        remaining = rng.randint(0, 80)
-        requests = [req(1, demand), req(2, demand)]
-        start = AllocationResult(allocated={1: 0, 2: 0}, remaining=remaining)
-        result = phase2_excess(start, requests, (w_small, w_big))
-        assert result.allocated[2] >= result.allocated[1] - 1

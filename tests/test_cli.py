@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import uplinksim
+from uplinksim import cli
 from uplinksim.cli import (
     apply_overrides,
     build_parser,
@@ -17,7 +18,7 @@ from uplinksim.cli import (
     write_outputs,
 )
 from uplinksim.config import ConfigError, baseline_config, parse_config
-from uplinksim.engine import SimMode
+from uplinksim.engine import SimMode, Simulation
 
 SMALL = """
 [frame]
@@ -374,3 +375,59 @@ def test_negative_zero_rho_is_zero(tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     rows = [l for l in lines if l.startswith("ss1,")]
     assert rows and all(l.startswith("ss1,1,0.000000,") for l in rows)
+
+
+def test_each_stream_is_drawn_once_and_replayed_by_later_modes(monkeypatch):
+    calls = []
+    run = cli.run
+
+    def spy(scenario, mode, frames, *, tapes=None, **kwargs):
+        # the tapes as handed in, and whether they held a record then
+        calls.append((mode, kwargs["seed"], kwargs["rho"], tapes, bool(tapes)))
+        return run(scenario, mode, frames, tapes=tapes, **kwargs)
+
+    monkeypatch.setattr(cli, "run", spy)
+    cfg = parse_config(SMALL.replace("frames = 200", "frames = 40")
+                       .replace("seeds = 1 2 3 4 5", "seeds = 1 2")
+                       .replace("rhos = 1.0", "rhos = 0.8 1.2"))
+    results, errors = run_matrix(cfg)
+    assert not errors and len(calls) == 12
+    records = {}
+    for mode, seed, rho, tapes, held_record in calls:
+        if mode is SimMode.GPC:  # the first mode of every stream records it
+            assert tapes is not None and not held_record
+            records[(seed, rho)] = tapes
+        else:
+            assert tapes is records[(seed, rho)] and held_record
+    assert len({id(tapes) for tapes in records.values()}) == 4
+    # with one mode, no stream is used twice, so none is recorded
+    calls.clear()
+    run_matrix(parse_config(SMALL.replace("modes = ss1 ss2 gpc", "modes = ss2")))
+    assert len(calls) == 5 and all(tapes is None for *_, tapes, _ in calls)
+
+
+def test_a_failed_recording_leaves_no_record(tmp_path, monkeypatch, capsys):
+    # gpc, the first mode, records every stream and fails halfway; ss1 must
+    # then draw the streams afresh, not replay half a record
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(SMALL)
+    args = ["--config", str(cfg_path), "--frames", "100", "--seeds", "1,2"]
+    assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+    step = Simulation.step
+
+    def faulty(sim):
+        if sim.mode is SimMode.GPC and sim.frame_index == 50:
+            raise RuntimeError("fault in frame 50")
+        return step(sim)
+
+    monkeypatch.setattr(Simulation, "step", faulty)
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "faulty")]) == 3
+    failed = [l for l in capsys.readouterr().err.splitlines()
+              if l.startswith("error: run ")]
+    assert failed == [f"error: run gpc seed={seed} rho=1.0 failed: fault in "
+                      "frame 50" for seed in (1, 2)]
+    for name in ("summary.csv", "timeseries.csv"):
+        clean = (tmp_path / "clean" / name).read_text().splitlines()
+        assert (tmp_path / "faulty" / name).read_text().splitlines() == [
+            l for l in clean if not l.startswith("gpc,")], name

@@ -163,6 +163,20 @@ def test_ugs_packets_must_fit_the_unsolicited_grant(tmp_path, capsys):
     assert parse_config(cbr.replace("400", "320")).scenario.conns[0].traffic.size_hi == 320
 
 
+def test_rates_overflowing_a_frame_are_config_errors(tmp_path, capsys):
+    # 1e308 kbit/s is finite, but one 10 ms frame of it is not: every cell
+    # failed with "cannot convert float infinity to integer" and exit 3
+    for cls, key in (("ugs", "max_sustained_kbps"), ("be", "min_reserved_kbps")):
+        text = MINIMAL.replace("class = rtps", f"class = {cls}") + f"{key} = 1e308\n"
+        assert errors_of(text) == [
+            f"cid 0: {key} must give a finite byte count per frame, got 1e+308"]
+        path = tmp_path / f"{cls}-overflow.cfg"
+        path.write_text(text)
+        assert main(["--config", str(path)]) == 2
+        assert f"config error: cid 0: {key}" in capsys.readouterr().err
+        assert parse_config(text.replace("1e308", "1000")).scenario.conns[0].cid == 0
+
+
 def test_on_off_durations_require_the_onoff_model():
     durations = "rate_kbps = 256\nsize_bytes = 64\non_ms = 5\noff_ms = 7\n"
     for model in ("cbr", "poisson"):

@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from conftest import frame, make_conn
 from reference import reference_draw_size
-from uplinksim.model import ServiceClass
-from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource
+from uplinksim.traffic import _size_draw
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -23,11 +21,13 @@ WIDTHS = sorted({2**k + d for k in range(63) for d in (-1, 0, 1)} - {0})
 @example(seed=12, lo=64, width=1187, draws=50)
 @example(seed=0, lo=1, width=2**62, draws=50)
 def test_draw_size_matches_randrange(seed, lo, width, draws):
+    # _size_draw makes the function every onoff and poisson stream draws
+    # its sizes with
     hi = lo + width - 1
-    model = TrafficModel(TrafficKind.POISSON, 512.0, lo, hi)
-    src = TrafficSource(make_conn(1, ServiceClass.BE), model, frame(), 1.0, seed)
+    rng = random.Random(seed)
     ref = random.Random()
-    ref.setstate(src.rng.getstate())
-    assert ([src._draw_size() for _ in range(draws)]
+    ref.setstate(rng.getstate())
+    draw = _size_draw(rng.getrandbits, lo, hi)
+    assert ([draw() for _ in range(draws)]
             == [reference_draw_size(ref, lo, hi) for _ in range(draws)])
-    assert src.rng.getstate() == ref.getstate()
+    assert rng.getstate() == ref.getstate()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -335,3 +336,31 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
             assert list(zip(log.size[head:], log.arrival[head:])) == [
                 (p.size, p.arrival_time) for p in conn.queue]
     assert any(sim._backlog.values())
+
+
+def log_bytes(result):
+    return {cid: (log.size.tobytes(), log.arrival.tobytes(),
+                  log.departure.tobytes())
+            for cid, log in result.logs.items()}
+
+
+@pytest.mark.parametrize("drop_expired", [False, True])
+def test_replayed_traffic_runs_as_drawn_traffic(drop_expired):
+    scenario = baseline_scenario()
+    tapes = {}
+    recorded = run(scenario, SimMode.GPC, 300, seed=2, rho=1.4,
+                   drop_expired=drop_expired, tapes=tapes)
+    assert sorted(tapes) == [s.cid for s in scenario.conns]
+    # the tapes hold the recording run's own log columns
+    assert all(tapes[cid].size is log.size and tapes[cid].arrival is log.arrival
+               for cid, log in recorded.logs.items())
+    runs = {SimMode.GPC: recorded}
+    for mode in SimMode:
+        drawn = run(scenario, mode, 300, seed=2, rho=1.4,
+                    drop_expired=drop_expired)
+        replayed = runs.get(mode) or run(scenario, mode, 300, seed=2, rho=1.4,
+                                         drop_expired=drop_expired, tapes=tapes)
+        assert log_bytes(replayed) == log_bytes(drawn), mode
+        assert (replayed.granted, replayed.used) == (drawn.granted, drawn.used)
+    assert any(math.isnan(d) for log in recorded.logs.values()
+               for d in log.departure) == drop_expired

@@ -1,12 +1,15 @@
 import hashlib
+from array import array
 from dataclasses import replace
 
 import pytest
 
 from conftest import frame, make_conn
+from uplinksim import traffic
 from uplinksim.config import parse_config
 from uplinksim.model import QosParams, ServiceClass
 from uplinksim.traffic import (
+    Tape,
     TrafficKind,
     TrafficModel,
     TrafficSource,
@@ -253,13 +256,22 @@ def test_traffic_streams_match_pinned_digests(spelling, sizes, latency, rho):
     assert stream_digest(spelling, sizes, latency, rho) == PINNED_STREAMS[key]
 
 
-def test_multi_chunk_poisson_stream_matches_pinned_digest():
+def test_multi_chunk_poisson_stream_matches_pinned_digest(monkeypatch):
     # 300000 kbit/s of 575.5-byte mean packets is 651.6 a frame, summed
     # from two Knuth chunks; width 1024 makes about half of the raw size
     # draws redraw.  Recorded before the size and Poisson draws were inlined.
     sizes, rate = (64, 1087), 300_000.0
+    splits = []
+    poisson_chunks = traffic._poisson_chunks
+
+    def chunks(lam):
+        splits.append(poisson_chunks(lam))
+        return splits[-1]
+
+    monkeypatch.setattr(traffic, "_poisson_chunks", chunks)
     model = TrafficModel(TrafficKind.POISSON, rate, *sizes)
-    assert TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame())._chunks == 2
+    TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame())
+    assert [count for count, _ in splits] == [2]
     assert stream_digest("poisson", sizes, 20.0, 1.0, frames=20, rate_kbps=rate) == (
         "67d9b0568acc7c9a9192b131966681f70ec98bcedc62bc2f793865ca74c071fd")
 
@@ -281,3 +293,66 @@ def test_poisson_large_mean_is_not_truncated():
     frames = 200
     mean = sum(len(src.generate(k)) for k in range(frames)) / frames
     assert abs(mean - 1953.125) / 1953.125 < 0.02
+
+
+def arrivals(pkts):
+    return [(p.size, p.arrival_time) for p in pkts]
+
+
+# (model, rho, frames): every model, the two-chunk Poisson stream above, and
+# a silent source
+REPLAY_CASES = {
+    "cbr": (TrafficModel(TrafficKind.CBR, 900.0, 320, 320), 1.7, 300),
+    "onoff": (TrafficModel(TrafficKind.ONOFF_VBR, 900.0, 64, 1250), 1.7, 300),
+    "poisson": (TrafficModel(TrafficKind.POISSON, 900.0, 64, 1250), 1.7, 300),
+    "poisson-two-chunks":
+        (TrafficModel(TrafficKind.POISSON, 300_000.0, 64, 1087), 1.0, 20),
+    "rate-0": (TrafficModel(TrafficKind.POISSON, 900.0, 64, 1250), 0.0, 50),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_recorded_stream_replays_frame_by_frame(case):
+    model, rho, frames = REPLAY_CASES[case]
+    conn = make_conn(3, ServiceClass.RTPS)
+    plain = TrafficSource(conn, model, frame(), rho, seed=12)
+    tape = Tape(array("q"), array("d"))
+    recording = TrafficSource(conn, model, frame(), rho, seed=12, tape=tape)
+    drawn = []
+    for k in range(frames):
+        pkts = recording.generate(k)
+        drawn.append(arrivals(pkts))
+        assert drawn[-1] == arrivals(plain.generate(k))
+        # the caller's log, as the engine keeps it
+        tape.size.extend(p.size for p in pkts)
+        tape.arrival.extend(p.arrival_time for p in pkts)
+    assert list(tape.counts) == [len(pkts) for pkts in drawn]
+    # a replay draws nothing, so its seed does not matter
+    replaying = TrafficSource(conn, model, frame(), rho, seed=99, tape=tape)
+    assert [arrivals(replaying.generate(k)) for k in range(frames)] == drawn
+
+
+def test_streams_draw_sizes_through_size_draw(monkeypatch):
+    # tests/test_draws.py checks _size_draw; every size the onoff and
+    # poisson streams emit must come from it
+    sizes = []
+    size_draw_of = traffic._size_draw
+
+    def size_draw(getrandbits, lo, hi):
+        draw = size_draw_of(getrandbits, lo, hi)
+
+        def spy():
+            sizes.append(draw())
+            return sizes[-1]
+        return spy
+
+    monkeypatch.setattr(traffic, "_size_draw", size_draw)
+    for kind in (TrafficKind.ONOFF_VBR, TrafficKind.POISSON):
+        sizes.clear()
+        model = TrafficModel(kind, 900.0, 64, 1250)
+        src = TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame(),
+                            1.0, seed=12)
+        emitted = [p.size for k in range(200) for p in src.generate(k)]
+        # the on/off walk draws its next packet's size ahead
+        ahead = 1 if kind is TrafficKind.ONOFF_VBR else 0
+        assert emitted and sizes[:len(sizes) - ahead] == emitted
