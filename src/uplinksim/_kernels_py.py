@@ -1,10 +1,11 @@
 """Scheduling kernels.
 
 These are the hot inner loops of the simulator: weighted excess filling,
-earliest-deadline selection and the deficit round.  The excess filling
-works on plain lists of integers, so its result is exact and reproducible;
-earliest-deadline selection and the deficit round read the heads of the
-connections' live queues and pop the packets they send.
+earliest-deadline selection (which with one common bound is FIFO) and the
+deficit round.  The excess filling works on plain lists of integers, so its
+result is exact and reproducible; earliest-deadline selection and the
+deficit round read the heads of the connections' live queues and pop the
+packets they send.
 """
 
 from __future__ import annotations
@@ -106,18 +107,24 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     return inc
 
 
-def edf_take(conns, budget: int) -> tuple:
+def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
     """Earliest-deadline-first over the connections' live queues.
 
     A packet's deadline is its arrival time plus its connection's
-    ``max_latency_ms``.  Repeatedly picks the head packet with the smallest
-    (deadline, arrival, cid) and pops it; the phase ends at the first pick
-    that does not fit the remaining budget whole.  Returns (entries, used)
-    where ``entries`` lists (cid, packet) in transmission order.
+    ``max_latency_ms``, or plus 0.0 on every connection with ``fifo`` set,
+    which is global arrival order.  Repeatedly picks the head packet with
+    the smallest (deadline, arrival, cid) and pops it; the phase ends at the
+    first pick that does not fit the remaining budget whole.  Returns
+    (entries, used) where ``entries`` lists (cid, packet) in transmission
+    order.
     """
-    # the cid is unique, so two heap items never compare their queues
-    heap = [(q[0].arrival_time + c.qos.max_latency_ms, q[0].arrival_time, c.cid,
-             c.qos.max_latency_ms, q) for c in conns if (q := c.queue)]
+    heap = []
+    for c in conns:
+        if q := c.queue:
+            bound = 0.0 if fifo else c.qos.max_latency_ms
+            arrival = q[0].arrival_time
+            # the cid is unique, so two heap items never compare their queues
+            heap.append((arrival + bound, arrival, c.cid, bound, q))
     heapq.heapify(heap)
     entries = []
     used = 0

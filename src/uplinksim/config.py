@@ -414,14 +414,14 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(out)
 
 
-def baseline_scenario(capacity_bytes: int = 16000) -> Scenario:
+def baseline_scenario() -> Scenario:
     """Built-in four-station cell: each SS carries one connection of every
     service class with the default QoS contracts and traffic sources.
 
-    The default capacity leaves headroom above the 7680 bytes/frame of
+    Its 16000-byte capacity leaves headroom above the 7680 bytes/frame of
     guaranteed minimums so the excess-distribution phase has work to do.
     """
-    frame = FrameConfig(frame_duration_ms=10.0, uplink_capacity_bytes=capacity_bytes)
+    frame = FrameConfig(frame_duration_ms=10.0, uplink_capacity_bytes=16000)
     models = default_models()
     order = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS, ServiceClass.BE)
     specs = []

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .bs_alloc import (
     BandwidthRequest,
@@ -112,38 +112,6 @@ class ScenarioError(ValueError):
         self.problems = problems
 
 
-@dataclass(slots=True)
-class FrameTrace:
-    alloc: dict[int, int]  # per-connection bytes awarded this frame
-    granted_bytes: int
-    used_bytes: int
-
-
-class PacketHistory(Mapping):
-    """Read-only cid -> ``list[Packet]`` view of a run's packet logs.
-
-    A connection's list is built on first access and kept, so the same
-    objects come back on every later access, and edits to them stay
-    visible.
-    """
-
-    def __init__(self, logs: dict[int, PacketLog]):
-        self._logs = logs
-        self._built: dict[int, list[Packet]] = {}
-
-    def __getitem__(self, cid: int) -> list[Packet]:
-        pkts = self._built.get(cid)
-        if pkts is None:
-            pkts = self._built[cid] = self._logs[cid].packets()
-        return pkts
-
-    def __iter__(self):
-        return iter(self._logs)
-
-    def __len__(self) -> int:
-        return len(self._logs)
-
-
 @dataclass
 class RunResult:
     """Everything the metrics need: the simulation's ``PacketLog`` per
@@ -161,10 +129,13 @@ class RunResult:
     logs: dict[int, PacketLog]
     granted: list[int]
     used: list[int]
-    history: PacketHistory = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.history = PacketHistory(self.logs)
+    @cached_property
+    def history(self) -> dict[int, list[Packet]]:
+        """cid -> the connection's packets as ``Packet`` objects, built
+        once, on first access, so every access returns the same objects and
+        edits to them stay visible."""
+        return {cid: log.packets() for cid, log in self.logs.items()}
 
     def backlog(self, cid: int) -> int:
         """Bytes still queued at run end."""
@@ -181,7 +152,9 @@ class Simulation:
     every frame's transmission), the traffic feeds, the per-connection
     packet logs and the per-station class partitions.  ``logs`` is the
     complete record after every ``step()``: each packet is logged when it
-    arrives, and its departure when it leaves its queue.
+    arrives, and its departure when it leaves its queue.  Each ``step()``
+    also appends the frame's bytes granted and used to ``granted`` and
+    ``used``.
 
     ``tapes`` maps cid to the ``Tape`` of that connection's traffic.  None
     draws every stream; an empty dict is filled with tapes that record
@@ -238,8 +211,10 @@ class Simulation:
         }
         self.frame_index = 0
         self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
+        self.granted: list[int] = []
+        self.used: list[int] = []
 
-    def step(self) -> FrameTrace:
+    def step(self) -> None:
         fr = self.frame_index
         backlog = self._backlog
 
@@ -307,12 +282,9 @@ class Simulation:
         for req in self._elastic:
             req.requested_bytes = backlog[req.cid]
 
+        self.granted.append(sum(alloc.values()))
+        self.used.append(used)
         self.frame_index = fr + 1
-        return FrameTrace(
-            alloc=alloc,
-            granted_bytes=sum(alloc.values()),
-            used_bytes=used,
-        )
 
 
 def run(
@@ -330,12 +302,8 @@ def run(
         raise ValueError(f"frames must be > 0, got {frames}")
     sim = Simulation(scenario, mode, seed=seed, rho=rho,
                      drop_expired=drop_expired, tapes=tapes)
-    granted = []
-    used = []
     for _ in range(frames):
-        trace = sim.step()
-        granted.append(trace.granted_bytes)
-        used.append(trace.used_bytes)
+        sim.step()
     return RunResult(
         mode=mode,
         seed=seed,
@@ -344,6 +312,6 @@ def run(
         frame=scenario.frame,
         conns=scenario.conns,
         logs=sim.logs,
-        granted=granted,
-        used=used,
+        granted=sim.granted,
+        used=sim.used,
     )

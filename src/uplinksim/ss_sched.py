@@ -12,7 +12,6 @@ Packets are never fragmented: a packet is either sent whole or left queued.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from . import _backend
@@ -68,32 +67,11 @@ class Station:
         self.cursor = 0
 
 
-def _drain_fifo(conns, budget: int) -> tuple[Entries, int]:
-    # global arrival order across the given queues, cid breaking ties;
-    # the phase stops at the first head that does not fit whole
-    heap = [
-        (c.queue[0].arrival_time, c.cid, c) for c in conns if c.queue
-    ]
-    heapq.heapify(heap)
-    entries = []
-    used = 0
-    while heap:
-        _, cid, conn = heapq.heappop(heap)
-        pkt = conn.queue[0]
-        if used + pkt.size > budget:
-            break
-        conn.queue.popleft()
-        used += pkt.size
-        entries.append((cid, pkt))
-        if conn.queue:
-            heapq.heappush(heap, (conn.queue[0].arrival_time, cid, conn))
-    return entries, used
-
-
 def serve_ugs(ugs_conns, budget: int) -> tuple[Entries, int]:
-    """Drain UGS queues in arrival order while whole packets fit ``budget``
-    bytes.  Returns (entries, used)."""
-    return _drain_fifo(ugs_conns, budget)
+    """Drain UGS queues in arrival order (cid breaking ties) while whole
+    packets fit ``budget`` bytes: deadline selection with one common bound.
+    Returns (entries, used)."""
+    return _backend.kernels.edf_take(ugs_conns, budget, fifo=True)
 
 
 def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
@@ -148,7 +126,7 @@ def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
     entries: Entries = []
     used = 0
     for conns in (station.ugs, station.rtps, station.nrtps, station.be):
-        more, spent = _drain_fifo(conns, grant - used)
+        more, spent = _backend.kernels.edf_take(conns, grant - used, fifo=True)
         entries += more
         used += spent
         if any(c.queue for c in conns):

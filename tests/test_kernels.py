@@ -1,7 +1,7 @@
 """Property tests of the scheduling kernels against their oracles: the
 water-filling kernel against the exact allocation, earliest-deadline
-selection against one global sort, and the deficit round against a plain
-list simulation."""
+selection (and, with one common bound, FIFO) against one global sort, and
+the deficit round against a plain list simulation."""
 
 import pytest
 
@@ -84,18 +84,25 @@ def edf_instances(draw):
 @example(([20.0], [[]], [[]], [7], 100))                        # empty queue
 @example(([20.0], [[0.0, 1.0]], [[10, 20]], [7], 0))            # zero budget
 @example(([20.0, 5.0], [[0.0], [10.0]], [[300], [200]], [1, 2], 200))  # exact fit
+@example(([5.0, 20.0, 1.0], [[3.0, 3.0], [3.0], [3.0]], [[10, 20], [30], [40]],
+          [9, 2, 5], 1000))                                     # equal arrivals
+@example(([20.0, 1.0], [[0.0], [0.0]], [[1], [1]], [4, 3], 0))  # zero budget
 def test_edf_take_matches_sorted_reference(instance):
+    # each instance runs twice: under the queues' own bounds, and with fifo
+    # set, where every bound is 0 and a deadline is the arrival itself
     bounds, arrivals, sizes, cids, budget = instance
-    conns = [rtps_conn(cids[q], bounds[q], sizes=sizes[q], arrivals=arrivals[q])
-             for q in range(len(cids))]
-    originals = [list(c.queue) for c in conns]
-    entries, used = edf_take(conns, budget)
-    deadlines = [[a + bound for a in arr] for arr, bound in zip(arrivals, bounds)]
-    sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
-    expected, leftovers = oracle_split(sent, cids, originals)
-    assert same_packets(entries, expected)
-    assert used == ref_used
-    assert [list(c.queue) for c in conns] == leftovers
+    for fifo in (False, True):
+        conns = [rtps_conn(cids[q], bounds[q], sizes=sizes[q],
+                           arrivals=arrivals[q]) for q in range(len(cids))]
+        originals = [list(c.queue) for c in conns]
+        entries, used = edf_take(conns, budget, fifo=fifo)
+        deadlines = [[a + (0.0 if fifo else bound) for a in arr]
+                     for arr, bound in zip(arrivals, bounds)]
+        sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
+        expected, leftovers = oracle_split(sent, cids, originals)
+        assert same_packets(entries, expected), fifo
+        assert used == ref_used
+        assert [list(c.queue) for c in conns] == leftovers
 
 
 @st.composite

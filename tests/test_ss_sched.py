@@ -289,6 +289,19 @@ def test_ss2_fifo_over_be_alone():
     assert [p.size for _, p in tx.entries] == [10, 20, 30]
 
 
+def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
+    # deadlines 120 and 15: ss1's EDF sends cid 2 first, while strict
+    # priority is FIFO inside the class and sends the earlier arrival first
+    def rtps_pair():
+        return [rtps_conn(1, 120.0, sizes=[100], arrivals=[0.0]),
+                rtps_conn(2, 10.0, sizes=[100], arrivals=[5.0])]
+
+    ss1 = schedule_frame_ss1(Station(rtps_pair(), frame()), 1000)
+    ss2 = schedule_frame_ss2(Station(rtps_pair(), frame()), 1000)
+    assert [cid for cid, _ in ss1.entries] == [2, 1]
+    assert [cid for cid, _ in ss2.entries] == [1, 2]
+
+
 def test_ss2_matches_ss1_packet_set_when_uncontended():
     conns1 = four_class_station()
     conns2 = four_class_station()
