@@ -22,7 +22,7 @@ from .config import (
     override_run,
     parse_config,
 )
-from .engine import RunResult, SimMode, run
+from .engine import RunResult, SimMode, draw_streams, run
 from .metrics import run_summary, window_metrics
 
 
@@ -87,32 +87,29 @@ def run_matrix(cfg: ScenarioConfig):
     errors), each in that order.
 
     A cell's traffic depends on its seed and rho only, so the modes of a
-    (seed, rho) stream share it: the first cell that runs it records it
-    when a later mode will use it, and the later modes replay that record.
-    A cell that raises while recording leaves none behind.
+    (seed, rho) stream share it: the first of them draws it, and it is
+    dropped after its last mode has run.  A draw that raises keeps
+    nothing, so each later mode of that stream draws it again.
     """
     results: dict[tuple[SimMode, int, float], RunResult] = {}
     errors: dict[tuple[SimMode, int, float], Exception] = {}
     cells = matrix_cells(cfg)
     modes_left = Counter((seed, rho) for _, seed, rho in cells)
-    recorded: dict[tuple[int, float], dict] = {}
+    drawn: dict[tuple[int, float], dict] = {}
     for mode, seed, rho in cells:
-        stream = (seed, rho)
-        modes_left[stream] -= 1
-        recording = modes_left[stream] > 0 and stream not in recorded
-        tapes = {} if recording else recorded.get(stream)
-        if not modes_left[stream]:  # the record goes with the stream's last mode
-            recorded.pop(stream, None)
+        key = (seed, rho)
         try:
+            if key not in drawn:
+                drawn[key] = draw_streams(cfg.scenario, cfg.frames, seed, rho)
             results[(mode, seed, rho)] = run(
                 cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
-                drop_expired=cfg.drop_expired, tapes=tapes,
+                drop_expired=cfg.drop_expired, streams=drawn[key],
             )
         except Exception as exc:
             errors[(mode, seed, rho)] = exc
-        else:
-            if recording:
-                recorded[stream] = tapes
+        modes_left[key] -= 1
+        if not modes_left[key]:
+            drawn.pop(key, None)
     return results, errors
 
 

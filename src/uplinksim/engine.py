@@ -37,7 +37,13 @@ from .model import (
     validate_scenario,
 )
 from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
-from .traffic import Tape, TrafficModel, TrafficSource, model_violations
+from .traffic import (
+    Stream,
+    TrafficModel,
+    TrafficSource,
+    draw_stream,
+    model_violations,
+)
 
 
 class SimMode(Enum):
@@ -105,6 +111,12 @@ class Scenario:
                                     f"exceeds its unsolicited grant {grant} bytes/frame")
         return problems
 
+    def check(self) -> None:
+        """Raise ``ScenarioError`` naming every problem, if there are any."""
+        problems = self.problems()
+        if problems:
+            raise ScenarioError(problems)
+
 
 class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
@@ -112,10 +124,20 @@ class ScenarioError(ValueError):
         self.problems = problems
 
 
+def draw_streams(scenario: Scenario, frames: int, seed: int = 1,
+                 rho: float = 1.0) -> dict[int, Stream]:
+    """cid -> that connection's whole stream over ``frames`` frames, once
+    ``scenario`` has passed its checks.  The streams depend on nothing
+    else, so every mode of a (seed, rho) cell can run on the same ones."""
+    scenario.check()
+    return {s.cid: draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
+            for s in scenario.conns}
+
+
 @dataclass
 class RunResult:
     """Everything the metrics need: the simulation's ``PacketLog`` per
-    connection (every packet logged on arrival: delivered, dropped or still
+    connection (every packet of its stream: delivered, dropped or still
     queued) and the per-frame counters.  ``history`` presents the logs as
     ``Packet`` objects for callers that want them; the metrics and the CSV
     writer read the columns."""
@@ -144,45 +166,47 @@ class RunResult:
 
 
 class Simulation:
-    """Single deterministic run; drive it with step(), or use run().
+    """Single deterministic run of ``frames`` frames; drive it with step(),
+    or use run().
 
     Everything that is fixed for the cell is built here once: the
     allocation plan, one request per connection in cid order (UGS requests
     hold their fixed grant, the others are refreshed from the backlog after
     every frame's transmission), the traffic feeds, the per-connection
-    packet logs and the per-station class partitions.  ``logs`` is the
-    complete record after every ``step()``: each packet is logged when it
-    arrives, and its departure when it leaves its queue.  Each ``step()``
-    also appends the frame's bytes granted and used to ``granted`` and
-    ``used``.
+    packet logs and the per-station class partitions.
 
-    ``tapes`` maps cid to the ``Tape`` of that connection's traffic.  None
-    draws every stream; an empty dict is filled with tapes that record
-    this run's streams, whose packet columns are its own logs'; and a dict
-    filled by a finished run of the same scenario, seed and rho, for at
-    least as many frames, is replayed without drawing.
+    ``streams`` maps cid to that connection's ``Stream``, as
+    ``draw_streams`` draws it for the same scenario, seed, rho and frames;
+    without it the run draws its own.  Each log's ``size`` and ``arrival``
+    are its stream's columns, which no run writes, so cells can share them.
+    Each ``step()`` appends a departure to the log of every packet that
+    leaves its queue, and the frame's bytes granted and used to
+    ``granted`` and ``used``.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         mode: SimMode,
+        frames: int,
         seed: int = 1,
         rho: float = 1.0,
         drop_expired: bool = False,
-        tapes: dict[int, Tape] | None = None,
+        streams: dict[int, Stream] | None = None,
     ):
+        if frames <= 0:
+            raise ValueError(f"frames must be > 0, got {frames}")
         self.frame_cfg = scenario.frame
         self.mode = mode
         self.drop_expired = drop_expired
-        problems = scenario.problems()
-        if problems:
-            raise ScenarioError(problems)
+        if streams is None:
+            streams = draw_streams(scenario, frames, seed, rho)
+        else:
+            scenario.check()
         self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg
         conns = self.connections
-        models = {s.cid: s.traffic for s in scenario.conns}
         self.plan = allocation_plan(conns, cfg)
         ugs = [c.service_class is ServiceClass.UGS for c in conns]
         self.requests = list(map(
@@ -191,18 +215,10 @@ class Simulation:
             [guaranteed_bytes(c, cfg) if u else 0 for c, u in zip(conns, ugs)],
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
-        self.logs = {c.cid: PacketLog() for c in conns}
-        if tapes is not None and not tapes:
-            tapes.update((cid, Tape(log.size, log.arrival))
-                         for cid, log in self.logs.items())
-        # column appends bound once per connection: a packet's size and
-        # arrival are logged when it arrives, its departure when it exits
-        self._feeds = [
-            (c, TrafficSource(c, models[c.cid], cfg, rho, seed,
-                              None if tapes is None else tapes[c.cid]),
-             self.logs[c.cid].size.append, self.logs[c.cid].arrival.append)
-            for c in conns
-        ]
+        self.logs = {c.cid: PacketLog(streams[c.cid].size, streams[c.cid].arrival)
+                     for c in conns}
+        self._feeds = [(c, TrafficSource(c, streams[c.cid])) for c in conns]
+        # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
         self._stations = {
@@ -230,16 +246,13 @@ class Simulation:
             grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for conn, source, log_size, log_arrival in self._feeds:
+        for conn, source in self._feeds:
             pkts = source.generate(fr)
             if pkts:
                 conn.queue.extend(pkts)
                 nbytes = 0
                 for p in pkts:
-                    size = p.size
-                    log_size(size)
-                    log_arrival(p.arrival_time)
-                    nbytes += size
+                    nbytes += p.size
                 backlog[conn.cid] += nbytes
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
@@ -294,14 +307,12 @@ def run(
     seed: int = 1,
     rho: float = 1.0,
     drop_expired: bool = False,
-    tapes: dict[int, Tape] | None = None,
+    streams: dict[int, Stream] | None = None,
 ) -> RunResult:
     """Execute a full deterministic run and gather the metric inputs;
-    ``tapes`` records or replays the traffic as in ``Simulation``."""
-    if frames <= 0:
-        raise ValueError(f"frames must be > 0, got {frames}")
-    sim = Simulation(scenario, mode, seed=seed, rho=rho,
-                     drop_expired=drop_expired, tapes=tapes)
+    ``streams`` are as in ``Simulation``."""
+    sim = Simulation(scenario, mode, frames, seed=seed, rho=rho,
+                     drop_expired=drop_expired, streams=streams)
     for _ in range(frames):
         sim.step()
     return RunResult(

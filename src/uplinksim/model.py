@@ -61,10 +61,10 @@ class Packet:
     """One uplink packet while it is queued.  An rtPS packet's deadline is
     ``arrival_time`` plus its connection's ``max_latency_ms``.
 
-    The engine never writes ``departure_time`` or ``dropped``: a packet is
-    recorded in its connection's ``PacketLog``.  Only the ``Packet`` objects
-    that ``RunResult.history`` rebuilds from the logs carry them
-    (``None``/``False`` while still queued)."""
+    The engine never writes ``departure_time`` or ``dropped``: a packet's
+    exit is recorded in its connection's ``PacketLog``.  Only the
+    ``Packet`` objects that ``RunResult.history`` rebuilds from the logs
+    carry them (``None``/``False`` while still queued)."""
 
     size: int
     arrival_time: float
@@ -79,20 +79,23 @@ MAX_PACKET_BYTES = 2**63 - 1
 class PacketLog:
     """One connection's packets in generation order, as columns.
 
-    The engine appends a packet's ``size`` and ``arrival`` when it arrives,
-    and its ``departure`` when it leaves its queue: the end of the frame
-    that sent it, or NaN when it was dropped on deadline expiry.  Every
-    exit is a pop from the head of a FIFO queue, so the exited packets are
-    a prefix of the log, and the rows from ``len(departure)`` on are the
-    queue.  Row ``k`` has therefore departed or been dropped iff
-    ``k < len(departure)``.
+    ``size`` and ``arrival`` are the connection's traffic stream, drawn
+    whole before the run and shared, read only, by every cell of that
+    stream.  The cell's own column is ``departure``: the engine appends a
+    packet's departure when it leaves its queue, the end of the frame that
+    sent it, or NaN when it was dropped on deadline expiry.  Every exit is
+    a pop from the head of a FIFO queue, so the exited packets are a prefix
+    of the log.  Between frames the rows from ``len(departure)`` up to the
+    number arrived are the queue, and the rows after them are still to
+    arrive; after the last frame every row has arrived.  Row ``k`` has
+    departed or been dropped iff ``k < len(departure)``.
     """
 
     __slots__ = ("size", "arrival", "departure")
 
-    def __init__(self):
-        self.size = array("q")
-        self.arrival = array("d")
+    def __init__(self, size: array, arrival: array):
+        self.size = size
+        self.arrival = arrival
         self.departure = array("d")
 
     def packets(self) -> list[Packet]:

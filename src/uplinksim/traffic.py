@@ -2,9 +2,10 @@
 
 Every connection owns an independent, deterministically seeded RNG stream
 derived from (run seed, cid), so a scenario replays byte-identically for the
-same seed regardless of which other connections run beside it.  A stream
-so depends on (seed, cid, rho) only, and a ``Tape`` lets the cells of a
-matrix that share it draw it once and replay it.
+same seed regardless of which other connections run beside it.  The
+sources are open-loop: a stream depends on (seed, cid, rho, frames) only,
+never on scheduling, so ``draw_stream`` draws it whole before the frame
+loop and every cell of the same stream reads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
+from typing import NamedTuple
 
 from .model import (
     MAX_PACKET_BYTES,
@@ -129,46 +131,54 @@ def _size_draw(getrandbits, lo: int, hi: int):
     return draw
 
 
-# Each stream below is a generator that is sent frame indices, in order from
-# 0, and answers each with that frame's arrivals: a list of Packets,
-# timestamps non-decreasing.  It keeps its state in its own locals and is
-# primed (run to its first yield) before the first frame is sent.
+class Stream(NamedTuple):
+    """One connection's whole traffic: every packet's ``size`` and
+    ``arrival`` in generation order, and ``counts[f]`` the number of them
+    that arrive in frame ``f``.
 
-def _silent():
-    while True:
-        yield []
+    The counts are kept because they cannot be rebuilt from the arrivals:
+    a Poisson arrival ``start + uniform() * dur`` can round up to the next
+    frame's start."""
+
+    size: array
+    arrival: array
+    counts: array
 
 
-def _cbr(size: int, accrual: float, dur: float):
+# Each model below draws a stream whole, frame by frame from 0, appending
+# to the stream's columns; timestamps are non-decreasing.
+
+def _cbr(stream: Stream, frames: int, size: int, accrual: float, dur: float):
     # fixed-size packets emitted at frame start whenever a full packet of
     # credit has accumulated; ``accrual`` is one frame's bytes
+    arrival, counts = stream.arrival, stream.counts
     credit = 0.0
-    out = None
-    while True:
-        fr = yield out
+    for fr in range(frames):
         start = fr * dur
         credit += accrual
-        out = []
+        n = 0
         while credit >= size:
-            out.append(Packet(size, start))
+            arrival.append(start)
             credit -= size
+            n += 1
+        counts.append(n)
+    stream.size.extend(repeat(size, len(arrival)))
 
 
-def _onoff(expovariate, draw, rate: float, mean_on: float, mean_off: float,
-           dur: float):
-    # walk the exponential on/off process across the frame; while ON, bytes
-    # accrue at the burst rate (bytes per ms) and a packet leaves the
+def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
+           mean_on: float, mean_off: float, dur: float):
+    # walk the exponential on/off process across each frame; while ON,
+    # bytes accrue at the burst rate (bytes per ms) and a packet leaves the
     # instant its full size has accrued
+    sizes, arrival, counts = stream
     phase_left = expovariate(1.0 / mean_off)
     size = draw()
     credit = 0.0
     on = False
-    out = None
-    while True:
-        fr = yield out
+    for fr in range(frames):
         start = fr * dur
         end = start + dur
-        out = []
+        arrived = len(arrival)
         t = start
         while t < end:
             seg = min(phase_left, end - t)
@@ -179,7 +189,8 @@ def _onoff(expovariate, draw, rate: float, mean_on: float, mean_off: float,
                     dt = (size - credit) / rate
                     if u + dt < seg_end:
                         u += dt
-                        out.append(Packet(size, u))
+                        sizes.append(size)
+                        arrival.append(u)
                         credit = 0.0
                         size = draw()
                     else:
@@ -190,13 +201,14 @@ def _onoff(expovariate, draw, rate: float, mean_on: float, mean_off: float,
             if phase_left <= 1e-12:
                 on = not on
                 phase_left = expovariate(1.0 / (mean_on if on else mean_off))
+        counts.append(len(arrival) - arrived)
 
 
-def _poisson(uniform, draw, lam: float, dur: float):
+def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
+             dur: float):
+    sizes, arrival, counts = stream
     chunks, limit = _poisson_chunks(lam)
-    out = None
-    while True:
-        fr = yield out
+    for fr in range(frames):
         # Knuth's product method, once per chunk: the count is how many
         # uniforms multiply in before the product falls to exp(-mean)
         n = 0
@@ -206,107 +218,58 @@ def _poisson(uniform, draw, lam: float, dur: float):
                 n += 1
                 p *= uniform()
         if n:
+            # the arrival times are drawn first, then the sizes
             start = fr * dur
-            times = sorted([start + uniform() * dur for _ in range(n)])
-            out = [Packet(draw(), t) for t in times]
-        else:
-            out = []
+            arrival.extend(sorted([start + uniform() * dur for _ in range(n)]))
+            sizes.extend([draw() for _ in range(n)])
+        counts.append(n)
 
 
-def _record(frames, counts):
-    # the stream ``frames``, each frame's packet count appended to ``counts``
-    next(frames)
-    out = None
-    while True:
-        fr = yield out
-        out = frames.send(fr)
-        counts.append(len(out))
-
-
-def _replay(size, arrival, counts):
-    packets = map(Packet, size, arrival)
-    out = None
-    while True:
-        fr = yield out
-        out = list(islice(packets, counts[fr]))
-
-
-def _draws(conn: Connection, model: TrafficModel, frame: FrameConfig,
-           rho: float, seed: int):
-    """The stream that draws ``model``'s arrivals for ``conn`` from the RNG
-    seeded by (``seed``, cid)."""
-    effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
-    rate_kbps = model.mean_rate_kbps * effective_rho
-    dur = frame.frame_duration_ms
-    if rate_kbps <= 0:
-        return _silent()
-    if model.kind is TrafficKind.CBR:
-        return _cbr(model.size_lo, rate_kbps * dur / 8.0, dur)
-    rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
-    draw = _size_draw(rng.getrandbits, model.size_lo, model.size_hi)
-    if model.kind is TrafficKind.ONOFF_VBR:
-        duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
-        return _onoff(rng.expovariate, draw, rate_kbps / duty / 8.0,
-                      model.mean_on_ms, model.mean_off_ms, dur)
-    return _poisson(rng.random, draw, rate_kbps * dur / 8.0 / model.mean_size, dur)
-
-
-class Tape:
-    """One connection's recorded stream: every packet's ``size`` and
-    ``arrival`` in generation order, and ``counts[f]`` the number of them
-    generated in frame ``f``.
-
-    The counts are kept because they cannot be rebuilt from the arrivals:
-    a Poisson arrival ``start + uniform() * dur`` can round up to the next
-    frame's start."""
-
-    __slots__ = ("size", "arrival", "counts")
-
-    def __init__(self, size: array, arrival: array):
-        self.size = size
-        self.arrival = arrival
-        self.counts = array("q")
-
-
-class TrafficSource:
-    """One connection's packet generator.
+def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
+                rho: float, seed: int, frames: int) -> Stream:
+    """``conn``'s arrivals over ``frames`` frames, drawn from the RNG seeded
+    by (``seed``, cid); ``conn`` needs only ``cid`` and ``service_class``.
 
     UGS sources are capped at their provisioned rate: the unsolicited grant
     is fixed, so offered load beyond it would only build an unserviceable
     backlog.  Intensities below 1 scale UGS down like every other class.
-
-    Given a blank ``tape``, the source records into it: it draws as usual
-    and appends each frame's packet count to ``tape.counts``, while its
-    caller appends every packet ``generate`` returns to ``tape.size`` and
-    ``tape.arrival`` (the engine's packet log does).  Given a recorded
-    tape, it draws nothing and replays the tape's packets, frame by frame,
-    as new ``Packet`` objects.
     """
-
-    def __init__(
-        self,
-        conn: Connection,
-        model: TrafficModel,
-        frame: FrameConfig,
-        rho: float = 1.0,
-        seed: int = 0,
-        tape: Tape | None = None,
-    ):
-        if not 0 <= rho < math.inf:
-            raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
-        if model.size_lo > model.size_hi:
-            raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
-        self.conn = conn
-        if tape is None:
-            frames = _draws(conn, model, frame, rho, seed)
-        elif not tape.counts:
-            frames = _record(_draws(conn, model, frame, rho, seed), tape.counts)
+    if not 0 <= rho < math.inf:
+        raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
+    if model.size_lo > model.size_hi:
+        raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
+    stream = Stream(array("q"), array("d"), array("q"))
+    effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
+    rate_kbps = model.mean_rate_kbps * effective_rho
+    dur = frame.frame_duration_ms
+    if rate_kbps <= 0:
+        stream.counts.extend(repeat(0, frames))
+    elif model.kind is TrafficKind.CBR:
+        _cbr(stream, frames, model.size_lo, rate_kbps * dur / 8.0, dur)
+    else:
+        rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
+        draw = _size_draw(rng.getrandbits, model.size_lo, model.size_hi)
+        if model.kind is TrafficKind.ONOFF_VBR:
+            duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
+            _onoff(stream, frames, rng.expovariate, draw, rate_kbps / duty / 8.0,
+                   model.mean_on_ms, model.mean_off_ms, dur)
         else:
-            frames = _replay(tape.size, tape.arrival, tape.counts)
-        next(frames)
-        self._frames = frames
+            _poisson(stream, frames, rng.random, draw,
+                     rate_kbps * dur / 8.0 / model.mean_size, dur)
+    return stream
+
+
+class TrafficSource:
+    """Hands one connection's ``Stream`` out frame by frame, as new
+    ``Packet`` objects."""
+
+    def __init__(self, conn: Connection, stream: Stream):
+        self.conn = conn
+        self._counts = stream.counts
+        self._packets = map(Packet, stream.size, stream.arrival)
 
     def generate(self, frame_index: int) -> list[Packet]:
         """Arrivals within frame ``frame_index``, timestamps non-decreasing;
-        frames are generated in order from 0."""
-        return self._frames.send(frame_index)
+        frames are handed out in order from 0."""
+        n = self._counts[frame_index]
+        return list(islice(self._packets, n)) if n else []

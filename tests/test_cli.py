@@ -3,12 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import uplinksim
-from uplinksim import cli
+from uplinksim import cli, engine
 from uplinksim.cli import (
     apply_overrides,
     build_parser,
@@ -18,7 +21,7 @@ from uplinksim.cli import (
     write_outputs,
 )
 from uplinksim.config import ConfigError, baseline_config, parse_config
-from uplinksim.engine import SimMode, Simulation
+from uplinksim.engine import ScenarioError, SimMode, Simulation, draw_streams
 
 SMALL = """
 [frame]
@@ -50,7 +53,6 @@ class = be
 def test_matrix_cardinality_and_dedup():
     cfg = parse_config(SMALL)
     assert len(matrix_cells(cfg)) == 15  # 3 modes x 5 seeds x 1 rho
-    from dataclasses import replace
 
     dup = replace(cfg, seeds=(1, 1, 2), modes=(SimMode.SS1, SimMode.SS1))
     assert len(matrix_cells(dup)) == 2
@@ -235,7 +237,6 @@ def test_sim_out_env_override(tmp_path, monkeypatch):
 
 
 def test_rho_sweep_utilization_rises_until_saturation(tmp_path):
-    from dataclasses import replace
 
     cfg = replace(
         baseline_config(),
@@ -279,7 +280,6 @@ PINNED_DIGESTS = {
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
     import hashlib
-    from dataclasses import replace
 
     from uplinksim.config import serialize_config
 
@@ -302,7 +302,6 @@ def test_connection_order_does_not_change_outputs(tmp_path):
     # in cid order, and the [connection] sections are listed in reverse: the
     # per-cell allocation plan and station partitions must still give the
     # sorted twin's bytes, through a file and through the API
-    from dataclasses import replace
 
     from uplinksim.config import serialize_config
 
@@ -377,33 +376,89 @@ def test_negative_zero_rho_is_zero(tmp_path):
     assert rows and all(l.startswith("ss1,1,0.000000,") for l in rows)
 
 
-def test_each_stream_is_drawn_once_and_replayed_by_later_modes(monkeypatch):
-    calls = []
-    run = cli.run
+def test_each_stream_is_drawn_once_per_matrix(monkeypatch):
+    drawn = Counter()
+    draw_stream = engine.draw_stream
 
-    def spy(scenario, mode, frames, *, tapes=None, **kwargs):
-        # the tapes as handed in, and whether they held a record then
-        calls.append((mode, kwargs["seed"], kwargs["rho"], tapes, bool(tapes)))
-        return run(scenario, mode, frames, tapes=tapes, **kwargs)
+    def spy(conn, model, frame, rho, seed, frames):
+        drawn[(seed, rho, conn.cid)] += 1
+        return draw_stream(conn, model, frame, rho, seed, frames)
 
-    monkeypatch.setattr(cli, "run", spy)
-    cfg = parse_config(SMALL.replace("frames = 200", "frames = 40")
-                       .replace("seeds = 1 2 3 4 5", "seeds = 1 2")
-                       .replace("rhos = 1.0", "rhos = 0.8 1.2"))
+    monkeypatch.setattr(engine, "draw_stream", spy)
+    for modes, seeds, rhos in (("ss1 ss2 gpc", "1 2", "0.8 1.2"),
+                               ("ss2", "1 2 3 4 5", "1.0")):
+        drawn.clear()
+        cfg = parse_config(SMALL.replace("frames = 200", "frames = 40")
+                           .replace("modes = ss1 ss2 gpc", f"modes = {modes}")
+                           .replace("seeds = 1 2 3 4 5", f"seeds = {seeds}")
+                           .replace("rhos = 1.0", f"rhos = {rhos}"))
+        results, errors = run_matrix(cfg)
+        assert not errors and len(results) == len(matrix_cells(cfg))
+        assert drawn == Counter(product(cfg.seeds, cfg.rhos, (0, 1, 2)))
+
+
+def test_modes_share_each_streams_columns():
+    cfg = replace(baseline_config(), frames=100, seeds=(1, 2), rhos=(1.4,),
+                  modes=tuple(SimMode), drop_expired=True)
     results, errors = run_matrix(cfg)
-    assert not errors and len(calls) == 12
-    records = {}
-    for mode, seed, rho, tapes, held_record in calls:
-        if mode is SimMode.GPC:  # the first mode of every stream records it
-            assert tapes is not None and not held_record
-            records[(seed, rho)] = tapes
-        else:
-            assert tapes is records[(seed, rho)] and held_record
-    assert len({id(tapes) for tapes in records.values()}) == 4
-    # with one mode, no stream is used twice, so none is recorded
-    calls.clear()
-    run_matrix(parse_config(SMALL.replace("modes = ss1 ss2 gpc", "modes = ss2")))
-    assert len(calls) == 5 and all(tapes is None for *_, tapes, _ in calls)
+    assert not errors and len(results) == 6
+    for seed in cfg.seeds:
+        fresh = draw_streams(cfg.scenario, cfg.frames, seed, 1.4)
+        cells = [results[(mode, seed, 1.4)] for mode in SimMode]
+        for cid, stream in fresh.items():
+            logs = [cell.logs[cid] for cell in cells]
+            assert all(log.size is logs[0].size and log.arrival is logs[0].arrival
+                       for log in logs)
+            # after every mode ran, the shared columns are still as drawn
+            assert logs[0].size.tobytes() == stream.size.tobytes()
+            assert logs[0].arrival.tobytes() == stream.arrival.tobytes()
+    assert any(math.isnan(d) for result in results.values()
+               for log in result.logs.values() for d in log.departure)
+
+
+def test_a_failed_draw_fails_each_mode_of_its_stream(tmp_path, monkeypatch,
+                                                      capsys):
+    # a draw that raises keeps nothing: each mode of seed 2 draws again and
+    # fails on its own, and the seed-1 cells run as in a clean matrix
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(SMALL)
+    args = ["--config", str(cfg_path), "--frames", "60", "--seeds", "1,2"]
+    assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+    draw_streams_of = cli.draw_streams
+    attempts = Counter()
+
+    def faulty(scenario, frames, seed, rho):
+        attempts[seed] += 1
+        if seed == 2:
+            raise RuntimeError("draw fault")
+        return draw_streams_of(scenario, frames, seed, rho)
+
+    monkeypatch.setattr(cli, "draw_streams", faulty)
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "faulty")]) == 3
+    failed = [l for l in capsys.readouterr().err.splitlines()
+              if l.startswith("error: run ")]
+    assert failed == [f"error: run {mode} seed=2 rho=1.0 failed: draw fault"
+                      for mode in ("gpc", "ss1", "ss2")]
+    assert attempts == {1: 1, 2: 3}
+    for name in ("summary.csv", "timeseries.csv"):
+        clean = (tmp_path / "clean" / name).read_text().splitlines()
+        assert (tmp_path / "faulty" / name).read_text().splitlines() == [
+            l for l in clean if not re.match(r"\w+,2,", l)], name
+
+
+def test_an_invalid_scenario_fails_each_cell_before_any_draw(monkeypatch):
+    # an empty size range would make the draw raise ValueError; the
+    # scenario's own checks must report it first, in every cell
+    cfg = parse_config(SMALL.replace("frames = 200", "frames = 20"))
+    (ugs, *rest) = cfg.scenario.conns
+    bad = replace(ugs.traffic, size_lo=400, size_hi=300)
+    cfg = replace(cfg, scenario=replace(
+        cfg.scenario, conns=(replace(ugs, traffic=bad), *rest)))
+    monkeypatch.setattr(engine, "draw_stream", None)  # never reached
+    results, errors = run_matrix(cfg)
+    assert not results and list(errors) == matrix_cells(cfg)
+    assert all(isinstance(exc, ScenarioError) for exc in errors.values())
 
 
 def test_a_failed_recording_leaves_no_record(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import QOS, frame
+from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
     ConnSpec,
@@ -12,6 +13,7 @@ from uplinksim.engine import (
     ScenarioError,
     SimMode,
     Simulation,
+    draw_streams,
     run,
 )
 from uplinksim.model import QosParams, ServiceClass
@@ -44,7 +46,7 @@ def packet_key(result):
 
 
 def test_frame0_issues_only_ugs_synthetic_grants():
-    sim = Simulation(baseline_scenario(), SimMode.SS1, seed=1)
+    sim = Simulation(baseline_scenario(), SimMode.SS1, 1, seed=1)
     ugs = {s.cid for s in baseline_scenario().conns
            if s.service_class is ServiceClass.UGS}
     # no backlog is reported yet: only the UGS requests hold bytes, and
@@ -112,10 +114,10 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
         scenario = replace(good, conns=tuple(
             spec if s.cid == spec.cid else s for s in good.conns))
         with pytest.raises(ScenarioError):
-            Simulation(scenario, SimMode.SS1, seed=1)
+            Simulation(scenario, SimMode.SS1, 10, seed=1)
     for rho in (nan, inf):
         with pytest.raises(ValueError):
-            Simulation(good, SimMode.SS1, seed=1, rho=rho)
+            Simulation(good, SimMode.SS1, 10, seed=1, rho=rho)
 
 
 def test_packet_conservation_every_mode():
@@ -195,7 +197,7 @@ def test_gpc_spends_grants_only_on_their_own_connection():
     from uplinksim.model import Packet
 
     def prepared(mode):
-        sim = Simulation(scenario, mode, seed=1, rho=0.0)  # no traffic
+        sim = Simulation(scenario, mode, 1, seed=1, rho=0.0)  # no traffic
         for k in range(2):
             pkt = Packet(size=640, arrival_time=-10.0 + k)
             sim.connections[0].queue.append(pkt)
@@ -330,19 +332,25 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
 
 @pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
 def test_logs_are_complete_at_every_frame_boundary(mode):
-    # a packet is logged when it arrives, so between frames each log's rows
-    # past its departures are exactly the live queue and its backlog
-    sim = Simulation(baseline_scenario(), mode, seed=4, rho=1.4,
-                     drop_expired=True)
-    for _ in range(300):
+    # a log holds its whole stream from the start, so between frames each
+    # log's rows from its departures up to the packets arrived so far are
+    # exactly the live queue and its backlog
+    scenario = baseline_scenario()
+    streams = draw_streams(scenario, 300, seed=4, rho=1.4)
+    sim = Simulation(scenario, mode, 300, seed=4, rho=1.4, drop_expired=True,
+                     streams=streams)
+    arrived = dict.fromkeys(streams, 0)
+    for fr in range(300):
         sim.step()
         for conn in sim.connections:
             log = sim.logs[conn.cid]
-            head = len(log.departure)
-            assert sum(log.size[head:]) == sim._backlog[conn.cid]
-            assert list(zip(log.size[head:], log.arrival[head:])) == [
+            arrived[conn.cid] += streams[conn.cid].counts[fr]
+            head, end = len(log.departure), arrived[conn.cid]
+            assert sum(log.size[head:end]) == sim._backlog[conn.cid]
+            assert list(zip(log.size[head:end], log.arrival[head:end])) == [
                 (p.size, p.arrival_time) for p in conn.queue]
     assert any(sim._backlog.values())
+    assert all(arrived[cid] == len(log.size) for cid, log in sim.logs.items())
 
 
 def log_bytes(result):
@@ -352,22 +360,37 @@ def log_bytes(result):
 
 
 @pytest.mark.parametrize("drop_expired", [False, True])
-def test_replayed_traffic_runs_as_drawn_traffic(drop_expired):
+def test_given_streams_run_as_drawn_streams(drop_expired):
     scenario = baseline_scenario()
-    tapes = {}
-    recorded = run(scenario, SimMode.GPC, 300, seed=2, rho=1.4,
-                   drop_expired=drop_expired, tapes=tapes)
-    assert sorted(tapes) == [s.cid for s in scenario.conns]
-    # the tapes hold the recording run's own log columns
-    assert all(tapes[cid].size is log.size and tapes[cid].arrival is log.arrival
-               for cid, log in recorded.logs.items())
-    runs = {SimMode.GPC: recorded}
+    dropped = False
     for mode in SimMode:
         drawn = run(scenario, mode, 300, seed=2, rho=1.4,
                     drop_expired=drop_expired)
-        replayed = runs.get(mode) or run(scenario, mode, 300, seed=2, rho=1.4,
-                                         drop_expired=drop_expired, tapes=tapes)
-        assert log_bytes(replayed) == log_bytes(drawn), mode
-        assert (replayed.granted, replayed.used) == (drawn.granted, drawn.used)
-    assert any(math.isnan(d) for log in recorded.logs.values()
-               for d in log.departure) == drop_expired
+        given = run(scenario, mode, 300, seed=2, rho=1.4,
+                    drop_expired=drop_expired,
+                    streams=draw_streams(scenario, 300, seed=2, rho=1.4))
+        assert log_bytes(given) == log_bytes(drawn), mode
+        assert (given.granted, given.used) == (drawn.granted, drawn.used)
+        dropped |= any(math.isnan(d) for log in given.logs.values()
+                       for d in log.departure)
+    assert dropped == drop_expired
+
+
+def test_modes_of_a_matrix_share_one_copy_of_each_stream():
+    # a stream's size and arrival columns cost 16 B a packet once, for all
+    # three modes, and each mode's own departures 8 B more: 40 B per packet
+    # of one stream, 48 with the columns' spare capacity, where a copy of
+    # the columns for each later mode took 81
+    cfg = replace(baseline_config(), frames=500, seeds=(1,), rhos=(1.2,),
+                  modes=tuple(SimMode))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results, errors = run_matrix(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not errors and len(results) == 3
+    packets = sum(len(log.size) for log in results[(SimMode.SS1, 1, 1.2)]
+                  .logs.values())
+    assert retained / packets <= 56, (retained, packets)

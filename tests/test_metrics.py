@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -19,11 +20,10 @@ from uplinksim.traffic import TrafficKind, TrafficModel
 def packet_log(pkts):
     """The log the engine would write: departed packets first, in the given
     order, then the ones still queued."""
-    log = PacketLog()
     departed = [p for p in pkts if p.departure_time is not None]
-    for p in departed + [p for p in pkts if p.departure_time is None]:
-        log.size.append(p.size)
-        log.arrival.append(p.arrival_time)
+    rows = departed + [p for p in pkts if p.departure_time is None]
+    log = PacketLog(array("q", [p.size for p in rows]),
+                    array("d", [p.arrival_time for p in rows]))
     log.departure.extend(p.departure_time for p in departed)
     return log
 

@@ -1,4 +1,4 @@
-import random
+import pytest
 
 from conftest import frame, make_conn, rtps_conn
 from uplinksim.model import ServiceClass
@@ -10,6 +10,10 @@ from uplinksim.ss_sched import (
     serve_rtps_edf,
     serve_ugs,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 
 def station_for(conns, quanta=None):
@@ -215,60 +219,51 @@ def test_ss1_ample_grant_sends_everything_class_ordered():
     assert all(not c.queue for c in conns)
 
 
-def test_ss1_budget_safety_random():
-    rng = random.Random(9)
-    for _ in range(200):
-        conns = [
-            make_conn(
-                cid,
-                cls,
-                sizes=[rng.randint(1, 1500) for _ in range(rng.randint(0, 6))],
-            )
-            for cid, cls in enumerate(
-                (ServiceClass.UGS, ServiceClass.RTPS,
-                 ServiceClass.NRTPS, ServiceClass.BE), start=1
-            )
-        ]
-        grant = rng.randint(0, 4000)
-        queued_before = {c.cid: list(c.queue) for c in conns}
-        tx = schedule_frame_ss1(Station(conns, frame()), grant)
-        assert tx.total_bytes <= grant
-        assert tx.total_bytes == sum(p.size for _, p in tx.entries)
-        # no duplication, no fabrication
-        for cid, pkt in tx.entries:
-            assert pkt in queued_before[cid]
-        counts = {}
-        for _, pkt in tx.entries:
-            counts[id(pkt)] = counts.get(id(pkt), 0) + 1
-        assert all(v == 1 for v in counts.values())
+CLASSES = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS,
+           ServiceClass.BE)
 
 
-def test_ss1_weak_work_conservation():
-    rng = random.Random(31)
-    for _ in range(200):
-        conns = [
-            make_conn(
-                cid, cls,
-                sizes=[rng.randint(1, 1200) for _ in range(rng.randint(0, 5))],
-            )
-            for cid, cls in enumerate(
-                (ServiceClass.UGS, ServiceClass.RTPS,
-                 ServiceClass.NRTPS, ServiceClass.BE), start=1
-            )
-        ]
-        grant = rng.randint(0, 5000)
-        station = Station(conns, frame())
-        tx = schedule_frame_ss1(station, grant)
-        deficit = dict(zip((c.cid for c in station.drr), station.deficit))
-        leftover = grant - tx.total_bytes
-        for c in conns:
-            if not c.queue:
-                continue
-            head = c.queue[0].size
-            if c.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
-                # head fitting both leftover and its current counter would
-                # contradict round termination
-                assert not (head <= leftover and head <= deficit[c.cid])
+def class_queues(max_size, max_packets):
+    """One list of packet sizes per class in ``CLASSES`` order."""
+    queue = st.lists(st.integers(1, max_size), max_size=max_packets)
+    return st.tuples(*[queue] * len(CLASSES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(queues=class_queues(1500, 6), grant=st.integers(0, 4000))
+def test_ss1_budget_safety_random(queues, grant):
+    conns = [make_conn(cid, cls, sizes=sizes)
+             for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
+    queued_before = {c.cid: list(c.queue) for c in conns}
+    tx = schedule_frame_ss1(Station(conns, frame()), grant)
+    assert tx.total_bytes <= grant
+    assert tx.total_bytes == sum(p.size for _, p in tx.entries)
+    # no duplication, no fabrication
+    for cid, pkt in tx.entries:
+        assert pkt in queued_before[cid]
+    counts = {}
+    for _, pkt in tx.entries:
+        counts[id(pkt)] = counts.get(id(pkt), 0) + 1
+    assert all(v == 1 for v in counts.values())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(queues=class_queues(1200, 5), grant=st.integers(0, 5000))
+def test_ss1_weak_work_conservation(queues, grant):
+    conns = [make_conn(cid, cls, sizes=sizes)
+             for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
+    station = Station(conns, frame())
+    tx = schedule_frame_ss1(station, grant)
+    deficit = dict(zip((c.cid for c in station.drr), station.deficit))
+    leftover = grant - tx.total_bytes
+    for c in conns:
+        if not c.queue:
+            continue
+        head = c.queue[0].size
+        if c.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
+            # head fitting both leftover and its current counter would
+            # contradict round termination
+            assert not (head <= leftover and head <= deficit[c.cid])
 
 
 def test_ss2_starves_lower_classes_behind_backlog():

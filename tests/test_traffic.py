@@ -1,6 +1,6 @@
 import hashlib
-from array import array
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
@@ -9,50 +9,49 @@ from uplinksim import traffic
 from uplinksim.config import parse_config
 from uplinksim.model import QosParams, ServiceClass
 from uplinksim.traffic import (
-    Tape,
     TrafficKind,
     TrafficModel,
     TrafficSource,
     default_models,
+    draw_stream,
     model_violations,
 )
 
 
-def total_bytes(source, frames):
-    return sum(p.size for k in range(frames) for p in source.generate(k))
+def per_frame(stream):
+    """The stream's (size, arrival) rows, split into frames by its counts."""
+    rows = zip(stream.size, stream.arrival)
+    return [list(islice(rows, n)) for n in stream.counts]
 
 
 def test_ugs_cbr_exactly_one_packet_per_frame():
     conn = make_conn(1, ServiceClass.UGS)
-    src = TrafficSource(conn, default_models()[ServiceClass.UGS], frame(), 1.0, seed=5)
-    for k in range(200):
-        pkts = src.generate(k)
-        assert len(pkts) == 1
-        assert pkts[0].size == 320
-        assert pkts[0].arrival_time == k * 10.0  # frame start
+    stream = draw_stream(conn, default_models()[ServiceClass.UGS], frame(), 1.0,
+                         seed=5, frames=200)
+    # one 320-byte packet at every frame start
+    assert per_frame(stream) == [[(320, k * 10.0)] for k in range(200)]
 
 
 def test_zero_intensity_silences_every_model():
     for cls, model in default_models().items():
-        conn = make_conn(1, cls)
-        src = TrafficSource(conn, model, frame(), 0.0, seed=3)
-        assert all(src.generate(k) == [] for k in range(50))
+        stream = draw_stream(make_conn(1, cls), model, frame(), 0.0, seed=3,
+                             frames=50)
+        assert per_frame(stream) == [[]] * 50
 
 
 def test_ugs_does_not_scale_beyond_provisioned_rate():
     conn = make_conn(1, ServiceClass.UGS)
     model = default_models()[ServiceClass.UGS]
-    hot = TrafficSource(conn, model, frame(), 1.7, seed=5)
-    assert total_bytes(hot, 500) == 500 * 320
-    cool = TrafficSource(conn, model, frame(), 0.5, seed=5)
-    assert total_bytes(cool, 500) == 250 * 320
+    hot = draw_stream(conn, model, frame(), 1.7, seed=5, frames=500)
+    assert sum(hot.size) == 500 * 320
+    cool = draw_stream(conn, model, frame(), 0.5, seed=5, frames=500)
+    assert sum(cool.size) == 250 * 320
 
 
 def test_poisson_bulk_long_run_rate():
     conn = make_conn(1, ServiceClass.NRTPS)
     model = TrafficModel(TrafficKind.POISSON, 512.0, 1250, 1250)
-    src = TrafficSource(conn, model, frame(), 1.0, seed=11)
-    got = total_bytes(src, 10_000)
+    got = sum(draw_stream(conn, model, frame(), 1.0, seed=11, frames=10_000).size)
     expected = 512_000 * 100 / 8  # 512 kbit/s for 100 s
     assert abs(got - expected) / expected < 0.05
 
@@ -60,15 +59,13 @@ def test_poisson_bulk_long_run_rate():
 def test_onoff_long_run_rate_and_frame_bounds():
     conn = make_conn(1, ServiceClass.RTPS)
     model = default_models()[ServiceClass.RTPS]
-    src = TrafficSource(conn, model, frame(), 1.0, seed=2)
-    total = 0
-    for k in range(10_000):
-        pkts = src.generate(k)
+    stream = draw_stream(conn, model, frame(), 1.0, seed=2, frames=10_000)
+    for k, rows in enumerate(per_frame(stream)):
         start, end = k * 10.0, (k + 1) * 10.0
-        arrivals = [p.arrival_time for p in pkts]
+        arrivals = [t for _, t in rows]
         assert all(start <= t < end for t in arrivals)
         assert arrivals == sorted(arrivals)
-        total += sum(p.size for p in pkts)
+    total = sum(stream.size)
     expected = 1024_000 * 100 / 8
     assert abs(total - expected) / expected < 0.05
 
@@ -78,8 +75,7 @@ def test_determinism_and_seed_sensitivity():
     model = default_models()[ServiceClass.BE]
 
     def stream(seed):
-        src = TrafficSource(conn, model, frame(), 1.0, seed)
-        return [(p.size, p.arrival_time) for k in range(300) for p in src.generate(k)]
+        return per_frame(draw_stream(conn, model, frame(), 1.0, seed, 300))
 
     assert stream(4) == stream(4)
     assert stream(4) != stream(5)
@@ -89,8 +85,8 @@ def test_intensity_linearity_for_elastic_models():
     for cls in (ServiceClass.RTPS, ServiceClass.NRTPS, ServiceClass.BE):
         conn = make_conn(1, cls)
         model = default_models()[cls]
-        one = total_bytes(TrafficSource(conn, model, frame(), 1.0, seed=8), 10_000)
-        two = total_bytes(TrafficSource(conn, model, frame(), 2.0, seed=8), 10_000)
+        one = sum(draw_stream(conn, model, frame(), 1.0, 8, 10_000).size)
+        two = sum(draw_stream(conn, model, frame(), 2.0, 8, 10_000).size)
         assert abs(two - 2 * one) / (2 * one) < 0.05
 
 
@@ -99,12 +95,8 @@ def test_no_packet_exceeds_frame_capacity():
     for cls, model in default_models().items():
         assert model_violations(1, model, f) == []
         conn = make_conn(1, cls)
-        src = TrafficSource(conn, model, f, 1.4, seed=6)
-        assert all(
-            1 <= p.size <= f.uplink_capacity_bytes
-            for k in range(500)
-            for p in src.generate(k)
-        )
+        stream = draw_stream(conn, model, f, 1.4, seed=6, frames=500)
+        assert all(1 <= size <= f.uplink_capacity_bytes for size in stream.size)
 
 
 def test_model_violations_flag_oversized_packets():
@@ -129,7 +121,7 @@ def test_non_finite_intensity_and_model_values_rejected():
     model = default_models()[ServiceClass.RTPS]
     for rho in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="traffic intensity"):
-            TrafficSource(conn, model, frame(), rho, seed=1)
+            draw_stream(conn, model, frame(), rho, seed=1, frames=10)
     for field, problem in (("mean_rate_kbps", "traffic mean rate must be finite"),
                            ("mean_on_ms", "on/off mean durations must be finite"),
                            ("mean_off_ms", "on/off mean durations must be finite")):
@@ -150,12 +142,12 @@ def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
         f"[connection]\ncid = 0\nss = 0\nclass = be\nmodel = {spelling}\n"
         "rate_kbps = 900\nsize_bytes = 64\n").scenario.conns
     model = TrafficModel(spec.traffic.kind, rate_kbps, *sizes)
-    src = TrafficSource(make_conn(3, cls, qos=qos), model, frame(), rho, seed=12)
+    stream = draw_stream(make_conn(3, cls, qos=qos), model, frame(), rho,
+                         seed=12, frames=frames)
     h = hashlib.sha256()
-    for k in range(frames):
-        for p in src.generate(k):
-            deadline = None if latency is None else p.arrival_time + latency
-            h.update(repr((p.size, p.arrival_time, deadline)).encode())
+    for size, arrival in zip(stream.size, stream.arrival):
+        deadline = None if latency is None else arrival + latency
+        h.update(repr((size, arrival, deadline)).encode())
     return h.hexdigest()
 
 
@@ -270,7 +262,8 @@ def test_multi_chunk_poisson_stream_matches_pinned_digest(monkeypatch):
 
     monkeypatch.setattr(traffic, "_poisson_chunks", chunks)
     model = TrafficModel(TrafficKind.POISSON, rate, *sizes)
-    TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame())
+    draw_stream(make_conn(3, ServiceClass.RTPS), model, frame(), 1.0, seed=0,
+                frames=0)
     assert [count for count, _ in splits] == [2]
     assert stream_digest("poisson", sizes, 20.0, 1.0, frames=20, rate_kbps=rate) == (
         "67d9b0568acc7c9a9192b131966681f70ec98bcedc62bc2f793865ca74c071fd")
@@ -280,7 +273,7 @@ def test_empty_size_range_is_refused():
     conn = make_conn(1, ServiceClass.BE)
     model = TrafficModel(TrafficKind.POISSON, 512.0, 100, 99)
     with pytest.raises(ValueError, match="empty packet size range 100-99"):
-        TrafficSource(conn, model, frame(), 1.0, seed=1)
+        draw_stream(conn, model, frame(), 1.0, seed=1, frames=10)
 
 
 def test_poisson_large_mean_is_not_truncated():
@@ -288,20 +281,17 @@ def test_poisson_large_mean_is_not_truncated():
     # a single product of uniforms underflows exp(-lambda) and stalls near 745
     conn = make_conn(1, ServiceClass.BE)
     model = TrafficModel(TrafficKind.POISSON, 100_000.0, 64, 64)
-    src = TrafficSource(conn, model, frame(capacity=200_000), 1.0, seed=4)
-    assert model_violations(1, model, frame(capacity=200_000)) == []
     frames = 200
-    mean = sum(len(src.generate(k)) for k in range(frames)) / frames
+    stream = draw_stream(conn, model, frame(capacity=200_000), 1.0, seed=4,
+                         frames=frames)
+    assert model_violations(1, model, frame(capacity=200_000)) == []
+    mean = sum(stream.counts) / frames
     assert abs(mean - 1953.125) / 1953.125 < 0.02
-
-
-def arrivals(pkts):
-    return [(p.size, p.arrival_time) for p in pkts]
 
 
 # (model, rho, frames): every model, the two-chunk Poisson stream above, and
 # a silent source
-REPLAY_CASES = {
+STREAM_MODELS = {
     "cbr": (TrafficModel(TrafficKind.CBR, 900.0, 320, 320), 1.7, 300),
     "onoff": (TrafficModel(TrafficKind.ONOFF_VBR, 900.0, 64, 1250), 1.7, 300),
     "poisson": (TrafficModel(TrafficKind.POISSON, 900.0, 64, 1250), 1.7, 300),
@@ -311,25 +301,23 @@ REPLAY_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", REPLAY_CASES)
-def test_recorded_stream_replays_frame_by_frame(case):
-    model, rho, frames = REPLAY_CASES[case]
+@pytest.mark.parametrize("case", STREAM_MODELS)
+def test_source_hands_out_its_stream_frame_by_frame(case):
+    model, rho, frames = STREAM_MODELS[case]
     conn = make_conn(3, ServiceClass.RTPS)
-    plain = TrafficSource(conn, model, frame(), rho, seed=12)
-    tape = Tape(array("q"), array("d"))
-    recording = TrafficSource(conn, model, frame(), rho, seed=12, tape=tape)
-    drawn = []
-    for k in range(frames):
-        pkts = recording.generate(k)
-        drawn.append(arrivals(pkts))
-        assert drawn[-1] == arrivals(plain.generate(k))
-        # the caller's log, as the engine keeps it
-        tape.size.extend(p.size for p in pkts)
-        tape.arrival.extend(p.arrival_time for p in pkts)
-    assert list(tape.counts) == [len(pkts) for pkts in drawn]
-    # a replay draws nothing, so its seed does not matter
-    replaying = TrafficSource(conn, model, frame(), rho, seed=99, tape=tape)
-    assert [arrivals(replaying.generate(k)) for k in range(frames)] == drawn
+    stream = draw_stream(conn, model, frame(), rho, seed=12, frames=frames)
+    assert len(stream.counts) == frames
+    assert len(stream.size) == len(stream.arrival) == sum(stream.counts)
+    source = TrafficSource(conn, stream)
+    assert source.conn is conn
+    handed = [source.generate(k) for k in range(frames)]
+    assert [[(p.size, p.arrival_time) for p in pkts]
+            for pkts in handed] == per_frame(stream)
+    assert all(p.departure_time is None and not p.dropped
+               for pkts in handed for p in pkts)
+    # the sources are open-loop: a shorter run draws a prefix of the stream
+    head = draw_stream(conn, model, frame(), rho, seed=12, frames=frames // 2)
+    assert per_frame(head) == per_frame(stream)[:frames // 2]
 
 
 def test_streams_draw_sizes_through_size_draw(monkeypatch):
@@ -350,9 +338,8 @@ def test_streams_draw_sizes_through_size_draw(monkeypatch):
     for kind in (TrafficKind.ONOFF_VBR, TrafficKind.POISSON):
         sizes.clear()
         model = TrafficModel(kind, 900.0, 64, 1250)
-        src = TrafficSource(make_conn(3, ServiceClass.RTPS), model, frame(),
-                            1.0, seed=12)
-        emitted = [p.size for k in range(200) for p in src.generate(k)]
+        emitted = list(draw_stream(make_conn(3, ServiceClass.RTPS), model,
+                                   frame(), 1.0, seed=12, frames=200).size)
         # the on/off walk draws its next packet's size ahead
         ahead = 1 if kind is TrafficKind.ONOFF_VBR else 0
         assert emitted and sizes[:len(sizes) - ahead] == emitted
