@@ -14,7 +14,6 @@ from .bs_alloc import (
     AllocationPlan,
     AllocationResult,
     BandwidthRequest,
-    InfeasibleReservationError,
     allocate_gpc,
     allocation_plan,
     phase1_guarantee,

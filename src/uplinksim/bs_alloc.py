@@ -15,12 +15,6 @@ from . import _backend
 from .model import FrameConfig, guaranteed_bytes
 
 
-class InfeasibleReservationError(RuntimeError):
-    """Raised when the guaranteed minimums alone exceed the frame capacity.
-
-    Only reachable when scenario validation was skipped."""
-
-
 @dataclass(slots=True)
 class BandwidthRequest:
     """Absolute current backlog demanded by one connection.  UGS connections
@@ -55,22 +49,15 @@ class AllocationPlan:
 
 
 def allocation_plan(connections, frame: FrameConfig) -> AllocationPlan:
-    """The cell's plan; raises InfeasibleReservationError when the
-    guaranteed minimums alone exceed the capacity."""
+    """The cell's plan.  ``connections`` come from a valid scenario, whose
+    guaranteed minimums fit the capacity (``validate_scenario``)."""
     conns = sorted(connections, key=lambda c: c.cid)
-    minimums = tuple(guaranteed_bytes(c, frame) for c in conns)
-    capacity = frame.uplink_capacity_bytes
-    if sum(minimums) > capacity:
-        raise InfeasibleReservationError(
-            f"guaranteed minimums need {sum(minimums)} bytes/frame "
-            f"but capacity is {capacity}"
-        )
     return AllocationPlan(
         cids=tuple(c.cid for c in conns),
-        minimums=minimums,
+        minimums=tuple(guaranteed_bytes(c, frame) for c in conns),
         weights=tuple(float(c.qos.weight) for c in conns),
         ss_ids=tuple(c.ss_id for c in conns),
-        capacity=capacity,
+        capacity=frame.uplink_capacity_bytes,
     )
 
 

@@ -39,7 +39,8 @@ Grammar (see README for the full reference)::
 Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
 carry line numbers.  Command-line overrides of [run] keys go through the
-same per-key rules (``override_run``).
+same per-key rules (``override_run``).  Both refuse a matrix whose cells
+would draw more than ``MAX_CELL_WORK`` packets and on/off phase changes.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .engine import ConnSpec, Scenario, SimMode
+from .engine import ConnSpec, Scenario, ScenarioError, SimMode
 from .model import QOS_FIELDS, FrameConfig, QosParams, ServiceClass
 from .traffic import TrafficKind, TrafficModel, default_models
 
@@ -87,6 +88,47 @@ class ScenarioConfig:
     drop_expired: bool = False
     trace: bool = False
     outdir: str = "out"
+
+
+#: The most packets and on/off phase changes one cell may be expected to
+#: draw.  Each packet takes 24 B of its connection's log (size, arrival and
+#: departure, 8 B each), so a cell at the ceiling logs about 1 GiB; the
+#: largest shipped cells (fig2-delay and fig4-violation at rho 1.2) expect
+#: about 2.3e5, nearly 200 times fewer.
+MAX_CELL_WORK = 2**30 // 24
+
+
+def frame_work(scenario: Scenario, rho: float) -> float:
+    """Packets plus on/off phase changes that ``scenario``'s sources are
+    expected to draw per frame at intensity ``rho``.  It overflows to inf
+    for rates no cell could draw."""
+    dur = scenario.frame.frame_duration_ms
+    work = 0.0
+    for spec in scenario.conns:
+        model = spec.traffic
+        effective_rho = min(rho, 1.0) if spec.service_class is ServiceClass.UGS else rho
+        work += model.mean_rate_kbps * effective_rho * dur / 8.0 / model.mean_size
+        if model.kind is TrafficKind.ONOFF_VBR:
+            work += 2.0 * dur / (model.mean_on_ms + model.mean_off_ms)
+    return work
+
+
+def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg``, if no rho makes its cells draw more than ``MAX_CELL_WORK``
+    over ``cfg.frames`` frames: such a cell would run for hours or fill
+    memory.  Raises ConfigError with one error per rho above it."""
+    errors = []
+    for rho in cfg.rhos:
+        work = frame_work(cfg.scenario, rho)
+        # divide: ``frames`` may be too large an int to convert to a float
+        if not work <= MAX_CELL_WORK / cfg.frames:
+            errors.append(
+                f"rho {rho} over {cfg.frames} frames: the sources would draw "
+                f"{work:.3g} packets and on/off phase changes per frame, above "
+                f"the ceiling of {MAX_CELL_WORK} per cell")
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
 def _tokenize(text: str):
@@ -241,12 +283,13 @@ def override_run(cfg: ScenarioConfig,
                  given: dict[str, tuple[str, str]]) -> ScenarioConfig:
     """``cfg`` with the given [run] keys replaced, each checked exactly as
     in a scenario file; ``given`` maps a key to its (text, where), and list
-    values are comma-separated as on the command line.  Raises ConfigError."""
+    values are comma-separated as on the command line, and the result must
+    stay within ``MAX_CELL_WORK``.  Raises ConfigError."""
     errors: list[str] = []
     updates = _values(_RUN, given, errors, sep=",")
     if errors:
         raise ConfigError(errors)
-    return replace(cfg, **updates)
+    return within_work_ceiling(replace(cfg, **updates))
 
 
 def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
@@ -351,9 +394,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     run_values = _values(_RUN, raws["run"], errors)
 
-    scenario = Scenario(frame=frame, conns=tuple(specs))
     if not errors:
-        errors.extend(scenario.problems())
+        try:
+            scenario = Scenario(frame=frame, conns=tuple(specs))
+        except ScenarioError as exc:
+            errors.extend(exc.problems)
         # packets depart only at frame ends, so a shorter window adds
         # nothing but rows
         window_ms = run_values.get("window_ms", ScenarioConfig.window_ms)
@@ -363,7 +408,7 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"the frame duration {frame.frame_duration_ms} ms")
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(scenario=scenario, **run_values)
+    return within_work_ceiling(ScenarioConfig(scenario=scenario, **run_values))
 
 
 def _fmt(value: float) -> str:

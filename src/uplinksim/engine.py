@@ -67,7 +67,11 @@ class ConnSpec:
 @dataclass(frozen=True)
 class Scenario:
     """A cell's frame and connections; ``conns`` is stored in ascending
-    cid order, whatever order it is given in."""
+    cid order, whatever order it is given in.
+
+    Only a valid scenario can be built: construction raises
+    ``ScenarioError`` naming every problem, so nothing that receives a
+    ``Scenario`` checks it again."""
 
     frame: FrameConfig
     conns: tuple[ConnSpec, ...]
@@ -75,6 +79,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "conns",
                            tuple(sorted(self.conns, key=lambda s: s.cid)))
+        problems = self.problems()
+        if problems:
+            raise ScenarioError(problems)
 
     def build_connections(self) -> list[Connection]:
         return [
@@ -111,12 +118,6 @@ class Scenario:
                                     f"exceeds its unsolicited grant {grant} bytes/frame")
         return problems
 
-    def check(self) -> None:
-        """Raise ``ScenarioError`` naming every problem, if there are any."""
-        problems = self.problems()
-        if problems:
-            raise ScenarioError(problems)
-
 
 class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
@@ -126,10 +127,9 @@ class ScenarioError(ValueError):
 
 def draw_streams(scenario: Scenario, frames: int, seed: int = 1,
                  rho: float = 1.0) -> dict[int, Stream]:
-    """cid -> that connection's whole stream over ``frames`` frames, once
-    ``scenario`` has passed its checks.  The streams depend on nothing
-    else, so every mode of a (seed, rho) cell can run on the same ones."""
-    scenario.check()
+    """cid -> that connection's whole stream over ``frames`` frames.  The
+    streams depend on nothing else, so every mode of a (seed, rho) cell can
+    run on the same ones."""
     return {s.cid: draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
             for s in scenario.conns}
 
@@ -201,8 +201,6 @@ class Simulation:
         self.drop_expired = drop_expired
         if streams is None:
             streams = draw_streams(scenario, frames, seed, rho)
-        else:
-            scenario.check()
         self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg

@@ -236,6 +236,8 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
     """
     if not 0 <= rho < math.inf:
         raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
+    # a valid Scenario never has an empty range, but a caller may pass any
+    # model here, and on one ``_size_draw`` would spin forever
     if model.size_lo > model.size_hi:
         raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
     stream = Stream(array("q"), array("d"), array("q"))

@@ -8,7 +8,6 @@ from conftest import QOS, frame, make_conn
 from uplinksim.bs_alloc import (
     AllocationResult,
     BandwidthRequest,
-    InfeasibleReservationError,
     allocate_gpc,
     allocation_plan,
     phase1_guarantee,
@@ -43,19 +42,6 @@ def test_phase1_single_request_below_minimum():
     conns = [make_conn(1, ServiceClass.NRTPS)]
     result = phase1_guarantee([req(1, 17)], allocation_plan(conns, frame()))
     assert result.allocated == {1: 17}
-
-
-def test_phase1_infeasible_reservations_raise():
-    conns = [
-        make_conn(
-            k, ServiceClass.NRTPS,
-            qos=QosParams(max_sustained_kbps=4096.0, min_reserved_kbps=4096.0,
-                          weight=1.0),
-        )
-        for k in range(2)
-    ]
-    with pytest.raises(InfeasibleReservationError):
-        allocation_plan(conns, frame(5375))
 
 
 def test_phase2_worked_example():

@@ -449,16 +449,32 @@ def test_a_failed_draw_fails_each_mode_of_its_stream(tmp_path, monkeypatch,
 
 def test_an_invalid_scenario_fails_each_cell_before_any_draw(monkeypatch):
     # an empty size range would make the draw raise ValueError; the
-    # scenario's own checks must report it first, in every cell
+    # scenario's own checks report it first, when the scenario is built,
+    # so no cell of any matrix can receive it
     cfg = parse_config(SMALL.replace("frames = 200", "frames = 20"))
     (ugs, *rest) = cfg.scenario.conns
     bad = replace(ugs.traffic, size_lo=400, size_hi=300)
-    cfg = replace(cfg, scenario=replace(
-        cfg.scenario, conns=(replace(ugs, traffic=bad), *rest)))
     monkeypatch.setattr(engine, "draw_stream", None)  # never reached
+    with pytest.raises(ScenarioError) as info:
+        replace(cfg.scenario, conns=(replace(ugs, traffic=bad), *rest))
+    assert info.value.problems == [
+        "cid 0: packet size range must satisfy 1 <= lo <= hi"]
+
+
+def test_a_matrix_never_rechecks_its_scenario(monkeypatch):
+    cfg = parse_config(SMALL.replace("frames = 200", "frames = 20")
+                       .replace("seeds = 1 2 3 4 5", "seeds = 1 2"))
+    calls = []
+    problems = engine.Scenario.problems
+
+    def counted(scenario):
+        calls.append(scenario)
+        return problems(scenario)
+
+    monkeypatch.setattr(engine.Scenario, "problems", counted)
     results, errors = run_matrix(cfg)
-    assert not results and list(errors) == matrix_cells(cfg)
-    assert all(isinstance(exc, ScenarioError) for exc in errors.values())
+    assert not errors and len(results) == 6  # 3 modes x 2 seeds
+    assert calls == []
 
 
 def test_a_failed_recording_leaves_no_record(tmp_path, monkeypatch, capsys):

@@ -1,18 +1,24 @@
 import re
+import time
 from dataclasses import replace
 
 import pytest
 
 from conftest import SCENARIOS, recipe
+from uplinksim import engine
 from uplinksim.cli import main
 from uplinksim.config import (
+    MAX_CELL_WORK,
     ConfigError,
     baseline_config,
     baseline_scenario,
+    frame_work,
+    override_run,
     parse_config,
     serialize_config,
+    within_work_ceiling,
 )
-from uplinksim.engine import SimMode
+from uplinksim.engine import ScenarioError, SimMode
 from uplinksim.model import ServiceClass
 from uplinksim.traffic import TrafficKind
 
@@ -175,6 +181,68 @@ def test_rates_overflowing_a_frame_are_config_errors(tmp_path, capsys):
         assert main(["--config", str(path)]) == 2
         assert f"config error: cid 0: {key}" in capsys.readouterr().err
         assert parse_config(text.replace("1e308", "1000")).scenario.conns[0].cid == 0
+
+
+def test_an_invalid_scenario_cannot_be_built():
+    # the problems that construction raises are the ones parse_config reports
+    text = MINIMAL.replace("capacity_bytes = 16000", "capacity_bytes = 500")
+    scenario = parse_config(MINIMAL).scenario
+    with pytest.raises(ScenarioError) as info:
+        replace(scenario, frame=replace(scenario.frame, uplink_capacity_bytes=500))
+    assert info.value.problems == errors_of(text) != []
+
+
+FIVE_FRAMES = MINIMAL.replace("frames = 100", "frames = 5")
+ONOFF = FIVE_FRAMES + ("model = onoff\nrate_kbps = {rate}\nsize_bytes = 100 1250\n"
+                       "on_ms = {on}\noff_ms = {off}\n")
+
+
+@pytest.mark.parametrize("text, flags, per_frame", [
+    # Poisson 1e308 kbit/s: one frame's mean overflowed, exit 3 in every cell
+    (FIVE_FRAMES.replace("class = rtps", "class = be")
+     + "model = poisson\nrate_kbps = 1e308\nsize_bytes = 64 1250\n", [], "inf"),
+    # onoff 1e30 kbit/s: its packet loop stopped advancing time and filled memory
+    (ONOFF.format(rate=1e30, on=5, off=1), [], "1.85e+27"),
+    # onoff phases of 1e-300 ms never advanced time in the phase loop
+    (ONOFF.format(rate=1024, on=1e-300, off=1e-300), [], "1e+301"),
+    # the built-in cell: about 2e297 Poisson chunks per frame
+    (None, ["--mode", "ss1", "--frames", "5", "--rho", "1e300"], "1.56e+301"),
+], ids=["poisson-1e308", "onoff-1e30", "onoff-phases-1e-300", "builtin-rho-1e300"])
+def test_loads_no_cell_could_draw_are_refused_at_once(monkeypatch, tmp_path, capsys,
+                                                     text, flags, per_frame):
+    # the refusal is arithmetic: without it a cell fails, it does not hang
+    monkeypatch.setattr(engine, "draw_stream", None)
+    args = ["--out", str(tmp_path / "out"), *flags]
+    if text is not None:
+        (tmp_path / "load.cfg").write_text(text)
+        args += ["--config", str(tmp_path / "load.cfg")]
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1.0
+    rho = "1e+300" if flags else "1.0"
+    assert capsys.readouterr().err == (
+        f"config error: rho {rho} over 5 frames: the sources would draw "
+        f"{per_frame} packets and on/off phase changes per frame, above the "
+        f"ceiling of {MAX_CELL_WORK} per cell\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_work_ceiling_leaves_the_shipped_cells_100x_headroom():
+    # the largest is fig2-delay and fig4-violation at rho 1.2: about 2.3e5
+    largest = max(cfg.frames * frame_work(cfg.scenario, rho)
+                  for cfg in map(recipe, (p.stem for p in SCENARIOS.glob("*.cfg")))
+                  for rho in cfg.rhos)
+    assert 2.2e5 < largest < MAX_CELL_WORK / 100
+    # one frame more than the ceiling allows is refused, for the rho that
+    # needs it only, and an override of the rhos is checked too
+    cfg = baseline_config()
+    frames = int(MAX_CELL_WORK / frame_work(cfg.scenario, 1.0))
+    within_work_ceiling(replace(cfg, frames=frames, rhos=(1.0,)))
+    with pytest.raises(ConfigError) as info:
+        within_work_ceiling(replace(cfg, frames=frames + 1, rhos=(1.0, 1e-9)))
+    assert len(info.value.errors) == 1
+    with pytest.raises(ConfigError, match=r"^rho 1e\+300 over 3000 frames"):
+        override_run(cfg, {"rhos": ("1,1e300", "--rho")})
 
 
 def test_on_off_durations_require_the_onoff_model():

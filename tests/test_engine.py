@@ -1,10 +1,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from conftest import QOS, frame
+from perfbench.invariants import check_cell
 from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
@@ -93,17 +95,18 @@ def test_single_frame_run():
 def test_run_rejects_bad_frame_count_and_invalid_scenario():
     with pytest.raises(ValueError):
         run(cbr_scenario(), SimMode.SS1, 0, seed=1)
-    bad = Scenario(
-        frame=frame(capacity=100),
-        conns=(
-            ConnSpec(0, 0, ServiceClass.RTPS, QOS[ServiceClass.RTPS],
-                     TrafficModel(TrafficKind.CBR, 64.0, 80, 80)),
-        ),
-    )
+    # an invalid scenario cannot be built, so no run can be handed one
     with pytest.raises(ScenarioError):
-        run(bad, SimMode.SS1, 10, seed=1)
+        Scenario(
+            frame=frame(capacity=100),
+            conns=(
+                ConnSpec(0, 0, ServiceClass.RTPS, QOS[ServiceClass.RTPS],
+                         TrafficModel(TrafficKind.CBR, 64.0, 80, 80)),
+            ),
+        )
 
-    # non-finite contracts, sources and intensities fail before frame 0
+    # nor one with non-finite contracts or sources; non-finite intensities
+    # fail before frame 0
     good = baseline_scenario()
     rtps = next(s for s in good.conns if s.service_class is ServiceClass.RTPS)
     nan, inf = float("nan"), float("inf")
@@ -111,24 +114,27 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
                  replace(rtps, qos=replace(rtps.qos, min_reserved_kbps=inf)),
                  replace(rtps, traffic=replace(rtps.traffic, mean_rate_kbps=nan)),
                  replace(rtps, traffic=replace(rtps.traffic, mean_on_ms=inf))):
-        scenario = replace(good, conns=tuple(
-            spec if s.cid == spec.cid else s for s in good.conns))
         with pytest.raises(ScenarioError):
-            Simulation(scenario, SimMode.SS1, 10, seed=1)
+            replace(good, conns=tuple(
+                spec if s.cid == spec.cid else s for s in good.conns))
     for rho in (nan, inf):
         with pytest.raises(ValueError):
             Simulation(good, SimMode.SS1, 10, seed=1, rho=rho)
 
 
 def test_packet_conservation_every_mode():
-    cfg = baseline_config()
-    for mode in SimMode:
-        result = run(cfg.scenario, mode, 400, seed=2, rho=1.3)
-        for s in result.conns:
-            hist = result.history[s.cid]
-            arrived = sum(p.size for p in hist)
-            departed = sum(p.size for p in hist if p.departure_time is not None)
-            assert arrived == departed + result.backlog(s.cid)
+    # every invariant of check_cell: bytes conserved, exits a FIFO prefix,
+    # departures at frame ends, used <= granted <= capacity and each
+    # frame's departures summing to its used bytes
+    scenario = baseline_scenario()
+    for mode, drop in product(SimMode, (False, True)):
+        result = run(scenario, mode, 300, seed=4, rho=1.2, drop_expired=drop)
+        assert check_cell(result) == [], (mode, drop)
+        # stricter than check_cell, which allows a departure at the instant
+        # of its packet's arrival: here none departs that early
+        for log in result.logs.values():
+            assert all(dep > arr for dep, arr in zip(log.departure, log.arrival)
+                       if not math.isnan(dep))
 
 
 def test_causality_and_grant_safety():
