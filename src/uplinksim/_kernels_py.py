@@ -118,6 +118,22 @@ def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
     (entries, used) where ``entries`` lists (cid, packet) in transmission
     order.
     """
+    if len(conns) == 1:
+        # along one queue arrivals never decrease and the bound is shared,
+        # so the head always holds the earliest deadline: drain it in order
+        c = conns[0]
+        q = c.queue
+        cid = c.cid
+        entries = []
+        used = 0
+        while q:
+            size = q[0].size
+            if size > budget:
+                break
+            budget -= size
+            used += size
+            entries.append((cid, q.popleft()))
+        return entries, used
     heap = []
     for c in conns:
         if q := c.queue:

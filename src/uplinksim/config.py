@@ -40,7 +40,8 @@ Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
 carry line numbers.  Command-line overrides of [run] keys go through the
 same per-key rules (``override_run``).  Both refuse a matrix whose cells
-would draw more than ``MAX_CELL_WORK`` packets and on/off phase changes.
+would draw more than ``MAX_CELL_WORK`` packets and on/off phase changes, or
+whose on/off bursts would step below the clock's resolution.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ class ScenarioConfig:
 MAX_CELL_WORK = 2**30 // 24
 
 
+def _offered_kbps(spec: ConnSpec, rho: float) -> float:
+    # as ``draw_stream`` scales it: UGS never above its provisioned rate
+    effective_rho = min(rho, 1.0) if spec.service_class is ServiceClass.UGS else rho
+    return spec.traffic.mean_rate_kbps * effective_rho
+
+
 def frame_work(scenario: Scenario, rho: float) -> float:
     """Packets plus on/off phase changes that ``scenario``'s sources are
     expected to draw per frame at intensity ``rho``.  It overflows to inf
@@ -106,17 +113,37 @@ def frame_work(scenario: Scenario, rho: float) -> float:
     work = 0.0
     for spec in scenario.conns:
         model = spec.traffic
-        effective_rho = min(rho, 1.0) if spec.service_class is ServiceClass.UGS else rho
-        work += model.mean_rate_kbps * effective_rho * dur / 8.0 / model.mean_size
+        work += _offered_kbps(spec, rho) * dur / 8.0 / model.mean_size
         if model.kind is TrafficKind.ONOFF_VBR:
             work += 2.0 * dur / (model.mean_on_ms + model.mean_off_ms)
     return work
 
 
+def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
+    """cid -> the ms each ``onoff`` source drawing traffic at intensity
+    ``rho`` takes to accrue its smallest packet at its burst rate."""
+    steps = {}
+    for spec in scenario.conns:
+        model = spec.traffic
+        rate = _offered_kbps(spec, rho)
+        if model.kind is TrafficKind.ONOFF_VBR and rate > 0:
+            on_off = model.mean_on_ms + model.mean_off_ms
+            steps[spec.cid] = 8.0 * model.size_lo / (rate * on_off / model.mean_on_ms)
+    return steps
+
+
 def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
     """``cfg``, if no rho makes its cells draw more than ``MAX_CELL_WORK``
     over ``cfg.frames`` frames: such a cell would run for hours or fill
-    memory.  Raises ConfigError with one error per rho above it."""
+    memory.  An ``onoff`` source whose burst step is not above the clock's
+    resolution at the last frame is refused too: there a packet's time
+    ``u + dt`` equals ``u``, and its packet loop never ends.  Raises
+    ConfigError with one error per rho above the ceiling and per source
+    that would stall."""
+    try:
+        resolution = math.ulp(cfg.frames * cfg.scenario.frame.frame_duration_ms)
+    except OverflowError:  # ``frames`` is too large an int for a float
+        resolution = math.inf
     errors = []
     for rho in cfg.rhos:
         work = frame_work(cfg.scenario, rho)
@@ -126,6 +153,13 @@ def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
                 f"rho {rho} over {cfg.frames} frames: the sources would draw "
                 f"{work:.3g} packets and on/off phase changes per frame, above "
                 f"the ceiling of {MAX_CELL_WORK} per cell")
+            continue
+        for cid, step in burst_steps(cfg.scenario, rho).items():
+            if not step > resolution:
+                errors.append(
+                    f"rho {rho} over {cfg.frames} frames: cid {cid}'s on/off "
+                    f"bursts accrue its smallest packet in {step:.3g} ms, not "
+                    f"above the clock's resolution of {resolution:.3g} ms")
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -36,7 +36,7 @@ from .model import (
     qos_violations,
     validate_scenario,
 )
-from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
+from .ss_sched import Station, quantum_for, schedule_frame_ss1, schedule_frame_ss2
 from .traffic import (
     Stream,
     TrafficModel,
@@ -116,6 +116,20 @@ class Scenario:
                 if size > grant:
                     problems.append(f"cid {spec.cid}: ugs packet size {size} "
                                     f"exceeds its unsolicited grant {grant} bytes/frame")
+        # a deficit-round visit with a zero quantum never sends, and the
+        # round never ends while that queue's head fits the budget; checked,
+        # like the grant above, only on a valid frame and contract
+        for spec in self.conns:
+            if (spec.service_class in (ServiceClass.NRTPS, ServiceClass.BE)
+                    and self.frame.frame_duration_ms > 0
+                    and not qos_violations(spec.cid, spec.service_class, spec.qos)):
+                try:
+                    quantum = quantum_for(spec, self.frame)
+                except OverflowError:
+                    continue  # reported by validate_scenario
+                if quantum == 0:
+                    problems.append(f"cid {spec.cid}: deficit-round quantum "
+                                    f"rounds to 0 bytes/frame")
         return problems
 
 

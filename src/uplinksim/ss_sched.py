@@ -82,8 +82,6 @@ def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
     ends at the first selected packet that does not fit the remaining
     budget whole.  Returns (entries, used).
     """
-    if budget <= 0 or not any(c.queue for c in rtps_conns):
-        return [], 0
     return _backend.kernels.edf_take(rtps_conns, budget)
 
 

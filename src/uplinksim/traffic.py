@@ -181,7 +181,10 @@ def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
         arrived = len(arrival)
         t = start
         while t < end:
-            seg = min(phase_left, end - t)
+            # min(phase_left, end - t), ties to phase_left, without the call
+            seg = end - t
+            if phase_left <= seg:
+                seg = phase_left
             seg_end = t + seg
             if on:
                 u = t
@@ -205,14 +208,16 @@ def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
 
 
 def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
-             dur: float):
+             dur: float, size: int):
+    # ``draw`` is None for fixed-size packets, which draw nothing: the size
+    # column is filled with ``size`` once, after the loop
     sizes, arrival, counts = stream
     chunks, limit = _poisson_chunks(lam)
     for fr in range(frames):
         # Knuth's product method, once per chunk: the count is how many
         # uniforms multiply in before the product falls to exp(-mean)
         n = 0
-        for _ in range(chunks):
+        for _ in repeat(None, chunks):
             p = uniform()
             while p > limit:
                 n += 1
@@ -220,9 +225,15 @@ def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
         if n:
             # the arrival times are drawn first, then the sizes
             start = fr * dur
-            arrival.extend(sorted([start + uniform() * dur for _ in range(n)]))
-            sizes.extend([draw() for _ in range(n)])
+            if n == 1:
+                arrival.append(start + uniform() * dur)
+            else:
+                arrival.extend(sorted([start + uniform() * dur for _ in range(n)]))
+            if draw is not None:
+                sizes.extend([draw() for _ in range(n)])
         counts.append(n)
+    if draw is None:
+        sizes.extend(repeat(size, len(arrival)))
 
 
 def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
@@ -256,8 +267,9 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
             _onoff(stream, frames, rng.expovariate, draw, rate_kbps / duty / 8.0,
                    model.mean_on_ms, model.mean_off_ms, dur)
         else:
-            _poisson(stream, frames, rng.random, draw,
-                     rate_kbps * dur / 8.0 / model.mean_size, dur)
+            _poisson(stream, frames, rng.random,
+                     draw if model.size_lo < model.size_hi else None,
+                     rate_kbps * dur / 8.0 / model.mean_size, dur, model.size_lo)
     return stream
 
 

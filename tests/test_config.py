@@ -1,3 +1,4 @@
+import math
 import re
 import time
 from dataclasses import replace
@@ -12,6 +13,7 @@ from uplinksim.config import (
     ConfigError,
     baseline_config,
     baseline_scenario,
+    burst_steps,
     frame_work,
     override_run,
     parse_config,
@@ -243,6 +245,52 @@ def test_the_work_ceiling_leaves_the_shipped_cells_100x_headroom():
     assert len(info.value.errors) == 1
     with pytest.raises(ConfigError, match=r"^rho 1e\+300 over 3000 frames"):
         override_run(cfg, {"rhos": ("1,1e300", "--rho")})
+
+
+def test_an_onoff_burst_finer_than_the_clock_is_refused_at_once(monkeypatch, tmp_path,
+                                                                capsys):
+    # 1000 kbit/s in bursts of duty 1e-12 accrue a 100 B packet every
+    # 8e-13 ms, below one ULP of the 20000 ms clock: the packet loop
+    # appended packets at one instant until memory ran out
+    monkeypatch.setattr(engine, "draw_stream", None)
+    text = (MINIMAL.replace("frames = 100", "frames = 2000")
+            + "model = onoff\nrate_kbps = 1000\nsize_bytes = 100\n"
+              "on_ms = 1e-9\noff_ms = 1000\n")
+    (tmp_path / "burst.cfg").write_text(text)
+    start = time.perf_counter()
+    assert main(["--config", str(tmp_path / "burst.cfg"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "config error: rho 1.0 over 2000 frames: cid 0's on/off bursts accrue "
+        "its smallest packet in 8e-13 ms, not above the clock's resolution of "
+        "3.64e-12 ms\n")
+    assert not (tmp_path / "out").exists()
+    # the step scales with 1 / rho: checked per rho, and rho 0 draws nothing
+    cfg = parse_config(text.replace("frames = 2000", "frames = 5"))
+    with pytest.raises(ConfigError) as info:
+        override_run(cfg, {"rhos": ("0,1,200", "--rho")})
+    assert [e.split(":")[0] for e in info.value.errors] == ["rho 200.0 over 5 frames"]
+
+
+def test_the_shipped_onoff_bursts_clear_the_clock_resolution_100x():
+    margin = min(step / math.ulp(cfg.frames * cfg.scenario.frame.frame_duration_ms)
+                 for cfg in map(recipe, (p.stem for p in SCENARIOS.glob("*.cfg")))
+                 for rho in cfg.rhos
+                 for step in burst_steps(cfg.scenario, rho).values())
+    assert margin >= 100
+
+
+def test_a_zero_deficit_round_quantum_is_refused():
+    # 0.5 kbit/s is 0.625 B per 10 ms frame: the quantum floored to 0, and
+    # the deficit round visited the queue forever without sending
+    be = MINIMAL.replace("class = rtps", "class = be\nmin_reserved_kbps = {rate}")
+    nrtps = MINIMAL.replace("class = rtps", "class = nrtps\nmin_reserved_kbps = 0.5\n"
+                                            "max_sustained_kbps = {rate}")
+    for text in (be, nrtps):
+        assert errors_of(text.format(rate=0.5)) == [
+            "cid 0: deficit-round quantum rounds to 0 bytes/frame"]
+        assert parse_config(text.format(rate=0.8)).scenario.conns[0].cid == 0  # 1 B
 
 
 def test_on_off_durations_require_the_onoff_model():

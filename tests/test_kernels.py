@@ -82,7 +82,10 @@ def edf_instances(draw):
 @settings(derandomize=True, max_examples=1500, deadline=None)
 @given(edf_instances())
 @example(([20.0], [[]], [[]], [7], 100))                        # empty queue
+# one queue is drained in order, without the heap: a budget of 0, and one
+# that stops mid-queue at a packet although the next one would fit
 @example(([20.0], [[0.0, 1.0]], [[10, 20]], [7], 0))            # zero budget
+@example(([20.0], [[0.0, 1.0, 1.0, 4.0, 4.0]], [[10, 20, 270, 50, 5]], [7], 305))
 @example(([20.0, 5.0], [[0.0], [10.0]], [[300], [200]], [1, 2], 200))  # exact fit
 @example(([5.0, 20.0, 1.0], [[3.0, 3.0], [3.0], [3.0]], [[10, 20], [30], [40]],
           [9, 2, 5], 1000))                                     # equal arrivals
