@@ -161,45 +161,60 @@ def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
     return entries, used
 
 
-def dfpq_take(conns, quanta: list, deficits: list, cursor: int,
+def dfpq_take(conns, queues: list, quanta: list, deficits: list, cursor: int,
               budget: int) -> tuple:
     """Deficit rounds over the connections' live queues.
 
-    Visits cycle from ``cursor`` over non-empty queues: each visit adds the
-    quantum to the deficit counter, then pops head packets while they fit
-    both counter and budget.  A queue left empty by its visit forfeits its
-    counter.  The round stops when no pending head fits the leftover budget.
+    ``queues[i]`` is ``conns[i].queue``.  Visits cycle from ``cursor`` over
+    non-empty queues: each visit adds the quantum to the deficit counter,
+    then pops head packets while they fit both counter and budget.  A queue
+    left empty by its visit forfeits its counter.  The round stops when no
+    pending head fits the leftover budget.  ``deficits`` is updated in
+    place.
 
-    Returns (entries, new_deficits, new_cursor, used) where ``entries``
-    lists (cid, packet) in transmission order.
+    Returns (entries, new_cursor, used) where ``entries`` lists
+    (cid, packet) in transmission order.
     """
-    n = len(conns)
-    dc = list(deficits)
+    n = len(queues)
     if n == 0:
-        return [], dc, cursor, 0
-    queues = [c.queue for c in conns]
+        return [], cursor, 0
     pos = cursor % n
     entries = []
     used = 0
     while True:
-        # the round ends once no pending head fits the leftover budget
+        # the round ends once no pending head fits the leftover budget; a
+        # visit that sends nothing changes neither the heads nor the budget,
+        # so the scan runs again only after a visit that sends
         for q in queues:
             if q and q[0].size <= budget:
                 break
         else:
-            break
-        q = queues[pos]
-        if q:
-            credit = dc[pos] + quanta[pos]
-            cid = conns[pos].cid
-            while q:
+            return entries, pos, used
+        while True:
+            q = queues[pos]
+            if q:
+                credit = deficits[pos] + quanta[pos]
                 size = q[0].size
-                if size > credit or size > budget:
+                if size <= credit and size <= budget:
                     break
-                credit -= size
-                budget -= size
-                used += size
-                entries.append((cid, q.popleft()))
-            dc[pos] = credit if q else 0
-        pos = (pos + 1) % n
-    return entries, dc, pos, used
+                deficits[pos] = credit
+            pos += 1
+            if pos == n:
+                pos = 0
+        # this visit sends its head, then every next one that fits
+        cid = conns[pos].cid
+        while True:
+            credit -= size
+            budget -= size
+            used += size
+            entries.append((cid, q.popleft()))
+            if not q:
+                credit = 0
+                break
+            size = q[0].size
+            if size > credit or size > budget:
+                break
+        deficits[pos] = credit
+        pos += 1
+        if pos == n:
+            pos = 0

@@ -191,7 +191,8 @@ class Simulation:
 
     ``streams`` maps cid to that connection's ``Stream``, as
     ``draw_streams`` draws it for the same scenario, seed, rho and frames;
-    without it the run draws its own.  Each log's ``size`` and ``arrival``
+    without it the run draws its own.  A stream drawn for another number of
+    frames raises ``ValueError``.  Each log's ``size`` and ``arrival``
     are its stream's columns, which no run writes, so cells can share them.
     Each ``step()`` appends a departure to the log of every packet that
     leaves its queue, and the frame's bytes granted and used to
@@ -215,6 +216,11 @@ class Simulation:
         self.drop_expired = drop_expired
         if streams is None:
             streams = draw_streams(scenario, frames, seed, rho)
+        for spec in scenario.conns:
+            drawn = len(streams[spec.cid].counts)
+            if drawn != frames:
+                raise ValueError(f"cid {spec.cid}: stream drawn for {drawn} "
+                                 f"frames, run has {frames}")
         self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg
@@ -229,7 +235,8 @@ class Simulation:
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog(streams[c.cid].size, streams[c.cid].arrival)
                      for c in conns}
-        self._feeds = [(c, TrafficSource(c, streams[c.cid])) for c in conns]
+        self._feeds = [(c.queue, c.cid, streams[c.cid].counts,
+                        TrafficSource(c, streams[c.cid])) for c in conns]
         # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
@@ -258,14 +265,14 @@ class Simulation:
             grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for conn, source in self._feeds:
-            pkts = source.generate(fr)
-            if pkts:
-                conn.queue.extend(pkts)
+        for q, cid, counts, source in self._feeds:
+            if counts[fr]:
+                pkts = source.generate(fr)
+                q.extend(pkts)
                 nbytes = 0
                 for p in pkts:
                     nbytes += p.size
-                backlog[conn.cid] += nbytes
+                backlog[cid] += nbytes
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
@@ -284,8 +291,10 @@ class Simulation:
         depart = self._depart
         if self.mode is SimMode.GPC:
             for conn in self.connections:
-                budget = grants.get(conn.cid, 0)
                 q = conn.queue
+                if not q:
+                    continue
+                budget = grants.get(conn.cid, 0)
                 log_departure = depart[conn.cid]
                 while q and q[0].size <= budget:
                     size = q.popleft().size

@@ -43,14 +43,20 @@ class Station:
     ``ugs``, ``rtps``, ``nrtps`` and ``be`` each in ascending cid order, and
     ``drr`` the deficit round's visit order (nrtPS then BE).
 
+    Each class's queues are listed once too, in the order of its
+    connections: ``rtps_queues`` and ``drr_queues``, and ``priority``, which
+    pairs each class's connections with their queues, UGS first.  The lists
+    hold the connections' own deques, which the engine never rebinds, so
+    they always show the live queues.
+
     The station owns its deficit round: ``quantum`` and ``deficit`` hold
     each ``drr`` connection's quantum and counter, and ``cursor`` the next
     visit, which persists across frames so an interrupted round resumes
     where it stopped.
     """
 
-    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr",
-                 "quantum", "deficit", "cursor")
+    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr", "rtps_queues",
+                 "drr_queues", "priority", "quantum", "deficit", "cursor")
 
     def __init__(self, connections, frame: FrameConfig):
         by_class: dict[ServiceClass, list[Connection]] = {
@@ -62,6 +68,10 @@ class Station:
         self.nrtps = by_class[ServiceClass.NRTPS]
         self.be = by_class[ServiceClass.BE]
         self.drr = self.nrtps + self.be
+        self.priority = tuple((conns, [c.queue for c in conns]) for conns in
+                              (self.ugs, self.rtps, self.nrtps, self.be))
+        self.rtps_queues = self.priority[1][1]
+        self.drr_queues = [c.queue for c in self.drr]
         self.quantum = [quantum_for(c, frame) for c in self.drr]
         self.deficit = [0] * len(self.drr)
         self.cursor = 0
@@ -71,7 +81,7 @@ def serve_ugs(ugs_conns, budget: int) -> tuple[Entries, int]:
     """Drain UGS queues in arrival order (cid breaking ties) while whole
     packets fit ``budget`` bytes: deadline selection with one common bound.
     Returns (entries, used)."""
-    return _backend.kernels.edf_take(ugs_conns, budget, fifo=True)
+    return _backend.kernels.edf_take(ugs_conns, budget, True)
 
 
 def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
@@ -93,25 +103,31 @@ def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
     head packets while they fit both counter and budget.  A drained queue
     forfeits its counter; non-empty queues keep theirs for later rounds.
     The round stops once no pending head fits the leftover budget.  Updates
-    ``station.deficit`` and ``station.cursor``; returns (entries, used).
+    ``station.deficit`` in place and ``station.cursor``; returns
+    (entries, used).
     """
-    if not station.drr:
-        return [], 0
-    entries, station.deficit, station.cursor, used = _backend.kernels.dfpq_take(
-        station.drr, station.quantum, station.deficit, station.cursor, budget
-    )
+    entries, station.cursor, used = _backend.kernels.dfpq_take(
+        station.drr, station.drr_queues, station.quantum, station.deficit,
+        station.cursor, budget)
     return entries, used
 
 
 def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
-    """Full per-frame schedule for one SS under the proposed discipline."""
+    """Full per-frame schedule for one SS under the proposed discipline.
+
+    A phase whose queues are all empty would send nothing and change no
+    state, so it is skipped; UGS, which sends in almost every frame, is
+    not checked."""
     entries, used = serve_ugs(station.ugs, grant)
-    more, spent = serve_rtps_edf(station.rtps, grant - used)
-    entries += more
-    used += spent
-    more, spent = dfpq_round(station, grant - used)
-    entries += more
-    return TransmissionList(entries=entries, total_bytes=used + spent)
+    if any(station.rtps_queues):
+        more, spent = serve_rtps_edf(station.rtps, grant - used)
+        entries += more
+        used += spent
+    if any(station.drr_queues):
+        more, spent = dfpq_round(station, grant - used)
+        entries += more
+        used += spent
+    return TransmissionList(entries, used)
 
 
 def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
@@ -119,15 +135,17 @@ def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
 
     The first packet (in priority order) that does not fit the remaining
     budget blocks everything behind it, so a backlogged higher class starves
-    all lower classes.
+    all lower classes.  A class with nothing queued is skipped.
     """
     entries: Entries = []
     used = 0
-    for conns in (station.ugs, station.rtps, station.nrtps, station.be):
-        more, spent = _backend.kernels.edf_take(conns, grant - used, fifo=True)
+    for conns, queues in station.priority:
+        if not any(queues):
+            continue
+        more, spent = _backend.kernels.edf_take(conns, grant - used, True)
         entries += more
         used += spent
-        if any(c.queue for c in conns):
+        if any(queues):
             # head-of-line packet did not fit: strict priority blocks the rest
             break
-    return TransmissionList(entries=entries, total_bytes=used)
+    return TransmissionList(entries, used)

@@ -284,6 +284,6 @@ class TrafficSource:
 
     def generate(self, frame_index: int) -> list[Packet]:
         """Arrivals within frame ``frame_index``, timestamps non-decreasing;
-        frames are handed out in order from 0."""
-        n = self._counts[frame_index]
-        return list(islice(self._packets, n)) if n else []
+        frames are handed out in order from 0, and a frame without arrivals
+        may be passed over."""
+        return list(islice(self._packets, self._counts[frame_index]))

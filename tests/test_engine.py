@@ -336,6 +336,44 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
     assert all(states.values()), states
 
 
+def test_frames_without_arrivals_are_not_handed_out(monkeypatch):
+    batches = []
+    generate = TrafficSource.generate
+
+    def recording(source, frame_index):
+        pkts = generate(source, frame_index)
+        batches.append(len(pkts))
+        return pkts
+
+    monkeypatch.setattr(TrafficSource, "generate", recording)
+    scenario = baseline_scenario()
+    streams = draw_streams(scenario, 300, seed=2, rho=1.4)
+    arriving = sum(1 for s in streams.values() for n in s.counts if n)
+    for mode in SimMode:
+        batches.clear()
+        run(scenario, mode, 300, seed=2, rho=1.4, streams=streams)
+        assert len(batches) == arriving, mode
+        assert all(batches), mode
+    # some frames of some connection have no arrivals
+    assert arriving < 300 * len(streams)
+
+
+def test_streams_drawn_for_another_frame_count_are_refused():
+    scenario = baseline_scenario()
+    for drawn in (50, 5):
+        streams = draw_streams(scenario, drawn, 1, 1.0)
+        message = f"cid 0: stream drawn for {drawn} frames, run has 10"
+        with pytest.raises(ValueError, match=message):
+            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+        with pytest.raises(ValueError, match=message):
+            run(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+    # the matrix draws each stream for its own frame count
+    cfg = replace(baseline_config(), frames=20, seeds=(1, 2), rhos=(0.4, 1.2),
+                  modes=tuple(SimMode))
+    results, errors = run_matrix(cfg)
+    assert not errors and len(results) == 12
+
+
 @pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
 def test_logs_are_complete_at_every_frame_boundary(mode):
     # a log holds its whole stream from the start, so between frames each

@@ -125,6 +125,10 @@ def dfpq_instances(draw):
 @example(([[]], [500], [0], 0, 1000))                 # empty queue
 @example(([[300, 300]], [500], [0], 0, 0))            # zero budget
 @example(([[300, 200], [100]], [500, 50], [0, 0], 0, 500))  # exact fit
+# queue 1's visit only credits its quantum, between two visits of queue 0
+# that send: the scan deferred past it must still see queue 0's new head
+@example(([[100, 100], [400]], [100, 100], [0, 0], 0, 350))
+@example(([[100], [200], [300]], [500, 500, 500], [0, 0, 0], 4, 1000))  # cursor n + 1
 def test_dfpq_take_matches_reference(instance):
     queues, quanta, deficits, cursor, budget = instance
     nq = len(queues)
@@ -133,10 +137,13 @@ def test_dfpq_take_matches_reference(instance):
     conns = [make_conn(cids[q], ServiceClass.NRTPS, sizes=queues[q])
              for q in range(nq)]
     originals = [list(c.queue) for c in conns]
-    entries, dc, pos, used = dfpq_take(conns, quanta, deficits, cursor, budget)
+    dc = list(deficits)
+    entries, pos, used = dfpq_take(conns, [c.queue for c in conns], quanta,
+                                   dc, cursor, budget)
     sent, ref_dc, ref_pos, ref_used = reference_dfpq(
         queues, quanta, deficits, cursor, budget)
     expected, leftovers = oracle_split(sent, cids, originals)
     assert same_packets(entries, expected)
+    # the counters passed in are the ones updated
     assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
     assert [list(c.queue) for c in conns] == leftovers

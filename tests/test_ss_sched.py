@@ -1,6 +1,9 @@
+from copy import deepcopy
+
 import pytest
 
 from conftest import frame, make_conn, rtps_conn
+from uplinksim._kernels_py import edf_take
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
     Station,
@@ -304,3 +307,73 @@ def test_ss2_matches_ss1_packet_set_when_uncontended():
     tx2 = schedule_frame_ss2(Station(conns2, frame()), 50_000)
     key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
     assert key(tx1) == key(tx2)
+
+
+# --- skipped phases ----------------------------------------------------------
+
+@st.composite
+def stations(draw):
+    """A station with 1-3 connections per class, so the heap EDF and the
+    multi-queue deficit round run; a class's queues are often all empty.
+    Its counters, cursor (one the round itself could leave) and the grant
+    are drawn too."""
+    conns = []
+    for cls in CLASSES:
+        empty = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 3))):
+            sizes = [] if empty else draw(
+                st.lists(st.integers(1, 1500), max_size=5))
+            arrivals = sorted(draw(st.lists(st.integers(0, 30).map(float),
+                                            min_size=len(sizes),
+                                            max_size=len(sizes))))
+            conns.append(make_conn(len(conns) + 1, cls, sizes=sizes,
+                                   arrivals=arrivals))
+    station = Station(conns, frame())
+    station.deficit = draw(st.lists(st.integers(0, 2000),
+                                    min_size=len(station.drr),
+                                    max_size=len(station.drr)))
+    station.cursor = draw(st.integers(0, len(station.drr) - 1))
+    return station, draw(st.integers(0, 8000))
+
+
+def every_phase_ss1(station, grant):
+    entries, used = serve_ugs(station.ugs, grant)
+    more, spent = serve_rtps_edf(station.rtps, grant - used)
+    entries += more
+    used += spent
+    more, spent = dfpq_round(station, grant - used)
+    return entries + more, used + spent
+
+
+def every_class_ss2(station, grant):
+    entries, used = [], 0
+    for conns in (station.ugs, station.rtps, station.nrtps, station.be):
+        more, spent = edf_take(conns, grant - used, fifo=True)
+        entries += more
+        used += spent
+        if any(c.queue for c in conns):
+            break
+    return entries, used
+
+
+def outcome(station, entries, used):
+    """Everything a schedule leaves behind, in comparable form."""
+    return ([(cid, p.size, p.arrival_time) for cid, p in entries], used,
+            [[(p.size, p.arrival_time) for p in c.queue]
+             for group in (station.ugs, station.rtps, station.drr)
+             for c in group],
+            list(station.deficit), station.cursor)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(stations())
+def test_skipping_an_empty_phase_changes_nothing(instance):
+    # each schedule against the composition of all its phases, run
+    # unconditionally on a deep copy of the same station
+    station, grant = instance
+    for schedule, every in ((schedule_frame_ss1, every_phase_ss1),
+                            (schedule_frame_ss2, every_class_ss2)):
+        mine, theirs = deepcopy(station), deepcopy(station)
+        tx = schedule(mine, grant)
+        assert (outcome(mine, tx.entries, tx.total_bytes)
+                == outcome(theirs, *every(theirs, grant))), schedule.__name__
