@@ -7,7 +7,6 @@ I/O failures.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
@@ -129,19 +128,20 @@ def _write_classes(f, prefix: str, sample) -> None:
 
 
 def _write_packets(f, cell: str, result: RunResult) -> None:
+    """Each connection's rows as two formatted chunks: the exited prefix,
+    then the packets still queued.  ``%.6f`` prints a float as the ``.6f``
+    format of the other CSV columns does; the row prefix holds only numbers
+    and labels, never a ``%``."""
     for spec in result.conns:
         row = f"{cell}{spec.cid},{spec.ss_id},{spec.service_class.label},"
         log = result.logs[spec.cid]
-        # the exited prefix (NaN departure = dropped), then the packets
-        # still queued
-        for size, arrival, dep in zip(log.size, log.arrival, log.departure):
-            if math.isnan(dep):
-                f.write(f"{row}{size},{arrival:.6f},,1\n")
-            else:
-                f.write(f"{row}{size},{arrival:.6f},{dep:.6f},0\n")
         exited = len(log.departure)
-        for size, arrival in zip(log.size[exited:], log.arrival[exited:]):
-            f.write(f"{row}{size},{arrival:.6f},,0\n")
+        # a dropped packet's NaN departure prints as ``nan``
+        f.write("".join(map((row + "%d,%.6f,%.6f,0\n").__mod__,
+                            zip(log.size, log.arrival, log.departure)))
+                .replace(",nan,0\n", ",,1\n"))
+        f.write("".join(map((row + "%d,%.6f,,0\n").__mod__,
+                            zip(log.size[exited:], log.arrival[exited:]))))
 
 
 _HEADERS = {

@@ -191,9 +191,11 @@ class Simulation:
 
     ``streams`` maps cid to that connection's ``Stream``, as
     ``draw_streams`` draws it for the same scenario, seed, rho and frames;
-    without it the run draws its own.  A stream drawn for another number of
-    frames raises ``ValueError``.  Each log's ``size`` and ``arrival``
-    are its stream's columns, which no run writes, so cells can share them.
+    without it the run draws its own.  A dict whose cids differ from the
+    scenario's, or a stream drawn for another number of frames, seed, rho
+    or traffic model, raises ``ValueError`` naming the cid before any step.
+    Each log's ``size`` and ``arrival`` are its stream's columns, which no
+    run writes, so cells can share them.
     Each ``step()`` appends a departure to the log of every packet that
     leaves its queue, and the frame's bytes granted and used to
     ``granted`` and ``used``.
@@ -216,11 +218,24 @@ class Simulation:
         self.drop_expired = drop_expired
         if streams is None:
             streams = draw_streams(scenario, frames, seed, rho)
+        stray = streams.keys() ^ {spec.cid for spec in scenario.conns}
+        if stray:
+            cid = min(stray)
+            problem = "no such connection" if cid in streams else "no stream given"
+            raise ValueError(f"cid {cid}: {problem}")
         for spec in scenario.conns:
-            drawn = len(streams[spec.cid].counts)
+            stream = streams[spec.cid]
+            drawn = len(stream.counts)
             if drawn != frames:
                 raise ValueError(f"cid {spec.cid}: stream drawn for {drawn} "
                                  f"frames, run has {frames}")
+            if stream.model != spec.traffic:
+                raise ValueError(f"cid {spec.cid}: stream drawn for another "
+                                 f"traffic model")
+            if (stream.seed, stream.rho) != (seed, rho):
+                raise ValueError(f"cid {spec.cid}: stream drawn for seed "
+                                 f"{stream.seed}, rho {stream.rho}, run has "
+                                 f"seed {seed}, rho {rho}")
         self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg

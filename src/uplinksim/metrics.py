@@ -8,7 +8,11 @@ deliveries yields absent (None) statistics rather than NaN.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, eq, gt, sub
 
 from .engine import RunResult
 from .model import ServiceClass
@@ -81,12 +85,17 @@ def _samples(
     """The one metrics accumulator: ``n`` windows of ``window_ms`` from
     ``start``, the last of which ends exactly at ``end``.
 
-    A single pass over the packet logs (connections in ``result.conns``
-    order, packets in log order) adds every packet delivered in [start, end)
-    to its class's counters.  They are summed directly in that order, so
-    the float delay sums, and with them the CSV bytes, are reproducible.
-    Only a log's exited prefix has departures; a dropped packet's NaN
-    departure lies in no window.
+    Each packet log (connections in ``result.conns`` order) is read as
+    column slices.  Only its exited prefix has departures, and a dropped
+    packet's NaN departure lies in no window, so the NaN rows are left out
+    first.  The finite departures never decrease (see ``PacketLog``), so
+    binary searches find the rows delivered in [start, end).  A packet's
+    window is ``(dep - start) // window_ms``, clamped to the last window
+    where float rounding just below ``end`` gives ``n``; it never decreases
+    along the rows either, so each window's rows are contiguous.  Each
+    window's delays are added left to right in log order onto its running
+    sum, as a per-packet loop would add them, so the float delay sums, and
+    with them the CSV bytes, are reproducible.
     """
     def rows():  # per window: delivered, delay sum, late, bytes
         return [0] * n, [0.0] * n, [0] * n, [0] * n
@@ -97,18 +106,37 @@ def _samples(
         count, delay_sum, late, nbytes = by_class[spec.service_class]
         bound = spec.qos.max_latency_ms
         log = result.logs[spec.cid]
-        for dep, arrival, size in zip(log.departure, log.arrival, log.size):
-            if not start <= dep < end:
-                continue
-            w = int((dep - start) // window_ms)
-            if w > last:  # float rounding just below ``end``
-                w = last
-            delay = dep - arrival
-            count[w] += 1
-            delay_sum[w] += delay
-            nbytes[w] += size
-            if bound is not None and delay > bound:
-                late[w] += 1
+        dep, arrival, size = log.departure, log.arrival, log.size
+        # finite departures are >= 0, so only a NaN (a dropped packet)
+        # makes their sum NaN
+        total = sum(dep)
+        if total != total:
+            finite = list(map(eq, dep, dep))
+            dep, arrival, size = (list(compress(column, finite))
+                                  for column in (dep, arrival, size))
+        lo, hi = bisect_left(dep, start), bisect_left(dep, end)
+        departed = dep[lo:hi]
+        delays = list(map(sub, departed, arrival[lo:hi]))
+        sizes = size[lo:hi]
+        a, m = 0, len(delays)
+        while a < m:  # one run of rows of one window per pass
+            w = last if n == 1 else min(int((departed[a] - start) // window_ms), last)
+            if w == last:
+                b = m
+            else:
+                # cut at the window's nominal end, then back over rows whose
+                # own window is later; a run cut early is continued by the
+                # next one, which adds onto the same window in the same order
+                b = bisect_left(departed, start + (w + 1) * window_ms, a + 1)
+                while (departed[b - 1] - start) // window_ms > w:
+                    b = bisect_left(departed, departed[b - 1], a)
+            window_delays = delays[a:b]
+            count[w] += b - a
+            delay_sum[w] = reduce(add, window_delays, delay_sum[w])
+            nbytes[w] += sum(sizes[a:b])
+            if bound is not None:
+                late[w] += sum(map(gt, window_delays, repeat(bound)))
+            a = b
 
     def stats(acc, w):
         count, delay_sum, late, nbytes = (row[w] for row in acc)

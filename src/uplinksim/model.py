@@ -85,10 +85,13 @@ class PacketLog:
     packet's departure when it leaves its queue, the end of the frame that
     sent it, or NaN when it was dropped on deadline expiry.  Every exit is
     a pop from the head of a FIFO queue, so the exited packets are a prefix
-    of the log.  Between frames the rows from ``len(departure)`` up to the
-    number arrived are the queue, and the rows after them are still to
-    arrive; after the last frame every row has arrived.  Row ``k`` has
-    departed or been dropped iff ``k < len(departure)``.
+    of the log.  Exits are appended frame by frame, in frame order, so the
+    finite departures never decrease; a NaN may sit anywhere among them.
+    The metrics' binary searches rely on that order.  Between frames the
+    rows from ``len(departure)`` up to the number arrived are the queue,
+    and the rows after them are still to arrive; after the last frame every
+    row has arrived.  Row ``k`` has departed or been dropped iff
+    ``k < len(departure)``.
     """
 
     __slots__ = ("size", "arrival", "departure")

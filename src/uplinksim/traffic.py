@@ -134,7 +134,8 @@ def _size_draw(getrandbits, lo: int, hi: int):
 class Stream(NamedTuple):
     """One connection's whole traffic: every packet's ``size`` and
     ``arrival`` in generation order, and ``counts[f]`` the number of them
-    that arrive in frame ``f``.
+    that arrive in frame ``f``; ``seed``, ``rho`` and ``model`` are what it
+    was drawn for.
 
     The counts are kept because they cannot be rebuilt from the arrivals:
     a Poisson arrival ``start + uniform() * dur`` can round up to the next
@@ -143,6 +144,9 @@ class Stream(NamedTuple):
     size: array
     arrival: array
     counts: array
+    seed: int
+    rho: float
+    model: TrafficModel
 
 
 # Each model below draws a stream whole, frame by frame from 0, appending
@@ -170,7 +174,7 @@ def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
     # walk the exponential on/off process across each frame; while ON,
     # bytes accrue at the burst rate (bytes per ms) and a packet leaves the
     # instant its full size has accrued
-    sizes, arrival, counts = stream
+    sizes, arrival, counts = stream.size, stream.arrival, stream.counts
     phase_left = expovariate(1.0 / mean_off)
     size = draw()
     credit = 0.0
@@ -211,7 +215,7 @@ def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
              dur: float, size: int):
     # ``draw`` is None for fixed-size packets, which draw nothing: the size
     # column is filled with ``size`` once, after the loop
-    sizes, arrival, counts = stream
+    sizes, arrival, counts = stream.size, stream.arrival, stream.counts
     chunks, limit = _poisson_chunks(lam)
     for fr in range(frames):
         # Knuth's product method, once per chunk: the count is how many
@@ -251,7 +255,7 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
     # model here, and on one ``_size_draw`` would spin forever
     if model.size_lo > model.size_hi:
         raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
-    stream = Stream(array("q"), array("d"), array("q"))
+    stream = Stream(array("q"), array("d"), array("q"), seed, rho, model)
     effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
     rate_kbps = model.mean_rate_kbps * effective_rho
     dur = frame.frame_duration_ms

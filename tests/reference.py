@@ -6,10 +6,15 @@ directly over plain queue copies, the earliest-deadline oracle sorts every
 queued packet at once, the lateness oracle enumerates every permutation,
 the metric oracles make one pass over the packet history per statistic
 and service class, and the size-draw oracle calls ``random.randrange``.
+The one exception is the samples oracle: it is the metrics accumulator
+as a loop over every packet, before it read column slices, and it builds
+its samples with the package's statistics types and helpers.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from uplinksim.metrics import ClassStats, MetricsSample, jain_index, utilization
 
 
 def brute_force_alloc(requested, bwmin, weights, capacity):
@@ -184,3 +189,54 @@ def reference_draw_size(rng, lo, hi):
     """One packet size uniform over ``lo``..``hi``, drawn as the traffic
     sources first drew it."""
     return lo if lo == hi else rng.randrange(lo, hi + 1)
+
+
+def reference_samples(result, start, window_ms, n, end):
+    """``metrics._samples`` as a loop over every packet: ``n`` windows of
+    ``window_ms`` from ``start``, the last of which ends exactly at
+    ``end``.  Each packet delivered in [start, end) is added to its class's
+    counters in log order, connections in ``result.conns`` order."""
+    def rows():  # per window: delivered, delay sum, late, bytes
+        return [0] * n, [0.0] * n, [0] * n, [0] * n
+
+    by_class = {cls: rows() for cls in sorted({s.service_class for s in result.conns})}
+    last = n - 1
+    for spec in result.conns:
+        count, delay_sum, late, nbytes = by_class[spec.service_class]
+        bound = spec.qos.max_latency_ms
+        log = result.logs[spec.cid]
+        for dep, arrival, size in zip(log.departure, log.arrival, log.size):
+            if not start <= dep < end:
+                continue
+            w = int((dep - start) // window_ms)
+            if w > last:  # float rounding just below ``end``
+                w = last
+            delay = dep - arrival
+            count[w] += 1
+            delay_sum[w] += delay
+            nbytes[w] += size
+            if bound is not None and delay > bound:
+                late[w] += 1
+
+    def stats(acc, w):
+        count, delay_sum, late, nbytes = (row[w] for row in acc)
+        rate = nbytes * 8.0 / window_ms
+        if count:
+            return ClassStats(delay_sum / count, late / count, rate)
+        return ClassStats(None, None, rate)
+
+    samples = []
+    for w in range(n):
+        ws = start + w * window_ms
+        window = (ws, end if w == last else ws + window_ms)
+        per_class = {cls: stats(acc, w) for cls, acc in by_class.items()}
+        samples.append(
+            MetricsSample(
+                window_start_ms=window[0],
+                window_end_ms=window[1],
+                per_class=per_class,
+                utilization=utilization(result, window),
+                jfi=jain_index([s.throughput_kbps for s in per_class.values()]),
+            )
+        )
+    return samples

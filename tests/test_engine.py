@@ -374,20 +374,47 @@ def test_streams_drawn_for_another_frame_count_are_refused():
     assert not errors and len(results) == 12
 
 
+def test_streams_drawn_for_another_cell_are_refused():
+    scenario = baseline_scenario()
+    other_seed = draw_streams(scenario, 10, 2, 1.0)
+    other_rho = draw_streams(scenario, 10, 1, 1.3)
+    missing = draw_streams(scenario, 10, 1, 1.0)
+    del missing[3]
+    extra = {**draw_streams(scenario, 10, 1, 1.0), 99: other_seed[0]}
+    swapped = {**draw_streams(scenario, 10, 1, 1.0), 0: other_rho[1]}
+    for streams, message in (
+        (other_seed, "cid 0: stream drawn for seed 2, rho 1.0, run has seed 1, rho 1.0"),
+        (other_rho, "cid 0: stream drawn for seed 1, rho 1.3, run has seed 1, rho 1.0"),
+        (missing, "cid 3: no stream given"),
+        (extra, "cid 99: no such connection"),
+        (swapped, "cid 0: stream drawn for another traffic model"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+
+
 @pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
 def test_logs_are_complete_at_every_frame_boundary(mode):
     # a log holds its whole stream from the start, so between frames each
     # log's rows from its departures up to the packets arrived so far are
-    # exactly the live queue and its backlog
+    # exactly the live queue and its backlog; each frame's exits depart at
+    # its end or are dropped (NaN), so the finite departures never decrease
     scenario = baseline_scenario()
     streams = draw_streams(scenario, 300, seed=4, rho=1.4)
     sim = Simulation(scenario, mode, 300, seed=4, rho=1.4, drop_expired=True,
                      streams=streams)
     arrived = dict.fromkeys(streams, 0)
+    exited = dict.fromkeys(streams, 0)
     for fr in range(300):
         sim.step()
+        frame_end = (fr + 1) * scenario.frame.frame_duration_ms
         for conn in sim.connections:
             log = sim.logs[conn.cid]
+            assert all(d == frame_end or math.isnan(d)
+                       for d in log.departure[exited[conn.cid]:])
+            exited[conn.cid] = len(log.departure)
             arrived[conn.cid] += streams[conn.cid].counts[fr]
             head, end = len(log.departure), arrived[conn.cid]
             assert sum(log.size[head:end]) == sim._backlog[conn.cid]

@@ -18,9 +18,10 @@ from uplinksim.traffic import TrafficKind, TrafficModel
 
 
 def packet_log(pkts):
-    """The log the engine would write: departed packets first, in the given
-    order, then the ones still queued."""
-    departed = [p for p in pkts if p.departure_time is not None]
+    """The log the engine would write: departed packets first, in departure
+    order (the order ``PacketLog`` promises), then the ones still queued."""
+    departed = sorted((p for p in pkts if p.departure_time is not None),
+                      key=lambda p: p.departure_time)
     rows = departed + [p for p in pkts if p.departure_time is None]
     log = PacketLog(array("q", [p.size for p in rows]),
                     array("d", [p.arrival_time for p in rows]))
