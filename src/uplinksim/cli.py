@@ -21,7 +21,7 @@ from .config import (
     override_run,
     parse_config,
 )
-from .engine import RunResult, SimMode, draw_streams, run
+from .engine import CellStreams, RunResult, SimMode, draw_streams, run
 from .metrics import run_summary, window_metrics
 
 
@@ -94,7 +94,7 @@ def run_matrix(cfg: ScenarioConfig):
     errors: dict[tuple[SimMode, int, float], Exception] = {}
     cells = matrix_cells(cfg)
     modes_left = Counter((seed, rho) for _, seed, rho in cells)
-    drawn: dict[tuple[int, float], dict] = {}
+    drawn: dict[tuple[int, float], CellStreams] = {}
     for mode, seed, rho in cells:
         key = (seed, rho)
         try:

@@ -40,8 +40,8 @@ Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
 carry line numbers.  Command-line overrides of [run] keys go through the
 same per-key rules (``override_run``).  Both refuse a matrix whose cells
-would draw more than ``MAX_CELL_WORK`` packets and on/off phase changes, or
-whose on/off bursts would step below the clock's resolution.
+would cost more than ``MAX_CELL_WORK``, or whose on/off bursts would step
+below the clock's resolution.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 
 from .engine import ConnSpec, Scenario, ScenarioError, SimMode
 from .model import QOS_FIELDS, FrameConfig, QosParams, ServiceClass
-from .traffic import TrafficKind, TrafficModel, default_models
+from .traffic import TrafficKind, TrafficModel, default_models, draw_rate
 
 #: QoS fallbacks applied when a connection omits its whole QoS block.
 DEFAULT_QOS: dict[ServiceClass, QosParams] = {
@@ -91,31 +91,30 @@ class ScenarioConfig:
     outdir: str = "out"
 
 
-#: The most packets and on/off phase changes one cell may be expected to
-#: draw.  Each packet takes 24 B of its connection's log (size, arrival and
-#: departure, 8 B each), so a cell at the ceiling logs about 1 GiB; the
-#: largest shipped cells (fig2-delay and fig4-violation at rho 1.2) expect
-#: about 2.3e5, nearly 200 times fewer.
+#: The most work one cell may be expected to cost: a unit per packet, per
+#: on/off phase change and per connection-frame.  A packet takes 24 B of its
+#: connection's log (size, arrival and departure, 8 B each) and a
+#: connection-frame an 8 B count and a pass of the frame loop, so a cell at
+#: the ceiling takes at most about 1 GiB; the largest shipped cells
+#: (fig2-delay and fig4-violation at rho 1.2) expect about 3.9e5, 115 times fewer.
 MAX_CELL_WORK = 2**30 // 24
 
 
-def _offered_kbps(spec: ConnSpec, rho: float) -> float:
-    # as ``draw_stream`` scales it: UGS never above its provisioned rate
-    effective_rho = min(rho, 1.0) if spec.service_class is ServiceClass.UGS else rho
-    return spec.traffic.mean_rate_kbps * effective_rho
-
-
 def frame_work(scenario: Scenario, rho: float) -> float:
-    """Packets plus on/off phase changes that ``scenario``'s sources are
-    expected to draw per frame at intensity ``rho``.  It overflows to inf
-    for rates no cell could draw."""
+    """Connections, plus the packets and on/off phase changes their sources
+    are expected to draw, per frame at intensity ``rho``.  It overflows to
+    inf for rates no cell could draw."""
     dur = scenario.frame.frame_duration_ms
-    work = 0.0
+    work = float(len(scenario.conns))
     for spec in scenario.conns:
         model = spec.traffic
-        work += _offered_kbps(spec, rho) * dur / 8.0 / model.mean_size
+        rate = draw_rate(spec.service_class, model, rho)
+        packets = rate * dur / 8.0 / model.mean_size
         if model.kind is TrafficKind.ONOFF_VBR:
-            work += 2.0 * dur / (model.mean_on_ms + model.mean_off_ms)
+            on_off = model.mean_on_ms + model.mean_off_ms
+            packets *= model.mean_on_ms / on_off  # drawn only while on
+            work += 2.0 * dur / on_off
+        work += packets
     return work
 
 
@@ -125,15 +124,15 @@ def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
     steps = {}
     for spec in scenario.conns:
         model = spec.traffic
-        rate = _offered_kbps(spec, rho)
+        rate = draw_rate(spec.service_class, model, rho)
         if model.kind is TrafficKind.ONOFF_VBR and rate > 0:
-            on_off = model.mean_on_ms + model.mean_off_ms
-            steps[spec.cid] = 8.0 * model.size_lo / (rate * on_off / model.mean_on_ms)
+            # as ``draw_stream`` steps: size over bytes per ms
+            steps[spec.cid] = model.size_lo / (rate / 8.0)
     return steps
 
 
 def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg``, if no rho makes its cells draw more than ``MAX_CELL_WORK``
+    """``cfg``, if no rho makes its cells cost more than ``MAX_CELL_WORK``
     over ``cfg.frames`` frames: such a cell would run for hours or fill
     memory.  An ``onoff`` source whose burst step is not above the clock's
     resolution at the last frame is refused too: there a packet's time
@@ -150,9 +149,9 @@ def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
         # divide: ``frames`` may be too large an int to convert to a float
         if not work <= MAX_CELL_WORK / cfg.frames:
             errors.append(
-                f"rho {rho} over {cfg.frames} frames: the sources would draw "
-                f"{work:.3g} packets and on/off phase changes per frame, above "
-                f"the ceiling of {MAX_CELL_WORK} per cell")
+                f"rho {rho} over {cfg.frames} frames: each frame would cost "
+                f"{work:.3g} connection passes, packets and on/off phase "
+                f"changes, above the ceiling of {MAX_CELL_WORK} per cell")
             continue
         for cid, step in burst_steps(cfg.scenario, rho).items():
             if not step > resolution:

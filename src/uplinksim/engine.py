@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .bs_alloc import (
     BandwidthRequest,
@@ -98,39 +99,30 @@ class Scenario:
     def problems(self) -> list[str]:
         """Every QoS, reservation and traffic-model violation; empty when
         the scenario can run."""
-        problems = validate_scenario(self.conns, self.frame)
+        frame = self.frame
+        problems = validate_scenario(self.conns, frame)
+        zero_quanta = []
         for spec in self.conns:
-            problems.extend(model_violations(spec.cid, spec.traffic, self.frame))
+            problems.extend(model_violations(spec.cid, spec.traffic, frame))
+            # the grant and quantum below are read only on a valid frame and
+            # contract, whose faults are reported above
+            if frame.frame_duration_ms <= 0 or qos_violations(spec, frame):
+                continue
             # a UGS packet larger than the fixed grant never fits it and
-            # blocks its FIFO for good; checked only on a valid frame,
-            # contract and size range, whose faults are reported above
+            # blocks its FIFO for good; checked only on a valid size range
             size = spec.traffic.size_hi
             if (spec.service_class is ServiceClass.UGS
-                    and self.frame.frame_duration_ms > 0
                     and 1 <= spec.traffic.size_lo <= size
-                    and not qos_violations(spec.cid, spec.service_class, spec.qos)):
-                try:
-                    grant = guaranteed_bytes(spec, self.frame)
-                except OverflowError:
-                    continue  # reported by validate_scenario
-                if size > grant:
-                    problems.append(f"cid {spec.cid}: ugs packet size {size} "
-                                    f"exceeds its unsolicited grant {grant} bytes/frame")
-        # a deficit-round visit with a zero quantum never sends, and the
-        # round never ends while that queue's head fits the budget; checked,
-        # like the grant above, only on a valid frame and contract
-        for spec in self.conns:
+                    and size > (grant := guaranteed_bytes(spec, frame))):
+                problems.append(f"cid {spec.cid}: ugs packet size {size} "
+                                f"exceeds its unsolicited grant {grant} bytes/frame")
+            # a deficit-round visit with a zero quantum never sends, and the
+            # round never ends while that queue's head fits the budget
             if (spec.service_class in (ServiceClass.NRTPS, ServiceClass.BE)
-                    and self.frame.frame_duration_ms > 0
-                    and not qos_violations(spec.cid, spec.service_class, spec.qos)):
-                try:
-                    quantum = quantum_for(spec, self.frame)
-                except OverflowError:
-                    continue  # reported by validate_scenario
-                if quantum == 0:
-                    problems.append(f"cid {spec.cid}: deficit-round quantum "
-                                    f"rounds to 0 bytes/frame")
-        return problems
+                    and quantum_for(spec, frame) == 0):
+                zero_quanta.append(f"cid {spec.cid}: deficit-round quantum "
+                                   f"rounds to 0 bytes/frame")
+        return problems + zero_quanta
 
 
 class ScenarioError(ValueError):
@@ -139,13 +131,23 @@ class ScenarioError(ValueError):
         self.problems = problems
 
 
+class CellStreams(NamedTuple):
+    """The traffic of every cell of ``cell`` = (scenario, frames, seed,
+    rho): ``streams`` holds each connection's whole ``Stream``, in
+    ``scenario.conns`` order.  The streams depend on nothing else, so every
+    mode of a (seed, rho) cell can run on the same ones."""
+
+    cell: tuple[Scenario, int, int, float]
+    streams: tuple[Stream, ...]
+
+
 def draw_streams(scenario: Scenario, frames: int, seed: int = 1,
-                 rho: float = 1.0) -> dict[int, Stream]:
-    """cid -> that connection's whole stream over ``frames`` frames.  The
-    streams depend on nothing else, so every mode of a (seed, rho) cell can
-    run on the same ones."""
-    return {s.cid: draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
-            for s in scenario.conns}
+                 rho: float = 1.0) -> CellStreams:
+    """Every connection's stream over ``frames`` frames."""
+    return CellStreams(
+        (scenario, frames, seed, rho),
+        tuple(draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
+              for s in scenario.conns))
 
 
 @dataclass
@@ -189,13 +191,11 @@ class Simulation:
     every frame's transmission), the traffic feeds, the per-connection
     packet logs and the per-station class partitions.
 
-    ``streams`` maps cid to that connection's ``Stream``, as
-    ``draw_streams`` draws it for the same scenario, seed, rho and frames;
-    without it the run draws its own.  A dict whose cids differ from the
-    scenario's, or a stream drawn for another number of frames, seed, rho
-    or traffic model, raises ``ValueError`` naming the cid before any step.
-    Each log's ``size`` and ``arrival`` are its stream's columns, which no
-    run writes, so cells can share them.
+    ``streams`` is what ``draw_streams`` draws for the same scenario,
+    frames, seed and rho; without it the run draws its own.  Streams drawn
+    for another cell raise ``ValueError`` naming the part of the cell that
+    differs, before any step.  Each log's ``size`` and ``arrival`` are its
+    stream's columns, which no run writes, so cells can share them.
     Each ``step()`` appends a departure to the log of every packet that
     leaves its queue, and the frame's bytes granted and used to
     ``granted`` and ``used``.
@@ -209,33 +209,21 @@ class Simulation:
         seed: int = 1,
         rho: float = 1.0,
         drop_expired: bool = False,
-        streams: dict[int, Stream] | None = None,
+        streams: CellStreams | None = None,
     ):
         if frames <= 0:
             raise ValueError(f"frames must be > 0, got {frames}")
         self.frame_cfg = scenario.frame
         self.mode = mode
         self.drop_expired = drop_expired
+        cell = (scenario, frames, seed, rho)
         if streams is None:
-            streams = draw_streams(scenario, frames, seed, rho)
-        stray = streams.keys() ^ {spec.cid for spec in scenario.conns}
-        if stray:
-            cid = min(stray)
-            problem = "no such connection" if cid in streams else "no stream given"
-            raise ValueError(f"cid {cid}: {problem}")
-        for spec in scenario.conns:
-            stream = streams[spec.cid]
-            drawn = len(stream.counts)
-            if drawn != frames:
-                raise ValueError(f"cid {spec.cid}: stream drawn for {drawn} "
-                                 f"frames, run has {frames}")
-            if stream.model != spec.traffic:
-                raise ValueError(f"cid {spec.cid}: stream drawn for another "
-                                 f"traffic model")
-            if (stream.seed, stream.rho) != (seed, rho):
-                raise ValueError(f"cid {spec.cid}: stream drawn for seed "
-                                 f"{stream.seed}, rho {stream.rho}, run has "
-                                 f"seed {seed}, rho {rho}")
+            streams = draw_streams(*cell)
+        elif streams.cell != cell:
+            part = next(name for name, drawn, given in zip(
+                ("scenario", "frame count", "seed", "rho"), streams.cell, cell)
+                if drawn != given)
+            raise ValueError(f"streams drawn for another {part}")
         self.connections = scenario.build_connections()
 
         cfg = self.frame_cfg
@@ -248,10 +236,10 @@ class Simulation:
             [guaranteed_bytes(c, cfg) if u else 0 for c, u in zip(conns, ugs)],
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
-        self.logs = {c.cid: PacketLog(streams[c.cid].size, streams[c.cid].arrival)
-                     for c in conns}
-        self._feeds = [(c.queue, c.cid, streams[c.cid].counts,
-                        TrafficSource(c, streams[c.cid])) for c in conns]
+        self.logs = {c.cid: PacketLog(s.size, s.arrival)
+                     for c, s in zip(conns, streams.streams)}
+        self._feeds = [(c.queue, c.cid, s.counts, TrafficSource(c, s))
+                       for c, s in zip(conns, streams.streams)]
         # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
@@ -343,7 +331,7 @@ def run(
     seed: int = 1,
     rho: float = 1.0,
     drop_expired: bool = False,
-    streams: dict[int, Stream] | None = None,
+    streams: CellStreams | None = None,
 ) -> RunResult:
     """Execute a full deterministic run and gather the metric inputs;
     ``streams`` are as in ``Simulation``."""

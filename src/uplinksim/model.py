@@ -155,8 +155,12 @@ def guaranteed_bytes(conn: Connection, frame: FrameConfig) -> int:
     return bytes_per_frame(conn.qos.min_reserved_kbps or 0.0, frame)
 
 
-def qos_violations(cid: int, service_class: ServiceClass, qos: QosParams) -> list[str]:
-    """All contract violations for one connection's QoS block."""
+def qos_violations(conn: Connection, frame: FrameConfig) -> list[str]:
+    """All violations of one connection's QoS contract on ``frame``;
+    ``conn`` needs only ``cid``, ``service_class`` and ``qos``.  Where there
+    are none and the frame's duration is > 0, the contract's grant,
+    reservation and deficit-round quantum are whole bytes per frame."""
+    cid, service_class, qos = conn.cid, conn.service_class, conn.qos
     required = _QOS_REQUIRED[service_class]
     problems = [f"cid {cid}: {service_class.label} connection requires {name}"
                 for name in required if getattr(qos, name) is None]
@@ -180,6 +184,14 @@ def qos_violations(cid: int, service_class: ServiceClass, qos: QosParams) -> lis
             f"cid {cid}: min_reserved_kbps {qos.min_reserved_kbps} exceeds "
             f"max_sustained_kbps {qos.max_sustained_kbps}"
         )
+    # a finite rate may still overflow when converted to bytes per frame
+    # (a grant, reservation or deficit-round quantum)
+    for name in ("max_sustained_kbps", "min_reserved_kbps"):
+        rate = getattr(qos, name)
+        if (rate is not None and 0 < rate < math.inf
+                and rate * frame.frame_duration_ms / 8.0 == math.inf):
+            problems.append(f"cid {cid}: {name} must give a finite "
+                            f"byte count per frame, got {rate}")
     return problems
 
 
@@ -209,15 +221,7 @@ def validate_scenario(connections, frame: FrameConfig) -> list[str]:
         if conn.cid in seen:
             problems.append(f"cid {conn.cid}: duplicate connection id")
         seen.add(conn.cid)
-        problems.extend(qos_violations(conn.cid, conn.service_class, conn.qos))
-        # a finite rate may still overflow when converted to bytes per frame
-        # (a grant, reservation or deficit-round quantum)
-        for name in ("max_sustained_kbps", "min_reserved_kbps"):
-            rate = getattr(conn.qos, name)
-            if (rate is not None and 0 < rate < math.inf
-                    and rate * frame.frame_duration_ms / 8.0 == math.inf):
-                problems.append(f"cid {conn.cid}: {name} must give a finite "
-                                f"byte count per frame, got {rate}")
+        problems.extend(qos_violations(conn, frame))
         try:
             reserved += guaranteed_bytes(conn, frame)
         except (ValueError, OverflowError):

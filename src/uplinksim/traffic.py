@@ -3,9 +3,9 @@
 Every connection owns an independent, deterministically seeded RNG stream
 derived from (run seed, cid), so a scenario replays byte-identically for the
 same seed regardless of which other connections run beside it.  The
-sources are open-loop: a stream depends on (seed, cid, rho, frames) only,
-never on scheduling, so ``draw_stream`` draws it whole before the frame
-loop and every cell of the same stream reads it.
+sources are open-loop: a stream depends on its connection, the frame
+duration, seed, rho and frames, never on scheduling, so ``draw_stream``
+draws it whole before the frame loop and every cell of it reads it.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def _size_draw(getrandbits, lo: int, hi: int):
 class Stream(NamedTuple):
     """One connection's whole traffic: every packet's ``size`` and
     ``arrival`` in generation order, and ``counts[f]`` the number of them
-    that arrive in frame ``f``; ``seed``, ``rho`` and ``model`` are what it
-    was drawn for.
+    that arrive in frame ``f``.
 
     The counts are kept because they cannot be rebuilt from the arrivals:
     a Poisson arrival ``start + uniform() * dur`` can round up to the next
@@ -144,9 +143,6 @@ class Stream(NamedTuple):
     size: array
     arrival: array
     counts: array
-    seed: int
-    rho: float
-    model: TrafficModel
 
 
 # Each model below draws a stream whole, frame by frame from 0, appending
@@ -240,24 +236,35 @@ def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
         sizes.extend(repeat(size, len(arrival)))
 
 
-def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
-                rho: float, seed: int, frames: int) -> Stream:
-    """``conn``'s arrivals over ``frames`` frames, drawn from the RNG seeded
-    by (``seed``, cid); ``conn`` needs only ``cid`` and ``service_class``.
+def draw_rate(service_class: ServiceClass, model: TrafficModel, rho: float) -> float:
+    """The rate in kbit/s at which ``draw_stream`` accrues a source's bytes
+    at intensity ``rho``: its mean rate times ``rho``, and for an on/off
+    source divided by its duty cycle, as it accrues only while on.
 
     UGS sources are capped at their provisioned rate: the unsolicited grant
     is fixed, so offered load beyond it would only build an unserviceable
     backlog.  Intensities below 1 scale UGS down like every other class.
     """
+    effective_rho = min(rho, 1.0) if service_class is ServiceClass.UGS else rho
+    rate_kbps = model.mean_rate_kbps * effective_rho
+    if model.kind is TrafficKind.ONOFF_VBR:
+        rate_kbps /= model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
+    return rate_kbps
+
+
+def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
+                rho: float, seed: int, frames: int) -> Stream:
+    """``conn``'s arrivals over ``frames`` frames at ``draw_rate``, drawn
+    from the RNG seeded by (``seed``, cid); ``conn`` needs only ``cid`` and
+    ``service_class``."""
     if not 0 <= rho < math.inf:
         raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
     # a valid Scenario never has an empty range, but a caller may pass any
     # model here, and on one ``_size_draw`` would spin forever
     if model.size_lo > model.size_hi:
         raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
-    stream = Stream(array("q"), array("d"), array("q"), seed, rho, model)
-    effective_rho = min(rho, 1.0) if conn.service_class is ServiceClass.UGS else rho
-    rate_kbps = model.mean_rate_kbps * effective_rho
+    stream = Stream(array("q"), array("d"), array("q"))
+    rate_kbps = draw_rate(conn.service_class, model, rho)
     dur = frame.frame_duration_ms
     if rate_kbps <= 0:
         stream.counts.extend(repeat(0, frames))
@@ -267,8 +274,7 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
         rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
         draw = _size_draw(rng.getrandbits, model.size_lo, model.size_hi)
         if model.kind is TrafficKind.ONOFF_VBR:
-            duty = model.mean_on_ms / (model.mean_on_ms + model.mean_off_ms)
-            _onoff(stream, frames, rng.expovariate, draw, rate_kbps / duty / 8.0,
+            _onoff(stream, frames, rng.expovariate, draw, rate_kbps / 8.0,
                    model.mean_on_ms, model.mean_off_ms, dur)
         else:
             _poisson(stream, frames, rng.random,

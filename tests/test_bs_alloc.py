@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import QOS, frame, make_conn
+from conftest import frame, make_conn
 from uplinksim.bs_alloc import (
     AllocationResult,
     BandwidthRequest,

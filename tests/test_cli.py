@@ -405,8 +405,8 @@ def test_modes_share_each_streams_columns():
     for seed in cfg.seeds:
         fresh = draw_streams(cfg.scenario, cfg.frames, seed, 1.4)
         cells = [results[(mode, seed, 1.4)] for mode in SimMode]
-        for cid, stream in fresh.items():
-            logs = [cell.logs[cid] for cell in cells]
+        for spec, stream in zip(cfg.scenario.conns, fresh.streams):
+            logs = [cell.logs[spec.cid] for cell in cells]
             assert all(log.size is logs[0].size and log.arrival is logs[0].arrival
                        for log in logs)
             # after every mode ran, the shared columns are still as drawn

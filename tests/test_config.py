@@ -223,18 +223,42 @@ def test_loads_no_cell_could_draw_are_refused_at_once(monkeypatch, tmp_path, cap
     assert time.perf_counter() - start < 1.0
     rho = "1e+300" if flags else "1.0"
     assert capsys.readouterr().err == (
-        f"config error: rho {rho} over 5 frames: the sources would draw "
-        f"{per_frame} packets and on/off phase changes per frame, above the "
-        f"ceiling of {MAX_CELL_WORK} per cell\n")
+        f"config error: rho {rho} over 5 frames: each frame would cost "
+        f"{per_frame} connection passes, packets and on/off phase changes, "
+        f"above the ceiling of {MAX_CELL_WORK} per cell\n")
     assert not (tmp_path / "out").exists()
 
 
+def test_idle_connection_frames_count_toward_the_ceiling(monkeypatch, tmp_path,
+                                                         capsys):
+    # a connection costs an 8 B count and a pass through the frame loop in
+    # every frame, drawing or not: a trillion frames of one idle cbr or
+    # near-idle poisson source passed, to run for months
+    monkeypatch.setattr(engine, "draw_stream", None)
+    trillion = MINIMAL.replace("frames = 100", "frames = 1000000000000")
+    cbr = trillion.replace("class = rtps", "class = ugs").replace(
+        "seeds = 1", "seeds = 1\nrhos = 0")
+    poisson = (trillion.replace("class = rtps", "class = be")
+               + "model = poisson\nrate_kbps = 0.001\nsize_bytes = 64 1250\n")
+    for text, rho in ((cbr, "0.0"), (poisson, "1.0")):
+        (tmp_path / "idle.cfg").write_text(text)
+        start = time.perf_counter()
+        assert main(["--config", str(tmp_path / "idle.cfg"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"config error: rho {rho} over 1000000000000 frames: each frame "
+            f"would cost 1 connection passes, packets and on/off phase "
+            f"changes, above the ceiling of {MAX_CELL_WORK} per cell\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_the_work_ceiling_leaves_the_shipped_cells_100x_headroom():
-    # the largest is fig2-delay and fig4-violation at rho 1.2: about 2.3e5
+    # the largest is fig2-delay and fig4-violation at rho 1.2: about 3.9e5
     largest = max(cfg.frames * frame_work(cfg.scenario, rho)
                   for cfg in map(recipe, (p.stem for p in SCENARIOS.glob("*.cfg")))
                   for rho in cfg.rhos)
-    assert 2.2e5 < largest < MAX_CELL_WORK / 100
+    assert 3.8e5 < largest < MAX_CELL_WORK / 100
     # one frame more than the ceiling allows is refused, for the rho that
     # needs it only, and an override of the rhos is checked too
     cfg = baseline_config()

@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 
-from conftest import QOS, frame
+from conftest import frame
 from perfbench.invariants import check_cell
 from uplinksim.cli import run_matrix
-from uplinksim.config import baseline_config, baseline_scenario
+from uplinksim.config import DEFAULT_QOS, baseline_config, baseline_scenario
 from uplinksim.engine import (
     ConnSpec,
     Scenario,
@@ -19,7 +19,7 @@ from uplinksim.engine import (
     run,
 )
 from uplinksim.model import QosParams, ServiceClass
-from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource
+from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource, draw_stream
 
 
 def cbr_scenario(rate_kbps=256.0, size=320, classes=(ServiceClass.NRTPS,),
@@ -31,7 +31,7 @@ def cbr_scenario(rate_kbps=256.0, size=320, classes=(ServiceClass.NRTPS,),
         for cls in classes:
             specs.append(
                 ConnSpec(
-                    cid=cid, ss_id=ss, service_class=cls, qos=QOS[cls],
+                    cid=cid, ss_id=ss, service_class=cls, qos=DEFAULT_QOS[cls],
                     traffic=TrafficModel(TrafficKind.CBR, rate_kbps, size, size),
                 )
             )
@@ -100,7 +100,7 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
         Scenario(
             frame=frame(capacity=100),
             conns=(
-                ConnSpec(0, 0, ServiceClass.RTPS, QOS[ServiceClass.RTPS],
+                ConnSpec(0, 0, ServiceClass.RTPS, DEFAULT_QOS[ServiceClass.RTPS],
                          TrafficModel(TrafficKind.CBR, 64.0, 80, 80)),
             ),
         )
@@ -193,9 +193,9 @@ def test_gpc_spends_grants_only_on_their_own_connection():
     # holds a grant-sized request but no packets; per-connection grants
     # cannot be borrowed, the pooled scheduler reuses them freely
     specs = (
-        ConnSpec(0, 0, ServiceClass.NRTPS, QOS[ServiceClass.NRTPS],
+        ConnSpec(0, 0, ServiceClass.NRTPS, DEFAULT_QOS[ServiceClass.NRTPS],
                  TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
-        ConnSpec(1, 0, ServiceClass.NRTPS, QOS[ServiceClass.NRTPS],
+        ConnSpec(1, 0, ServiceClass.NRTPS, DEFAULT_QOS[ServiceClass.NRTPS],
                  TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
     )
     scenario = Scenario(frame=frame(capacity=5375), conns=specs)
@@ -262,11 +262,11 @@ def test_be_flows_only_through_station_scheduler_vs_strict_priority():
     specs = []
     for ss in range(2):
         specs.append(ConnSpec(ss * 2, ss, ServiceClass.NRTPS,
-                              QOS[ServiceClass.NRTPS],
+                              DEFAULT_QOS[ServiceClass.NRTPS],
                               TrafficModel(TrafficKind.POISSON, 3000.0,
                                            1250, 1250)))
         specs.append(ConnSpec(ss * 2 + 1, ss, ServiceClass.BE,
-                              QOS[ServiceClass.BE],
+                              DEFAULT_QOS[ServiceClass.BE],
                               TrafficModel(TrafficKind.POISSON, 512.0,
                                            64, 1250)))
     scenario = Scenario(frame=frame(capacity=5375), conns=tuple(specs))
@@ -347,26 +347,26 @@ def test_frames_without_arrivals_are_not_handed_out(monkeypatch):
 
     monkeypatch.setattr(TrafficSource, "generate", recording)
     scenario = baseline_scenario()
-    streams = draw_streams(scenario, 300, seed=2, rho=1.4)
-    arriving = sum(1 for s in streams.values() for n in s.counts if n)
+    record = draw_streams(scenario, 300, seed=2, rho=1.4)
+    arriving = sum(1 for s in record.streams for n in s.counts if n)
     for mode in SimMode:
         batches.clear()
-        run(scenario, mode, 300, seed=2, rho=1.4, streams=streams)
+        run(scenario, mode, 300, seed=2, rho=1.4, streams=record)
         assert len(batches) == arriving, mode
         assert all(batches), mode
     # some frames of some connection have no arrivals
-    assert arriving < 300 * len(streams)
+    assert arriving < 300 * len(record.streams)
 
 
 def test_streams_drawn_for_another_frame_count_are_refused():
     scenario = baseline_scenario()
     for drawn in (50, 5):
-        streams = draw_streams(scenario, drawn, 1, 1.0)
-        message = f"cid 0: stream drawn for {drawn} frames, run has 10"
+        record = draw_streams(scenario, drawn, 1, 1.0)
+        message = "^streams drawn for another frame count$"
         with pytest.raises(ValueError, match=message):
-            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=record)
         with pytest.raises(ValueError, match=message):
-            run(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+            run(scenario, SimMode.SS1, 10, seed=1, streams=record)
     # the matrix draws each stream for its own frame count
     cfg = replace(baseline_config(), frames=20, seeds=(1, 2), rhos=(0.4, 1.2),
                   modes=tuple(SimMode))
@@ -374,25 +374,31 @@ def test_streams_drawn_for_another_frame_count_are_refused():
     assert not errors and len(results) == 12
 
 
-def test_streams_drawn_for_another_cell_are_refused():
+def test_streams_drawn_for_another_cell_are_refused(monkeypatch):
     scenario = baseline_scenario()
-    other_seed = draw_streams(scenario, 10, 2, 1.0)
-    other_rho = draw_streams(scenario, 10, 1, 1.3)
-    missing = draw_streams(scenario, 10, 1, 1.0)
-    del missing[3]
-    extra = {**draw_streams(scenario, 10, 1, 1.0), 99: other_seed[0]}
-    swapped = {**draw_streams(scenario, 10, 1, 1.0), 0: other_rho[1]}
-    for streams, message in (
-        (other_seed, "cid 0: stream drawn for seed 2, rho 1.0, run has seed 1, rho 1.0"),
-        (other_rho, "cid 0: stream drawn for seed 1, rho 1.3, run has seed 1, rho 1.0"),
-        (missing, "cid 3: no stream given"),
-        (extra, "cid 99: no such connection"),
-        (swapped, "cid 0: stream drawn for another traffic model"),
-    ):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=streams)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run(scenario, SimMode.SS1, 10, seed=1, streams=streams)
+    # the same connections on 20 ms frames: each arrival at twice the time
+    slow = replace(scenario, frame=replace(scenario.frame, frame_duration_ms=20.0))
+    records = [(draw_streams(scenario, 10, 2, 1.0), "seed"),
+               (draw_streams(scenario, 10, 1, 1.3), "rho"),
+               (draw_streams(slow, 10, 1, 1.0), "scenario")]
+    monkeypatch.setattr(Simulation, "step", None)  # refused before any step
+    for record, part in records:
+        message = f"^streams drawn for another {part}$"
+        with pytest.raises(ValueError, match=message):
+            Simulation(scenario, SimMode.SS1, 10, seed=1, streams=record)
+        with pytest.raises(ValueError, match=message):
+            run(scenario, SimMode.SS1, 10, seed=1, streams=record)
+
+
+def test_each_stream_is_drawn_for_its_own_connection():
+    # cids 1 and 5 are both rtPS with the default on/off source, but each
+    # stream sits at its own connection's position, drawn for its cid
+    scenario = baseline_scenario()
+    record = draw_streams(scenario, 300, 1, 1.0)
+    assert record.cell == (scenario, 300, 1, 1.0)
+    assert [len(s.size) for s in record.streams[1:6:4]] == [682, 493]
+    for spec, stream in zip(scenario.conns, record.streams):
+        assert stream == draw_stream(spec, spec.traffic, scenario.frame, 1.0, 1, 300)
 
 
 @pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
@@ -402,11 +408,12 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
     # exactly the live queue and its backlog; each frame's exits depart at
     # its end or are dropped (NaN), so the finite departures never decrease
     scenario = baseline_scenario()
-    streams = draw_streams(scenario, 300, seed=4, rho=1.4)
+    record = draw_streams(scenario, 300, seed=4, rho=1.4)
     sim = Simulation(scenario, mode, 300, seed=4, rho=1.4, drop_expired=True,
-                     streams=streams)
-    arrived = dict.fromkeys(streams, 0)
-    exited = dict.fromkeys(streams, 0)
+                     streams=record)
+    counts = {spec.cid: s.counts for spec, s in zip(scenario.conns, record.streams)}
+    arrived = dict.fromkeys(counts, 0)
+    exited = dict.fromkeys(counts, 0)
     for fr in range(300):
         sim.step()
         frame_end = (fr + 1) * scenario.frame.frame_duration_ms
@@ -415,7 +422,7 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
             assert all(d == frame_end or math.isnan(d)
                        for d in log.departure[exited[conn.cid]:])
             exited[conn.cid] = len(log.departure)
-            arrived[conn.cid] += streams[conn.cid].counts[fr]
+            arrived[conn.cid] += counts[conn.cid][fr]
             head, end = len(log.departure), arrived[conn.cid]
             assert sum(log.size[head:end]) == sim._backlog[conn.cid]
             assert list(zip(log.size[head:end], log.arrival[head:end])) == [

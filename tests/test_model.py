@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import QOS, frame, make_conn
+from conftest import frame, make_conn
+from uplinksim.config import DEFAULT_QOS
 from uplinksim.model import (
     FrameConfig,
     QosParams,
@@ -104,7 +105,7 @@ def test_validate_rate_ordering_and_positivity():
     for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
                  "weight"):
         for bad in (float("nan"), float("inf"), float("-inf")):
-            qos = QosParams(**{**vars(QOS[ServiceClass.RTPS]), name: bad})
+            qos = QosParams(**{**vars(DEFAULT_QOS[ServiceClass.RTPS]), name: bad})
             problems = validate_scenario([make_conn(1, ServiceClass.RTPS, qos=qos)],
                                          frame())
             assert f"cid 1: {name} must be finite, got {bad}" in problems

@@ -8,10 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import QOS, frame
+from conftest import frame
 from reference import reference_samples
 from test_bs_alloc import req
 from uplinksim.bs_alloc import AllocationResult, phase2_excess
+from uplinksim.config import DEFAULT_QOS
 from uplinksim.engine import ConnSpec, RunResult, SimMode
 from uplinksim.metrics import jain_index, run_summary, warmup_ms, window_metrics
 from uplinksim.model import PacketLog, ServiceClass
@@ -70,7 +71,8 @@ def built_result(duration_ms, frames, conns):
     when dropped, and the queued tail follows."""
     specs, logs = [], {}
     for cid, (cls, bound, exits, queued) in enumerate(conns):
-        specs.append(ConnSpec(cid, 0, cls, replace(QOS[cls], max_latency_ms=bound),
+        qos = replace(DEFAULT_QOS[cls], max_latency_ms=bound)
+        specs.append(ConnSpec(cid, 0, cls, qos,
                               TrafficModel(TrafficKind.CBR, 1.0, 10, 10)))
         exits = sorted((min(k, frames) * duration_ms, dropped, delay, size)
                        for k, dropped, delay, size in exits)
