@@ -53,7 +53,6 @@ from .model import (
     QosParams,
     ServiceClass,
     bytes_per_frame,
-    validate_scenario,
 )
 from .ss_sched import (
     Station,

@@ -50,7 +50,7 @@ class AllocationPlan:
 
 def allocation_plan(connections, frame: FrameConfig) -> AllocationPlan:
     """The cell's plan.  ``connections`` come from a valid scenario, whose
-    guaranteed minimums fit the capacity (``validate_scenario``)."""
+    guaranteed minimums fit the capacity (``Scenario.problems``)."""
     conns = sorted(connections, key=lambda c: c.cid)
     return AllocationPlan(
         cids=tuple(c.cid for c in conns),

@@ -27,6 +27,8 @@ from .bs_alloc import (
     pool_gpss,
 )
 from .model import (
+    MAX_PACKET_BYTES,
+    QOS_FIELDS,
     Connection,
     FrameConfig,
     Packet,
@@ -34,17 +36,9 @@ from .model import (
     QosParams,
     ServiceClass,
     guaranteed_bytes,
-    qos_violations,
-    validate_scenario,
 )
 from .ss_sched import Station, quantum_for, schedule_frame_ss1, schedule_frame_ss2
-from .traffic import (
-    Stream,
-    TrafficModel,
-    TrafficSource,
-    draw_stream,
-    model_violations,
-)
+from .traffic import Stream, TrafficKind, TrafficModel, TrafficSource, draw_stream
 
 
 class SimMode(Enum):
@@ -63,6 +57,15 @@ class ConnSpec:
     service_class: ServiceClass
     qos: QosParams
     traffic: TrafficModel
+
+
+# the QoS fields each class requires; it must leave the others unset
+_QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
+    ServiceClass.UGS: ("max_sustained_kbps",),
+    ServiceClass.RTPS: QOS_FIELDS,
+    ServiceClass.NRTPS: ("max_sustained_kbps", "min_reserved_kbps"),
+    ServiceClass.BE: ("min_reserved_kbps",),
+}
 
 
 @dataclass(frozen=True)
@@ -97,32 +100,120 @@ class Scenario:
         ]
 
     def problems(self) -> list[str]:
-        """Every QoS, reservation and traffic-model violation; empty when
-        the scenario can run."""
+        """Every problem that keeps the scenario from running, from one
+        pass over the connections; empty when it can run.
+
+        The messages come in three runs, each in cid order: the frame, each
+        connection's id and QoS contract, and the reservation sum (which
+        includes the fixed UGS grants, so the guaranteed minimums always fit
+        one frame); each traffic model and UGS grant; each zero deficit-round
+        quantum.  On a capacity <= 0 the ids, contracts and reservation sum
+        go unreported; the traffic problems are still reported."""
         frame = self.frame
-        problems = validate_scenario(self.conns, frame)
-        zero_quanta = []
+        dur, capacity = frame.frame_duration_ms, frame.uplink_capacity_bytes
+        # only here do rates convert to finite byte counts per frame
+        timed = 0 < dur < math.inf
+        contract, traffic, zero_quanta = [], [], []
+        if dur <= 0:
+            contract.append(f"frame duration must be > 0, got {dur}")
+        elif not timed:
+            contract.append(f"frame duration must be finite, got {dur}")
+        if capacity <= 0:
+            contract.append(f"uplink capacity must be > 0, got {capacity}")
+        elif capacity % 1:  # NaN, inf or a fraction of a byte
+            contract.append("uplink capacity must be a whole number of bytes, "
+                            f"got {capacity}")
+        # where the ids, contracts and reservation sum are reported: into
+        # ``contract``, or nowhere on a capacity <= 0
+        listed = [] if capacity <= 0 else contract
+        seen: set[int] = set()
+        reserved = 0
         for spec in self.conns:
-            problems.extend(model_violations(spec.cid, spec.traffic, frame))
-            # the grant and quantum below are read only on a valid frame and
-            # contract, whose faults are reported above
-            if frame.frame_duration_ms <= 0 or qos_violations(spec, frame):
+            cid, cls, qos, model = spec.cid, spec.service_class, spec.qos, spec.traffic
+            if cid < 0:
+                listed.append(f"cid {cid}: connection ids must be non-negative")
+            if cid in seen:
+                listed.append(f"cid {cid}: duplicate connection id")
+            seen.add(cid)
+
+            required = _QOS_REQUIRED[cls]
+            faults = [f"cid {cid}: {cls.label} connection requires {name}"
+                      for name in required if getattr(qos, name) is None]
+            faults += [f"cid {cid}: {cls.label} connection must not set {name}"
+                       for name in QOS_FIELDS
+                       if name not in required and getattr(qos, name) is not None]
+            for name in (*QOS_FIELDS, "weight"):
+                value = getattr(qos, name)
+                if value is None:
+                    continue
+                if not math.isfinite(value):
+                    faults.append(f"cid {cid}: {name} must be finite, got {value}")
+                elif value <= 0:
+                    faults.append(f"cid {cid}: {name} must be > 0, got {value}")
+            hi_rate, lo_rate = qos.max_sustained_kbps, qos.min_reserved_kbps
+            if hi_rate is not None and lo_rate is not None and lo_rate > hi_rate:
+                faults.append(f"cid {cid}: min_reserved_kbps {lo_rate} exceeds "
+                              f"max_sustained_kbps {hi_rate}")
+            # a finite rate may still overflow when converted to bytes per
+            # frame (a grant, reservation or deficit-round quantum)
+            for name, rate in (("max_sustained_kbps", hi_rate),
+                               ("min_reserved_kbps", lo_rate)):
+                if (timed and rate is not None and 0 < rate < math.inf
+                        and rate * dur / 8.0 == math.inf):
+                    faults.append(f"cid {cid}: {name} must give a finite "
+                                  f"byte count per frame, got {rate}")
+            listed += faults
+            try:
+                reserved += guaranteed_bytes(spec, frame)
+            except (ValueError, OverflowError):
+                pass  # a rate or duration reported above
+
+            if not math.isfinite(model.mean_rate_kbps):
+                traffic.append(f"cid {cid}: traffic mean rate must be finite")
+            elif model.mean_rate_kbps <= 0:
+                traffic.append(f"cid {cid}: traffic mean rate must be > 0")
+            lo, hi = model.size_lo, model.size_hi
+            if not 1 <= lo <= hi:
+                traffic.append(f"cid {cid}: packet size range must satisfy "
+                               "1 <= lo <= hi")
+            elif model.kind is TrafficKind.CBR and lo != hi:
+                traffic.append(f"cid {cid}: a cbr model takes one packet size")
+            elif not (isinstance(lo, int) and isinstance(hi, int)):
+                traffic.append(f"cid {cid}: packet sizes must be ints, "
+                               f"got {lo!r} and {hi!r}")
+            if hi > capacity:
+                traffic.append(f"cid {cid}: packet size {hi} exceeds uplink "
+                               f"capacity {capacity} bytes/frame")
+            elif hi > MAX_PACKET_BYTES:
+                traffic.append(f"cid {cid}: packet size {hi} exceeds the packet "
+                               f"log's {MAX_PACKET_BYTES} bytes")
+            if model.kind is TrafficKind.ONOFF_VBR:
+                means = (model.mean_on_ms, model.mean_off_ms)
+                if not all(map(math.isfinite, means)):
+                    traffic.append(f"cid {cid}: on/off mean durations must be finite")
+                elif min(means) <= 0:
+                    traffic.append(f"cid {cid}: on/off mean durations must be > 0")
+
+            # the grant and quantum below are whole bytes only on a timed
+            # frame and a sound contract, whatever the capacity
+            if not timed or faults:
                 continue
             # a UGS packet larger than the fixed grant never fits it and
             # blocks its FIFO for good; checked only on a valid size range
-            size = spec.traffic.size_hi
-            if (spec.service_class is ServiceClass.UGS
-                    and 1 <= spec.traffic.size_lo <= size
-                    and size > (grant := guaranteed_bytes(spec, frame))):
-                problems.append(f"cid {spec.cid}: ugs packet size {size} "
-                                f"exceeds its unsolicited grant {grant} bytes/frame")
+            if (cls is ServiceClass.UGS and 1 <= lo <= hi
+                    and hi > (grant := guaranteed_bytes(spec, frame))):
+                traffic.append(f"cid {cid}: ugs packet size {hi} "
+                               f"exceeds its unsolicited grant {grant} bytes/frame")
             # a deficit-round visit with a zero quantum never sends, and the
             # round never ends while that queue's head fits the budget
-            if (spec.service_class in (ServiceClass.NRTPS, ServiceClass.BE)
+            if (cls in (ServiceClass.NRTPS, ServiceClass.BE)
                     and quantum_for(spec, frame) == 0):
-                zero_quanta.append(f"cid {spec.cid}: deficit-round quantum "
+                zero_quanta.append(f"cid {cid}: deficit-round quantum "
                                    f"rounds to 0 bytes/frame")
-        return problems + zero_quanta
+        if reserved > capacity:
+            listed.append(f"reserved sum exceeds uplink capacity: {reserved} > "
+                          f"{capacity} bytes/frame")
+        return contract + traffic + zero_quanta
 
 
 class ScenarioError(ValueError):

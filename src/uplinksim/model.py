@@ -47,15 +47,6 @@ class QosParams:
 #: The QoS contract's optional fields, in message and file order.
 QOS_FIELDS = ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms")
 
-# the fields each class requires; it must leave the others unset
-_QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
-    ServiceClass.UGS: ("max_sustained_kbps",),
-    ServiceClass.RTPS: QOS_FIELDS,
-    ServiceClass.NRTPS: ("max_sustained_kbps", "min_reserved_kbps"),
-    ServiceClass.BE: ("min_reserved_kbps",),
-}
-
-
 @dataclass(slots=True)
 class Packet:
     """One uplink packet while it is queued.  An rtPS packet's deadline is
@@ -153,83 +144,3 @@ def guaranteed_bytes(conn: Connection, frame: FrameConfig) -> int:
     if conn.service_class is ServiceClass.UGS:
         return bytes_per_frame(conn.qos.max_sustained_kbps or 0.0, frame)
     return bytes_per_frame(conn.qos.min_reserved_kbps or 0.0, frame)
-
-
-def qos_violations(conn: Connection, frame: FrameConfig) -> list[str]:
-    """All violations of one connection's QoS contract on ``frame``;
-    ``conn`` needs only ``cid``, ``service_class`` and ``qos``.  Where there
-    are none and the frame's duration is > 0, the contract's grant,
-    reservation and deficit-round quantum are whole bytes per frame."""
-    cid, service_class, qos = conn.cid, conn.service_class, conn.qos
-    required = _QOS_REQUIRED[service_class]
-    problems = [f"cid {cid}: {service_class.label} connection requires {name}"
-                for name in required if getattr(qos, name) is None]
-    problems += [f"cid {cid}: {service_class.label} connection must not set {name}"
-                 for name in QOS_FIELDS
-                 if name not in required and getattr(qos, name) is not None]
-    for name in (*QOS_FIELDS, "weight"):
-        value = getattr(qos, name)
-        if value is None:
-            continue
-        if not math.isfinite(value):
-            problems.append(f"cid {cid}: {name} must be finite, got {value}")
-        elif value <= 0:
-            problems.append(f"cid {cid}: {name} must be > 0, got {value}")
-    if (
-        qos.max_sustained_kbps is not None
-        and qos.min_reserved_kbps is not None
-        and qos.min_reserved_kbps > qos.max_sustained_kbps
-    ):
-        problems.append(
-            f"cid {cid}: min_reserved_kbps {qos.min_reserved_kbps} exceeds "
-            f"max_sustained_kbps {qos.max_sustained_kbps}"
-        )
-    # a finite rate may still overflow when converted to bytes per frame
-    # (a grant, reservation or deficit-round quantum)
-    for name in ("max_sustained_kbps", "min_reserved_kbps"):
-        rate = getattr(qos, name)
-        if (rate is not None and 0 < rate < math.inf
-                and rate * frame.frame_duration_ms / 8.0 == math.inf):
-            problems.append(f"cid {cid}: {name} must give a finite "
-                            f"byte count per frame, got {rate}")
-    return problems
-
-
-def validate_scenario(connections, frame: FrameConfig) -> list[str]:
-    """Check every QoS contract plus the cell-wide reservation budget of
-    ``connections``, which need only ``cid``, ``service_class`` and ``qos``.
-
-    Returns all violations found (not just the first); an empty list means
-    the scenario is valid.  The reservation budget includes the fixed UGS
-    grants, so a valid scenario guarantees the per-frame minimum allocation
-    always fits the uplink capacity.
-    """
-    problems: list[str] = []
-    if frame.frame_duration_ms <= 0:
-        problems.append(f"frame duration must be > 0, got {frame.frame_duration_ms}")
-    if frame.uplink_capacity_bytes <= 0:
-        problems.append(
-            f"uplink capacity must be > 0, got {frame.uplink_capacity_bytes}"
-        )
-        return problems
-
-    seen: set[int] = set()
-    reserved = 0
-    for conn in connections:
-        if conn.cid < 0:
-            problems.append(f"cid {conn.cid}: connection ids must be non-negative")
-        if conn.cid in seen:
-            problems.append(f"cid {conn.cid}: duplicate connection id")
-        seen.add(conn.cid)
-        problems.extend(qos_violations(conn, frame))
-        try:
-            reserved += guaranteed_bytes(conn, frame)
-        except (ValueError, OverflowError):
-            pass  # already reported as a rate violation above
-
-    if reserved > frame.uplink_capacity_bytes:
-        problems.append(
-            f"reserved sum exceeds uplink capacity: {reserved} > "
-            f"{frame.uplink_capacity_bytes} bytes/frame"
-        )
-    return problems

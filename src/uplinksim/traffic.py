@@ -18,13 +18,7 @@ from enum import Enum
 from itertools import islice, repeat
 from typing import NamedTuple
 
-from .model import (
-    MAX_PACKET_BYTES,
-    Connection,
-    FrameConfig,
-    Packet,
-    ServiceClass,
-)
+from .model import Connection, FrameConfig, Packet, ServiceClass
 
 
 class TrafficKind(Enum):
@@ -64,38 +58,6 @@ def default_models() -> dict[ServiceClass, TrafficModel]:
         ServiceClass.NRTPS: TrafficModel(TrafficKind.POISSON, 1024.0, 1250, 1250),
         ServiceClass.BE: TrafficModel(TrafficKind.POISSON, 512.0, 64, 1250),
     }
-
-
-def model_violations(cid: int, model: TrafficModel, frame: FrameConfig) -> list[str]:
-    """Sanity checks: positive finite rate and on/off means, one packet
-    size for CBR, packet sizes within one frame's capacity and within what
-    a ``PacketLog`` holds."""
-    problems = []
-    if not math.isfinite(model.mean_rate_kbps):
-        problems.append(f"cid {cid}: traffic mean rate must be finite")
-    elif model.mean_rate_kbps <= 0:
-        problems.append(f"cid {cid}: traffic mean rate must be > 0")
-    if not (1 <= model.size_lo <= model.size_hi):
-        problems.append(f"cid {cid}: packet size range must satisfy 1 <= lo <= hi")
-    elif model.kind is TrafficKind.CBR and model.size_lo != model.size_hi:
-        problems.append(f"cid {cid}: a cbr model takes one packet size")
-    if model.size_hi > frame.uplink_capacity_bytes:
-        problems.append(
-            f"cid {cid}: packet size {model.size_hi} exceeds uplink capacity "
-            f"{frame.uplink_capacity_bytes} bytes/frame"
-        )
-    elif model.size_hi > MAX_PACKET_BYTES:
-        problems.append(
-            f"cid {cid}: packet size {model.size_hi} exceeds the packet log's "
-            f"{MAX_PACKET_BYTES} bytes"
-        )
-    if model.kind is TrafficKind.ONOFF_VBR:
-        means = (model.mean_on_ms, model.mean_off_ms)
-        if not all(map(math.isfinite, means)):
-            problems.append(f"cid {cid}: on/off mean durations must be finite")
-        elif min(means) <= 0:
-            problems.append(f"cid {cid}: on/off mean durations must be > 0")
-    return problems
 
 
 # Knuth's product method multiplies uniforms down to exp(-lambda), which

@@ -6,7 +6,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from uplinksim.config import DEFAULT_QOS, ScenarioConfig, parse_config
+from uplinksim.engine import ConnSpec, Scenario, ScenarioError
 from uplinksim.model import Connection, FrameConfig, Packet, ServiceClass
+from uplinksim.traffic import default_models
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -24,6 +26,24 @@ def make_conn(cid, cls, ss=0, sizes=(), arrivals=None, qos=None):
         arrival = arrivals[k] if arrivals else float(k)
         conn.queue.append(Packet(size=size, arrival_time=arrival))
     return conn
+
+
+def spec(cid, cls, qos=None, model=None, ss=0):
+    """``ConnSpec`` of class ``cls`` on station ``ss``, with the class's
+    default QoS contract and traffic source unless ``qos`` or ``model``
+    replaces them."""
+    return ConnSpec(cid, ss, cls, DEFAULT_QOS[cls] if qos is None else qos,
+                    default_models()[cls] if model is None else model)
+
+
+def problems_of(frame_cfg, *specs):
+    """The problems ``Scenario`` construction names for ``specs`` on
+    ``frame_cfg``; [] when the scenario builds."""
+    try:
+        Scenario(frame_cfg, specs)
+    except ScenarioError as exc:
+        return exc.problems
+    return []
 
 
 def rtps_conn(cid, bound, sizes=(), arrivals=None):

@@ -5,12 +5,11 @@ from itertools import product
 
 import pytest
 
-from conftest import frame
+from conftest import frame, spec
 from perfbench.invariants import check_cell
 from uplinksim.cli import run_matrix
-from uplinksim.config import DEFAULT_QOS, baseline_config, baseline_scenario
+from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
-    ConnSpec,
     Scenario,
     ScenarioError,
     SimMode,
@@ -29,12 +28,8 @@ def cbr_scenario(rate_kbps=256.0, size=320, classes=(ServiceClass.NRTPS,),
     cid = 0
     for ss in range(n_ss):
         for cls in classes:
-            specs.append(
-                ConnSpec(
-                    cid=cid, ss_id=ss, service_class=cls, qos=DEFAULT_QOS[cls],
-                    traffic=TrafficModel(TrafficKind.CBR, rate_kbps, size, size),
-                )
-            )
+            specs.append(spec(cid, cls, ss=ss, model=TrafficModel(
+                TrafficKind.CBR, rate_kbps, size, size)))
             cid += 1
     return Scenario(frame=frame(capacity=capacity), conns=tuple(specs))
 
@@ -100,8 +95,8 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
         Scenario(
             frame=frame(capacity=100),
             conns=(
-                ConnSpec(0, 0, ServiceClass.RTPS, DEFAULT_QOS[ServiceClass.RTPS],
-                         TrafficModel(TrafficKind.CBR, 64.0, 80, 80)),
+                spec(0, ServiceClass.RTPS,
+                     model=TrafficModel(TrafficKind.CBR, 64.0, 80, 80)),
             ),
         )
 
@@ -110,13 +105,13 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
     good = baseline_scenario()
     rtps = next(s for s in good.conns if s.service_class is ServiceClass.RTPS)
     nan, inf = float("nan"), float("inf")
-    for spec in (replace(rtps, qos=replace(rtps.qos, weight=nan)),
-                 replace(rtps, qos=replace(rtps.qos, min_reserved_kbps=inf)),
-                 replace(rtps, traffic=replace(rtps.traffic, mean_rate_kbps=nan)),
-                 replace(rtps, traffic=replace(rtps.traffic, mean_on_ms=inf))):
+    for bad in (replace(rtps, qos=replace(rtps.qos, weight=nan)),
+                replace(rtps, qos=replace(rtps.qos, min_reserved_kbps=inf)),
+                replace(rtps, traffic=replace(rtps.traffic, mean_rate_kbps=nan)),
+                replace(rtps, traffic=replace(rtps.traffic, mean_on_ms=inf))):
         with pytest.raises(ScenarioError):
             replace(good, conns=tuple(
-                spec if s.cid == spec.cid else s for s in good.conns))
+                bad if s.cid == bad.cid else s for s in good.conns))
     for rho in (nan, inf):
         with pytest.raises(ValueError):
             Simulation(good, SimMode.SS1, 10, seed=1, rho=rho)
@@ -193,10 +188,10 @@ def test_gpc_spends_grants_only_on_their_own_connection():
     # holds a grant-sized request but no packets; per-connection grants
     # cannot be borrowed, the pooled scheduler reuses them freely
     specs = (
-        ConnSpec(0, 0, ServiceClass.NRTPS, DEFAULT_QOS[ServiceClass.NRTPS],
-                 TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
-        ConnSpec(1, 0, ServiceClass.NRTPS, DEFAULT_QOS[ServiceClass.NRTPS],
-                 TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
+        spec(0, ServiceClass.NRTPS,
+             model=TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
+        spec(1, ServiceClass.NRTPS,
+             model=TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
     )
     scenario = Scenario(frame=frame(capacity=5375), conns=specs)
 
@@ -261,14 +256,10 @@ def test_be_flows_only_through_station_scheduler_vs_strict_priority():
     # priority starves it
     specs = []
     for ss in range(2):
-        specs.append(ConnSpec(ss * 2, ss, ServiceClass.NRTPS,
-                              DEFAULT_QOS[ServiceClass.NRTPS],
-                              TrafficModel(TrafficKind.POISSON, 3000.0,
-                                           1250, 1250)))
-        specs.append(ConnSpec(ss * 2 + 1, ss, ServiceClass.BE,
-                              DEFAULT_QOS[ServiceClass.BE],
-                              TrafficModel(TrafficKind.POISSON, 512.0,
-                                           64, 1250)))
+        specs.append(spec(ss * 2, ServiceClass.NRTPS, ss=ss, model=TrafficModel(
+            TrafficKind.POISSON, 3000.0, 1250, 1250)))
+        specs.append(spec(ss * 2 + 1, ServiceClass.BE, ss=ss, model=TrafficModel(
+            TrafficKind.POISSON, 512.0, 64, 1250)))
     scenario = Scenario(frame=frame(capacity=5375), conns=tuple(specs))
 
     def be_delivered(result):

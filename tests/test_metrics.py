@@ -3,10 +3,10 @@ from array import array
 
 import pytest
 
-from conftest import frame
+from conftest import frame, spec
 from reference import delay_stats, throughput
-from uplinksim.config import DEFAULT_QOS, baseline_config
-from uplinksim.engine import ConnSpec, RunResult, Scenario, SimMode, run
+from uplinksim.config import baseline_config
+from uplinksim.engine import RunResult, Scenario, SimMode, run
 from uplinksim.metrics import (
     jain_index,
     run_summary,
@@ -33,8 +33,7 @@ def synthetic_result(packets_by_cid, classes, used=None, frames=100,
                      capacity=5375):
     """RunResult assembled by hand for metric unit tests."""
     conns = tuple(
-        ConnSpec(cid, 0, cls, DEFAULT_QOS[cls],
-                 TrafficModel(TrafficKind.CBR, 1.0, 10, 10))
+        spec(cid, cls, model=TrafficModel(TrafficKind.CBR, 1.0, 10, 10))
         for cid, cls in classes.items()
     )
     return RunResult(

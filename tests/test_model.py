@@ -1,14 +1,15 @@
+import math
+
 import pytest
 
-from conftest import frame, make_conn
-from uplinksim.config import DEFAULT_QOS
+from conftest import frame, make_conn, problems_of, spec
+from uplinksim.config import DEFAULT_QOS, baseline_scenario
 from uplinksim.model import (
     FrameConfig,
     QosParams,
     ServiceClass,
     bytes_per_frame,
     guaranteed_bytes,
-    validate_scenario,
 )
 
 
@@ -48,66 +49,65 @@ def test_guaranteed_bytes_per_class():
 
 
 def test_validate_single_station_fits_default_capacity():
-    conns = [
-        make_conn(1, ServiceClass.UGS),
-        make_conn(2, ServiceClass.RTPS),
-        make_conn(3, ServiceClass.NRTPS),
-        make_conn(4, ServiceClass.BE),
-    ]
-    assert validate_scenario(conns, frame(capacity=5375)) == []
+    conns = (
+        spec(1, ServiceClass.UGS),
+        spec(2, ServiceClass.RTPS),
+        spec(3, ServiceClass.NRTPS),
+        spec(4, ServiceClass.BE),
+    )
+    assert problems_of(frame(capacity=5375), *conns) == []
 
 
 def test_validate_empty_scenario_is_ok():
-    assert validate_scenario([], frame()) == []
+    assert problems_of(frame()) == []
 
 
 def test_validate_reports_reserved_sum_exceeding_capacity():
-    conn = make_conn(
+    conn = spec(
         1,
         ServiceClass.RTPS,
         qos=QosParams(max_sustained_kbps=90000.0, min_reserved_kbps=80000.0,
                       max_latency_ms=20.0, weight=1.0),
     )
-    problems = validate_scenario([conn], frame(capacity=5375))
+    problems = problems_of(frame(capacity=5375), conn)
     assert any("reserved sum exceeds" in p for p in problems)
 
 
 def test_validate_reports_every_violation_not_just_first():
-    bad_rtps = make_conn(
+    bad_rtps = spec(
         1, ServiceClass.RTPS,
         qos=QosParams(max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
                       weight=1.0),  # missing latency
     )
-    bad_ugs = make_conn(
+    bad_ugs = spec(
         1, ServiceClass.UGS,  # duplicate cid on purpose
         qos=QosParams(max_sustained_kbps=256.0, min_reserved_kbps=64.0),
     )
-    problems = validate_scenario([bad_rtps, bad_ugs], frame())
+    problems = problems_of(frame(), bad_rtps, bad_ugs)
     assert any("requires max_latency_ms" in p for p in problems)
     assert any("must not set min_reserved_kbps" in p for p in problems)
     assert any("duplicate" in p for p in problems)
 
 
 def test_validate_rate_ordering_and_positivity():
-    swapped = make_conn(
+    swapped = spec(
         1, ServiceClass.NRTPS,
         qos=QosParams(max_sustained_kbps=256.0, min_reserved_kbps=512.0, weight=2.0),
     )
-    problems = validate_scenario([swapped], frame())
+    problems = problems_of(frame(), swapped)
     assert any("exceeds max_sustained_kbps" in p for p in problems)
 
-    nonpositive = make_conn(
+    nonpositive = spec(
         1, ServiceClass.BE, qos=QosParams(min_reserved_kbps=-5.0, weight=1.0)
     )
-    problems = validate_scenario([nonpositive], frame())
+    problems = problems_of(frame(), nonpositive)
     assert any("must be > 0" in p for p in problems)
 
     for name in ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms",
                  "weight"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             qos = QosParams(**{**vars(DEFAULT_QOS[ServiceClass.RTPS]), name: bad})
-            problems = validate_scenario([make_conn(1, ServiceClass.RTPS, qos=qos)],
-                                         frame())
+            problems = problems_of(frame(), spec(1, ServiceClass.RTPS, qos=qos))
             assert f"cid 1: {name} must be finite, got {bad}" in problems
 
 
@@ -115,16 +115,26 @@ def test_validate_ok_implies_phase1_feasible():
     # the reservation sum counts the fixed UGS grant, so a valid scenario can
     # always grant every minimum within one frame
     f = frame(capacity=1920)
-    conns = [
-        make_conn(1, ServiceClass.UGS),
-        make_conn(2, ServiceClass.RTPS),
-        make_conn(3, ServiceClass.NRTPS),
-        make_conn(4, ServiceClass.BE),
-    ]
-    assert validate_scenario(conns, f) == []  # 320+640+640+320 == 1920 exactly
-    assert validate_scenario(conns, FrameConfig(10.0, 1919)) != []
+    conns = (
+        spec(1, ServiceClass.UGS),
+        spec(2, ServiceClass.RTPS),
+        spec(3, ServiceClass.NRTPS),
+        spec(4, ServiceClass.BE),
+    )
+    assert problems_of(f, *conns) == []  # 320+640+640+320 == 1920 exactly
+    assert problems_of(FrameConfig(10.0, 1919), *conns) != []
 
 
 def test_frame_config_validation():
-    assert validate_scenario([], FrameConfig(0.0, 100)) != []
-    assert validate_scenario([], FrameConfig(10.0, 0)) != []
+    assert problems_of(FrameConfig(0.0, 100)) != []
+    assert problems_of(FrameConfig(10.0, 0)) != []
+    # a non-finite duration is named, and no grant is computed on it: NaN
+    # raised ValueError and inf named only the 24 byte counts it overflowed
+    for bad in (math.nan, math.inf):
+        assert problems_of(FrameConfig(bad, 16000), *baseline_scenario().conns) \
+            == [f"frame duration must be finite, got {bad}"]
+    # a capacity must be a whole number of bytes; 16000.0 is one
+    for bad in (16000.5, math.nan, math.inf):
+        assert problems_of(FrameConfig(10.0, bad)) == [
+            f"uplink capacity must be a whole number of bytes, got {bad}"]
+    assert problems_of(FrameConfig(10.0, 16000.0), *baseline_scenario().conns) == []

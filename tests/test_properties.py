@@ -1,6 +1,6 @@
 """Property tests of the excess allocation's weight order, of Jain's
-fairness index and of the metrics accumulator against its per-packet
-oracle."""
+fairness index, of the metrics accumulator against its per-packet oracle,
+and of scenario construction on faulty fields."""
 
 import math
 from array import array
@@ -8,14 +8,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import frame
+from conftest import frame, spec
+from perfbench.invariants import check_cell
 from reference import reference_samples
 from test_bs_alloc import req
 from uplinksim.bs_alloc import AllocationResult, phase2_excess
-from uplinksim.config import DEFAULT_QOS
-from uplinksim.engine import ConnSpec, RunResult, SimMode
+from uplinksim.config import DEFAULT_QOS, baseline_scenario, frame_work
+from uplinksim.engine import RunResult, Scenario, ScenarioError, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, warmup_ms, window_metrics
-from uplinksim.model import PacketLog, ServiceClass
+from uplinksim.model import QOS_FIELDS, FrameConfig, PacketLog, ServiceClass
 from uplinksim.traffic import TrafficKind, TrafficModel
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -72,8 +73,7 @@ def built_result(duration_ms, frames, conns):
     specs, logs = [], {}
     for cid, (cls, bound, exits, queued) in enumerate(conns):
         qos = replace(DEFAULT_QOS[cls], max_latency_ms=bound)
-        specs.append(ConnSpec(cid, 0, cls, qos,
-                              TrafficModel(TrafficKind.CBR, 1.0, 10, 10)))
+        specs.append(spec(cid, cls, qos, TrafficModel(TrafficKind.CBR, 1.0, 10, 10)))
         exits = sorted((min(k, frames) * duration_ms, dropped, delay, size)
                        for k, dropped, delay, size in exits)
         log = PacketLog(
@@ -121,3 +121,72 @@ def test_metrics_match_the_per_packet_oracle(duration_ms, frames, warmup,
         end = start + (n - 1) * window_ms + window_ms
         expected = reference_samples(result, start, window_ms, n, end)
     assert window_metrics(result, window_ms, warmup) == expected
+
+
+# the faults a scenario's numeric fields are drawn with, now and then
+ODD = (math.nan, math.inf, -math.inf, 0, -1.0, 0.5, 64.0, 1250.5)
+
+
+@st.composite
+def maybe_odd(draw, sound, none=False):
+    """A value from ``sound``, or about one time in twenty a fault from
+    ``ODD``, or ``None`` where the field may be unset."""
+    if draw(st.integers(0, 19)):
+        return draw(sound)
+    return draw(st.sampled_from(ODD + (None,) * none))
+
+
+@st.composite
+def conn_specs(draw):
+    cls = draw(st.sampled_from(ServiceClass))
+    default = DEFAULT_QOS[cls]
+    qos = replace(default, weight=draw(maybe_odd(st.floats(0.1, 8.0))), **{
+        name: draw(maybe_odd(st.just(getattr(default, name)), none=True))
+        for name in QOS_FIELDS})
+    kind = draw(st.sampled_from(TrafficKind))
+    # sizes that mostly fit the frame, and a UGS grant of 320 B or more
+    lo = draw(maybe_odd(st.integers(1, 320)))
+    hi = lo
+    if kind is not TrafficKind.CBR and cls is not ServiceClass.UGS:
+        hi = draw(maybe_odd(st.integers(0, 1200).map(lambda extra: lo + extra)))
+    model = TrafficModel(kind, draw(maybe_odd(st.floats(1.0, 2000.0))), lo, hi,
+                         draw(maybe_odd(st.floats(1.0, 1000.0))),
+                         draw(maybe_odd(st.floats(1.0, 1000.0))))
+    return spec(draw(st.integers(-1, 1000)), cls, qos, model,
+                ss=draw(st.integers(0, 2)))
+
+
+BASE = baseline_scenario().conns
+# cid 3 is the built-in cell's best-effort source, of 64-1250 byte packets
+BE3 = BASE[3].traffic
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frame_cfg=st.builds(FrameConfig, maybe_odd(st.floats(10.0, 20.0)),
+                           maybe_odd(st.integers(2000, 20000) | st.just(16000.0))),
+       conns=st.lists(conn_specs(), max_size=4))
+# a NaN duration raised ValueError from the grant check; an infinite one
+# reported only its 24 byte counts, and with no connections built
+@example(frame_cfg=FrameConfig(math.nan, 16000), conns=BASE)
+@example(frame_cfg=FrameConfig(math.inf, 16000), conns=BASE)
+@example(frame_cfg=FrameConfig(math.inf, 16000), conns=())
+# a fractional or NaN capacity built, then failed every cell of the
+# built-in matrix (16000.5 only once the allocator is contended)
+@example(frame_cfg=FrameConfig(10.0, 16000.5), conns=BASE)
+@example(frame_cfg=FrameConfig(10.0, math.nan), conns=BASE)
+# a float packet size built, then failed the size draw
+@example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:3] + (
+    replace(BASE[3], traffic=replace(BE3, size_hi=1250.5)),) + BASE[4:])
+@example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:3] + (
+    replace(BASE[3], traffic=replace(BE3, size_lo=64.0)),) + BASE[4:])
+def test_a_scenario_builds_or_names_its_problems(frame_cfg, conns):
+    # construction either names the problems or builds a scenario whose
+    # cells run; a cell that would draw too much is not run
+    try:
+        scenario = Scenario(frame_cfg, tuple(conns))
+    except ScenarioError as exc:
+        assert exc.problems
+        return
+    if 3 * frame_work(scenario, 1.0) <= 1e5:
+        for mode in SimMode:
+            assert check_cell(run(scenario, mode, 3)) == []

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import frame, make_conn
+from conftest import frame, make_conn, problems_of, spec
 from uplinksim import traffic
 from uplinksim.config import parse_config
 from uplinksim.model import QosParams, ServiceClass
@@ -14,7 +14,6 @@ from uplinksim.traffic import (
     TrafficSource,
     default_models,
     draw_stream,
-    model_violations,
 )
 
 
@@ -93,7 +92,7 @@ def test_intensity_linearity_for_elastic_models():
 def test_no_packet_exceeds_frame_capacity():
     f = frame()
     for cls, model in default_models().items():
-        assert model_violations(1, model, f) == []
+        assert problems_of(f, spec(1, cls, model=model)) == []
         conn = make_conn(1, cls)
         stream = draw_stream(conn, model, f, 1.4, seed=6, frames=500)
         assert all(1 <= size <= f.uplink_capacity_bytes for size in stream.size)
@@ -102,7 +101,12 @@ def test_no_packet_exceeds_frame_capacity():
 def test_model_violations_flag_oversized_packets():
     model = TrafficModel(TrafficKind.POISSON, 512.0, 64, 9000)
     assert any("exceeds uplink capacity" in p
-               for p in model_violations(1, model, frame()))
+               for p in problems_of(frame(), spec(1, ServiceClass.BE, model=model)))
+    # a size the draw cannot take: ``_size_draw`` failed on a float
+    for lo, hi in ((64, 1250.5), (64.0, 1250)):
+        model = TrafficModel(TrafficKind.POISSON, 512.0, lo, hi)
+        assert problems_of(frame(), spec(1, ServiceClass.BE, model=model)) == [
+            f"cid 1: packet sizes must be ints, got {lo!r} and {hi!r}"]
 
 
 def test_default_models_match_contracts():
@@ -127,7 +131,8 @@ def test_non_finite_intensity_and_model_values_rejected():
                            ("mean_off_ms", "on/off mean durations must be finite")):
         for bad in (float("nan"), float("inf")):
             bad_model = replace(model, **{field: bad})
-            assert model_violations(1, bad_model, frame()) == [f"cid 1: {problem}"]
+            assert (problems_of(frame(), spec(1, ServiceClass.RTPS, model=bad_model))
+                    == [f"cid 1: {problem}"])
 
 
 def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
@@ -284,7 +289,8 @@ def test_poisson_large_mean_is_not_truncated():
     frames = 200
     stream = draw_stream(conn, model, frame(capacity=200_000), 1.0, seed=4,
                          frames=frames)
-    assert model_violations(1, model, frame(capacity=200_000)) == []
+    assert problems_of(frame(capacity=200_000),
+                       spec(1, ServiceClass.BE, model=model)) == []
     mean = sum(stream.counts) / frames
     assert abs(mean - 1953.125) / 1953.125 < 0.02
 
