@@ -13,20 +13,23 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
+from operator import le
 
 BACKEND = "python"
+# uncapped water-filling splits kept per weight set, oldest evicted first
+SPLITS_PER_WEIGHT_SET = 16
 
 
 @lru_cache(maxsize=32)
 def _key_steps(weights: tuple) -> tuple:
-    """(L, steps, scaled) for one weight set.
+    """(L, steps, scaled, splits) for one weight set.
 
     Integer-valued weights are used as they are.  Any other weight is read
     as the exact decimal it prints as, and the whole set is scaled by the
     common denominator to integers ``W_i`` (``scaled``).  With
     ``L = lcm(W)`` and ``steps[i] = L / W_i``, the key of byte ``k`` of
     entry ``i`` is the integer ``k * steps[i]``, which orders bytes exactly
-    as ``k / w_i`` does.
+    as ``k / w_i`` does.  ``splits`` is ``waterfill``'s table of splits.
     """
     if all(float(w).is_integer() for w in weights):
         scaled = tuple(int(w) for w in weights)
@@ -37,7 +40,7 @@ def _key_steps(weights: tuple) -> tuple:
         den = math.lcm(*(f.denominator for f in exact))
         scaled = tuple(int(f * den) for f in exact)
     lcm = math.lcm(*scaled)
-    return lcm, tuple(lcm // w for w in scaled), scaled
+    return lcm, tuple(lcm // w for w in scaled), scaled, {}
 
 
 def waterfill(deficits: list, weights: list, remaining: int) -> list:
@@ -51,6 +54,15 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     level of the continuous solution is taken, which overshoots R by fewer
     than n bytes, and the largest (key, index) pairs are given back.
     Weights must be > 0.  Returns the per-index byte increments.
+
+    In overload most contended calls cap no entry; the split then depends
+    only on the weights, R and which deficits are > 0.  Each weight set
+    keeps ``SPLITS_PER_WEIGHT_SET`` such uncapped splits, keyed by (R,
+    active set) and evicted first in, first out, and returns one only where
+    every share fits its deficit.  That is exact: the uncapped (key, index)
+    pairs are a superset of the capped ones, so when the R smallest all fit
+    they are the R smallest capped pairs too; and a capped result in which
+    no entry reached its deficit, the only kind stored, is the uncapped one.
     """
     unmet = 0
     for d in deficits:
@@ -62,7 +74,11 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     inc = [0] * n
     if remaining <= 0:
         return inc
-    lcm, steps, scaled = _key_steps(tuple(weights))
+    lcm, steps, scaled, splits = _key_steps(tuple(weights))
+    slot = (remaining, bytes(map((0).__lt__, deficits)))
+    split = splits.get(slot)
+    if split is not None and all(map(le, split, deficits)):
+        return list(split)
 
     # Continuous level T: an unsaturated entry holds T / steps[i] bytes,
     # i.e. T * W_i / L.  Walk the entries in the order they saturate
@@ -104,6 +120,10 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
                 heapq.heapreplace(heap, (key + steps[i], neg))
             else:
                 heapq.heappop(heap)
+    if all(inc[i] < deficits[i] for _, i in active):
+        if len(splits) >= SPLITS_PER_WEIGHT_SET:
+            del splits[next(iter(splits))]
+        splits[slot] = tuple(inc)
     return inc
 
 

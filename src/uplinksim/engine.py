@@ -59,6 +59,14 @@ class ConnSpec:
     traffic: TrafficModel
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # the QoS fields each class requires; it must leave the others unset
 _QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
     ServiceClass.UGS: ("max_sustained_kbps",),
@@ -112,7 +120,7 @@ class Scenario:
         frame = self.frame
         dur, capacity = frame.frame_duration_ms, frame.uplink_capacity_bytes
         # only here do rates convert to finite byte counts per frame
-        timed = 0 < dur < math.inf
+        timed = dur > 0 and _finite(dur)
         contract, traffic, zero_quanta = [], [], []
         if dur <= 0:
             contract.append(f"frame duration must be > 0, got {dur}")
@@ -138,7 +146,8 @@ class Scenario:
 
             required = _QOS_REQUIRED[cls]
             faults = [f"cid {cid}: {cls.label} connection requires {name}"
-                      for name in required if getattr(qos, name) is None]
+                      for name in (*required, "weight")
+                      if getattr(qos, name) is None]
             faults += [f"cid {cid}: {cls.label} connection must not set {name}"
                        for name in QOS_FIELDS
                        if name not in required and getattr(qos, name) is not None]
@@ -146,7 +155,7 @@ class Scenario:
                 value = getattr(qos, name)
                 if value is None:
                     continue
-                if not math.isfinite(value):
+                if not _finite(value):
                     faults.append(f"cid {cid}: {name} must be finite, got {value}")
                 elif value <= 0:
                     faults.append(f"cid {cid}: {name} must be > 0, got {value}")
@@ -158,7 +167,7 @@ class Scenario:
             # frame (a grant, reservation or deficit-round quantum)
             for name, rate in (("max_sustained_kbps", hi_rate),
                                ("min_reserved_kbps", lo_rate)):
-                if (timed and rate is not None and 0 < rate < math.inf
+                if (timed and rate is not None and _finite(rate) and rate > 0
                         and rate * dur / 8.0 == math.inf):
                     faults.append(f"cid {cid}: {name} must give a finite "
                                   f"byte count per frame, got {rate}")
@@ -168,7 +177,7 @@ class Scenario:
             except (ValueError, OverflowError):
                 pass  # a rate or duration reported above
 
-            if not math.isfinite(model.mean_rate_kbps):
+            if not _finite(model.mean_rate_kbps):
                 traffic.append(f"cid {cid}: traffic mean rate must be finite")
             elif model.mean_rate_kbps <= 0:
                 traffic.append(f"cid {cid}: traffic mean rate must be > 0")
@@ -189,7 +198,7 @@ class Scenario:
                                f"log's {MAX_PACKET_BYTES} bytes")
             if model.kind is TrafficKind.ONOFF_VBR:
                 means = (model.mean_on_ms, model.mean_off_ms)
-                if not all(map(math.isfinite, means)):
+                if not all(map(_finite, means)):
                     traffic.append(f"cid {cid}: on/off mean durations must be finite")
                 elif min(means) <= 0:
                     traffic.append(f"cid {cid}: on/off mean durations must be > 0")

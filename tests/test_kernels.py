@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_conn, rtps_conn
 from reference import brute_force_alloc, reference_dfpq, reference_edf
-from uplinksim._kernels_py import dfpq_take, edf_take, waterfill
+from uplinksim._kernels_py import (SPLITS_PER_WEIGHT_SET, _key_steps, dfpq_take,
+                                   edf_take, waterfill)
 from uplinksim.model import ServiceClass
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -44,6 +45,58 @@ def test_waterfill_matches_exact_oracle(instance):
     assert all(0 <= i <= u for i, u in zip(inc, unmet))
     if remaining >= sum(unmet):
         assert inc == unmet
+
+
+def exact_split(deficits, weights, remaining):
+    unmet = [max(d, 0) for d in deficits]
+    return brute_force_alloc(unmet, [0] * len(unmet), weights, remaining)
+
+
+@st.composite
+def split_sequences(draw):
+    """One weight set and a sequence of (deficits, remaining) calls on one
+    active set: the other entries' deficits are 0 or negative.  The bytes
+    left often repeat, so stored splits are looked up.  A call may be
+    followed by its twin whose entry ``j`` is capped one byte below its
+    share, which a split stored by the first call no longer fits."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.sampled_from(WEIGHTS).map(float),
+                            min_size=n, max_size=n))
+    remaining = draw(st.integers(1, 40))
+    active = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    calls = []
+    for _ in range(draw(st.integers(1, 24))):
+        r = remaining + draw(st.sampled_from((0, 1)) | st.integers(0, 30))
+        deficits = [draw(st.integers(1, 60) | st.integers(100, 200)) if a
+                    else draw(st.integers(-3, 0)) for a in active]
+        calls.append((deficits, r))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, n - 1))
+            share = exact_split(deficits, weights, r)[j]
+            if share >= 2:
+                capped = list(deficits)
+                capped[j] = share - 1
+                calls.append((capped, r))
+    return weights, calls
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(split_sequences())
+# a split stored, a cap that binds on it, and the stored split again
+@example(([1.0, 1.0], [([10, 10], 10), ([3, 10], 10), ([5, 100], 10)]))
+# more uncapped splits than the table holds, then the first one again
+@example(([1.0, 3.0, 2.0], [([100, -1, 100], r) for r in range(1, 20)]
+          + [([100, 0, 100], 1)]))
+def test_waterfill_reuses_a_split_only_where_it_fits(instance):
+    # every call is exact in either order, from an empty table
+    weights, calls = instance
+    expected = [exact_split(d, weights, r) for d, r in calls]
+    for step in (1, -1):
+        _key_steps.cache_clear()
+        for (deficits, remaining), exact in zip(calls[::step], expected[::step]):
+            assert waterfill(deficits, weights, remaining) == exact
+            splits = _key_steps(tuple(weights))[3]
+            assert len(splits) <= SPLITS_PER_WEIGHT_SET
 
 
 def oracle_split(sent, cids, originals):

@@ -123,8 +123,9 @@ def test_metrics_match_the_per_packet_oracle(duration_ms, frames, warmup,
     assert window_metrics(result, window_ms, warmup) == expected
 
 
-# the faults a scenario's numeric fields are drawn with, now and then
-ODD = (math.nan, math.inf, -math.inf, 0, -1.0, 0.5, 64.0, 1250.5)
+# the faults a scenario's numeric fields are drawn with, now and then; 10**400
+# is an int too large for a float
+ODD = (math.nan, math.inf, -math.inf, 0, -1.0, 0.5, 64.0, 1250.5, 10**400)
 
 
 @st.composite
@@ -140,7 +141,7 @@ def maybe_odd(draw, sound, none=False):
 def conn_specs(draw):
     cls = draw(st.sampled_from(ServiceClass))
     default = DEFAULT_QOS[cls]
-    qos = replace(default, weight=draw(maybe_odd(st.floats(0.1, 8.0))), **{
+    qos = replace(default, weight=draw(maybe_odd(st.floats(0.1, 8.0), none=True)), **{
         name: draw(maybe_odd(st.just(getattr(default, name)), none=True))
         for name in QOS_FIELDS})
     kind = draw(st.sampled_from(TrafficKind))
@@ -157,6 +158,8 @@ def conn_specs(draw):
 
 
 BASE = baseline_scenario().conns
+# cid 1 is the built-in cell's first rtPS connection
+RT1 = BASE[1].qos
 # cid 3 is the built-in cell's best-effort source, of 64-1250 byte packets
 BE3 = BASE[3].traffic
 
@@ -179,6 +182,14 @@ BE3 = BASE[3].traffic
     replace(BASE[3], traffic=replace(BE3, size_hi=1250.5)),) + BASE[4:])
 @example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:3] + (
     replace(BASE[3], traffic=replace(BE3, size_lo=64.0)),) + BASE[4:])
+# an unset weight built, then failed the allocation plan
+@example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:1] + (
+    replace(BASE[1], qos=replace(RT1, weight=None)),) + BASE[2:])
+# an int QoS value too large for a float raised OverflowError
+@example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:1] + (
+    replace(BASE[1], qos=replace(RT1, max_sustained_kbps=10**400)),) + BASE[2:])
+@example(frame_cfg=FrameConfig(10.0, 16000), conns=BASE[:1] + (
+    replace(BASE[1], qos=replace(RT1, weight=10**400)),) + BASE[2:])
 def test_a_scenario_builds_or_names_its_problems(frame_cfg, conns):
     # construction either names the problems or builds a scenario whose
     # cells run; a cell that would draw too much is not run
