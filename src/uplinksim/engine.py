@@ -243,11 +243,18 @@ class CellStreams(NamedTuple):
 
 def draw_streams(scenario: Scenario, frames: int, seed: int = 1,
                  rho: float = 1.0) -> CellStreams:
-    """Every connection's stream over ``frames`` frames."""
-    return CellStreams(
-        (scenario, frames, seed, rho),
-        tuple(draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
-              for s in scenario.conns))
+    """Every connection's stream over ``frames`` frames.  A CBR draw reads
+    neither the seed nor the cid, so connections with equal CBR sources
+    share one stream."""
+    drawn: dict[object, Stream] = {}
+    streams = []
+    for s in scenario.conns:
+        key = ((s.service_class, s.traffic) if s.traffic.kind is TrafficKind.CBR
+               else s.cid)
+        if key not in drawn:
+            drawn[key] = draw_stream(s, s.traffic, scenario.frame, rho, seed, frames)
+        streams.append(drawn[key])
+    return CellStreams((scenario, frames, seed, rho), tuple(streams))
 
 
 @dataclass
@@ -295,7 +302,8 @@ class Simulation:
     frames, seed and rho; without it the run draws its own.  Streams drawn
     for another cell raise ``ValueError`` naming the part of the cell that
     differs, before any step.  Each log's ``size`` and ``arrival`` are its
-    stream's columns, which no run writes, so cells can share them.
+    stream's columns, which no run writes, so cells, and connections
+    with equal CBR sources, can share them.
     Each ``step()`` appends a departure to the log of every packet that
     leaves its queue, and the frame's bytes granted and used to
     ``granted`` and ``used``.
@@ -343,10 +351,10 @@ class Simulation:
         # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
         self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
-        self._stations = {
-            ss: Station([c for c in conns if c.ss_id == ss], cfg)
-            for ss in sorted({c.ss_id for c in conns})
-        }
+        by_ss: dict[int, list[Connection]] = {}
+        for c in conns:
+            by_ss.setdefault(c.ss_id, []).append(c)
+        self._stations = {ss: Station(by_ss[ss], cfg) for ss in sorted(by_ss)}
         self.frame_index = 0
         self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
         self.granted: list[int] = []

@@ -1,8 +1,9 @@
 """Synthetic per-connection traffic sources.
 
-Every connection owns an independent, deterministically seeded RNG stream
-derived from (run seed, cid), so a scenario replays byte-identically for the
-same seed regardless of which other connections run beside it.  The
+Every on/off or Poisson connection owns an independent, deterministically
+seeded RNG derived from (run seed, cid), so a scenario replays
+byte-identically for the same seed regardless of which other connections run
+beside it; a CBR source draws nothing at random.  The
 sources are open-loop: a stream depends on its connection, the frame
 duration, seed, rho and frames, never on scheduling, so ``draw_stream``
 draws it whole before the frame loop and every cell of it reads it.
@@ -73,24 +74,26 @@ def _poisson_chunks(lam: float) -> tuple[int, float]:
     return chunks, math.exp(-lam / chunks)
 
 
-def _size_draw(getrandbits, lo: int, hi: int):
-    """A function drawing one packet size uniform over ``lo``..``hi``.
+def _size_draws(getrandbits, lo: int, hi: int):
+    """An endless iterator of packet sizes uniform over ``lo``..``hi``,
+    each drawn only when it is taken, so it never draws ahead.
 
-    It is ``randrange(lo, hi + 1)`` minus its Python layers: the same draws,
-    and the same RNG state after, on Python 3.10-3.13 (see README).  A
-    fixed size draws nothing."""
+    Each size is ``randrange(lo, hi + 1)`` minus its Python layers: the same
+    draws, and the same RNG state after, on Python 3.10-3.13 (see README).
+    A fixed size draws nothing."""
     if lo == hi:
-        return lambda: lo
+        return repeat(lo)
     width = hi - lo + 1
     bits = width.bit_length()
 
-    def draw() -> int:
-        r = getrandbits(bits)
-        while r >= width:
+    def draws():
+        while True:
             r = getrandbits(bits)
-        return lo + r
+            while r >= width:
+                r = getrandbits(bits)
+            yield lo + r
 
-    return draw
+    return draws()
 
 
 class Stream(NamedTuple):
@@ -127,14 +130,14 @@ def _cbr(stream: Stream, frames: int, size: int, accrual: float, dur: float):
     stream.size.extend(repeat(size, len(arrival)))
 
 
-def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
+def _onoff(stream: Stream, frames: int, expovariate, draws, rate: float,
            mean_on: float, mean_off: float, dur: float):
     # walk the exponential on/off process across each frame; while ON,
     # bytes accrue at the burst rate (bytes per ms) and a packet leaves the
     # instant its full size has accrued
     sizes, arrival, counts = stream.size, stream.arrival, stream.counts
     phase_left = expovariate(1.0 / mean_off)
-    size = draw()
+    size = next(draws)
     credit = 0.0
     on = False
     for fr in range(frames):
@@ -157,7 +160,7 @@ def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
                         sizes.append(size)
                         arrival.append(u)
                         credit = 0.0
-                        size = draw()
+                        size = next(draws)
                     else:
                         credit += rate * (seg_end - u)
                         break
@@ -169,17 +172,17 @@ def _onoff(stream: Stream, frames: int, expovariate, draw, rate: float,
         counts.append(len(arrival) - arrived)
 
 
-def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
-             dur: float, size: int):
-    # ``draw`` is None for fixed-size packets, which draw nothing: the size
-    # column is filled with ``size`` once, after the loop
+def _poisson(stream: Stream, frames: int, uniform, draws, lam: float,
+             dur: float):
     sizes, arrival, counts = stream.size, stream.arrival, stream.counts
     chunks, limit = _poisson_chunks(lam)
     for fr in range(frames):
         # Knuth's product method, once per chunk: the count is how many
         # uniforms multiply in before the product falls to exp(-mean)
         n = 0
-        for _ in repeat(None, chunks):
+        left = chunks
+        while left:
+            left -= 1
             p = uniform()
             while p > limit:
                 n += 1
@@ -191,11 +194,8 @@ def _poisson(stream: Stream, frames: int, uniform, draw, lam: float,
                 arrival.append(start + uniform() * dur)
             else:
                 arrival.extend(sorted([start + uniform() * dur for _ in range(n)]))
-            if draw is not None:
-                sizes.extend([draw() for _ in range(n)])
+            sizes.extend(islice(draws, n))
         counts.append(n)
-    if draw is None:
-        sizes.extend(repeat(size, len(arrival)))
 
 
 def draw_rate(service_class: ServiceClass, model: TrafficModel, rho: float) -> float:
@@ -222,7 +222,7 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
     if not 0 <= rho < math.inf:
         raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
     # a valid Scenario never has an empty range, but a caller may pass any
-    # model here, and on one ``_size_draw`` would spin forever
+    # model here, and on one ``_size_draws`` would spin forever
     if model.size_lo > model.size_hi:
         raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
     stream = Stream(array("q"), array("d"), array("q"))
@@ -234,14 +234,13 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
         _cbr(stream, frames, model.size_lo, rate_kbps * dur / 8.0, dur)
     else:
         rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
-        draw = _size_draw(rng.getrandbits, model.size_lo, model.size_hi)
+        draws = _size_draws(rng.getrandbits, model.size_lo, model.size_hi)
         if model.kind is TrafficKind.ONOFF_VBR:
-            _onoff(stream, frames, rng.expovariate, draw, rate_kbps / 8.0,
+            _onoff(stream, frames, rng.expovariate, draws, rate_kbps / 8.0,
                    model.mean_on_ms, model.mean_off_ms, dur)
         else:
-            _poisson(stream, frames, rng.random,
-                     draw if model.size_lo < model.size_hi else None,
-                     rate_kbps * dur / 8.0 / model.mean_size, dur, model.size_lo)
+            _poisson(stream, frames, rng.random, draws,
+                     rate_kbps * dur / 8.0 / model.mean_size, dur)
     return stream
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import frame, make_conn, problems_of, spec
 from uplinksim import traffic
-from uplinksim.config import parse_config
+from uplinksim.config import baseline_scenario, parse_config
+from uplinksim.engine import draw_streams
 from uplinksim.model import QosParams, ServiceClass
 from uplinksim.traffic import (
     TrafficKind,
@@ -102,7 +103,7 @@ def test_model_violations_flag_oversized_packets():
     model = TrafficModel(TrafficKind.POISSON, 512.0, 64, 9000)
     assert any("exceeds uplink capacity" in p
                for p in problems_of(frame(), spec(1, ServiceClass.BE, model=model)))
-    # a size the draw cannot take: ``_size_draw`` failed on a float
+    # a size the draw cannot take: the size draw failed on a float
     for lo, hi in ((64, 1250.5), (64.0, 1250)):
         model = TrafficModel(TrafficKind.POISSON, 512.0, lo, hi)
         assert problems_of(frame(), spec(1, ServiceClass.BE, model=model)) == [
@@ -327,20 +328,17 @@ def test_source_hands_out_its_stream_frame_by_frame(case):
 
 
 def test_streams_draw_sizes_through_size_draw(monkeypatch):
-    # tests/test_draws.py checks _size_draw; every size the onoff and
+    # tests/test_draws.py checks _size_draws; every size the onoff and
     # poisson streams emit must come from it
     sizes = []
-    size_draw_of = traffic._size_draw
+    size_draws_of = traffic._size_draws
 
-    def size_draw(getrandbits, lo, hi):
-        draw = size_draw_of(getrandbits, lo, hi)
+    def size_draws(getrandbits, lo, hi):
+        for size in size_draws_of(getrandbits, lo, hi):
+            sizes.append(size)
+            yield size
 
-        def spy():
-            sizes.append(draw())
-            return sizes[-1]
-        return spy
-
-    monkeypatch.setattr(traffic, "_size_draw", size_draw)
+    monkeypatch.setattr(traffic, "_size_draws", size_draws)
     for kind in (TrafficKind.ONOFF_VBR, TrafficKind.POISSON):
         sizes.clear()
         model = TrafficModel(kind, 900.0, 64, 1250)
@@ -349,3 +347,30 @@ def test_streams_draw_sizes_through_size_draw(monkeypatch):
         # the on/off walk draws its next packet's size ahead
         ahead = 1 if kind is TrafficKind.ONOFF_VBR else 0
         assert emitted and sizes[:len(sizes) - ahead] == emitted
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_equal_cbr_sources_share_one_stream(seed):
+    scenario = baseline_scenario()
+    cell = draw_streams(scenario, 300, seed, 1.2)
+    ugs = [(c, s) for c, s in zip(scenario.conns, cell.streams)
+           if c.service_class is ServiceClass.UGS]
+    assert len(ugs) == 4 and len({id(s) for _, s in ugs}) == 1
+    for c, s in ugs:
+        assert s == draw_stream(c, c.traffic, scenario.frame, 1.2, seed, 300)
+    # every other source draws its own
+    others = [s for c, s in zip(scenario.conns, cell.streams)
+              if c.service_class is not ServiceClass.UGS]
+    assert len({id(s) for s in others}) == len(others)
+
+    # a CBR draw reads neither the seed nor the cid
+    model = default_models()[ServiceClass.UGS]
+    streams = [draw_stream(make_conn(cid, ServiceClass.UGS), model, frame(),
+                           1.2, s, 300) for s in (1, 2) for cid in (1, 9)]
+    assert all(s == streams[0] for s in streams)
+
+    # but it reads the class: UGS is capped at rho 1, rtPS is not
+    pair = replace(scenario, conns=(
+        spec(1, ServiceClass.UGS), spec(2, ServiceClass.RTPS, model=model)))
+    ugs_stream, rtps_stream = draw_streams(pair, 300, seed, 1.7).streams
+    assert len(rtps_stream.size) > len(ugs_stream.size)
