@@ -18,8 +18,8 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     baseline_config,
-    override_run,
     parse_config,
+    serialize_config,
 )
 from .engine import CellStreams, RunResult, SimMode, draw_streams, run
 from .metrics import run_summary, window_metrics
@@ -49,12 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    """Flag > SIM_OUT environment variable > config file.
-
-    Each value is checked by the scenario file's rules for its [run] key,
-    with lists comma-separated; an empty --seeds, --rho or --out counts as
-    not given.
+def apply_overrides(args) -> dict[str, tuple[str, str]]:
+    """{[run] key: (text, where)} of the flags and SIM_OUT, which replace
+    the config file's: flag > SIM_OUT environment variable > config file.
+    An empty --seeds, --rho or --out counts as not given.
     """
     given = {}
     if os.environ.get("SIM_OUT"):
@@ -70,7 +68,7 @@ def apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     ):
         if text is not None:
             given[key] = (text, flag)
-    return override_run(cfg, given)
+    return given
 
 
 def matrix_cells(cfg: ScenarioConfig) -> list[tuple[SimMode, int, float]]:
@@ -197,16 +195,13 @@ def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-                return 2
-            cfg = parse_config(text)
-        else:
-            cfg = baseline_config()
-        cfg = apply_overrides(cfg, args)
+        text = (Path(args.config).read_text(encoding="utf-8") if args.config
+                else serialize_config(baseline_config()))
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        cfg = parse_config(text, apply_overrides(args))
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -38,10 +38,11 @@ Grammar (see README for the full reference)::
 
 Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
-carry line numbers.  Command-line overrides of [run] keys go through the
-same per-key rules (``override_run``).  Both refuse a matrix whose cells
-would cost more than ``MAX_CELL_WORK``, or whose on/off bursts would step
-below the clock's resolution.
+carry line numbers.  Flags replace their [run] keys' text before any check
+(``parse_config``'s ``flags``).  Building a ``ScenarioConfig``, from a file
+or in code, refuses a matrix whose cells would cost more than
+``MAX_CELL_WORK``, or whose on/off bursts would step below the clock's
+resolution.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A run matrix.  Only one the simulator can draw can be built:
+    construction runs ``within_work_ceiling``, so nothing checks it again."""
+
     scenario: Scenario
     modes: tuple[SimMode, ...] = (SimMode.SS1,)
     frames: int = 3000
@@ -89,6 +93,9 @@ class ScenarioConfig:
     drop_expired: bool = False
     trace: bool = False
     outdir: str = "out"
+
+    def __post_init__(self):
+        within_work_ceiling(self)
 
 
 #: The most work one cell may be expected to cost: a unit per packet, per
@@ -131,20 +138,22 @@ def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
     return steps
 
 
-def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg``, if no rho makes its cells cost more than ``MAX_CELL_WORK``
-    over ``cfg.frames`` frames: such a cell would run for hours or fill
-    memory.  An ``onoff`` source whose burst step is not above the clock's
-    resolution at the last frame is refused too: there a packet's time
-    ``u + dt`` equals ``u``, and its packet loop never ends.  Raises
-    ConfigError with one error per rho above the ceiling and per source
-    that would stall."""
+def within_work_ceiling(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError unless ``frames`` is an int > 0 and each distinct
+    rho keeps its cells within ``MAX_CELL_WORK`` over ``cfg.frames``
+    frames: a costlier cell would run for hours or fill memory.  An
+    ``onoff`` source whose burst step is not above the clock's resolution
+    at the last frame is refused too: there a packet's time ``u + dt``
+    equals ``u``, and its packet loop never ends.  There is one error per
+    rho refused and per source that would stall."""
+    if not (isinstance(cfg.frames, int) and cfg.frames > 0):
+        raise ConfigError([f"frames must be an int > 0, got {cfg.frames!r}"])
     try:
         resolution = math.ulp(cfg.frames * cfg.scenario.frame.frame_duration_ms)
     except OverflowError:  # ``frames`` is too large an int for a float
         resolution = math.inf
     errors = []
-    for rho in cfg.rhos:
+    for rho in dict.fromkeys(cfg.rhos):
         work = frame_work(cfg.scenario, rho)
         # divide: ``frames`` may be too large an int to convert to a float
         if not work <= MAX_CELL_WORK / cfg.frames:
@@ -161,7 +170,6 @@ def within_work_ceiling(cfg: ScenarioConfig) -> ScenarioConfig:
                     f"above the clock's resolution of {resolution:.3g} ms")
     if errors:
         raise ConfigError(errors)
-    return cfg
 
 
 def _tokenize(text: str):
@@ -295,7 +303,7 @@ _CONN = {
 _SECTIONS = {"frame": _FRAME, "run": _RUN, "connection": _CONN}
 
 
-def _value(spec: _Key, key: str, text: str, where: str, errors: list[str],
+def _value(spec: _Key, key: str, errors: list[str], text: str, where: str,
            sep: str | None = None):
     """Parse and check one key's text; a list splits on ``sep``."""
     value = spec.parse(text.split(sep) if spec.many else text, where, key, errors)
@@ -304,25 +312,11 @@ def _value(spec: _Key, key: str, text: str, where: str, errors: list[str],
     return value
 
 
-def _values(table: dict, given: dict[str, tuple[str, str]], errors: list[str],
-            sep: str | None = None) -> dict:
-    """{field: value} for each key ``given`` as (text, where); keys are
+def _values(table: dict, given: dict[str, tuple], errors: list[str]) -> dict:
+    """{field: value} for each key ``given`` as (text, where[, sep]); keys are
     taken in table order, which is the order their errors are reported in."""
-    return {spec.field or key: _value(spec, key, *given[key], errors, sep)
+    return {spec.field or key: _value(spec, key, errors, *given[key])
             for key, spec in table.items() if key in given}
-
-
-def override_run(cfg: ScenarioConfig,
-                 given: dict[str, tuple[str, str]]) -> ScenarioConfig:
-    """``cfg`` with the given [run] keys replaced, each checked exactly as
-    in a scenario file; ``given`` maps a key to its (text, where), and list
-    values are comma-separated as on the command line, and the result must
-    stay within ``MAX_CELL_WORK``.  Raises ConfigError."""
-    errors: list[str] = []
-    updates = _values(_RUN, given, errors, sep=",")
-    if errors:
-        raise ConfigError(errors)
-    return within_work_ceiling(replace(cfg, **updates))
 
 
 def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
@@ -333,7 +327,7 @@ def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
     start = len(errors)
 
     def value(key):
-        return _value(_CONN[key], key, *raw[key], errors)
+        return _value(_CONN[key], key, errors, *raw[key])
 
     cid, ss, service_class = value("cid"), value("ss"), value("class")
     if service_class is None:
@@ -377,8 +371,10 @@ def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
                     qos=qos, traffic=model)
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a scenario configuration.
+def parse_config(text: str,
+                 flags: dict[str, tuple[str, str]] | None = None) -> ScenarioConfig:
+    """Parse and fully validate a scenario configuration; ``flags`` maps
+    [run] keys to command-line (text, where), which replace the file's.
 
     Raises ConfigError carrying every problem found, each with its line.
     """
@@ -425,6 +421,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if not conn_raws:
         errors.append("config defines no subscriber stations (no [connection] sections)")
 
+    for key, (value, where) in (flags or {}).items():
+        raws["run"][key] = (value, where, ",")  # lists are comma-separated
     run_values = _values(_RUN, raws["run"], errors)
 
     if not errors:
@@ -441,7 +439,7 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"the frame duration {frame.frame_duration_ms} ms")
     if errors:
         raise ConfigError(errors)
-    return within_work_ceiling(ScenarioConfig(scenario=scenario, **run_values))
+    return ScenarioConfig(scenario=scenario, **run_values)
 
 
 def _fmt(value: float) -> str:

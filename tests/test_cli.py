@@ -180,21 +180,21 @@ GOOD_VALUES = [
 
 
 def test_cli_flag_validation(monkeypatch):
-    # no cell runs: a bad flag stops at apply_overrides, which is checked
-    # directly, and by the same per-key rules as a scenario file
+    # no cell runs: a bad flag stops at parse_config, which is checked
+    # directly, by the same per-key rules as a scenario file
     monkeypatch.delenv("SIM_OUT", raising=False)
     parser = build_parser()
-    base = parse_config(SMALL)
     for flag, key, flag_text, file_text in BAD_VALUES:
-        args = parser.parse_args([f"{flag}={flag_text}"])
+        flags = apply_overrides(parser.parse_args([f"{flag}={flag_text}"]))
+        assert flags == {key: (flag_text, flag)}
         with pytest.raises(ConfigError) as info:
-            apply_overrides(base, args)
+            parse_config(SMALL, flags)
         assert all(e.startswith(f"{flag}: {key} ") for e in info.value.errors)
         with pytest.raises(ConfigError):
             parse_config(with_run_key(key, file_text))
     for flag, key, flag_text, file_text in GOOD_VALUES:
         argv = [flag] if flag_text is None else [flag, flag_text]
-        by_flag = apply_overrides(base, parser.parse_args(argv))
+        by_flag = parse_config(SMALL, apply_overrides(parser.parse_args(argv)))
         assert by_flag == parse_config(with_run_key(key, file_text)), flag
 
     assert main(["--frames", "-5"]) == 2

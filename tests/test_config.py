@@ -15,10 +15,8 @@ from uplinksim.config import (
     baseline_scenario,
     burst_steps,
     frame_work,
-    override_run,
     parse_config,
     serialize_config,
-    within_work_ceiling,
 )
 from uplinksim.engine import ScenarioError, SimMode
 from uplinksim.model import ServiceClass
@@ -209,7 +207,10 @@ ONOFF = FIVE_FRAMES + ("model = onoff\nrate_kbps = {rate}\nsize_bytes = 100 1250
     (ONOFF.format(rate=1024, on=1e-300, off=1e-300), [], "1e+301"),
     # the built-in cell: about 2e297 Poisson chunks per frame
     (None, ["--mode", "ss1", "--frames", "5", "--rho", "1e300"], "1.56e+301"),
-], ids=["poisson-1e308", "onoff-1e30", "onoff-phases-1e-300", "builtin-rho-1e300"])
+    # each distinct rho is checked once: a repeated rho printed its message twice
+    (None, ["--mode", "ss1", "--frames", "5", "--rho", "1e300,1e300"], "1.56e+301"),
+], ids=["poisson-1e308", "onoff-1e30", "onoff-phases-1e-300", "builtin-rho-1e300",
+        "builtin-rho-1e300-twice"])
 def test_loads_no_cell_could_draw_are_refused_at_once(monkeypatch, tmp_path, capsys,
                                                      text, flags, per_frame):
     # the refusal is arithmetic: without it a cell fails, it does not hang
@@ -259,16 +260,16 @@ def test_the_work_ceiling_leaves_the_shipped_cells_100x_headroom():
                   for cfg in map(recipe, (p.stem for p in SCENARIOS.glob("*.cfg")))
                   for rho in cfg.rhos)
     assert 3.8e5 < largest < MAX_CELL_WORK / 100
-    # one frame more than the ceiling allows is refused, for the rho that
-    # needs it only, and an override of the rhos is checked too
+    # one frame more than the ceiling allows is refused when the matrix is
+    # built, for the rho that needs it only, and flagged rhos are checked too
     cfg = baseline_config()
     frames = int(MAX_CELL_WORK / frame_work(cfg.scenario, 1.0))
-    within_work_ceiling(replace(cfg, frames=frames, rhos=(1.0,)))
+    replace(cfg, frames=frames, rhos=(1.0,))
     with pytest.raises(ConfigError) as info:
-        within_work_ceiling(replace(cfg, frames=frames + 1, rhos=(1.0, 1e-9)))
+        replace(cfg, frames=frames + 1, rhos=(1.0, 1e-9))
     assert len(info.value.errors) == 1
     with pytest.raises(ConfigError, match=r"^rho 1e\+300 over 3000 frames"):
-        override_run(cfg, {"rhos": ("1,1e300", "--rho")})
+        parse_config(serialize_config(cfg), {"rhos": ("1,1e300", "--rho")})
 
 
 def test_an_onoff_burst_finer_than_the_clock_is_refused_at_once(monkeypatch, tmp_path,
@@ -291,10 +292,56 @@ def test_an_onoff_burst_finer_than_the_clock_is_refused_at_once(monkeypatch, tmp
         "3.64e-12 ms\n")
     assert not (tmp_path / "out").exists()
     # the step scales with 1 / rho: checked per rho, and rho 0 draws nothing
-    cfg = parse_config(text.replace("frames = 2000", "frames = 5"))
     with pytest.raises(ConfigError) as info:
-        override_run(cfg, {"rhos": ("0,1,200", "--rho")})
+        parse_config(text.replace("frames = 2000", "frames = 5"),
+                     {"rhos": ("0,1,200", "--rho")})
     assert [e.split(":")[0] for e in info.value.errors] == ["rho 200.0 over 5 frames"]
+
+
+def test_flags_replace_the_file_values_before_any_check(monkeypatch, tmp_path,
+                                                       capsys):
+    # flags join the file's [run] section before the one build, so they
+    # rescue a file whose own frames are above the ceiling, and a refusal
+    # names the values that would run; both used to be checked on the file
+    fig4 = (SCENARIOS / "fig4-violation.cfg").read_text(encoding="utf-8")
+    assert "frames = 10000\n" in fig4
+    for name, frames in (("huge", "100000000"), ("small", "50")):
+        (tmp_path / f"{name}.cfg").write_text(fig4.replace("frames = 10000",
+                                                           f"frames = {frames}"))
+    cell = ["--seeds", "1", "--mode", "ss1"]
+    assert main(["--config", str(tmp_path / "huge.cfg"), "--frames", "50", *cell,
+                 "--out", str(tmp_path / "huge")]) == 0
+    assert main(["--config", str(tmp_path / "small.cfg"), *cell,
+                 "--out", str(tmp_path / "small")]) == 0
+    for name in ("summary.csv", "timeseries.csv"):
+        assert (tmp_path / "huge" / name).read_bytes() == \
+            (tmp_path / "small" / name).read_bytes(), name
+    capsys.readouterr()
+    monkeypatch.setattr(engine, "draw_stream", None)
+    assert main(["--config", str(tmp_path / "huge.cfg"), "--rho", "0.5",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rho 0.5 over 100000000 frames: ")
+    assert err.count("\n") == 1 and "rho 1.0" not in err and "rho 1.2" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_matrix_built_in_code_is_checked(monkeypatch):
+    # ``replace`` builds a matrix as a file does: 1e300 built with 1.56e301
+    # work units per frame, and frames = 0 raised ZeroDivisionError
+    monkeypatch.setattr(engine, "draw_stream", None)
+    cfg = baseline_config()
+    for fields in ({"rhos": (1e300,)}, {"frames": 10**12}):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="above the ceiling"):
+            replace(cfg, **fields)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ConfigError) as info:
+        replace(cfg, frames=0)
+    assert info.value.errors == ["frames must be an int > 0, got 0"]
+    with pytest.raises(ConfigError, match=r"^rho nan over 3000 frames: each "
+                                          r"frame would cost nan "):
+        replace(cfg, rhos=(math.nan, 1.0))
 
 
 def test_the_shipped_onoff_bursts_clear_the_clock_resolution_100x():

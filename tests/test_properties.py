@@ -1,6 +1,6 @@
 """Property tests of the excess allocation's weight order, of Jain's
 fairness index, of the metrics accumulator against its per-packet oracle,
-and of scenario construction on faulty fields."""
+and of scenario and run-matrix construction on faulty fields."""
 
 import math
 from array import array
@@ -13,7 +13,15 @@ from perfbench.invariants import check_cell
 from reference import reference_samples
 from test_bs_alloc import req
 from uplinksim.bs_alloc import AllocationResult, phase2_excess
-from uplinksim.config import DEFAULT_QOS, baseline_scenario, frame_work
+from uplinksim.config import (
+    DEFAULT_QOS,
+    MAX_CELL_WORK,
+    ConfigError,
+    ScenarioConfig,
+    baseline_scenario,
+    burst_steps,
+    frame_work,
+)
 from uplinksim.engine import RunResult, Scenario, ScenarioError, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, warmup_ms, window_metrics
 from uplinksim.model import QOS_FIELDS, FrameConfig, PacketLog, ServiceClass
@@ -201,3 +209,32 @@ def test_a_scenario_builds_or_names_its_problems(frame_cfg, conns):
     if 3 * frame_work(scenario, 1.0) <= 1e5:
         for mode in SimMode:
             assert check_cell(run(scenario, mode, 3)) == []
+
+
+# an on/off source of duty 1e-12 whose bursts step below the clock from 410 frames
+BURSTY = Scenario(FrameConfig(10.0, 16000), (spec(
+    0, ServiceClass.RTPS, model=TrafficModel(TrafficKind.ONOFF_VBR, 1000.0, 100, 100,
+                                             mean_on_ms=1e-9, mean_off_ms=1000.0)),))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scenario=st.sampled_from([baseline_scenario(), BURSTY]),
+       frames=st.sampled_from([-1, 0, 1, 2, 409, 410, 3000, MAX_CELL_WORK, 10**12,
+                               10**400]) | st.integers(-3, 10**10),
+       rhos=st.lists(st.sampled_from([0.0, 1e-9, 0.4, 1.0, 1.2, 200.0, 1e300, math.nan])
+                     | st.floats(), min_size=1, max_size=4))
+# raised ZeroDivisionError
+@example(scenario=baseline_scenario(), frames=0, rhos=[1.0])
+# built with 1.56e301 work units per frame
+@example(scenario=baseline_scenario(), frames=5, rhos=[1e300])
+def test_a_matrix_builds_within_the_ceiling_or_names_its_problems(scenario, frames,
+                                                                  rhos):
+    try:
+        cfg = ScenarioConfig(scenario, frames=frames, rhos=tuple(rhos))
+    except ConfigError as exc:
+        assert exc.errors
+        return
+    resolution = math.ulp(frames * scenario.frame.frame_duration_ms)
+    for rho in rhos:
+        assert frame_work(cfg.scenario, rho) <= MAX_CELL_WORK / frames
+        assert all(step > resolution for step in burst_steps(scenario, rho).values())
