@@ -39,10 +39,11 @@ Grammar (see README for the full reference)::
 Parsing is strict: unknown sections or keys are errors, numbers must be
 finite, and every scenario validation check runs at parse time.  Errors
 carry line numbers.  Flags replace their [run] keys' text before any check
-(``parse_config``'s ``flags``).  Building a ``ScenarioConfig``, from a file
-or in code, refuses a matrix whose cells would cost more than
-``MAX_CELL_WORK``, or whose on/off bursts would step below the clock's
-resolution.
+(``parse_config``'s ``flags``).  The [run] rules belong to the values:
+building a ``ScenarioConfig``, from a file or in code, checks each field,
+the window against the frame, and each distinct rho's cell against
+``engine.cell_problems`` (the work ceiling and the on/off clock); the
+parser only names the line or flag that set a value that breaks a rule.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .engine import ConnSpec, Scenario, ScenarioError, SimMode
+from .engine import ConnSpec, Scenario, ScenarioError, SimMode, cell_problems
 from .model import QOS_FIELDS, FrameConfig, QosParams, ServiceClass
-from .traffic import TrafficKind, TrafficModel, default_models, draw_rate
+from .traffic import TrafficKind, TrafficModel, default_models
 
 #: QoS fallbacks applied when a connection omits its whole QoS block.
 DEFAULT_QOS: dict[ServiceClass, QosParams] = {
@@ -78,10 +80,39 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_LISTED = (len, "must list at least one value")
+
+#: Each [run] field's rules as (ok(value), message), checked up to the first broken.
+_RULES = {
+    "modes": (_LISTED,),
+    "frames": ((lambda v: isinstance(v, int), "must be an integer"), _POSITIVE),
+    "seeds": (_LISTED,),
+    "rhos": (_LISTED, (lambda v: all(r >= 0 for r in v), "must be >= 0")),
+    "window_ms": (_POSITIVE, (math.isfinite, "must be finite")),
+    "warmup": ((lambda v: 0 <= v < 1, "must be in [0, 1)"),),
+}
+
+
+def _broken(field: str, value) -> str | None:
+    """The message of the first of ``field``'s rules that ``value`` breaks."""
+    return next((f"{field} {what}" for ok, what in _RULES.get(field, ())
+                 if not ok(value)), None)
+
+
+def _short_window(window_ms: float, frame: FrameConfig) -> list[str]:
+    """Packets depart only at frame ends: a shorter window only adds rows."""
+    dur = frame.frame_duration_ms
+    return ([f"window_ms {window_ms} is shorter than the frame duration {dur} ms"]
+            if window_ms < dur else [])
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A run matrix.  Only one the simulator can draw can be built:
-    construction runs ``within_work_ceiling``, so nothing checks it again."""
+    """A run matrix.  Only one the simulator can run can be built:
+    construction checks each field's ``_RULES``, then the window, then each
+    distinct rho's ``cell_problems``, and raises ``ConfigError`` naming the
+    problems the first failing stage finds."""
 
     scenario: Scenario
     modes: tuple[SimMode, ...] = (SimMode.SS1,)
@@ -95,81 +126,13 @@ class ScenarioConfig:
     outdir: str = "out"
 
     def __post_init__(self):
-        within_work_ceiling(self)
-
-
-#: The most work one cell may be expected to cost: a unit per packet, per
-#: on/off phase change and per connection-frame.  A packet takes 24 B of its
-#: connection's log (size, arrival and departure, 8 B each) and a
-#: connection-frame an 8 B count and a pass of the frame loop, so a cell at
-#: the ceiling takes at most about 1 GiB; the largest shipped cells
-#: (fig2-delay and fig4-violation at rho 1.2) expect about 3.9e5, 115 times fewer.
-MAX_CELL_WORK = 2**30 // 24
-
-
-def frame_work(scenario: Scenario, rho: float) -> float:
-    """Connections, plus the packets and on/off phase changes their sources
-    are expected to draw, per frame at intensity ``rho``.  It overflows to
-    inf for rates no cell could draw."""
-    dur = scenario.frame.frame_duration_ms
-    work = float(len(scenario.conns))
-    for spec in scenario.conns:
-        model = spec.traffic
-        rate = draw_rate(spec.service_class, model, rho)
-        packets = rate * dur / 8.0 / model.mean_size
-        if model.kind is TrafficKind.ONOFF_VBR:
-            on_off = model.mean_on_ms + model.mean_off_ms
-            packets *= model.mean_on_ms / on_off  # drawn only while on
-            work += 2.0 * dur / on_off
-        work += packets
-    return work
-
-
-def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
-    """cid -> the ms each ``onoff`` source drawing traffic at intensity
-    ``rho`` takes to accrue its smallest packet at its burst rate."""
-    steps = {}
-    for spec in scenario.conns:
-        model = spec.traffic
-        rate = draw_rate(spec.service_class, model, rho)
-        if model.kind is TrafficKind.ONOFF_VBR and rate > 0:
-            # as ``draw_stream`` steps: size over bytes per ms
-            steps[spec.cid] = model.size_lo / (rate / 8.0)
-    return steps
-
-
-def within_work_ceiling(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError unless ``frames`` is an int > 0 and each distinct
-    rho keeps its cells within ``MAX_CELL_WORK`` over ``cfg.frames``
-    frames: a costlier cell would run for hours or fill memory.  An
-    ``onoff`` source whose burst step is not above the clock's resolution
-    at the last frame is refused too: there a packet's time ``u + dt``
-    equals ``u``, and its packet loop never ends.  There is one error per
-    rho refused and per source that would stall."""
-    if not (isinstance(cfg.frames, int) and cfg.frames > 0):
-        raise ConfigError([f"frames must be an int > 0, got {cfg.frames!r}"])
-    try:
-        resolution = math.ulp(cfg.frames * cfg.scenario.frame.frame_duration_ms)
-    except OverflowError:  # ``frames`` is too large an int for a float
-        resolution = math.inf
-    errors = []
-    for rho in dict.fromkeys(cfg.rhos):
-        work = frame_work(cfg.scenario, rho)
-        # divide: ``frames`` may be too large an int to convert to a float
-        if not work <= MAX_CELL_WORK / cfg.frames:
-            errors.append(
-                f"rho {rho} over {cfg.frames} frames: each frame would cost "
-                f"{work:.3g} connection passes, packets and on/off phase "
-                f"changes, above the ceiling of {MAX_CELL_WORK} per cell")
-            continue
-        for cid, step in burst_steps(cfg.scenario, rho).items():
-            if not step > resolution:
-                errors.append(
-                    f"rho {rho} over {cfg.frames} frames: cid {cid}'s on/off "
-                    f"bursts accrue its smallest packet in {step:.3g} ms, not "
-                    f"above the clock's resolution of {resolution:.3g} ms")
-    if errors:
-        raise ConfigError(errors)
+        errors = ([problem for field in _RULES
+                   if (problem := _broken(field, getattr(self, field)))]
+                  or _short_window(self.window_ms, self.scenario.frame)
+                  or [problem for rho in dict.fromkeys(self.rhos)
+                      for problem in cell_problems(self.scenario, self.frames, rho)])
+        if errors:
+            raise ConfigError(errors)
 
 
 def _tokenize(text: str):
@@ -240,9 +203,7 @@ _parse_model = partial(_parse_label, "traffic model", {
 
 
 def _parse_list(parse, tokens, where, key, errors) -> tuple:
-    """A non-empty token list, ``parse`` applied to each token."""
-    if not tokens:
-        errors.append(f"{where}: {key} must list at least one value")
+    """``parse`` applied to each token."""
     return tuple(parse(tok, where, key, errors) for tok in tokens)
 
 
@@ -261,54 +222,65 @@ def _parse_sizes(tokens, where, key, errors) -> tuple[int, int]:
     return sizes[0], sizes[-1]
 
 
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _on_off(value: bool) -> str:
+    return "on" if value else "off"
+
+
+def _joined(show: Callable) -> Callable:
+    """A list's text: each value shown, separated by spaces."""
+    return lambda values: " ".join(map(show, values))
+
+
 class _Key(NamedTuple):
     parse: Callable
+    show: Callable = str        # the value as text that ``parse`` reads back
     many: bool = False          # a list: the text is split before parsing
-    rule: tuple | None = None   # (ok(value), what the message says otherwise)
-    field: str | None = None    # dataclass field it fills, if not the key
+    field: str | None = None    # the field it fills, if not the key
 
 
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-
-# One entry per key of each section; the allowed keys are these.
+# One entry per key of each section, in written order; the allowed keys are these.
 _FRAME = {
-    "duration_ms": _Key(_parse_float, field="frame_duration_ms"),
+    "duration_ms": _Key(_parse_float, _fmt, field="frame_duration_ms"),
     "capacity_bytes": _Key(_parse_int, field="uplink_capacity_bytes"),
-    "bandwidth_mhz": _Key(_parse_float, field="channel_bandwidth_mhz"),
+    "bandwidth_mhz": _Key(_parse_float, _fmt, field="channel_bandwidth_mhz"),
 }
 _RUN = {
-    "modes": _Key(_parse_modes, many=True),
-    "frames": _Key(_parse_int, rule=_POSITIVE),
-    "seeds": _Key(partial(_parse_list, _parse_int), many=True),
-    "rhos": _Key(partial(_parse_list, _parse_float), many=True,
-                 rule=(lambda v: all(r >= 0 for r in v), "must be >= 0")),
-    "window_ms": _Key(_parse_float, rule=_POSITIVE),
-    "warmup": _Key(_parse_float, rule=(lambda v: 0 <= v < 1, "must be in [0, 1)")),
-    "drop_expired": _Key(_parse_bool),
-    "trace": _Key(_parse_bool),
+    "modes": _Key(_parse_modes, _joined(attrgetter("value")), many=True),
+    "frames": _Key(_parse_int),
+    "seeds": _Key(partial(_parse_list, _parse_int), _joined(str), many=True),
+    "rhos": _Key(partial(_parse_list, _parse_float), _joined(_fmt), many=True),
+    "window_ms": _Key(_parse_float, _fmt),
+    "warmup": _Key(_parse_float, _fmt),
+    "drop_expired": _Key(_parse_bool, _on_off),
+    "trace": _Key(_parse_bool, _on_off),
     "outdir": _Key(lambda text, *_: text),
 }
 _CONN = {
     "cid": _Key(_parse_int),
-    "ss": _Key(_parse_int),
-    "class": _Key(_parse_class),
-    **{key: _Key(_parse_float) for key in QOS_FIELDS},
-    "weight": _Key(_parse_float),
-    "model": _Key(_parse_model),
-    "rate_kbps": _Key(_parse_float),
-    "size_bytes": _Key(_parse_sizes, many=True),
-    "on_ms": _Key(_parse_float, field="mean_on_ms"),
-    "off_ms": _Key(_parse_float, field="mean_off_ms"),
+    "ss": _Key(_parse_int, field="ss_id"),
+    "class": _Key(_parse_class, attrgetter("label"), field="service_class"),
+    **{key: _Key(_parse_float, _fmt) for key in QOS_FIELDS},
+    "weight": _Key(_parse_float, _fmt),
+    "model": _Key(_parse_model, attrgetter("value"), field="kind"),
+    "rate_kbps": _Key(_parse_float, _fmt, field="mean_rate_kbps"),
+    # (lo, hi), written as one value when they are equal
+    "size_bytes": _Key(_parse_sizes, _joined(str), many=True),
+    "on_ms": _Key(_parse_float, _fmt, field="mean_on_ms"),
+    "off_ms": _Key(_parse_float, _fmt, field="mean_off_ms"),
 }
 _SECTIONS = {"frame": _FRAME, "run": _RUN, "connection": _CONN}
 
 
 def _value(spec: _Key, key: str, errors: list[str], text: str, where: str,
            sep: str | None = None):
-    """Parse and check one key's text; a list splits on ``sep``."""
+    """Parse one key's text, a list split on ``sep``, and check its rules."""
     value = spec.parse(text.split(sep) if spec.many else text, where, key, errors)
-    if spec.rule and not spec.rule[0](value):
-        errors.append(f"{where}: {key} {spec.rule[1]}")
+    if problem := _broken(spec.field or key, value):
+        errors.append(f"{where}: {problem}")
     return value
 
 
@@ -413,11 +385,8 @@ def parse_config(text: str,
 
     frame = FrameConfig(**_values(_FRAME, raws["frame"], errors))
 
-    specs: list[ConnSpec] = []
-    for raw, where in conn_raws:
-        spec = _build_conn(raw, where, errors)
-        if spec is not None:
-            specs.append(spec)
+    specs = [spec for raw, where in conn_raws
+             if (spec := _build_conn(raw, where, errors)) is not None]
     if not conn_raws:
         errors.append("config defines no subscriber stations (no [connection] sections)")
 
@@ -430,64 +399,35 @@ def parse_config(text: str,
             scenario = Scenario(frame=frame, conns=tuple(specs))
         except ScenarioError as exc:
             errors.extend(exc.problems)
-        # packets depart only at frame ends, so a shorter window adds
-        # nothing but rows
-        window_ms = run_values.get("window_ms", ScenarioConfig.window_ms)
-        if window_ms < frame.frame_duration_ms:
+        # named at the window's line or flag, or else at the frame's
+        for problem in _short_window(
+                run_values.get("window_ms", ScenarioConfig.window_ms), frame):
             where = (raws["run"].get("window_ms") or raws["frame"]["duration_ms"])[1]
-            errors.append(f"{where}: window_ms {window_ms} is shorter than "
-                          f"the frame duration {frame.frame_duration_ms} ms")
+            errors.append(f"{where}: {problem}")
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(scenario=scenario, **run_values)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _section(name: str, table: dict, values: dict) -> str:
+    """``[name]``, then ``key = value`` for each field ``values`` sets."""
+    return f"[{name}]\n" + "".join(
+        f"{key} = {spec.show(value)}\n" for key, spec in table.items()
+        if (value := values.get(spec.field or key)) is not None)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    out = []
-    frame = cfg.scenario.frame
-    out.append("[frame]")
-    out.append(f"duration_ms = {_fmt(frame.frame_duration_ms)}")
-    out.append(f"capacity_bytes = {frame.uplink_capacity_bytes}")
-    out.append(f"bandwidth_mhz = {_fmt(frame.channel_bandwidth_mhz)}")
-    out.append("")
-    out.append("[run]")
-    out.append("modes = " + " ".join(m.value for m in cfg.modes))
-    out.append(f"frames = {cfg.frames}")
-    out.append("seeds = " + " ".join(str(s) for s in cfg.seeds))
-    out.append("rhos = " + " ".join(_fmt(r) for r in cfg.rhos))
-    out.append(f"window_ms = {_fmt(cfg.window_ms)}")
-    out.append(f"warmup = {_fmt(cfg.warmup)}")
-    out.append(f"drop_expired = {'on' if cfg.drop_expired else 'off'}")
-    out.append(f"trace = {'on' if cfg.trace else 'off'}")
-    out.append(f"outdir = {cfg.outdir}")
+    sections = [_section("frame", _FRAME, vars(cfg.scenario.frame)),
+                _section("run", _RUN, vars(cfg))]
     for spec in cfg.scenario.conns:
-        out.append("")
-        out.append("[connection]")
-        out.append(f"cid = {spec.cid}")
-        out.append(f"ss = {spec.ss_id}")
-        out.append(f"class = {spec.service_class.label}")
-        for key in QOS_FIELDS:
-            value = getattr(spec.qos, key)
-            if value is not None:
-                out.append(f"{key} = {_fmt(value)}")
-        out.append(f"weight = {_fmt(spec.qos.weight)}")
         m = spec.traffic
-        out.append(f"model = {m.kind.value}")
-        out.append(f"rate_kbps = {_fmt(m.mean_rate_kbps)}")
-        if m.size_lo == m.size_hi:
-            out.append(f"size_bytes = {m.size_lo}")
-        else:
-            out.append(f"size_bytes = {m.size_lo} {m.size_hi}")
-        if m.kind is TrafficKind.ONOFF_VBR:
-            out.append(f"on_ms = {_fmt(m.mean_on_ms)}")
-            out.append(f"off_ms = {_fmt(m.mean_off_ms)}")
-    out.append("")
-    return "\n".join(out)
+        values = {**vars(spec), **vars(spec.qos), **vars(m),
+                  "size_bytes": tuple(dict.fromkeys((m.size_lo, m.size_hi)))}
+        if m.kind is not TrafficKind.ONOFF_VBR:
+            values.update(mean_on_ms=None, mean_off_ms=None)
+        sections.append(_section("connection", _CONN, values))
+    return "\n".join(sections)
 
 
 def baseline_scenario() -> Scenario:
@@ -500,19 +440,10 @@ def baseline_scenario() -> Scenario:
     frame = FrameConfig(frame_duration_ms=10.0, uplink_capacity_bytes=16000)
     models = default_models()
     order = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS, ServiceClass.BE)
-    specs = []
-    for ss in range(4):
-        for k, cls in enumerate(order):
-            specs.append(
-                ConnSpec(
-                    cid=ss * 4 + k,
-                    ss_id=ss,
-                    service_class=cls,
-                    qos=DEFAULT_QOS[cls],
-                    traffic=models[cls],
-                )
-            )
-    return Scenario(frame=frame, conns=tuple(specs))
+    return Scenario(frame=frame, conns=tuple(
+        ConnSpec(cid=ss * 4 + k, ss_id=ss, service_class=cls,
+                 qos=DEFAULT_QOS[cls], traffic=models[cls])
+        for ss in range(4) for k, cls in enumerate(order)))
 
 
 def baseline_config() -> ScenarioConfig:

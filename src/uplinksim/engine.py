@@ -38,7 +38,8 @@ from .model import (
     guaranteed_bytes,
 )
 from .ss_sched import Station, quantum_for, schedule_frame_ss1, schedule_frame_ss2
-from .traffic import Stream, TrafficKind, TrafficModel, TrafficSource, draw_stream
+from .traffic import (Stream, TrafficKind, TrafficModel, TrafficSource, draw_rate,
+                      draw_stream)
 
 
 class SimMode(Enum):
@@ -241,11 +242,79 @@ class CellStreams(NamedTuple):
     streams: tuple[Stream, ...]
 
 
+#: The most work one cell may be expected to cost: a unit per packet, per
+#: on/off phase change and per connection-frame.  A packet takes 24 B of its
+#: connection's log (size, arrival and departure, 8 B each) and a
+#: connection-frame an 8 B count and a pass of the frame loop, so a cell at
+#: the ceiling takes at most about 1 GiB; the largest shipped cells
+#: (fig2-delay and fig4-violation at rho 1.2) expect about 3.9e5, 115 times fewer.
+MAX_CELL_WORK = 2**30 // 24
+
+
+def frame_work(scenario: Scenario, rho: float) -> float:
+    """Connections (at least one: a frame without any is still a pass of
+    the frame loop), plus the packets and on/off phase changes their
+    sources are expected to draw, per frame at intensity ``rho``.  It
+    overflows to inf for rates no cell could draw."""
+    dur = scenario.frame.frame_duration_ms
+    work = float(max(len(scenario.conns), 1))
+    for spec in scenario.conns:
+        model = spec.traffic
+        rate = draw_rate(spec.service_class, model, rho)
+        packets = rate * dur / 8.0 / model.mean_size
+        if model.kind is TrafficKind.ONOFF_VBR:
+            on_off = model.mean_on_ms + model.mean_off_ms
+            packets *= model.mean_on_ms / on_off  # drawn only while on
+            work += 2.0 * dur / on_off
+        work += packets
+    return work
+
+
+def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
+    """cid -> the ms each ``onoff`` source drawing traffic at intensity
+    ``rho`` takes to accrue its smallest packet at its burst rate."""
+    steps = {}
+    for spec in scenario.conns:
+        model = spec.traffic
+        rate = draw_rate(spec.service_class, model, rho)
+        if model.kind is TrafficKind.ONOFF_VBR and rate > 0:
+            # as ``draw_stream`` steps: size over bytes per ms
+            steps[spec.cid] = model.size_lo / (rate / 8.0)
+    return steps
+
+
+def cell_problems(scenario: Scenario, frames: int, rho: float) -> list[str]:
+    """Why the cell cannot be drawn: no frames, work above ``MAX_CELL_WORK``
+    (it would run for hours or fill memory), or an ``onoff`` source whose
+    burst step is not above the clock's resolution at the last frame, where
+    ``u + dt`` equals ``u`` and its packet loop never ends (one message per
+    source).  Empty when the cell can be drawn."""
+    if frames <= 0:
+        return [f"frames must be > 0, got {frames}"]
+    work = frame_work(scenario, rho)
+    # divide: ``frames`` may be too large an int to convert to a float
+    if not work <= MAX_CELL_WORK / frames:
+        return [f"rho {rho} over {frames} frames: each frame would cost "
+                f"{work:.3g} connection passes, packets and on/off phase "
+                f"changes, above the ceiling of {MAX_CELL_WORK} per cell"]
+    try:
+        resolution = math.ulp(frames * scenario.frame.frame_duration_ms)
+    except OverflowError:  # ``frames`` is too large an int for a float
+        resolution = math.inf
+    return [f"rho {rho} over {frames} frames: cid {cid}'s on/off bursts "
+            f"accrue its smallest packet in {step:.3g} ms, not above the "
+            f"clock's resolution of {resolution:.3g} ms"
+            for cid, step in burst_steps(scenario, rho).items()
+            if not step > resolution]
+
+
 def draw_streams(scenario: Scenario, frames: int, seed: int = 1,
                  rho: float = 1.0) -> CellStreams:
     """Every connection's stream over ``frames`` frames.  A CBR draw reads
     neither the seed nor the cid, so connections with equal CBR sources
-    share one stream."""
+    share one stream.  A cell with ``cell_problems`` raises ``ValueError``."""
+    if problems := cell_problems(scenario, frames, rho):
+        raise ValueError("; ".join(problems))
     drawn: dict[object, Stream] = {}
     streams = []
     for s in scenario.conns:
@@ -299,8 +368,9 @@ class Simulation:
     packet logs and the per-station class partitions.
 
     ``streams`` is what ``draw_streams`` draws for the same scenario,
-    frames, seed and rho; without it the run draws its own.  Streams drawn
-    for another cell raise ``ValueError`` naming the part of the cell that
+    frames, seed and rho; without it the run draws its own, and a cell
+    ``draw_streams`` refuses raises ``ValueError``.  Streams drawn for
+    another cell raise ``ValueError`` naming the part of the cell that
     differs, before any step.  Each log's ``size`` and ``arrival`` are its
     stream's columns, which no run writes, so cells, and connections
     with equal CBR sources, can share them.
@@ -319,8 +389,6 @@ class Simulation:
         drop_expired: bool = False,
         streams: CellStreams | None = None,
     ):
-        if frames <= 0:
-            raise ValueError(f"frames must be > 0, got {frames}")
         self.frame_cfg = scenario.frame
         self.mode = mode
         self.drop_expired = drop_expired

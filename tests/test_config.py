@@ -9,16 +9,19 @@ from conftest import SCENARIOS, recipe
 from uplinksim import engine
 from uplinksim.cli import main
 from uplinksim.config import (
-    MAX_CELL_WORK,
     ConfigError,
     baseline_config,
     baseline_scenario,
-    burst_steps,
-    frame_work,
     parse_config,
     serialize_config,
 )
-from uplinksim.engine import ScenarioError, SimMode
+from uplinksim.engine import (
+    MAX_CELL_WORK,
+    ScenarioError,
+    SimMode,
+    burst_steps,
+    frame_work,
+)
 from uplinksim.model import ServiceClass
 from uplinksim.traffic import TrafficKind
 
@@ -338,10 +341,33 @@ def test_a_matrix_built_in_code_is_checked(monkeypatch):
         assert time.perf_counter() - start < 1.0
     with pytest.raises(ConfigError) as info:
         replace(cfg, frames=0)
-    assert info.value.errors == ["frames must be an int > 0, got 0"]
-    with pytest.raises(ConfigError, match=r"^rho nan over 3000 frames: each "
-                                          r"frame would cost nan "):
+    assert info.value.errors == ["frames must be > 0"]
+    with pytest.raises(ConfigError) as info:
         replace(cfg, rhos=(math.nan, 1.0))
+    assert info.value.errors == ["rhos must be >= 0"]
+    # each of these built, though its file text was refused: 0.01 ms
+    # windows made 90,000 windows of one 100-frame cell, rho -1 failed every
+    # cell at the draw, and an empty list ran nothing
+    for fields, errors in (
+        ({"window_ms": 0.01, "frames": 100},
+         ["window_ms 0.01 is shorter than the frame duration 10.0 ms"]),
+        ({"rhos": (-1.0,)}, ["rhos must be >= 0"]),
+        ({"modes": ()}, ["modes must list at least one value"]),
+        ({"seeds": ()}, ["seeds must list at least one value"]),
+        ({"rhos": ()}, ["rhos must list at least one value"]),
+        ({"warmup": 1.5}, ["warmup must be in [0, 1)"]),
+        ({"window_ms": -1.0}, ["window_ms must be > 0"]),
+        ({"window_ms": math.nan}, ["window_ms must be > 0"]),
+        ({"warmup": math.nan}, ["warmup must be in [0, 1)"]),
+        # every field's rules are checked before the window and the ceiling
+        ({"modes": (), "frames": 1.5, "rhos": (1e300,), "window_ms": 0.01},
+         ["modes must list at least one value", "frames must be an integer"]),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, **fields)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.errors == errors, fields
 
 
 def test_the_shipped_onoff_bursts_clear_the_clock_resolution_100x():

@@ -1,12 +1,15 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
 
 from conftest import frame, spec
 from perfbench.invariants import check_cell
+from uplinksim import engine
 from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
@@ -115,6 +118,44 @@ def test_run_rejects_bad_frame_count_and_invalid_scenario():
     for rho in (nan, inf):
         with pytest.raises(ValueError):
             Simulation(good, SimMode.SS1, 10, seed=1, rho=rho)
+
+
+# an on/off source of duty 1e-12, whose bursts step below the clock
+BURSTY = Scenario(frame=frame(capacity=16000), conns=(spec(
+    0, ServiceClass.RTPS, model=TrafficModel(TrafficKind.ONOFF_VBR, 1000.0, 100, 100,
+                                             mean_on_ms=1e-9, mean_off_ms=1000.0)),))
+
+
+@pytest.mark.parametrize("scenario, frames, rho, message", [
+    # spun in the Poisson loop, about 2e297 chunks per frame
+    (baseline_scenario(), 10, 1e300, "rho 1e+300 over 10 frames: each frame "
+     "would cost 1.56e+301 connection passes, packets and on/off phase "
+     "changes, above the ceiling of 44739242 per cell"),
+    # would have filled memory: 3.6e13 connection-frames
+    (baseline_scenario(), 10**12, 1.0, "rho 1.0 over 1000000000000 frames: "
+     "each frame would cost 35.7 connection passes"),
+    # appended packets at one instant until memory ran out
+    (BURSTY, 2000, 1.0, "rho 1.0 over 2000 frames: cid 0's on/off bursts "
+     "accrue its smallest packet in 8e-13 ms, not above the clock's "
+     "resolution of 3.64e-12 ms"),
+    # a cell without connections counted no work, yet loops once per frame
+    (Scenario(frame=frame(capacity=16000), conns=()), 10**12, 1.0,
+     "rho 1.0 over 1000000000000 frames: each frame would cost 1 connection "
+     "passes"),
+], ids=["rho-1e300", "frames-1e12", "bursts-below-the-clock", "no-connections"])
+def test_a_cell_no_run_could_draw_is_refused_before_any_draw(monkeypatch, scenario,
+                                                            frames, rho, message):
+    # the matrix was guarded, but ``run`` and ``Simulation`` called
+    # directly reached ``draw_stream``; ``draw_streams`` now refuses the cell
+    monkeypatch.setattr(engine, "draw_stream", None)
+    for entry in (partial(run, scenario, SimMode.SS1),
+                  partial(Simulation, scenario, SimMode.SS1),
+                  partial(draw_streams, scenario)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            entry(frames, seed=1, rho=rho)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value).startswith(message), entry.func
 
 
 def test_packet_conservation_every_mode():

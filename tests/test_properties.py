@@ -1,6 +1,7 @@
 """Property tests of the excess allocation's weight order, of Jain's
 fairness index, of the metrics accumulator against its per-packet oracle,
-and of scenario and run-matrix construction on faulty fields."""
+and of scenario and run-matrix construction on faulty fields, in code and
+as text."""
 
 import math
 from array import array
@@ -15,14 +16,23 @@ from test_bs_alloc import req
 from uplinksim.bs_alloc import AllocationResult, phase2_excess
 from uplinksim.config import (
     DEFAULT_QOS,
-    MAX_CELL_WORK,
     ConfigError,
     ScenarioConfig,
+    baseline_config,
     baseline_scenario,
+    parse_config,
+    serialize_config,
+)
+from uplinksim.engine import (
+    MAX_CELL_WORK,
+    RunResult,
+    Scenario,
+    ScenarioError,
+    SimMode,
     burst_steps,
     frame_work,
+    run,
 )
-from uplinksim.engine import RunResult, Scenario, ScenarioError, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, warmup_ms, window_metrics
 from uplinksim.model import QOS_FIELDS, FrameConfig, PacketLog, ServiceClass
 from uplinksim.traffic import TrafficKind, TrafficModel
@@ -238,3 +248,57 @@ def test_a_matrix_builds_within_the_ceiling_or_names_its_problems(scenario, fram
     for rho in rhos:
         assert frame_work(cfg.scenario, rho) <= MAX_CELL_WORK / frames
         assert all(step > resolution for step in burst_steps(scenario, rho).values())
+
+
+# the most frames the built-in cell may run at rho 1.0
+MOST_FRAMES = int(MAX_CELL_WORK / frame_work(baseline_scenario(), 1.0))
+
+# a value of each [run] field, valid or not; an outdir is drawn from
+# one-line texts without surrounding spaces, the ones a file can hold
+RUN_VALUES = {
+    "modes": st.lists(st.sampled_from(SimMode), max_size=3).map(tuple),
+    "frames": st.sampled_from([-1, 0, 1, 100, 3000, MOST_FRAMES, MOST_FRAMES + 1,
+                               10**12]) | st.integers(-3, 2 * 10**6),
+    "seeds": st.lists(st.integers(-2**40, 2**40), max_size=3).map(tuple),
+    "rhos": st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.4, 1.2, 200.0, 1e300,
+                                      math.nan, math.inf]) | st.floats(),
+                     max_size=3).map(tuple),
+    "window_ms": st.sampled_from([0.01, 9.99, 10.0, 500.0, 0.0, -1.0, math.nan,
+                                  math.inf]) | st.floats(),
+    "warmup": st.sampled_from([0.0, 0.1, 0.999, 1.0, 1.5, -0.1, math.nan])
+              | st.floats(),
+    "drop_expired": st.booleans(),
+    "trace": st.booleans(),
+    "outdir": st.sampled_from(["out", "", "runs/a b"]),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fields=st.fixed_dictionaries({}, optional=RUN_VALUES))
+# each built in code, while its text was refused
+@example(fields={"window_ms": 0.01, "frames": 100})
+@example(fields={"rhos": (-1.0,)})
+@example(fields={"modes": ()})
+@example(fields={"seeds": ()})
+@example(fields={"rhos": ()})
+@example(fields={"warmup": 1.5})
+@example(fields={"window_ms": -1.0})
+@example(fields={"window_ms": math.nan})
+@example(fields={"warmup": math.nan})
+def test_a_matrix_builds_in_code_exactly_when_its_text_parses(fields):
+    # the text is what ``serialize_config`` writes for the same values,
+    # taken from an instance built without its checks
+    base = baseline_config()
+    unchecked = object.__new__(ScenarioConfig)
+    unchecked.__dict__.update(vars(base), **fields)
+    try:
+        built = replace(base, **fields)
+    except ConfigError as exc:
+        assert exc.errors
+        built = None
+    try:
+        parsed = parse_config(serialize_config(unchecked))
+    except ConfigError as exc:
+        assert exc.errors
+        parsed = None
+    assert parsed == built
