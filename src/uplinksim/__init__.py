@@ -46,7 +46,6 @@ from .metrics import (
     window_metrics,
 )
 from .model import (
-    Connection,
     FrameConfig,
     Packet,
     PacketLog,

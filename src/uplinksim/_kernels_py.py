@@ -1,11 +1,11 @@
 """Scheduling kernels.
 
 These are the hot inner loops of the simulator: weighted excess filling,
-earliest-deadline selection (which with one common bound is FIFO) and the
-deficit round.  The excess filling works on plain lists of integers, so its
-result is exact and reproducible; earliest-deadline selection and the
-deficit round read the heads of the connections' live queues and pop the
-packets they send.
+earliest-deadline selection (which with bounds of 0.0 is FIFO) and the
+deficit round.  Each works on plain aligned lists.  The excess filling
+takes integers, so its result is exact and reproducible; earliest-deadline
+selection and the deficit round take each queue's cid and live ``deque``,
+read the head packets in place and pop the packets they send.
 """
 
 from __future__ import annotations
@@ -127,23 +127,22 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     return inc
 
 
-def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
-    """Earliest-deadline-first over the connections' live queues.
+def edf_take(cids: list, queues: list, bounds: list, budget: int) -> tuple:
+    """Earliest-deadline-first over live queues.
 
-    A packet's deadline is its arrival time plus its connection's
-    ``max_latency_ms``, or plus 0.0 on every connection with ``fifo`` set,
-    which is global arrival order.  Repeatedly picks the head packet with
-    the smallest (deadline, arrival, cid) and pops it; the phase ends at the
-    first pick that does not fit the remaining budget whole.  Returns
-    (entries, used) where ``entries`` lists (cid, packet) in transmission
-    order.
+    ``cids``, ``queues`` and ``bounds`` are aligned: a packet of
+    ``queues[i]`` has the deadline of its arrival time plus ``bounds[i]``,
+    so bounds of 0.0 give global arrival order, FIFO.  Repeatedly picks
+    the head packet with the smallest (deadline, arrival, cid) and pops it;
+    the phase ends at the first pick that does not fit the remaining budget
+    whole.  Returns (entries, used) where ``entries`` lists (cid, packet) in
+    transmission order.
     """
-    if len(conns) == 1:
+    if len(queues) == 1:
         # along one queue arrivals never decrease and the bound is shared,
         # so the head always holds the earliest deadline: drain it in order
-        c = conns[0]
-        q = c.queue
-        cid = c.cid
+        q = queues[0]
+        cid = cids[0]
         entries = []
         used = 0
         while q:
@@ -155,12 +154,11 @@ def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
             entries.append((cid, q.popleft()))
         return entries, used
     heap = []
-    for c in conns:
-        if q := c.queue:
-            bound = 0.0 if fifo else c.qos.max_latency_ms
+    for cid, q, bound in zip(cids, queues, bounds):
+        if q:
             arrival = q[0].arrival_time
             # the cid is unique, so two heap items never compare their queues
-            heap.append((arrival + bound, arrival, c.cid, bound, q))
+            heap.append((arrival + bound, arrival, cid, bound, q))
     heapq.heapify(heap)
     entries = []
     used = 0
@@ -181,11 +179,12 @@ def edf_take(conns, budget: int, fifo: bool = False) -> tuple:
     return entries, used
 
 
-def dfpq_take(conns, queues: list, quanta: list, deficits: list, cursor: int,
+def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: int,
               budget: int) -> tuple:
-    """Deficit rounds over the connections' live queues.
+    """Deficit rounds over live queues.
 
-    ``queues[i]`` is ``conns[i].queue``.  Visits cycle from ``cursor`` over
+    ``cids``, ``queues``, ``quanta`` and ``deficits`` are aligned, one entry
+    per queue in visit order.  Visits cycle from ``cursor`` over
     non-empty queues: each visit adds the quantum to the deficit counter,
     then pops head packets while they fit both counter and budget.  A queue
     left empty by its visit forfeits its counter.  The round stops when no
@@ -222,7 +221,7 @@ def dfpq_take(conns, queues: list, quanta: list, deficits: list, cursor: int,
             if pos == n:
                 pos = 0
         # this visit sends its head, then every next one that fits
-        cid = conns[pos].cid
+        cid = cids[pos]
         while True:
             credit -= size
             budget -= size

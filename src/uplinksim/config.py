@@ -91,6 +91,9 @@ _RULES = {
     "rhos": (_LISTED, (lambda v: all(r >= 0 for r in v), "must be >= 0")),
     "window_ms": (_POSITIVE, (math.isfinite, "must be finite")),
     "warmup": ((lambda v: 0 <= v < 1, "must be in [0, 1)"),),
+    # the text of a file holds it only on one line, and the parser strips it
+    "outdir": ((lambda v: v.splitlines() in ([], [v]), "must not hold a line break"),
+               (lambda v: v == v.strip(), "must not start or end with whitespace")),
 }
 
 

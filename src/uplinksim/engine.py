@@ -29,7 +29,6 @@ from .bs_alloc import (
 from .model import (
     MAX_PACKET_BYTES,
     QOS_FIELDS,
-    Connection,
     FrameConfig,
     Packet,
     PacketLog,
@@ -50,8 +49,9 @@ class SimMode(Enum):
 
 @dataclass(frozen=True)
 class ConnSpec:
-    """Immutable description of one connection; runs instantiate fresh
-    Connection objects from it so parallel runs never share queues."""
+    """Immutable description of one connection, its contract; a run keeps
+    the connection's live queue apart, in ``Simulation.queues``, so parallel
+    runs never share queues."""
 
     cid: int
     ss_id: int
@@ -95,18 +95,6 @@ class Scenario:
         problems = self.problems()
         if problems:
             raise ScenarioError(problems)
-
-    def build_connections(self) -> list[Connection]:
-        return [
-            Connection(
-                cid=s.cid,
-                ss_id=s.ss_id,
-                service_class=s.service_class,
-                qos=s.qos,
-                queue=deque(),
-            )
-            for s in self.conns
-        ]
 
     def problems(self) -> list[str]:
         """Every problem that keeps the scenario from running, from one
@@ -365,7 +353,10 @@ class Simulation:
     allocation plan, one request per connection in cid order (UGS requests
     hold their fixed grant, the others are refreshed from the backlog after
     every frame's transmission), the traffic feeds, the per-connection
-    packet logs and the per-station class partitions.
+    packet logs and the per-station class partitions.  ``queues`` holds
+    each connection's live queue, a ``deque`` aligned with
+    ``scenario.conns``; the feeds, the rtPS drop-on-expiry rows, the gpc
+    drain and the stations all hold these same deques.
 
     ``streams`` is what ``draw_streams`` draws for the same scenario,
     frames, seed and rho; without it the run draws its own, and a cell
@@ -400,10 +391,10 @@ class Simulation:
                 ("scenario", "frame count", "seed", "rho"), streams.cell, cell)
                 if drawn != given)
             raise ValueError(f"streams drawn for another {part}")
-        self.connections = scenario.build_connections()
+        conns = scenario.conns
+        self.queues = [deque() for _ in conns]
 
         cfg = self.frame_cfg
-        conns = self.connections
         self.plan = allocation_plan(conns, cfg)
         ugs = [c.service_class is ServiceClass.UGS for c in conns]
         self.requests = list(map(
@@ -414,15 +405,19 @@ class Simulation:
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog(s.size, s.arrival)
                      for c, s in zip(conns, streams.streams)}
-        self._feeds = [(c.queue, c.cid, s.counts, TrafficSource(c, s))
-                       for c, s in zip(conns, streams.streams)]
+        self._feeds = [(q, c.cid, s.counts, TrafficSource(c, s))
+                       for c, q, s in zip(conns, self.queues, streams.streams)]
         # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
-        self._rtps = [c for c in conns if c.service_class is ServiceClass.RTPS]
-        by_ss: dict[int, list[Connection]] = {}
-        for c in conns:
-            by_ss.setdefault(c.ss_id, []).append(c)
-        self._stations = {ss: Station(by_ss[ss], cfg) for ss in sorted(by_ss)}
+        self._rtps = [(c.cid, c.qos.max_latency_ms, q)
+                      for c, q in zip(conns, self.queues)
+                      if c.service_class is ServiceClass.RTPS]
+        by_ss: dict[int, tuple[list, list]] = {}
+        for c, q in zip(conns, self.queues):
+            specs, queues = by_ss.setdefault(c.ss_id, ([], []))
+            specs.append(c)
+            queues.append(q)
+        self._stations = {ss: Station(*by_ss[ss], cfg) for ss in sorted(by_ss)}
         self.frame_index = 0
         self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
         self.granted: list[int] = []
@@ -458,29 +453,26 @@ class Simulation:
         # optional drop-on-expiry: an rtPS packet that would miss its deadline
         # (arrival plus its connection's bound) even if sent now is discarded
         if self.drop_expired:
-            for conn in self._rtps:
-                q = conn.queue
-                bound = conn.qos.max_latency_ms
+            for cid, bound, q in self._rtps:
                 while q and q[0].arrival_time + bound < frame_end:
-                    self._depart[conn.cid](math.nan)
-                    backlog[conn.cid] -= q.popleft().size
+                    self._depart[cid](math.nan)
+                    backlog[cid] -= q.popleft().size
 
         # (3) transmission against the grants
         used = 0
         depart = self._depart
         if self.mode is SimMode.GPC:
-            for conn in self.connections:
-                q = conn.queue
+            for cid, q in zip(self.plan.cids, self.queues):
                 if not q:
                     continue
-                budget = grants.get(conn.cid, 0)
-                log_departure = depart[conn.cid]
+                budget = grants.get(cid, 0)
+                log_departure = depart[cid]
                 while q and q[0].size <= budget:
                     size = q.popleft().size
                     budget -= size
                     used += size
                     log_departure(frame_end)
-                    backlog[conn.cid] -= size
+                    backlog[cid] -= size
         else:
             schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
                         else schedule_frame_ss2)

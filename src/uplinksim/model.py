@@ -1,5 +1,5 @@
-"""Domain model: service classes, QoS contracts, connections, packets and
-their logs, frames.
+"""Domain model: service classes, QoS contracts, packets and their logs,
+frames.
 
 All scheduling arithmetic runs on integer bytes per frame; kbit/s rates from
 the configuration are converted exactly once at scenario load (see
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 
@@ -103,17 +102,6 @@ class PacketLog:
         return out
 
 
-@dataclass
-class Connection:
-    """A CID-identified uplink flow with its FIFO packet queue."""
-
-    cid: int
-    ss_id: int
-    service_class: ServiceClass
-    qos: QosParams
-    queue: deque = field(default_factory=deque)
-
-
 @dataclass(frozen=True)
 class FrameConfig:
     """TDD frame settings.  ``channel_bandwidth_mhz`` is informational only;
@@ -134,13 +122,14 @@ def bytes_per_frame(rate_kbps: float, frame: FrameConfig) -> int:
     return int(rate_kbps * frame.frame_duration_ms / 8.0)
 
 
-def guaranteed_bytes(conn: Connection, frame: FrameConfig) -> int:
-    """Per-frame byte reservation backing this connection's rate guarantee.
+def guaranteed_bytes(spec, frame: FrameConfig) -> int:
+    """Per-frame byte reservation backing the rate guarantee of ``spec``, a
+    connection's ``ConnSpec``.
 
     UGS has no reserved rate: its fixed unsolicited grant equals one frame's
     worth of its sustained rate.  All other classes reserve their minimum
     reserved rate.
     """
-    if conn.service_class is ServiceClass.UGS:
-        return bytes_per_frame(conn.qos.max_sustained_kbps or 0.0, frame)
-    return bytes_per_frame(conn.qos.min_reserved_kbps or 0.0, frame)
+    if spec.service_class is ServiceClass.UGS:
+        return bytes_per_frame(spec.qos.max_sustained_kbps or 0.0, frame)
+    return bytes_per_frame(spec.qos.min_reserved_kbps or 0.0, frame)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from .model import Connection, FrameConfig, Packet, ServiceClass, bytes_per_frame
+from .model import FrameConfig, Packet, ServiceClass, bytes_per_frame
 
 # (cid, packet) pairs in transmission order
 Entries = list[tuple[int, Packet]]
@@ -29,75 +29,77 @@ class TransmissionList:
     total_bytes: int
 
 
-def quantum_for(conn: Connection, frame: FrameConfig) -> int:
-    """Deficit-round quantum: one frame's worth of the sustained rate, or of
-    the reserved rate for BE (which has no sustained rate)."""
-    rate = conn.qos.max_sustained_kbps
+def quantum_for(spec, frame: FrameConfig) -> int:
+    """Deficit-round quantum of ``spec``, a connection's ``ConnSpec``: one
+    frame's worth of the sustained rate, or of the reserved rate for BE
+    (which has no sustained rate)."""
+    rate = spec.qos.max_sustained_kbps
     if rate is None:
-        rate = conn.qos.min_reserved_kbps or 0.0
+        rate = spec.qos.min_reserved_kbps or 0.0
     return bytes_per_frame(rate, frame)
 
 
 class Station:
-    """One subscriber station's connections, split by service class once:
-    ``ugs``, ``rtps``, ``nrtps`` and ``be`` each in ascending cid order, and
-    ``drr`` the deficit round's visit order (nrtPS then BE).
+    """One subscriber station's queues, split by service class once.
 
-    Each class's queues are listed once too, in the order of its
-    connections: ``rtps_queues`` and ``drr_queues``, and ``priority``, which
-    pairs each class's connections with their queues, UGS first.  The lists
-    hold the connections' own deques, which the engine never rebinds, so
-    they always show the live queues.
+    ``conns`` are the station's ``ConnSpec``s and ``queues`` their live
+    queues, aligned; the lists below hold those same deques, which the
+    engine never rebinds, so they always show the live queues.  Each class
+    lists its connections in ascending cid order as a (cids, queues,
+    bounds) triple, the arguments ``edf_take`` reads: ``ugs`` with bounds
+    of 0.0, which is FIFO, and ``rtps`` with each connection's
+    ``max_latency_ms``.  ``priority`` holds ss2's four FIFO triples, UGS
+    first.
 
-    The station owns its deficit round: ``quantum`` and ``deficit`` hold
-    each ``drr`` connection's quantum and counter, and ``cursor`` the next
-    visit, which persists across frames so an interrupted round resumes
-    where it stopped.
+    The station owns its deficit round over ``drr_cids`` and
+    ``drr_queues`` (nrtPS then BE): ``quantum`` and ``deficit`` hold each
+    queue's quantum and counter, and ``cursor`` the next visit, which
+    persists across frames so an interrupted round resumes where it
+    stopped.
     """
 
-    __slots__ = ("ugs", "rtps", "nrtps", "be", "drr", "rtps_queues",
-                 "drr_queues", "priority", "quantum", "deficit", "cursor")
+    __slots__ = ("ugs", "rtps", "priority", "drr_cids", "drr_queues",
+                 "quantum", "deficit", "cursor")
 
-    def __init__(self, connections, frame: FrameConfig):
-        by_class: dict[ServiceClass, list[Connection]] = {
-            cls: [] for cls in ServiceClass}
-        for conn in sorted(connections, key=lambda c: c.cid):
-            by_class[conn.service_class].append(conn)
-        self.ugs = by_class[ServiceClass.UGS]
-        self.rtps = by_class[ServiceClass.RTPS]
-        self.nrtps = by_class[ServiceClass.NRTPS]
-        self.be = by_class[ServiceClass.BE]
-        self.drr = self.nrtps + self.be
-        self.priority = tuple((conns, [c.queue for c in conns]) for conns in
-                              (self.ugs, self.rtps, self.nrtps, self.be))
-        self.rtps_queues = self.priority[1][1]
-        self.drr_queues = [c.queue for c in self.drr]
-        self.quantum = [quantum_for(c, frame) for c in self.drr]
-        self.deficit = [0] * len(self.drr)
+    def __init__(self, conns, queues, frame: FrameConfig):
+        pairs = sorted(zip(conns, queues), key=lambda p: p[0].cid)
+        ugs, rtps, nrtps, be = ([p for p in pairs if p[0].service_class is cls]
+                                for cls in (ServiceClass.UGS, ServiceClass.RTPS,
+                                            ServiceClass.NRTPS, ServiceClass.BE))
+        self.priority = tuple(([s.cid for s, _ in c], [q for _, q in c], [0.0] * len(c))
+                              for c in (ugs, rtps, nrtps, be))
+        self.ugs = self.priority[0]
+        self.rtps = (*self.priority[1][:2], [s.qos.max_latency_ms for s, _ in rtps])
+        drr = nrtps + be
+        self.drr_cids = [s.cid for s, _ in drr]
+        self.drr_queues = [q for _, q in drr]
+        self.quantum = [quantum_for(s, frame) for s, _ in drr]
+        self.deficit = [0] * len(drr)
         self.cursor = 0
 
 
-def serve_ugs(ugs_conns, budget: int) -> tuple[Entries, int]:
+def serve_ugs(ugs, budget: int) -> tuple[Entries, int]:
     """Drain UGS queues in arrival order (cid breaking ties) while whole
-    packets fit ``budget`` bytes: deadline selection with one common bound.
-    Returns (entries, used)."""
-    return _backend.kernels.edf_take(ugs_conns, budget, True)
+    packets fit ``budget`` bytes: deadline selection over a station's
+    ``ugs`` triple, whose bounds are all 0.0.  Returns (entries, used)."""
+    return _backend.kernels.edf_take(*ugs, budget)
 
 
-def serve_rtps_edf(rtps_conns, budget: int) -> tuple[Entries, int]:
-    """Send rtPS head-of-line packets in earliest-deadline order.
+def serve_rtps_edf(rtps, budget: int) -> tuple[Entries, int]:
+    """Send rtPS head-of-line packets in earliest-deadline order over a
+    station's ``rtps`` triple.
 
     The key is (deadline, arrival time, cid), where a packet's deadline is
     its arrival time plus its connection's ``max_latency_ms``.  The phase
     ends at the first selected packet that does not fit the remaining
     budget whole.  Returns (entries, used).
     """
-    return _backend.kernels.edf_take(rtps_conns, budget)
+    return _backend.kernels.edf_take(*rtps, budget)
 
 
 def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
-    """Deficit rounds over ``station.drr`` (its nrtPS queues, then its BE
-    queues, each by ascending cid), resuming at ``station.cursor``.
+    """Deficit rounds over ``station.drr_queues`` (its nrtPS queues, then
+    its BE queues, each by ascending cid), resuming at ``station.cursor``.
 
     Each visit credits the queue's quantum to its deficit counter, then sends
     head packets while they fit both counter and budget.  A drained queue
@@ -107,7 +109,7 @@ def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
     (entries, used).
     """
     entries, station.cursor, used = _backend.kernels.dfpq_take(
-        station.drr, station.drr_queues, station.quantum, station.deficit,
+        station.drr_cids, station.drr_queues, station.quantum, station.deficit,
         station.cursor, budget)
     return entries, used
 
@@ -119,7 +121,7 @@ def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
     state, so it is skipped; UGS, which sends in almost every frame, is
     not checked."""
     entries, used = serve_ugs(station.ugs, grant)
-    if any(station.rtps_queues):
+    if any(station.rtps[1]):
         more, spent = serve_rtps_edf(station.rtps, grant - used)
         entries += more
         used += spent
@@ -139,10 +141,10 @@ def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
     """
     entries: Entries = []
     used = 0
-    for conns, queues in station.priority:
+    for cids, queues, bounds in station.priority:
         if not any(queues):
             continue
-        more, spent = _backend.kernels.edf_take(conns, grant - used, True)
+        more, spent = _backend.kernels.edf_take(cids, queues, bounds, grant - used)
         entries += more
         used += spent
         if any(queues):

@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import islice, repeat
 from typing import NamedTuple
 
-from .model import Connection, FrameConfig, Packet, ServiceClass
+from .model import FrameConfig, Packet, ServiceClass
 
 
 class TrafficKind(Enum):
@@ -214,11 +214,11 @@ def draw_rate(service_class: ServiceClass, model: TrafficModel, rho: float) -> f
     return rate_kbps
 
 
-def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
+def draw_stream(spec, model: TrafficModel, frame: FrameConfig,
                 rho: float, seed: int, frames: int) -> Stream:
-    """``conn``'s arrivals over ``frames`` frames at ``draw_rate``, drawn
-    from the RNG seeded by (``seed``, cid); ``conn`` needs only ``cid`` and
-    ``service_class``."""
+    """The arrivals over ``frames`` frames at ``draw_rate`` of ``spec``, a
+    connection's ``ConnSpec``, drawn from the RNG seeded by (``seed``,
+    cid); ``spec`` needs only ``cid`` and ``service_class``."""
     if not 0 <= rho < math.inf:
         raise ValueError(f"traffic intensity must be finite and >= 0, got {rho}")
     # a valid Scenario never has an empty range, but a caller may pass any
@@ -226,14 +226,14 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
     if model.size_lo > model.size_hi:
         raise ValueError(f"empty packet size range {model.size_lo}-{model.size_hi}")
     stream = Stream(array("q"), array("d"), array("q"))
-    rate_kbps = draw_rate(conn.service_class, model, rho)
+    rate_kbps = draw_rate(spec.service_class, model, rho)
     dur = frame.frame_duration_ms
     if rate_kbps <= 0:
         stream.counts.extend(repeat(0, frames))
     elif model.kind is TrafficKind.CBR:
         _cbr(stream, frames, model.size_lo, rate_kbps * dur / 8.0, dur)
     else:
-        rng = random.Random(seed * 1_000_003 + conn.cid * 7919 + 1)
+        rng = random.Random(seed * 1_000_003 + spec.cid * 7919 + 1)
         draws = _size_draws(rng.getrandbits, model.size_lo, model.size_hi)
         if model.kind is TrafficKind.ONOFF_VBR:
             _onoff(stream, frames, rng.expovariate, draws, rate_kbps / 8.0,
@@ -246,10 +246,10 @@ def draw_stream(conn: Connection, model: TrafficModel, frame: FrameConfig,
 
 class TrafficSource:
     """Hands one connection's ``Stream`` out frame by frame, as new
-    ``Packet`` objects."""
+    ``Packet`` objects; ``conn`` is the connection's ``ConnSpec``."""
 
-    def __init__(self, conn: Connection, stream: Stream):
-        self.conn = conn
+    def __init__(self, spec, stream: Stream):
+        self.conn = spec
         self._counts = stream.counts
         self._packets = map(Packet, stream.size, stream.arrival)
 

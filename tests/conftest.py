@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from uplinksim.config import DEFAULT_QOS, ScenarioConfig, parse_config
 from uplinksim.engine import ConnSpec, Scenario, ScenarioError
-from uplinksim.model import Connection, FrameConfig, Packet, ServiceClass
+from uplinksim.model import FrameConfig, Packet, ServiceClass
 from uplinksim.traffic import default_models
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -19,13 +19,12 @@ def recipe(name: str) -> ScenarioConfig:
 
 
 def make_conn(cid, cls, ss=0, sizes=(), arrivals=None, qos=None):
-    """Connection with a pre-filled queue for scheduler-level tests."""
-    conn = Connection(cid=cid, ss_id=ss, service_class=cls,
-                      qos=qos or DEFAULT_QOS[cls], queue=deque())
-    for k, size in enumerate(sizes):
-        arrival = arrivals[k] if arrivals else float(k)
-        conn.queue.append(Packet(size=size, arrival_time=arrival))
-    return conn
+    """(``ConnSpec``, queue) for scheduler-level tests: the queue holds a
+    packet of each of ``sizes``, arriving at ``arrivals`` (at 0, 1, 2, ...
+    ms unless given)."""
+    queue = deque(Packet(size=size, arrival_time=arrivals[k] if arrivals else float(k))
+                  for k, size in enumerate(sizes))
+    return spec(cid, cls, qos=qos, ss=ss), queue
 
 
 def spec(cid, cls, qos=None, model=None, ss=0):
@@ -47,8 +46,9 @@ def problems_of(frame_cfg, *specs):
 
 
 def rtps_conn(cid, bound, sizes=(), arrivals=None):
-    """rtPS connection whose latency bound is ``bound`` ms, so each queued
-    packet's deadline is its arrival plus ``bound``."""
+    """(``ConnSpec``, queue) of an rtPS connection whose latency bound is
+    ``bound`` ms, so each queued packet's deadline is its arrival plus
+    ``bound``."""
     qos = replace(DEFAULT_QOS[ServiceClass.RTPS], max_latency_ms=bound)
     return make_conn(cid, ServiceClass.RTPS, sizes=sizes, arrivals=arrivals, qos=qos)
 

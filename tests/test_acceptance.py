@@ -189,7 +189,7 @@ def test_criterion_6_deficit_round_oracle():
 
         conns = [make_conn(q, ServiceClass.NRTPS, sizes=queues[q])
                  for q in range(nq)]
-        station = Station(conns, frame())
+        station = Station(*zip(*conns), frame())
         station.quantum = list(quanta)
         station.deficit = list(deficits)
         station.cursor = cursor
@@ -203,7 +203,7 @@ def test_criterion_6_deficit_round_oracle():
         assert used == ref_used
         for q in range(nq):
             assert station.deficit[q] >= 0
-            if not conns[q].queue:
+            if not conns[q][1]:
                 assert station.deficit[q] == 0
         checked += 1
     assert checked >= 1000
@@ -221,8 +221,8 @@ def test_criterion_7_edf_minimal_max_lateness():
         # every packet arrives at 0, so its deadline is its connection's bound
         conns = [rtps_conn(k, deadline, sizes=[size], arrivals=[0.0])
                  for k, (size, deadline) in enumerate(packets)]
-        entries, _ = serve_rtps_edf(conns, 10**9)
-        got = max_lateness([(p.size, p.arrival_time + conns[cid].qos.max_latency_ms)
+        entries, _ = serve_rtps_edf(Station(*zip(*conns), frame()).rtps, 10**9)
+        got = max_lateness([(p.size, p.arrival_time + conns[cid][0].qos.max_latency_ms)
                             for cid, p in entries])
         assert got == min_max_lateness(packets), packets
         checked += 1

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import frame, make_conn
+from conftest import frame, spec
 from uplinksim.bs_alloc import (
     AllocationResult,
     BandwidthRequest,
@@ -24,7 +24,7 @@ def req(cid, n):
 
 def test_phase1_caps_at_request_and_minimum():
     # two 512 kbit/s reservations (640 B/frame each) against 5375 B capacity
-    conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.NRTPS)]
+    conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.NRTPS)]
     result = phase1_guarantee([req(1, 2000), req(2, 100)],
                               allocation_plan(conns, frame(5375)))
     assert result.allocated == {1: 640, 2: 100}
@@ -32,14 +32,14 @@ def test_phase1_caps_at_request_and_minimum():
 
 
 def test_phase1_zero_requests():
-    conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.BE)]
+    conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.BE)]
     result = phase1_guarantee([req(1, 0), req(2, 0)], allocation_plan(conns, frame()))
     assert result.allocated == {1: 0, 2: 0}
     assert result.remaining == frame().uplink_capacity_bytes
 
 
 def test_phase1_single_request_below_minimum():
-    conns = [make_conn(1, ServiceClass.NRTPS)]
+    conns = [spec(1, ServiceClass.NRTPS)]
     result = phase1_guarantee([req(1, 17)], allocation_plan(conns, frame()))
     assert result.allocated == {1: 17}
 
@@ -70,9 +70,9 @@ def test_phase2_single_unmet_fully_satisfied():
 
 def test_pool_gpss_sums_per_station():
     conns = [
-        make_conn(1, ServiceClass.RTPS, ss=1),
-        make_conn(2, ServiceClass.BE, ss=1),
-        make_conn(3, ServiceClass.BE, ss=2),
+        spec(1, ServiceClass.RTPS, ss=1),
+        spec(2, ServiceClass.BE, ss=1),
+        spec(3, ServiceClass.BE, ss=2),
     ]
     result = AllocationResult(allocated={1: 640, 2: 320, 3: 50}, remaining=0)
     grants = pool_gpss(result, allocation_plan(conns, frame()))
@@ -85,9 +85,9 @@ def test_pool_gpss_empty():
 
 def test_allocation_plan_is_aligned_in_cid_order():
     conns = [
-        make_conn(7, ServiceClass.BE, ss=2),
-        make_conn(3, ServiceClass.UGS, ss=1),
-        make_conn(5, ServiceClass.RTPS, ss=2),
+        spec(7, ServiceClass.BE, ss=2),
+        spec(3, ServiceClass.UGS, ss=1),
+        spec(5, ServiceClass.RTPS, ss=2),
     ]
     plan = allocation_plan(conns, frame(5375))
     assert plan.cids == (3, 5, 7)
@@ -98,8 +98,8 @@ def test_allocation_plan_is_aligned_in_cid_order():
 
 
 def test_allocate_gpc_equals_two_phase_pipeline():
-    conns = [make_conn(1, ServiceClass.RTPS), make_conn(2, ServiceClass.NRTPS),
-             make_conn(3, ServiceClass.BE)]
+    conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.NRTPS),
+             spec(3, ServiceClass.BE)]
     requests = [req(1, 2000), req(2, 3000), req(3, 4000)]
     plan = allocation_plan(conns, frame())
     expected = phase2_excess(
@@ -111,7 +111,7 @@ def test_allocate_gpc_equals_two_phase_pipeline():
 
 
 def test_allocate_gpc_ugs_fixed_grant_every_frame():
-    conns = [make_conn(1, ServiceClass.UGS), make_conn(2, ServiceClass.UGS)]
+    conns = [spec(1, ServiceClass.UGS), spec(2, ServiceClass.UGS)]
     plan = allocation_plan(conns, frame())
     for _ in range(5):
         grants = allocate_gpc([req(1, 320), req(2, 320)], plan)
@@ -147,7 +147,7 @@ def run_pipeline(requested, bwmin, weights, capacity):
         qos = QosParams(max_sustained_kbps=None,
                         min_reserved_kbps=rate if rate > 0 else 1e-9,
                         weight=w)
-        conns.append(make_conn(i, ServiceClass.BE, qos=qos))
+        conns.append(spec(i, ServiceClass.BE, qos=qos))
         requests.append(req(i, r))
     plan = allocation_plan(conns, f)
     result = phase2_excess(phase1_guarantee(requests, plan), requests, plan.weights)

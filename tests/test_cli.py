@@ -201,6 +201,11 @@ def test_cli_flag_validation(monkeypatch):
     assert main(["--seeds", "x,y"]) == 2
     assert main(["--rho", "-1"]) == 2
     assert main(["--rho", "nan"]) == 2
+    # an outdir a scenario file cannot hold is refused, as in code
+    assert main(["--out", " x "]) == 2
+    monkeypatch.setenv("SIM_OUT", "a\rb")
+    assert main([]) == 2
+    monkeypatch.delenv("SIM_OUT")
     with pytest.raises(SystemExit) as info:
         main(["--mode", "bogus"])
     assert info.value.code == 2

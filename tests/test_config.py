@@ -359,6 +359,11 @@ def test_a_matrix_built_in_code_is_checked(monkeypatch):
         ({"window_ms": -1.0}, ["window_ms must be > 0"]),
         ({"window_ms": math.nan}, ["window_ms must be > 0"]),
         ({"warmup": math.nan}, ["warmup must be in [0, 1)"]),
+        # a file's text cannot hold these outdirs: line breaks split the
+        # line, and the parser strips it
+        ({"outdir": "a\nb"}, ["outdir must not hold a line break"]),
+        ({"outdir": "a\x85b"}, ["outdir must not hold a line break"]),
+        ({"outdir": " x "}, ["outdir must not start or end with whitespace"]),
         # every field's rules are checked before the window and the ceiling
         ({"modes": (), "frames": 1.5, "rhos": (1e300,), "window_ms": 0.01},
          ["modes must list at least one value", "frames must be an integer"]),

@@ -242,7 +242,7 @@ def test_gpc_spends_grants_only_on_their_own_connection():
         sim = Simulation(scenario, mode, 1, seed=1, rho=0.0)  # no traffic
         for k in range(2):
             pkt = Packet(size=640, arrival_time=-10.0 + k)
-            sim.connections[0].queue.append(pkt)
+            sim.queues[0].append(pkt)
             sim._backlog[0] += 640
         for req in sim.requests:
             req.requested_bytes = {0: 0, 1: 1280}[req.cid]
@@ -449,18 +449,54 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
     for fr in range(300):
         sim.step()
         frame_end = (fr + 1) * scenario.frame.frame_duration_ms
-        for conn in sim.connections:
-            log = sim.logs[conn.cid]
+        for spec, queue in zip(scenario.conns, sim.queues):
+            cid = spec.cid
+            log = sim.logs[cid]
             assert all(d == frame_end or math.isnan(d)
-                       for d in log.departure[exited[conn.cid]:])
-            exited[conn.cid] = len(log.departure)
-            arrived[conn.cid] += counts[conn.cid][fr]
-            head, end = len(log.departure), arrived[conn.cid]
-            assert sum(log.size[head:end]) == sim._backlog[conn.cid]
+                       for d in log.departure[exited[cid]:])
+            exited[cid] = len(log.departure)
+            arrived[cid] += counts[cid][fr]
+            head, end = len(log.departure), arrived[cid]
+            assert sum(log.size[head:end]) == sim._backlog[cid]
             assert list(zip(log.size[head:end], log.arrival[head:end])) == [
-                (p.size, p.arrival_time) for p in conn.queue]
+                (p.size, p.arrival_time) for p in queue]
     assert any(sim._backlog.values())
     assert all(arrived[cid] == len(log.size) for cid, log in sim.logs.items())
+
+
+@pytest.mark.parametrize("mode", list(SimMode))
+def test_every_reader_shares_the_cells_queues(mode):
+    # the feeds, the rtPS drop rows, the gpc drain and every station triple
+    # hold the very deques of ``sim.queues``, each at its own cid; checked
+    # after a run, so a reader that rebinds a queue shows too
+    scenario = baseline_scenario()
+    sim = Simulation(scenario, mode, 50, seed=1, rho=1.4, drop_expired=True)
+    for _ in range(50):
+        sim.step()
+    cids = [s.cid for s in scenario.conns]
+    assert len(sim.queues) == len({id(q) for q in sim.queues}) == len(cids)
+    queue_of = dict(zip(cids, sim.queues))
+
+    def shares(cids, queues):
+        return len(cids) == len(queues) and all(
+            queue is queue_of[cid] for cid, queue in zip(cids, queues))
+
+    assert [cid for _, cid, _, _ in sim._feeds] == cids
+    assert shares(cids, [q for q, _, _, _ in sim._feeds])
+    rtps = [s for s in scenario.conns if s.service_class is ServiceClass.RTPS]
+    assert [row[:2] for row in sim._rtps] == [(s.cid, s.qos.max_latency_ms)
+                                              for s in rtps]
+    assert shares([cid for cid, _, _ in sim._rtps], [q for _, _, q in sim._rtps])
+    # the gpc drain reads ``sim.queues`` beside the plan's cids
+    assert list(sim.plan.cids) == cids
+    stationed = []
+    for station in sim._stations.values():
+        for group_cids, queues, _ in (station.ugs, station.rtps, *station.priority):
+            assert shares(group_cids, queues)
+        assert shares(station.drr_cids, station.drr_queues)
+        stationed += [cid for group_cids, _, _ in station.priority
+                      for cid in group_cids]
+    assert sorted(stationed) == cids
 
 
 def log_bytes(result):

@@ -1,15 +1,16 @@
 """Property tests of the scheduling kernels against their oracles: the
 water-filling kernel against the exact allocation, earliest-deadline
-selection (and, with one common bound, FIFO) against one global sort, and
+selection (and, with bounds of 0.0, FIFO) against one global sort, and
 the deficit round against a plain list simulation."""
+
+from collections import deque
 
 import pytest
 
-from conftest import make_conn, rtps_conn
 from reference import brute_force_alloc, reference_dfpq, reference_edf
 from uplinksim._kernels_py import (SPLITS_PER_WEIGHT_SET, _key_steps, dfpq_take,
                                    edf_take, waterfill)
-from uplinksim.model import ServiceClass
+from uplinksim.model import Packet
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -144,21 +145,19 @@ def edf_instances(draw):
           [9, 2, 5], 1000))                                     # equal arrivals
 @example(([20.0, 1.0], [[0.0], [0.0]], [[1], [1]], [4, 3], 0))  # zero budget
 def test_edf_take_matches_sorted_reference(instance):
-    # each instance runs twice: under the queues' own bounds, and with fifo
-    # set, where every bound is 0 and a deadline is the arrival itself
+    # each instance runs twice: under the queues' own bounds, and with
+    # bounds of 0.0, where a deadline is the arrival itself (FIFO)
     bounds, arrivals, sizes, cids, budget = instance
-    for fifo in (False, True):
-        conns = [rtps_conn(cids[q], bounds[q], sizes=sizes[q],
-                           arrivals=arrivals[q]) for q in range(len(cids))]
-        originals = [list(c.queue) for c in conns]
-        entries, used = edf_take(conns, budget, fifo=fifo)
-        deadlines = [[a + (0.0 if fifo else bound) for a in arr]
-                     for arr, bound in zip(arrivals, bounds)]
+    for given in (bounds, [0.0] * len(bounds)):
+        queues = [deque(map(Packet, s, a)) for s, a in zip(sizes, arrivals)]
+        originals = [list(q) for q in queues]
+        entries, used = edf_take(cids, queues, given, budget)
+        deadlines = [[a + bound for a in arr] for arr, bound in zip(arrivals, given)]
         sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
         expected, leftovers = oracle_split(sent, cids, originals)
-        assert same_packets(entries, expected), fifo
+        assert same_packets(entries, expected), given
         assert used == ref_used
-        assert [list(c.queue) for c in conns] == leftovers
+        assert [list(q) for q in queues] == leftovers
 
 
 @st.composite
@@ -187,16 +186,14 @@ def test_dfpq_take_matches_reference(instance):
     nq = len(queues)
     # descending cids: the visit order is the list order, not the cid's
     cids = [nq - q for q in range(nq)]
-    conns = [make_conn(cids[q], ServiceClass.NRTPS, sizes=queues[q])
-             for q in range(nq)]
-    originals = [list(c.queue) for c in conns]
+    live = [deque(Packet(size, 0.0) for size in sizes) for sizes in queues]
+    originals = [list(q) for q in live]
     dc = list(deficits)
-    entries, pos, used = dfpq_take(conns, [c.queue for c in conns], quanta,
-                                   dc, cursor, budget)
+    entries, pos, used = dfpq_take(cids, live, quanta, dc, cursor, budget)
     sent, ref_dc, ref_pos, ref_used = reference_dfpq(
         queues, quanta, deficits, cursor, budget)
     expected, leftovers = oracle_split(sent, cids, originals)
     assert same_packets(entries, expected)
     # the counters passed in are the ones updated
     assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
-    assert [list(c.queue) for c in conns] == leftovers
+    assert [list(q) for q in live] == leftovers

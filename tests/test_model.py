@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import frame, make_conn, problems_of, spec
+from conftest import frame, problems_of, spec
 from uplinksim.config import DEFAULT_QOS, baseline_scenario
 from uplinksim.model import (
     FrameConfig,
@@ -42,10 +42,10 @@ def test_service_class_priority_order():
 
 def test_guaranteed_bytes_per_class():
     f = frame()
-    assert guaranteed_bytes(make_conn(1, ServiceClass.UGS), f) == 320
-    assert guaranteed_bytes(make_conn(2, ServiceClass.RTPS), f) == 640
-    assert guaranteed_bytes(make_conn(3, ServiceClass.NRTPS), f) == 640
-    assert guaranteed_bytes(make_conn(4, ServiceClass.BE), f) == 320
+    assert guaranteed_bytes(spec(1, ServiceClass.UGS), f) == 320
+    assert guaranteed_bytes(spec(2, ServiceClass.RTPS), f) == 640
+    assert guaranteed_bytes(spec(3, ServiceClass.NRTPS), f) == 640
+    assert guaranteed_bytes(spec(4, ServiceClass.BE), f) == 320
 
 
 def test_validate_single_station_fits_default_capacity():

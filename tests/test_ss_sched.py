@@ -20,38 +20,47 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 def station_for(conns, quanta=None):
-    """Station over ``conns`` whose deficit round uses the ``quanta`` given
-    by cid in place of the QoS-derived ones."""
-    station = Station(conns, frame())
-    station.quantum = [(quanta or {}).get(c.cid, q)
-                       for c, q in zip(station.drr, station.quantum)]
+    """Station over ``conns``, (spec, queue) pairs, whose deficit round uses
+    the ``quanta`` given by cid in place of the QoS-derived ones."""
+    specs, queues = zip(*conns)
+    station = Station(specs, queues, frame())
+    station.quantum = [(quanta or {}).get(cid, q)
+                       for cid, q in zip(station.drr_cids, station.quantum)]
     return station
+
+
+def edf_lists(conns):
+    """The (cids, queues, bounds) of ``conns``, (spec, queue) pairs, in the
+    order given, with the bounds a Station gives them: 0.0 for UGS and the
+    connection's ``max_latency_ms`` for rtPS."""
+    return ([s.cid for s, _ in conns], [q for _, q in conns],
+            [s.qos.max_latency_ms or 0.0 for s, _ in conns])
 
 
 # --- UGS phase ---------------------------------------------------------------
 
 def test_serve_ugs_basic_and_budget_decrement():
     conn = make_conn(1, ServiceClass.UGS, sizes=[320])
-    entries, used = serve_ugs([conn], 5375)
+    entries, used = serve_ugs(edf_lists([conn]), 5375)
     assert [(cid, p.size) for cid, p in entries] == [(1, 320)]
     assert used == 320
 
 
 def test_serve_ugs_empty_queues():
     conn = make_conn(1, ServiceClass.UGS)
-    assert serve_ugs([conn], 100) == ([], 0)
+    assert serve_ugs(edf_lists([conn]), 100) == ([], 0)
 
 
 def test_serve_ugs_never_splits_a_packet():
     conn = make_conn(1, ServiceClass.UGS, sizes=[400])
-    assert serve_ugs([conn], 399) == ([], 0)
-    assert len(conn.queue) == 1
+    assert serve_ugs(edf_lists([conn]), 399) == ([], 0)
+    assert len(conn[1]) == 1
 
 
 def test_serve_ugs_global_arrival_order_with_cid_ties():
     a = make_conn(2, ServiceClass.UGS, sizes=[10, 10], arrivals=[0.0, 5.0])
     b = make_conn(1, ServiceClass.UGS, sizes=[10], arrivals=[0.0])
-    entries, _ = serve_ugs([a, b], 100)
+    entries, _ = serve_ugs(edf_lists([a, b]), 100)
     assert [cid for cid, _ in entries] == [1, 2, 2]
 
 
@@ -60,7 +69,7 @@ def test_serve_ugs_global_arrival_order_with_cid_ties():
 def test_edf_orders_by_deadline():
     a = rtps_conn(1, 120.0, sizes=[100, 100], arrivals=[0.0, 10.0])
     b = rtps_conn(2, 94.5, sizes=[100], arrivals=[0.5])
-    entries, _ = serve_rtps_edf([a, b], 1000)
+    entries, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
     assert [(cid, p.arrival_time) for cid, p in entries] == [
         (2, 0.5), (1, 0.0), (1, 10.0),  # deadlines 95, 120 and 130
     ]
@@ -71,7 +80,7 @@ def test_edf_derives_each_deadline_from_its_connections_bound():
     # against 30 and 31, also once each queue's next head is keyed
     loose = rtps_conn(1, 30.0, sizes=[100, 100], arrivals=[0.0, 1.0])
     tight = rtps_conn(2, 5.0, sizes=[100, 100], arrivals=[10.0, 20.0])
-    entries, used = serve_rtps_edf([loose, tight], 1000)
+    entries, used = serve_rtps_edf(edf_lists([loose, tight]), 1000)
     assert [(cid, p.arrival_time) for cid, p in entries] == [
         (2, 10.0), (2, 20.0), (1, 0.0), (1, 1.0),
     ]
@@ -82,12 +91,12 @@ def test_edf_tie_breaks_on_arrival_then_cid():
     # equal deadlines of 100 ms
     a = rtps_conn(1, 97.0, sizes=[50], arrivals=[3.0])
     b = rtps_conn(2, 99.0, sizes=[50], arrivals=[1.0])
-    entries, _ = serve_rtps_edf([a, b], 1000)
+    entries, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
     assert [cid for cid, _ in entries] == [2, 1]
 
     c = rtps_conn(3, 99.0, sizes=[50], arrivals=[1.0])
     d = rtps_conn(4, 99.0, sizes=[50], arrivals=[1.0])
-    entries, _ = serve_rtps_edf([d, c], 1000)
+    entries, _ = serve_rtps_edf(edf_lists([d, c]), 1000)
     assert [cid for cid, _ in entries] == [3, 4]
 
 
@@ -95,8 +104,8 @@ def test_edf_stops_at_first_nonfitting_candidate():
     # the most urgent packet is too big: the whole phase ends, even though
     # the later packet would fit
     a = rtps_conn(1, 10.0, sizes=[500, 50], arrivals=[0.0, 1.0])
-    assert serve_rtps_edf([a], 499) == ([], 0)
-    assert len(a.queue) == 2
+    assert serve_rtps_edf(edf_lists([a]), 499) == ([], 0)
+    assert len(a[1]) == 2
 
 
 # --- DFPQ phase --------------------------------------------------------------
@@ -110,7 +119,7 @@ def test_dfpq_two_visits_then_reset_on_empty():
     assert [p.size for _, p in entries] == [300, 300]
     assert used == 600
     assert station.deficit == [0]
-    assert not conn.queue
+    assert not conn[1]
 
 
 def test_dfpq_untouched_empty_queue_keeps_zero_counter():
@@ -173,21 +182,29 @@ def test_station_partitions_classes_once_in_cid_order():
         make_conn(9, ServiceClass.BE),
         make_conn(8, ServiceClass.NRTPS),
         make_conn(7, ServiceClass.BE),
-        make_conn(6, ServiceClass.RTPS),
+        rtps_conn(6, 30.0),
         make_conn(5, ServiceClass.NRTPS),
         make_conn(4, ServiceClass.UGS),
-        make_conn(3, ServiceClass.RTPS),
+        rtps_conn(3, 12.0),
     ]
-    station = Station(conns, frame())
+    station = Station(*zip(*conns), frame())
+    queue_of = {s.cid: q for s, q in conns}
 
-    def cids(group):
-        return [c.cid for c in group]
+    def holds(cids, queues):
+        # each cid's own queue, the very deque, in the same position
+        return len(cids) == len(queues) and all(
+            queue is queue_of[cid] for cid, queue in zip(cids, queues))
 
-    assert cids(station.ugs) == [4]
-    assert cids(station.rtps) == [3, 6]
-    assert cids(station.nrtps) == [5, 8]
-    assert cids(station.be) == [7, 9]
-    assert cids(station.drr) == [5, 8, 7, 9]  # nrtPS visited before BE
+    # ss2's FIFO triples: UGS, rtPS, nrtPS, BE, each by ascending cid
+    assert [cids for cids, _, _ in station.priority] == [[4], [3, 6], [5, 8], [7, 9]]
+    assert all(holds(cids, queues) and bounds == [0.0] * len(cids)
+               for cids, queues, bounds in station.priority)
+    assert station.ugs == station.priority[0]
+    # ss1's rtPS triple holds the connections' own bounds
+    assert station.rtps == (station.priority[1][0], station.priority[1][1],
+                            [12.0, 30.0])
+    assert station.drr_cids == [5, 8, 7, 9]  # nrtPS visited before BE
+    assert holds(station.drr_cids, station.drr_queues)
     assert station.quantum == [1280, 1280, 320, 320]
     assert station.deficit == [0, 0, 0, 0]
     assert station.cursor == 0
@@ -195,14 +212,14 @@ def test_station_partitions_classes_once_in_cid_order():
 
 def test_ss1_zero_grant_schedules_nothing():
     conns = four_class_station()
-    tx = schedule_frame_ss1(Station(conns, frame()), 0)
+    tx = schedule_frame_ss1(station_for(conns), 0)
     assert tx.entries == []
     assert tx.total_bytes == 0
 
 
 def test_ss1_only_be_uses_reserved_rate_quantum():
     be = make_conn(9, ServiceClass.BE, sizes=[100] * 5)
-    station = Station([be], frame())
+    station = station_for([be])
     assert station.quantum == [320]  # one frame at the 256 kbit/s reserved rate
     tx = schedule_frame_ss1(station, 5000)
     assert [p.size for _, p in tx.entries] == [100] * 5
@@ -210,7 +227,7 @@ def test_ss1_only_be_uses_reserved_rate_quantum():
 
 def test_ss1_ample_grant_sends_everything_class_ordered():
     conns = four_class_station()
-    tx = schedule_frame_ss1(Station(conns, frame()), 50_000)
+    tx = schedule_frame_ss1(station_for(conns), 50_000)
     assert len(tx.entries) == 12
     # phase order: all UGS, then all rtPS, then the deficit round (which may
     # interleave nrtPS and BE)
@@ -219,7 +236,7 @@ def test_ss1_ample_grant_sends_everything_class_ordered():
     assert ranks == sorted(ranks)
     assert tx.total_bytes == sum(p.size for _, p in tx.entries)
     # every queued packet went out exactly once, whole
-    assert all(not c.queue for c in conns)
+    assert all(not q for _, q in conns)
 
 
 CLASSES = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS,
@@ -237,8 +254,8 @@ def class_queues(max_size, max_packets):
 def test_ss1_budget_safety_random(queues, grant):
     conns = [make_conn(cid, cls, sizes=sizes)
              for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
-    queued_before = {c.cid: list(c.queue) for c in conns}
-    tx = schedule_frame_ss1(Station(conns, frame()), grant)
+    queued_before = {s.cid: list(q) for s, q in conns}
+    tx = schedule_frame_ss1(station_for(conns), grant)
     assert tx.total_bytes <= grant
     assert tx.total_bytes == sum(p.size for _, p in tx.entries)
     # no duplication, no fabrication
@@ -255,18 +272,18 @@ def test_ss1_budget_safety_random(queues, grant):
 def test_ss1_weak_work_conservation(queues, grant):
     conns = [make_conn(cid, cls, sizes=sizes)
              for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
-    station = Station(conns, frame())
+    station = station_for(conns)
     tx = schedule_frame_ss1(station, grant)
-    deficit = dict(zip((c.cid for c in station.drr), station.deficit))
+    deficit = dict(zip(station.drr_cids, station.deficit))
     leftover = grant - tx.total_bytes
-    for c in conns:
-        if not c.queue:
+    for s, q in conns:
+        if not q:
             continue
-        head = c.queue[0].size
-        if c.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
+        head = q[0].size
+        if s.service_class in (ServiceClass.NRTPS, ServiceClass.BE):
             # head fitting both leftover and its current counter would
             # contradict round termination
-            assert not (head <= leftover and head <= deficit[c.cid])
+            assert not (head <= leftover and head <= deficit[s.cid])
 
 
 def test_ss2_starves_lower_classes_behind_backlog():
@@ -274,16 +291,16 @@ def test_ss2_starves_lower_classes_behind_backlog():
         make_conn(1, ServiceClass.NRTPS, sizes=[1000] * 10),
         make_conn(2, ServiceClass.BE, sizes=[50] * 10),
     ]
-    tx = schedule_frame_ss2(Station(conns, frame()), 3500)
+    tx = schedule_frame_ss2(station_for(conns), 3500)
     assert [cid for cid, _ in tx.entries] == [1, 1, 1]
     # 500 bytes leftover would fit BE heads, but strict priority blocks them
     assert tx.total_bytes == 3000
-    assert len(conns[1].queue) == 10
+    assert len(conns[1][1]) == 10
 
 
 def test_ss2_fifo_over_be_alone():
     be = make_conn(1, ServiceClass.BE, sizes=[10, 20, 30], arrivals=[0, 1, 2])
-    tx = schedule_frame_ss2(Station([be], frame()), 1000)
+    tx = schedule_frame_ss2(station_for([be]), 1000)
     assert [p.size for _, p in tx.entries] == [10, 20, 30]
 
 
@@ -294,8 +311,8 @@ def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
         return [rtps_conn(1, 120.0, sizes=[100], arrivals=[0.0]),
                 rtps_conn(2, 10.0, sizes=[100], arrivals=[5.0])]
 
-    ss1 = schedule_frame_ss1(Station(rtps_pair(), frame()), 1000)
-    ss2 = schedule_frame_ss2(Station(rtps_pair(), frame()), 1000)
+    ss1 = schedule_frame_ss1(station_for(rtps_pair()), 1000)
+    ss2 = schedule_frame_ss2(station_for(rtps_pair()), 1000)
     assert [cid for cid, _ in ss1.entries] == [2, 1]
     assert [cid for cid, _ in ss2.entries] == [1, 2]
 
@@ -303,8 +320,8 @@ def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
 def test_ss2_matches_ss1_packet_set_when_uncontended():
     conns1 = four_class_station()
     conns2 = four_class_station()
-    tx1 = schedule_frame_ss1(Station(conns1, frame()), 50_000)
-    tx2 = schedule_frame_ss2(Station(conns2, frame()), 50_000)
+    tx1 = schedule_frame_ss1(station_for(conns1), 50_000)
+    tx2 = schedule_frame_ss2(station_for(conns2), 50_000)
     key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
     assert key(tx1) == key(tx2)
 
@@ -328,11 +345,11 @@ def stations(draw):
                                             max_size=len(sizes))))
             conns.append(make_conn(len(conns) + 1, cls, sizes=sizes,
                                    arrivals=arrivals))
-    station = Station(conns, frame())
+    station = station_for(conns)
     station.deficit = draw(st.lists(st.integers(0, 2000),
-                                    min_size=len(station.drr),
-                                    max_size=len(station.drr)))
-    station.cursor = draw(st.integers(0, len(station.drr) - 1))
+                                    min_size=len(station.drr_cids),
+                                    max_size=len(station.drr_cids)))
+    station.cursor = draw(st.integers(0, len(station.drr_cids) - 1))
     return station, draw(st.integers(0, 8000))
 
 
@@ -347,11 +364,11 @@ def every_phase_ss1(station, grant):
 
 def every_class_ss2(station, grant):
     entries, used = [], 0
-    for conns in (station.ugs, station.rtps, station.nrtps, station.be):
-        more, spent = edf_take(conns, grant - used, fifo=True)
+    for cids, queues, bounds in station.priority:
+        more, spent = edf_take(cids, queues, bounds, grant - used)
         entries += more
         used += spent
-        if any(c.queue for c in conns):
+        if any(queues):
             break
     return entries, used
 
@@ -359,9 +376,9 @@ def every_class_ss2(station, grant):
 def outcome(station, entries, used):
     """Everything a schedule leaves behind, in comparable form."""
     return ([(cid, p.size, p.arrival_time) for cid, p in entries], used,
-            [[(p.size, p.arrival_time) for p in c.queue]
-             for group in (station.ugs, station.rtps, station.drr)
-             for c in group],
+            [[(p.size, p.arrival_time) for p in q]
+             for queues in (station.ugs[1], station.rtps[1], station.drr_queues)
+             for q in queues],
             list(station.deficit), station.cursor)
 
 

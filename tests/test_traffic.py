@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import frame, make_conn, problems_of, spec
+from conftest import frame, problems_of, spec
 from uplinksim import traffic
 from uplinksim.config import baseline_scenario, parse_config
 from uplinksim.engine import draw_streams
@@ -25,7 +25,7 @@ def per_frame(stream):
 
 
 def test_ugs_cbr_exactly_one_packet_per_frame():
-    conn = make_conn(1, ServiceClass.UGS)
+    conn = spec(1, ServiceClass.UGS)
     stream = draw_stream(conn, default_models()[ServiceClass.UGS], frame(), 1.0,
                          seed=5, frames=200)
     # one 320-byte packet at every frame start
@@ -34,13 +34,13 @@ def test_ugs_cbr_exactly_one_packet_per_frame():
 
 def test_zero_intensity_silences_every_model():
     for cls, model in default_models().items():
-        stream = draw_stream(make_conn(1, cls), model, frame(), 0.0, seed=3,
+        stream = draw_stream(spec(1, cls), model, frame(), 0.0, seed=3,
                              frames=50)
         assert per_frame(stream) == [[]] * 50
 
 
 def test_ugs_does_not_scale_beyond_provisioned_rate():
-    conn = make_conn(1, ServiceClass.UGS)
+    conn = spec(1, ServiceClass.UGS)
     model = default_models()[ServiceClass.UGS]
     hot = draw_stream(conn, model, frame(), 1.7, seed=5, frames=500)
     assert sum(hot.size) == 500 * 320
@@ -49,7 +49,7 @@ def test_ugs_does_not_scale_beyond_provisioned_rate():
 
 
 def test_poisson_bulk_long_run_rate():
-    conn = make_conn(1, ServiceClass.NRTPS)
+    conn = spec(1, ServiceClass.NRTPS)
     model = TrafficModel(TrafficKind.POISSON, 512.0, 1250, 1250)
     got = sum(draw_stream(conn, model, frame(), 1.0, seed=11, frames=10_000).size)
     expected = 512_000 * 100 / 8  # 512 kbit/s for 100 s
@@ -57,7 +57,7 @@ def test_poisson_bulk_long_run_rate():
 
 
 def test_onoff_long_run_rate_and_frame_bounds():
-    conn = make_conn(1, ServiceClass.RTPS)
+    conn = spec(1, ServiceClass.RTPS)
     model = default_models()[ServiceClass.RTPS]
     stream = draw_stream(conn, model, frame(), 1.0, seed=2, frames=10_000)
     for k, rows in enumerate(per_frame(stream)):
@@ -71,7 +71,7 @@ def test_onoff_long_run_rate_and_frame_bounds():
 
 
 def test_determinism_and_seed_sensitivity():
-    conn = make_conn(1, ServiceClass.BE)
+    conn = spec(1, ServiceClass.BE)
     model = default_models()[ServiceClass.BE]
 
     def stream(seed):
@@ -83,7 +83,7 @@ def test_determinism_and_seed_sensitivity():
 
 def test_intensity_linearity_for_elastic_models():
     for cls in (ServiceClass.RTPS, ServiceClass.NRTPS, ServiceClass.BE):
-        conn = make_conn(1, cls)
+        conn = spec(1, cls)
         model = default_models()[cls]
         one = sum(draw_stream(conn, model, frame(), 1.0, 8, 10_000).size)
         two = sum(draw_stream(conn, model, frame(), 2.0, 8, 10_000).size)
@@ -94,7 +94,7 @@ def test_no_packet_exceeds_frame_capacity():
     f = frame()
     for cls, model in default_models().items():
         assert problems_of(f, spec(1, cls, model=model)) == []
-        conn = make_conn(1, cls)
+        conn = spec(1, cls)
         stream = draw_stream(conn, model, f, 1.4, seed=6, frames=500)
         assert all(1 <= size <= f.uplink_capacity_bytes for size in stream.size)
 
@@ -122,7 +122,7 @@ def test_default_models_match_contracts():
 
 
 def test_non_finite_intensity_and_model_values_rejected():
-    conn = make_conn(1, ServiceClass.RTPS)
+    conn = spec(1, ServiceClass.RTPS)
     model = default_models()[ServiceClass.RTPS]
     for rho in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="traffic intensity"):
@@ -144,11 +144,11 @@ def stream_digest(spelling, sizes, latency, rho, frames=300, rate_kbps=900.0):
     qos = QosParams(max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
                     max_latency_ms=latency, weight=1.0)
     cls = ServiceClass.NRTPS if latency is None else ServiceClass.RTPS
-    (spec,) = parse_config(
+    (parsed,) = parse_config(
         f"[connection]\ncid = 0\nss = 0\nclass = be\nmodel = {spelling}\n"
         "rate_kbps = 900\nsize_bytes = 64\n").scenario.conns
-    model = TrafficModel(spec.traffic.kind, rate_kbps, *sizes)
-    stream = draw_stream(make_conn(3, cls, qos=qos), model, frame(), rho,
+    model = TrafficModel(parsed.traffic.kind, rate_kbps, *sizes)
+    stream = draw_stream(spec(3, cls, qos=qos), model, frame(), rho,
                          seed=12, frames=frames)
     h = hashlib.sha256()
     for size, arrival in zip(stream.size, stream.arrival):
@@ -268,7 +268,7 @@ def test_multi_chunk_poisson_stream_matches_pinned_digest(monkeypatch):
 
     monkeypatch.setattr(traffic, "_poisson_chunks", chunks)
     model = TrafficModel(TrafficKind.POISSON, rate, *sizes)
-    draw_stream(make_conn(3, ServiceClass.RTPS), model, frame(), 1.0, seed=0,
+    draw_stream(spec(3, ServiceClass.RTPS), model, frame(), 1.0, seed=0,
                 frames=0)
     assert [count for count, _ in splits] == [2]
     assert stream_digest("poisson", sizes, 20.0, 1.0, frames=20, rate_kbps=rate) == (
@@ -276,7 +276,7 @@ def test_multi_chunk_poisson_stream_matches_pinned_digest(monkeypatch):
 
 
 def test_empty_size_range_is_refused():
-    conn = make_conn(1, ServiceClass.BE)
+    conn = spec(1, ServiceClass.BE)
     model = TrafficModel(TrafficKind.POISSON, 512.0, 100, 99)
     with pytest.raises(ValueError, match="empty packet size range 100-99"):
         draw_stream(conn, model, frame(), 1.0, seed=1, frames=10)
@@ -285,7 +285,7 @@ def test_empty_size_range_is_refused():
 def test_poisson_large_mean_is_not_truncated():
     # lambda = 100000 kbit/s * 10 ms / 8 / 64 B = 1953.125 packets per frame;
     # a single product of uniforms underflows exp(-lambda) and stalls near 745
-    conn = make_conn(1, ServiceClass.BE)
+    conn = spec(1, ServiceClass.BE)
     model = TrafficModel(TrafficKind.POISSON, 100_000.0, 64, 64)
     frames = 200
     stream = draw_stream(conn, model, frame(capacity=200_000), 1.0, seed=4,
@@ -311,7 +311,7 @@ STREAM_MODELS = {
 @pytest.mark.parametrize("case", STREAM_MODELS)
 def test_source_hands_out_its_stream_frame_by_frame(case):
     model, rho, frames = STREAM_MODELS[case]
-    conn = make_conn(3, ServiceClass.RTPS)
+    conn = spec(3, ServiceClass.RTPS)
     stream = draw_stream(conn, model, frame(), rho, seed=12, frames=frames)
     assert len(stream.counts) == frames
     assert len(stream.size) == len(stream.arrival) == sum(stream.counts)
@@ -342,7 +342,7 @@ def test_streams_draw_sizes_through_size_draw(monkeypatch):
     for kind in (TrafficKind.ONOFF_VBR, TrafficKind.POISSON):
         sizes.clear()
         model = TrafficModel(kind, 900.0, 64, 1250)
-        emitted = list(draw_stream(make_conn(3, ServiceClass.RTPS), model,
+        emitted = list(draw_stream(spec(3, ServiceClass.RTPS), model,
                                    frame(), 1.0, seed=12, frames=200).size)
         # the on/off walk draws its next packet's size ahead
         ahead = 1 if kind is TrafficKind.ONOFF_VBR else 0
@@ -365,7 +365,7 @@ def test_equal_cbr_sources_share_one_stream(seed):
 
     # a CBR draw reads neither the seed nor the cid
     model = default_models()[ServiceClass.UGS]
-    streams = [draw_stream(make_conn(cid, ServiceClass.UGS), model, frame(),
+    streams = [draw_stream(spec(cid, ServiceClass.UGS), model, frame(),
                            1.2, s, 300) for s in (1, 2) for cid in (1, 9)]
     assert all(s == streams[0] for s in streams)
 
