@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from contextlib import ExitStack
 from itertools import product
 from pathlib import Path
@@ -78,35 +77,42 @@ def matrix_cells(cfg: ScenarioConfig) -> list[tuple[SimMode, int, float]]:
                   key=lambda cell: (cell[0].value, cell[1], cell[2]))
 
 
-def run_matrix(cfg: ScenarioConfig):
-    """Execute every cell in ``matrix_cells`` order; failures are collected
-    per cell, not fatal to the rest of the matrix.  Returns (results,
-    errors), each in that order.
+def cells(cfg: ScenarioConfig):
+    """Run every cell in ``matrix_cells`` order, yielding (cell, its
+    ``RunResult`` or the exception it raised): a failed cell does not stop
+    the rest of the matrix.  No result is kept once it is yielded.
 
     A cell's traffic depends on its seed and rho only, so the modes of a
-    (seed, rho) stream share it: the first of them draws it, and it is
-    dropped after its last mode has run.  A draw that raises keeps
-    nothing, so each later mode of that stream draws it again.
+    (seed, rho) stream share it: the first of them draws it.  The cells are
+    mode-major over a full product, so each stream's last cell is the last
+    mode's, and that cell drops it.  A draw that raises keeps nothing, so
+    each later mode of that stream draws it again.
     """
+    order = matrix_cells(cfg)
+    last_mode = order[-1][0]
+    drawn: dict[tuple[int, float], CellStreams] = {}
+    for cell in order:
+        mode, seed, rho = cell
+        try:
+            if (seed, rho) not in drawn:
+                drawn[seed, rho] = draw_streams(cfg.scenario, cfg.frames, seed, rho)
+            outcome = run(cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
+                          drop_expired=cfg.drop_expired, streams=drawn[seed, rho])
+        except Exception as exc:
+            outcome = exc
+        if mode is last_mode:
+            drawn.pop((seed, rho), None)
+        yield cell, outcome
+        del outcome  # before the next cell runs
+
+
+def run_matrix(cfg: ScenarioConfig):
+    """``cells`` gathered as (results, errors), each a dict by cell in
+    ``matrix_cells`` order."""
     results: dict[tuple[SimMode, int, float], RunResult] = {}
     errors: dict[tuple[SimMode, int, float], Exception] = {}
-    cells = matrix_cells(cfg)
-    modes_left = Counter((seed, rho) for _, seed, rho in cells)
-    drawn: dict[tuple[int, float], CellStreams] = {}
-    for mode, seed, rho in cells:
-        key = (seed, rho)
-        try:
-            if key not in drawn:
-                drawn[key] = draw_streams(cfg.scenario, cfg.frames, seed, rho)
-            results[(mode, seed, rho)] = run(
-                cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
-                drop_expired=cfg.drop_expired, streams=drawn[key],
-            )
-        except Exception as exc:
-            errors[(mode, seed, rho)] = exc
-        modes_left[key] -= 1
-        if not modes_left[key]:
-            drawn.pop(key, None)
+    for cell, outcome in cells(cfg):
+        (errors if isinstance(outcome, Exception) else results)[cell] = outcome
     return results, errors
 
 
@@ -162,25 +168,30 @@ _HEADERS = {
 }
 
 
-def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path]:
+def write_cells(pairs, cfg: ScenarioConfig, outdir: str | Path) -> list[Path]:
     """Write summary.csv and timeseries.csv (plus packets.csv with trace on),
-    the cells in the order of ``results``.
+    the rows of each (cell, ``RunResult``) of ``pairs`` in its order, and
+    return the paths written.  The files are opened at the first pair, so
+    without one nothing is written and the list is empty; no result is
+    kept once its rows are written.
 
     Row order and number formatting are fixed, so reruns of the same config
     are byte-identical.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    names = list(_HEADERS)[:3 if cfg.trace else 2]
-    written = [outdir / name for name in names]
+    written: list[Path] = []
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8",
-                                          newline="\n"))
-                 for path in written]
-        for f, name in zip(files, names):
-            f.write(_HEADERS[name])
-        summary, series, *trace = files
-        for (mode, seed, rho), result in results.items():
+        for (mode, seed, rho), result in pairs:
+            if not written:
+                outdir.mkdir(parents=True, exist_ok=True)
+                names = list(_HEADERS)[:3 if cfg.trace else 2]
+                written = [outdir / name for name in names]
+                files = [stack.enter_context(open(path, "w", encoding="utf-8",
+                                                  newline="\n"))
+                         for path in written]
+                for f, name in zip(files, names):
+                    f.write(_HEADERS[name])
+                summary, series, *trace = files
             cell = f"{mode.value},{seed},{rho:.6f},"
             _write_classes(summary, cell,
                            run_summary(result, warmup_fraction=cfg.warmup))
@@ -189,7 +200,13 @@ def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path
                                sample)
             if trace:
                 _write_packets(trace[0], cell, result)
+            del result  # before the next cell runs
     return written
+
+
+def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path]:
+    """``write_cells`` over ``results``, a dict by cell."""
+    return write_cells(results.items(), cfg, outdir)
 
 
 def main(argv=None) -> int:
@@ -207,20 +224,27 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    results, errors = run_matrix(cfg)
-    for (mode, seed, rho), exc in errors.items():
-        print(f"error: run {mode.value} seed={seed} rho={rho} failed: {exc}",
-              file=sys.stderr)
-    if not results:
-        return 3
+    failed = 0
+
+    def ran(pair) -> bool:
+        """False, once reported, for a cell that raised."""
+        nonlocal failed
+        (mode, seed, rho), outcome = pair
+        if isinstance(outcome, Exception):
+            print(f"error: run {mode.value} seed={seed} rho={rho} failed: "
+                  f"{outcome}", file=sys.stderr)
+            failed += 1
+            return False
+        return True
+
     try:
-        written = write_outputs(results, cfg, cfg.outdir)
+        written = write_cells(filter(ran, cells(cfg)), cfg, cfg.outdir)
     except OSError as exc:
         print(f"error: writing outputs failed: {exc}", file=sys.stderr)
         return 3
     for path in written:
         print(path)
-    return 3 if errors else 0
+    return 3 if failed or not written else 0
 
 
 if __name__ == "__main__":

@@ -55,21 +55,8 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .engine import ConnSpec, Scenario, ScenarioError, SimMode, cell_problems
-from .model import QOS_FIELDS, FrameConfig, QosParams, ServiceClass
+from .model import DEFAULT_QOS, QOS_FIELDS, FrameConfig, QosParams, ServiceClass
 from .traffic import TrafficKind, TrafficModel, default_models
-
-#: QoS fallbacks applied when a connection omits its whole QoS block.
-DEFAULT_QOS: dict[ServiceClass, QosParams] = {
-    ServiceClass.UGS: QosParams(max_sustained_kbps=256.0, weight=1.0),
-    ServiceClass.RTPS: QosParams(
-        max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
-        max_latency_ms=20.0, weight=4.0,
-    ),
-    ServiceClass.NRTPS: QosParams(
-        max_sustained_kbps=1024.0, min_reserved_kbps=512.0, weight=2.0,
-    ),
-    ServiceClass.BE: QosParams(min_reserved_kbps=256.0, weight=1.0),
-}
 
 
 class ConfigError(ValueError):
@@ -93,7 +80,9 @@ _RULES = {
     "warmup": ((lambda v: 0 <= v < 1, "must be in [0, 1)"),),
     # the text of a file holds it only on one line, and the parser strips it
     "outdir": ((lambda v: v.splitlines() in ([], [v]), "must not hold a line break"),
-               (lambda v: v == v.strip(), "must not start or end with whitespace")),
+               (lambda v: v == v.strip(), "must not start or end with whitespace"),
+               # no file system takes one in a path
+               (lambda v: "\0" not in v, "must not hold a NUL byte")),
 }
 
 

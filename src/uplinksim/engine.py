@@ -27,6 +27,7 @@ from .bs_alloc import (
     pool_gpss,
 )
 from .model import (
+    DEFAULT_QOS,
     MAX_PACKET_BYTES,
     QOS_FIELDS,
     FrameConfig,
@@ -68,13 +69,11 @@ def _finite(value) -> bool:
         return False
 
 
-# the QoS fields each class requires; it must leave the others unset
-_QOS_REQUIRED: dict[ServiceClass, tuple[str, ...]] = {
-    ServiceClass.UGS: ("max_sustained_kbps",),
-    ServiceClass.RTPS: QOS_FIELDS,
-    ServiceClass.NRTPS: ("max_sustained_kbps", "min_reserved_kbps"),
-    ServiceClass.BE: ("min_reserved_kbps",),
-}
+# the QoS fields each class requires, those its default contract sets; it
+# must leave the others unset
+_QOS_REQUIRED = {cls: tuple(name for name in QOS_FIELDS
+                            if getattr(qos, name) is not None)
+                 for cls, qos in DEFAULT_QOS.items()}
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ class Simulation:
         self.requests = list(map(
             BandwidthRequest,
             self.plan.cids,
-            [guaranteed_bytes(c, cfg) if u else 0 for c, u in zip(conns, ugs)],
+            [m if u else 0 for m, u in zip(self.plan.minimums, ugs)],
         ))
         self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog(s.size, s.arrival)
@@ -462,6 +461,10 @@ class Simulation:
         used = 0
         depart = self._depart
         if self.mode is SimMode.GPC:
+            # each connection drains its own FIFO against its own grant; a
+            # one-connection station per cid through schedule_frame_ss2
+            # sends the same packets, but its calls made a 3000-frame gpc
+            # cell 1.5 to 1.8 times as slow
             for cid, q in zip(self.plan.cids, self.queues):
                 if not q:
                     continue

@@ -31,10 +31,9 @@ class ServiceClass(IntEnum):
 class QosParams:
     """Per-connection QoS contract.
 
-    Which fields must be present depends on the owning service class:
-    UGS needs a sustained rate, RTPS all three parameters, NRTPS both
-    rates, BE only a reserved rate.  ``weight`` drives the excess-bandwidth
-    distribution at the base station.
+    Which fields must be present depends on the owning service class: the
+    ones its ``DEFAULT_QOS`` contract sets, and no others.  ``weight``
+    drives the excess-bandwidth distribution at the base station.
     """
 
     max_sustained_kbps: float | None = None
@@ -45,6 +44,20 @@ class QosParams:
 
 #: The QoS contract's optional fields, in message and file order.
 QOS_FIELDS = ("max_sustained_kbps", "min_reserved_kbps", "max_latency_ms")
+
+#: Each class's default contract, used where a connection omits its whole
+#: QoS block; the optional fields it sets are the ones the class requires.
+DEFAULT_QOS: dict[ServiceClass, QosParams] = {
+    ServiceClass.UGS: QosParams(max_sustained_kbps=256.0, weight=1.0),
+    ServiceClass.RTPS: QosParams(
+        max_sustained_kbps=1024.0, min_reserved_kbps=512.0,
+        max_latency_ms=20.0, weight=4.0,
+    ),
+    ServiceClass.NRTPS: QosParams(
+        max_sustained_kbps=1024.0, min_reserved_kbps=512.0, weight=2.0,
+    ),
+    ServiceClass.BE: QosParams(min_reserved_kbps=256.0, weight=1.0),
+}
 
 @dataclass(slots=True)
 class Packet:

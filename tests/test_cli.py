@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -179,7 +181,7 @@ GOOD_VALUES = [
 ]
 
 
-def test_cli_flag_validation(monkeypatch):
+def test_cli_flag_validation(tmp_path, monkeypatch, capsys):
     # no cell runs: a bad flag stops at parse_config, which is checked
     # directly, by the same per-key rules as a scenario file
     monkeypatch.delenv("SIM_OUT", raising=False)
@@ -206,6 +208,14 @@ def test_cli_flag_validation(monkeypatch):
     monkeypatch.setenv("SIM_OUT", "a\rb")
     assert main([]) == 2
     monkeypatch.delenv("SIM_OUT")
+    # one no path can hold is refused from the file, before any cell runs
+    nul = tmp_path / "nul.cfg"
+    nul.write_text(with_run_key("outdir", "a\0b"))
+    monkeypatch.setattr(cli, "run", None)
+    capsys.readouterr()
+    assert main(["--config", str(nul)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 6: outdir must not hold a NUL byte\n")
     with pytest.raises(SystemExit) as info:
         main(["--mode", "bogus"])
     assert info.value.code == 2
@@ -450,6 +460,32 @@ def test_a_failed_draw_fails_each_mode_of_its_stream(tmp_path, monkeypatch,
         clean = (tmp_path / "clean" / name).read_text().splitlines()
         assert (tmp_path / "faulty" / name).read_text().splitlines() == [
             l for l in clean if not re.match(r"\w+,2,", l)], name
+    # with every cell failed, nothing is written
+    assert main(args[:-1] + ["2", "--out", str(tmp_path / "none")]) == 3
+    assert not (tmp_path / "none").exists()
+
+
+def test_each_result_is_let_go_once_written(tmp_path, monkeypatch):
+    # the CLI writes each cell's rows as it finishes, so when a cell starts
+    # no earlier cell's result, and so none of its logs, is still held
+    refs, held = [], []
+    run_cell = cli.run
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in refs))
+        result = run_cell(*args, **kwargs)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run", spy)
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(SMALL)
+    assert main(["--config", str(cfg_path), "--frames", "40", "--seeds", "1,2",
+                 "--trace", "--out", str(tmp_path / "out")]) == 0
+    gc.collect()
+    held.append(sum(ref() is not None for ref in refs))
+    assert held == [0] * 7
 
 
 def test_an_invalid_scenario_fails_each_cell_before_any_draw(monkeypatch):

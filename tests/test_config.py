@@ -364,6 +364,8 @@ def test_a_matrix_built_in_code_is_checked(monkeypatch):
         ({"outdir": "a\nb"}, ["outdir must not hold a line break"]),
         ({"outdir": "a\x85b"}, ["outdir must not hold a line break"]),
         ({"outdir": " x "}, ["outdir must not start or end with whitespace"]),
+        # a file can hold this one, but no path can
+        ({"outdir": "a\0b"}, ["outdir must not hold a NUL byte"]),
         # every field's rules are checked before the window and the ceiling
         ({"modes": (), "frames": 1.5, "rhos": (1e300,), "window_ms": 0.01},
          ["modes must list at least one value", "frames must be an integer"]),

@@ -174,6 +174,7 @@ def dfpq_instances(draw):
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
 @given(dfpq_instances())
+@example(([], [], [], 3, 1000))                       # no queues
 @example(([[]], [500], [0], 0, 1000))                 # empty queue
 @example(([[300, 300]], [500], [0], 0, 0))            # zero budget
 @example(([[300, 200], [100]], [500, 50], [0, 0], 0, 500))  # exact fit

@@ -199,6 +199,9 @@ def test_window_metrics_agree_with_direct_computation():
 def test_run_summary_never_nan():
     cfg = baseline_config()
     result = run(cfg.scenario, SimMode.SS1, 200, seed=1, rho=0.0)  # no traffic
+    # a warm-up of the whole run leaves no span to summarize
+    with pytest.raises(ValueError, match="window length must be > 0"):
+        run_summary(result, warmup_fraction=1.0)
     summary = run_summary(result)
     for stats in summary.per_class.values():
         assert stats.mean_delay_ms is None
