@@ -212,7 +212,7 @@ def write_outputs(results, cfg: ScenarioConfig, outdir: str | Path) -> list[Path
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = (Path(args.config).read_text(encoding="utf-8") if args.config
+        text = (Path(args.config).read_text(encoding="utf-8-sig") if args.config
                 else serialize_config(baseline_config()))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)

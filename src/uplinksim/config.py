@@ -36,14 +36,16 @@ Grammar (see README for the full reference)::
     on_ms = 500                  onoff only
     off_ms = 500                 onoff only
 
-Parsing is strict: unknown sections or keys are errors, numbers must be
-finite, and every scenario validation check runs at parse time.  Errors
-carry line numbers.  Flags replace their [run] keys' text before any check
+Parsing is strict: unknown sections or keys and a repeated [frame] or [run]
+header are errors, numbers must be finite, and every scenario validation
+check runs at parse time.  One pass over its key table reads all of a
+section's values, so each bad one is named with its line.  The CLI ignores
+a byte-order mark.  Flags replace their [run] keys' text before any check
 (``parse_config``'s ``flags``).  The [run] rules belong to the values:
-building a ``ScenarioConfig``, from a file or in code, checks each field,
-the window against the frame, and each distinct rho's cell against
-``engine.cell_problems`` (the work ceiling and the on/off clock); the
-parser only names the line or flag that set a value that breaks a rule.
+building a ``ScenarioConfig``, from a file or in code, checks each field's
+type and rules, the window against the frame, and each distinct rho's cell
+against ``engine.cell_problems`` (the work ceiling and the on/off clock);
+the parser only names the line or flag that set a value that breaks a rule.
 """
 
 from __future__ import annotations
@@ -67,28 +69,44 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
+def _a(*types, each: bool = False) -> Callable:
+    """A type test, of a tuple's every value if ``each``; a bool passes only
+    where ``types`` names bool."""
+    def ok(v):
+        return isinstance(v, types) and isinstance(v, bool) == (bool in types)
+    return (lambda v: isinstance(v, tuple) and all(map(ok, v))) if each else ok
+
+
+_NUMBER = (_a(int, float), "must be a number")
+_BOOL = (_a(bool), "must be a bool")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _LISTED = (len, "must list at least one value")
 
-#: Each [run] field's rules as (ok(value), message), checked up to the first broken.
+#: Each [run] field's rules as (ok(value), message), checked up to the first
+#: broken; the type comes first, so no later rule sees another.
 _RULES = {
-    "modes": (_LISTED,),
-    "frames": ((lambda v: isinstance(v, int), "must be an integer"), _POSITIVE),
-    "seeds": (_LISTED,),
-    "rhos": (_LISTED, (lambda v: all(r >= 0 for r in v), "must be >= 0")),
-    "window_ms": (_POSITIVE, (math.isfinite, "must be finite")),
-    "warmup": ((lambda v: 0 <= v < 1, "must be in [0, 1)"),),
+    "modes": ((_a(SimMode, each=True), "must be a tuple of modes"), _LISTED),
+    "frames": ((_a(int), "must be an integer"), _POSITIVE),
+    "seeds": ((_a(int, each=True), "must be a tuple of integers"), _LISTED),
+    "rhos": ((_a(int, float, each=True), "must be a tuple of numbers"), _LISTED,
+             (lambda v: all(r >= 0 for r in v), "must be >= 0")),
+    "window_ms": (_NUMBER, _POSITIVE, (math.isfinite, "must be finite")),
+    "warmup": (_NUMBER, (lambda v: 0 <= v < 1, "must be in [0, 1)")),
+    "drop_expired": (_BOOL,),
+    "trace": (_BOOL,),
     # the text of a file holds it only on one line, and the parser strips it
-    "outdir": ((lambda v: v.splitlines() in ([], [v]), "must not hold a line break"),
+    "outdir": ((_a(str), "must be a string"),
+               (lambda v: v.splitlines() in ([], [v]), "must not hold a line break"),
                (lambda v: v == v.strip(), "must not start or end with whitespace"),
                # no file system takes one in a path
                (lambda v: "\0" not in v, "must not hold a NUL byte")),
 }
 
 
-def _broken(field: str, value) -> str | None:
-    """The message of the first of ``field``'s rules that ``value`` breaks."""
-    return next((f"{field} {what}" for ok, what in _RULES.get(field, ())
+def _broken(field: str, value, skip: int = 0) -> str | None:
+    """The message of the first of ``field``'s rules, from index ``skip`` on,
+    that ``value`` breaks."""
+    return next((f"{field} {what}" for ok, what in _RULES.get(field, ())[skip:]
                  if not ok(value)), None)
 
 
@@ -127,8 +145,8 @@ class ScenarioConfig:
             raise ConfigError(errors)
 
 
-def _tokenize(text: str):
-    """Yield (line_no, kind, payload) where kind is 'section' or 'pair'."""
+def _tokenize(text: str, errors: list[str]):
+    """Yield (line_no, kind, payload), kind 'section' or 'pair'; name any other line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,7 +157,7 @@ def _tokenize(text: str):
             key, _, value = line.partition("=")
             yield line_no, "pair", (key.strip().lower(), value.strip())
         else:
-            yield line_no, "bad", line
+            errors.append(f"line {line_no}: expected 'key = value', got {line!r}")
 
 
 # Value parsers share one signature: (text, where, key, errors) -> value.
@@ -271,7 +289,8 @@ def _value(spec: _Key, key: str, errors: list[str], text: str, where: str,
            sep: str | None = None):
     """Parse one key's text, a list split on ``sep``, and check its rules."""
     value = spec.parse(text.split(sep) if spec.many else text, where, key, errors)
-    if problem := _broken(spec.field or key, value):
+    # the parser gives the field's type, or holds a label it named as unknown
+    if problem := _broken(spec.field or key, value, skip=1):
         errors.append(f"{where}: {problem}")
     return value
 
@@ -284,54 +303,38 @@ def _values(table: dict, given: dict[str, tuple], errors: list[str]) -> dict:
 
 
 def _build_conn(raw: dict, where: str, errors: list[str]) -> ConnSpec | None:
-    for key in ("cid", "ss", "class"):
-        if key not in raw:
-            errors.append(f"{where}: connection is missing required key {key}")
-            return None
+    """The section's values, then the rules that join its keys."""
     start = len(errors)
+    v = _values(_CONN, raw, errors)
+    if missing := [key for key in ("cid", "ss", "class") if key not in raw]:
+        errors.extend(f"{where}: connection is missing required key {key}"
+                      for key in missing)
+        return None
 
-    def value(key):
-        return _value(_CONN[key], key, errors, *raw[key])
+    def misplaced(keys, needs):
+        errors.extend(f"{raw[key][1]}: cid {v['cid']}: {key} requires {needs}"
+                      for key in keys if key in raw)
 
-    cid, ss, service_class = value("cid"), value("ss"), value("class")
-    if service_class is None:
+    if "model" not in raw:
+        misplaced(("rate_kbps", "size_bytes", "on_ms", "off_ms"), "an explicit model")
+    elif v["kind"] is not None:  # an unknown model is named already
+        if v["kind"] is not TrafficKind.ONOFF_VBR:
+            misplaced(("on_ms", "off_ms"), "model = onoff")
+        if "rate_kbps" not in raw or "size_bytes" not in raw:
+            errors.append(f"{raw['model'][1]}: cid {v['cid']}: an explicit model "
+                          "needs rate_kbps and size_bytes")
+    if len(errors) > start:
         return None
 
     # a partially specified QoS block is an error: the class decides which
     # fields are mandatory, so fill nothing in silently
-    fields = {key: value(key) for key in QOS_FIELDS if key in raw}
-    qos = QosParams(**fields) if fields else DEFAULT_QOS[service_class]
-    if "weight" in raw:
-        qos = replace(qos, weight=value("weight"))
-
-    if "model" in raw:
-        kind = value("model")
-        if kind is None:
-            return None
-        for key in ("on_ms", "off_ms"):
-            if key in raw and kind is not TrafficKind.ONOFF_VBR:
-                errors.append(f"{raw[key][1]}: cid {cid}: {key} requires model = onoff")
-        if "rate_kbps" not in raw or "size_bytes" not in raw:
-            errors.append(
-                f"{raw['model'][1]}: cid {cid}: an explicit model needs "
-                "rate_kbps and size_bytes"
-            )
-            return None
-        rate, (lo, hi) = value("rate_kbps"), value("size_bytes")
-        model = TrafficModel(kind, rate, lo, hi, **{
-            _CONN[key].field: value(key) for key in ("on_ms", "off_ms") if key in raw
-        })
-    else:
-        for key in ("rate_kbps", "size_bytes", "on_ms", "off_ms"):
-            if key in raw:
-                errors.append(
-                    f"{raw[key][1]}: cid {cid}: {key} requires an explicit model"
-                )
-        model = default_models()[service_class]
-
-    if len(errors) > start:
-        return None
-    return ConnSpec(cid=cid, ss_id=ss, service_class=service_class,
+    fields = {key: v[key] for key in QOS_FIELDS if key in v}
+    qos = QosParams(**fields) if fields else DEFAULT_QOS[v["service_class"]]
+    qos = replace(qos, weight=v.get("weight", qos.weight))
+    model = (TrafficModel(v["kind"], v["mean_rate_kbps"], *v["size_bytes"], **{
+        key: v[key] for key in ("mean_on_ms", "mean_off_ms") if key in v})
+        if "model" in raw else default_models()[v["service_class"]])
+    return ConnSpec(cid=v["cid"], ss_id=v["ss_id"], service_class=v["service_class"],
                     qos=qos, traffic=model)
 
 
@@ -345,35 +348,31 @@ def parse_config(text: str,
     errors: list[str] = []
     raws: dict[str, dict[str, tuple[str, str]]] = {"frame": {}, "run": {}}
     conn_raws: list[tuple[dict, str]] = []
-    section = None
-    current: dict[str, tuple[str, str]] | None = None
+    opened: set[str] = set()
+    section = current = None  # the open section's name and its raw dict
 
-    for line_no, kind, payload in _tokenize(text):
+    for line_no, kind, payload in _tokenize(text, errors):
         where = f"line {line_no}"
-        if kind == "bad":
-            errors.append(f"{where}: expected 'key = value', got {payload!r}")
-            continue
         if kind == "section":
+            section, current = payload, raws.get(payload, {})
             if payload == "connection":
-                section, current = payload, {}
                 conn_raws.append((current, where))
-            elif payload in raws:
-                section, current = payload, raws[payload]
-            else:
+            elif payload not in raws:
                 errors.append(f"{where}: unknown section [{payload}]")
-                section, current = None, None
+                section = current = None
+            elif payload in opened:  # its keys are still checked
+                errors.append(f"{where}: duplicate section [{payload}]")
+            opened.add(payload)
             continue
         key, value = payload
-        if section is None or current is None:
+        if current is None:
             errors.append(f"{where}: {key} appears outside any section")
-            continue
-        if key not in _SECTIONS[section]:
+        elif key not in _SECTIONS[section]:
             errors.append(f"{where}: unknown key {key!r} in [{section}]")
-            continue
-        if key in current:
+        elif key in current:
             errors.append(f"{where}: duplicate key {key!r}")
-            continue
-        current[key] = (value, where)
+        else:
+            current[key] = (value, where)
 
     frame = FrameConfig(**_values(_FRAME, raws["frame"], errors))
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import uplinksim
+from conftest import SCENARIOS
 from uplinksim import cli, engine
 from uplinksim.cli import (
     apply_overrides,
@@ -145,6 +146,20 @@ def test_cli_undecodable_config_exit_code(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe" + SMALL.encode("utf-16-le"))
     assert main(["--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_cli_reads_a_recipe_saved_with_a_bom_and_crlf(tmp_path):
+    # some editors save UTF-8 with a byte-order mark and CRLF line ends;
+    # the mark was read as part of the first line, which failed to parse
+    plain = SCENARIOS / "baseline-4ss.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    for path, out in ((plain, "plain"), (bom, "bom")):
+        assert main(["--config", str(path), "--frames", "20", "--seeds", "1",
+                     "--out", str(tmp_path / out)]) == 0
+    for name in ("summary.csv", "timeseries.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes(), name
 
 
 def with_run_key(key, value):

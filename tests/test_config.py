@@ -100,6 +100,28 @@ def test_duplicate_key_and_bad_value_errors():
     assert any("duplicate key" in e for e in errors)
     errors = errors_of(MINIMAL.replace("frames = 100", "frames = ten"))
     assert any("must be an integer" in e for e in errors)
+    # each section but [connection] appears at most once: a repeat used to
+    # merge into the first, and its keys are still checked against it
+    repeated = """\
+[frame]
+duration_ms = 10
+[run]
+frames = 20
+[frame]
+capacity_bytes = 16000
+duration_ms = 10
+[run]
+seeds = 3
+[connection]
+cid = 0
+ss = 0
+class = rtps
+"""
+    assert errors_of(repeated) == [
+        "line 5: duplicate section [frame]",
+        "line 7: duplicate key 'duration_ms'",
+        "line 8: duplicate section [run]",
+    ]
 
 
 def test_validation_runs_at_parse_time():
@@ -366,6 +388,21 @@ def test_a_matrix_built_in_code_is_checked(monkeypatch):
         ({"outdir": " x "}, ["outdir must not start or end with whitespace"]),
         # a file can hold this one, but no path can
         ({"outdir": "a\0b"}, ["outdir must not hold a NUL byte"]),
+        # each built with a value of another type: a mode's label failed the
+        # writers, a float or bool seed ran, and the rest failed or built
+        # values their text does not read back as
+        ({"modes": ("ss1",)}, ["modes must be a tuple of modes"]),
+        ({"seeds": (1.5,)}, ["seeds must be a tuple of integers"]),
+        ({"seeds": (True,)}, ["seeds must be a tuple of integers"]),
+        ({"seeds": [1]}, ["seeds must be a tuple of integers"]),
+        ({"frames": True}, ["frames must be an integer"]),
+        ({"rhos": ("1.0",)}, ["rhos must be a tuple of numbers"]),
+        ({"rhos": (True,)}, ["rhos must be a tuple of numbers"]),
+        ({"window_ms": "500"}, ["window_ms must be a number"]),
+        ({"warmup": None}, ["warmup must be a number"]),
+        ({"trace": "yes"}, ["trace must be a bool"]),
+        ({"drop_expired": 1}, ["drop_expired must be a bool"]),
+        ({"outdir": 5}, ["outdir must be a string"]),
         # every field's rules are checked before the window and the ceiling
         ({"modes": (), "frames": 1.5, "rhos": (1e300,), "window_ms": 0.01},
          ["modes must list at least one value", "frames must be an integer"]),
@@ -569,6 +606,42 @@ on_ms = 0
         "cid 1: traffic mean rate must be > 0",
         "cid 1: packet size range must satisfy 1 <= lo <= hi",
         "cid 1: on/off mean durations must be > 0",
+    ]
+
+
+def test_a_bad_class_or_model_hides_no_other_bad_value():
+    # every value of a section is parsed before its keys are joined, so an
+    # unknown class or model, or a key its model does not read, no longer
+    # keeps the section's other values from being checked
+    sections = """\
+[connection]
+cid = 0
+ss = 0
+class = hyper
+weight = w
+[connection]
+cid = 1
+ss = 0
+class = be
+model = bursty
+rate_kbps = fast
+[connection]
+cid = 2
+ss = 0
+class = be
+rate_kbps = fast
+[connection]
+class = be
+"""
+    assert errors_of(sections) == [
+        "line 4: unknown service class 'hyper'",
+        "line 5: weight must be a number, got 'w'",
+        "line 10: unknown traffic model 'bursty'",
+        "line 11: rate_kbps must be a number, got 'fast'",
+        "line 16: rate_kbps must be a number, got 'fast'",
+        "line 16: cid 2: rate_kbps requires an explicit model",
+        "line 17: connection is missing required key cid",
+        "line 17: connection is missing required key ss",
     ]
 
 

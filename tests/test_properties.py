@@ -253,22 +253,29 @@ def test_a_matrix_builds_within_the_ceiling_or_names_its_problems(scenario, fram
 # the most frames the built-in cell may run at rho 1.0
 MOST_FRAMES = int(MAX_CELL_WORK / frame_work(baseline_scenario(), 1.0))
 
-# a value of each [run] field, valid or not
+# a value of each [run] field, valid or not, or of another type
 RUN_VALUES = {
-    "modes": st.lists(st.sampled_from(SimMode), max_size=3).map(tuple),
+    "modes": st.lists(st.sampled_from(SimMode), max_size=3).map(tuple)
+             | st.sampled_from([("ss1",), [SimMode.SS1], "ss1", None]),
     "frames": st.sampled_from([-1, 0, 1, 100, 3000, MOST_FRAMES, MOST_FRAMES + 1,
-                               10**12]) | st.integers(-3, 2 * 10**6),
-    "seeds": st.lists(st.integers(-2**40, 2**40), max_size=3).map(tuple),
+                               10**12]) | st.integers(-3, 2 * 10**6)
+              | st.sampled_from([True, 1.5, 100.0, "100", None]),
+    "seeds": st.lists(st.integers(-2**40, 2**40), max_size=3).map(tuple)
+             | st.sampled_from([(True,), (1.5,), [1], ("1",), 1]),
     "rhos": st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.4, 1.2, 200.0, 1e300,
                                       math.nan, math.inf]) | st.floats(),
-                     max_size=3).map(tuple),
+                     max_size=3).map(tuple)
+            | st.sampled_from([("1.0",), [1.0], 1.0, (None,)]),
     "window_ms": st.sampled_from([0.01, 9.99, 10.0, 500.0, 0.0, -1.0, math.nan,
-                                  math.inf]) | st.floats(),
+                                  math.inf]) | st.floats()
+                 | st.sampled_from(["500", (500.0,), None]),
     "warmup": st.sampled_from([0.0, 0.1, 0.999, 1.0, 1.5, -0.1, math.nan])
-              | st.floats(),
-    "drop_expired": st.booleans(),
-    "trace": st.booleans(),
-    "outdir": st.sampled_from(["out", "", "runs/a b"]) | st.text(),
+              | st.floats() | st.sampled_from(["0.1", None]),
+    # no int stands in for a bool: 1 == True, so its text reads back as equal
+    "drop_expired": st.booleans() | st.sampled_from(["yes", "off", None]),
+    "trace": st.booleans() | st.sampled_from(["yes", "off", None]),
+    "outdir": st.sampled_from(["out", "", "runs/a b"]) | st.text()
+              | st.sampled_from([5, b"out", None]),
 }
 
 
@@ -289,6 +296,16 @@ RUN_VALUES = {
 @example(fields={"outdir": "a\rb"})
 @example(fields={"outdir": "a\x85b"})
 @example(fields={"outdir": " x "})
+# values of another type, which built in code: the labels failed the
+# writers, the float and bool seeds ran, and the rest read back as others
+@example(fields={"modes": ("ss1",)})
+@example(fields={"seeds": (1.5,)})
+@example(fields={"seeds": (True,)})
+@example(fields={"frames": True})
+@example(fields={"seeds": [1]})
+@example(fields={"trace": "yes"})
+@example(fields={"rhos": ("1.0",)})
+@example(fields={"outdir": 5})
 def test_a_matrix_builds_in_code_exactly_when_its_text_parses(fields):
     # the text is what ``serialize_config`` writes for the same values,
     # taken from an instance built without its checks
@@ -301,13 +318,19 @@ def test_a_matrix_builds_in_code_exactly_when_its_text_parses(fields):
         assert exc.errors
         built = None
     try:
-        parsed = parse_config(serialize_config(unchecked))
-    except ConfigError as exc:
-        assert exc.errors
-        parsed = None
-    if parsed is not None and parsed.outdir != unchecked.outdir:
-        # the parser strips a line, so the text of an outdir with
-        # surrounding whitespace reads as another one: it must not build
+        text = serialize_config(unchecked)
+    except (AttributeError, TypeError):  # a value of another type may have none
+        text = None
+    parsed = None
+    if text is not None:
+        try:
+            parsed = parse_config(text)
+        except ConfigError as exc:
+            assert exc.errors
+    if parsed is not None and vars(parsed) != vars(unchecked):
+        # the text reads as other values, so they must not build: the
+        # parser strips an outdir's surrounding whitespace, reads each list
+        # as a tuple and each value as its field's type
         assert built is None
     else:
         assert parsed == built
