@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from .model import FrameConfig, guaranteed_bytes
 
 
 @dataclass(slots=True)
@@ -48,16 +47,16 @@ class AllocationPlan:
     capacity: int
 
 
-def allocation_plan(connections, frame: FrameConfig) -> AllocationPlan:
-    """The cell's plan.  ``connections`` come from a valid scenario, whose
-    guaranteed minimums fit the capacity (``Scenario.problems``)."""
-    conns = sorted(connections, key=lambda c: c.cid)
+def allocation_plan(scenario) -> AllocationPlan:
+    """The plan of a cell's ``Scenario``, whose connections are in cid order
+    and whose checked ``minimums`` fit the capacity (``Scenario.problems``)."""
+    conns = scenario.conns
     return AllocationPlan(
         cids=tuple(c.cid for c in conns),
-        minimums=tuple(guaranteed_bytes(c, frame) for c in conns),
+        minimums=scenario.minimums,
         weights=tuple(float(c.qos.weight) for c in conns),
         ss_ids=tuple(c.ss_id for c in conns),
-        capacity=frame.uplink_capacity_bytes,
+        capacity=scenario.frame.uplink_capacity_bytes,
     )
 
 

@@ -82,9 +82,10 @@ _BOOL = (_a(bool), "must be a bool")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _LISTED = (len, "must list at least one value")
 
-#: Each [run] field's rules as (ok(value), message), checked up to the first
-#: broken; the type comes first, so no later rule sees another.
+#: Each matrix field's rules as (ok(value), message), checked up to the
+#: first broken; the type comes first, so no later rule sees another.
 _RULES = {
+    "scenario": ((_a(Scenario), "must be a Scenario"),),
     "modes": ((_a(SimMode, each=True), "must be a tuple of modes"), _LISTED),
     "frames": ((_a(int), "must be an integer"), _POSITIVE),
     "seeds": ((_a(int, each=True), "must be a tuple of integers"), _LISTED),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -35,9 +35,9 @@ from .model import (
     PacketLog,
     QosParams,
     ServiceClass,
-    guaranteed_bytes,
+    bytes_per_frame,
 )
-from .ss_sched import Station, quantum_for, schedule_frame_ss1, schedule_frame_ss2
+from .ss_sched import Station, schedule_frame_ss1, schedule_frame_ss2
 from .traffic import (Stream, TrafficKind, TrafficModel, TrafficSource, draw_rate,
                       draw_stream)
 
@@ -83,10 +83,17 @@ class Scenario:
 
     Only a valid scenario can be built: construction raises
     ``ScenarioError`` naming every problem, so nothing that receives a
-    ``Scenario`` checks it again."""
+    ``Scenario`` checks it again.  The check keeps each connection's two
+    byte budgets per frame, aligned with ``conns``: ``minimums``, the
+    guarantee of the base station's phase 1 (the UGS grant, or else the
+    reservation), and ``quanta``, the deficit-round quantum (the sustained
+    rate, or else the reservation).  They derive from the fields, so
+    neither enters equality or hashing."""
 
     frame: FrameConfig
     conns: tuple[ConnSpec, ...]
+    minimums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    quanta: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "conns",
@@ -97,7 +104,8 @@ class Scenario:
 
     def problems(self) -> list[str]:
         """Every problem that keeps the scenario from running, from one
-        pass over the connections; empty when it can run.
+        pass over the connections; empty when it can run.  The pass sets
+        ``minimums`` and ``quanta``: the one place a rate becomes bytes.
 
         The messages come in three runs, each in cid order: the frame, each
         connection's id and QoS contract, and the reservation sum (which
@@ -123,7 +131,7 @@ class Scenario:
         # ``contract``, or nowhere on a capacity <= 0
         listed = [] if capacity <= 0 else contract
         seen: set[int] = set()
-        reserved = 0
+        minimums, quanta = [], []
         for spec in self.conns:
             cid, cls, qos, model = spec.cid, spec.service_class, spec.qos, spec.traffic
             if cid < 0:
@@ -151,19 +159,23 @@ class Scenario:
             if hi_rate is not None and lo_rate is not None and lo_rate > hi_rate:
                 faults.append(f"cid {cid}: min_reserved_kbps {lo_rate} exceeds "
                               f"max_sustained_kbps {hi_rate}")
-            # a finite rate may still overflow when converted to bytes per
-            # frame (a grant, reservation or deficit-round quantum)
+            # each rate set becomes bytes per frame here, once; a finite rate
+            # may still overflow.  One that is not converted counts as 0 bytes
+            budgets = []
             for name, rate in (("max_sustained_kbps", hi_rate),
                                ("min_reserved_kbps", lo_rate)):
-                if (timed and rate is not None and _finite(rate) and rate > 0
-                        and rate * dur / 8.0 == math.inf):
-                    faults.append(f"cid {cid}: {name} must give a finite "
-                                  f"byte count per frame, got {rate}")
+                budget = 0
+                if timed and rate is not None and _finite(rate) and rate > 0:
+                    try:
+                        budget = bytes_per_frame(rate, frame)
+                    except OverflowError:
+                        faults.append(f"cid {cid}: {name} must give a finite "
+                                      f"byte count per frame, got {rate}")
+                budgets.append(budget)
+            sustained, reserve = budgets
+            minimums.append(sustained if cls is ServiceClass.UGS else reserve)
+            quanta.append(reserve if hi_rate is None else sustained)
             listed += faults
-            try:
-                reserved += guaranteed_bytes(spec, frame)
-            except (ValueError, OverflowError):
-                pass  # a rate or duration reported above
 
             if not _finite(model.mean_rate_kbps):
                 traffic.append(f"cid {cid}: traffic mean rate must be finite")
@@ -191,23 +203,23 @@ class Scenario:
                 elif min(means) <= 0:
                     traffic.append(f"cid {cid}: on/off mean durations must be > 0")
 
-            # the grant and quantum below are whole bytes only on a timed
+            # the grant and quantum below hold a rate's bytes only on a timed
             # frame and a sound contract, whatever the capacity
             if not timed or faults:
                 continue
             # a UGS packet larger than the fixed grant never fits it and
             # blocks its FIFO for good; checked only on a valid size range
-            if (cls is ServiceClass.UGS and 1 <= lo <= hi
-                    and hi > (grant := guaranteed_bytes(spec, frame))):
+            if cls is ServiceClass.UGS and 1 <= lo <= hi and hi > sustained:
                 traffic.append(f"cid {cid}: ugs packet size {hi} "
-                               f"exceeds its unsolicited grant {grant} bytes/frame")
+                               f"exceeds its unsolicited grant {sustained} bytes/frame")
             # a deficit-round visit with a zero quantum never sends, and the
             # round never ends while that queue's head fits the budget
-            if (cls in (ServiceClass.NRTPS, ServiceClass.BE)
-                    and quantum_for(spec, frame) == 0):
+            if cls in (ServiceClass.NRTPS, ServiceClass.BE) and quanta[-1] == 0:
                 zero_quanta.append(f"cid {cid}: deficit-round quantum "
                                    f"rounds to 0 bytes/frame")
-        if reserved > capacity:
+        object.__setattr__(self, "minimums", tuple(minimums))
+        object.__setattr__(self, "quanta", tuple(quanta))
+        if (reserved := sum(minimums)) > capacity:
             listed.append(f"reserved sum exceeds uplink capacity: {reserved} > "
                           f"{capacity} bytes/frame")
         return contract + traffic + zero_quanta
@@ -393,8 +405,7 @@ class Simulation:
         conns = scenario.conns
         self.queues = [deque() for _ in conns]
 
-        cfg = self.frame_cfg
-        self.plan = allocation_plan(conns, cfg)
+        self.plan = allocation_plan(scenario)
         ugs = [c.service_class is ServiceClass.UGS for c in conns]
         self.requests = list(map(
             BandwidthRequest,
@@ -411,12 +422,11 @@ class Simulation:
         self._rtps = [(c.cid, c.qos.max_latency_ms, q)
                       for c, q in zip(conns, self.queues)
                       if c.service_class is ServiceClass.RTPS]
-        by_ss: dict[int, tuple[list, list]] = {}
-        for c, q in zip(conns, self.queues):
-            specs, queues = by_ss.setdefault(c.ss_id, ([], []))
-            specs.append(c)
-            queues.append(q)
-        self._stations = {ss: Station(*by_ss[ss], cfg) for ss in sorted(by_ss)}
+        # each station's (spec, queue, quantum) rows
+        by_ss: dict[int, list[tuple]] = {}
+        for row in zip(conns, self.queues, scenario.quanta):
+            by_ss.setdefault(row[0].ss_id, []).append(row)
+        self._stations = {ss: Station(*zip(*by_ss[ss])) for ss in sorted(by_ss)}
         self.frame_index = 0
         self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
         self.granted: list[int] = []

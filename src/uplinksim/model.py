@@ -2,8 +2,8 @@
 frames.
 
 All scheduling arithmetic runs on integer bytes per frame; kbit/s rates from
-the configuration are converted exactly once at scenario load (see
-``bytes_per_frame``), which keeps conservation checks exact.
+the configuration are converted exactly once, by ``bytes_per_frame`` as the
+``Scenario`` is checked, which keeps conservation checks exact.
 """
 
 from __future__ import annotations
@@ -128,21 +128,9 @@ class FrameConfig:
 def bytes_per_frame(rate_kbps: float, frame: FrameConfig) -> int:
     """Whole bytes a given rate amounts to within one frame (floor).
 
-    1 kbit/s is exactly 1 bit/ms, so this is rate * duration / 8 truncated.
+    1 kbit/s is exactly 1 bit/ms, so this is rate * duration / 8 truncated;
+    a product too large for a float raises ``OverflowError``.
     """
     if rate_kbps < 0:
         raise ValueError(f"rate must be >= 0, got {rate_kbps}")
     return int(rate_kbps * frame.frame_duration_ms / 8.0)
-
-
-def guaranteed_bytes(spec, frame: FrameConfig) -> int:
-    """Per-frame byte reservation backing the rate guarantee of ``spec``, a
-    connection's ``ConnSpec``.
-
-    UGS has no reserved rate: its fixed unsolicited grant equals one frame's
-    worth of its sustained rate.  All other classes reserve their minimum
-    reserved rate.
-    """
-    if spec.service_class is ServiceClass.UGS:
-        return bytes_per_frame(spec.qos.max_sustained_kbps or 0.0, frame)
-    return bytes_per_frame(spec.qos.min_reserved_kbps or 0.0, frame)

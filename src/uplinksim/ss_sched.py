@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from .model import FrameConfig, Packet, ServiceClass, bytes_per_frame
+from .model import Packet, ServiceClass
 
 # (cid, packet) pairs in transmission order
 Entries = list[tuple[int, Packet]]
@@ -29,21 +29,12 @@ class TransmissionList:
     total_bytes: int
 
 
-def quantum_for(spec, frame: FrameConfig) -> int:
-    """Deficit-round quantum of ``spec``, a connection's ``ConnSpec``: one
-    frame's worth of the sustained rate, or of the reserved rate for BE
-    (which has no sustained rate)."""
-    rate = spec.qos.max_sustained_kbps
-    if rate is None:
-        rate = spec.qos.min_reserved_kbps or 0.0
-    return bytes_per_frame(rate, frame)
-
-
 class Station:
     """One subscriber station's queues, split by service class once.
 
-    ``conns`` are the station's ``ConnSpec``s and ``queues`` their live
-    queues, aligned; the lists below hold those same deques, which the
+    ``conns`` are the station's ``ConnSpec``s, ``queues`` their live
+    queues and ``quanta`` their deficit-round quanta (``Scenario.quanta``),
+    aligned; the lists below hold those same deques, which the
     engine never rebinds, so they always show the live queues.  Each class
     lists its connections in ascending cid order as a (cids, queues,
     bounds) triple, the arguments ``edf_take`` reads: ``ugs`` with bounds
@@ -61,19 +52,19 @@ class Station:
     __slots__ = ("ugs", "rtps", "priority", "drr_cids", "drr_queues",
                  "quantum", "deficit", "cursor")
 
-    def __init__(self, conns, queues, frame: FrameConfig):
-        pairs = sorted(zip(conns, queues), key=lambda p: p[0].cid)
-        ugs, rtps, nrtps, be = ([p for p in pairs if p[0].service_class is cls]
+    def __init__(self, conns, queues, quanta):
+        rows = sorted(zip(conns, queues, quanta), key=lambda r: r[0].cid)
+        ugs, rtps, nrtps, be = ([r for r in rows if r[0].service_class is cls]
                                 for cls in (ServiceClass.UGS, ServiceClass.RTPS,
                                             ServiceClass.NRTPS, ServiceClass.BE))
-        self.priority = tuple(([s.cid for s, _ in c], [q for _, q in c], [0.0] * len(c))
-                              for c in (ugs, rtps, nrtps, be))
+        self.priority = tuple(([s.cid for s, *_ in c], [q for _, q, _ in c],
+                               [0.0] * len(c)) for c in (ugs, rtps, nrtps, be))
         self.ugs = self.priority[0]
-        self.rtps = (*self.priority[1][:2], [s.qos.max_latency_ms for s, _ in rtps])
+        self.rtps = (*self.priority[1][:2], [s.qos.max_latency_ms for s, *_ in rtps])
         drr = nrtps + be
-        self.drr_cids = [s.cid for s, _ in drr]
-        self.drr_queues = [q for _, q in drr]
-        self.quantum = [quantum_for(s, frame) for s, _ in drr]
+        self.drr_cids = [s.cid for s, *_ in drr]
+        self.drr_queues = [q for _, q, _ in drr]
+        self.quantum = [quantum for *_, quantum in drr]
         self.deficit = [0] * len(drr)
         self.cursor = 0
 

@@ -14,7 +14,7 @@ import pytest
 
 from reference import brute_force_alloc, max_lateness, min_max_lateness, \
     reference_dfpq
-from conftest import frame, make_conn, recipe, rtps_conn
+from conftest import make_conn, recipe, rtps_conn
 from uplinksim.cli import matrix_cells, run_matrix, write_outputs
 from uplinksim.engine import Scenario, SimMode, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
@@ -189,8 +189,7 @@ def test_criterion_6_deficit_round_oracle():
 
         conns = [make_conn(q, ServiceClass.NRTPS, sizes=queues[q])
                  for q in range(nq)]
-        station = Station(*zip(*conns), frame())
-        station.quantum = list(quanta)
+        station = Station(*zip(*conns), quanta)
         station.deficit = list(deficits)
         station.cursor = cursor
         entries, used = dfpq_round(station, budget)
@@ -221,7 +220,8 @@ def test_criterion_7_edf_minimal_max_lateness():
         # every packet arrives at 0, so its deadline is its connection's bound
         conns = [rtps_conn(k, deadline, sizes=[size], arrivals=[0.0])
                  for k, (size, deadline) in enumerate(packets)]
-        entries, _ = serve_rtps_edf(Station(*zip(*conns), frame()).rtps, 10**9)
+        # rtPS only: no deficit round, so no quantum is read
+        entries, _ = serve_rtps_edf(Station(*zip(*conns), [0] * n).rtps, 10**9)
         got = max_lateness([(p.size, p.arrival_time + conns[cid][0].qos.max_latency_ms)
                             for cid, p in entries])
         assert got == min_max_lateness(packets), packets

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import frame, spec
 from uplinksim.bs_alloc import (
+    AllocationPlan,
     AllocationResult,
     BandwidthRequest,
     allocate_gpc,
@@ -15,32 +16,39 @@ from uplinksim.bs_alloc import (
     pool_gpss,
 )
 from uplinksim._kernels_py import waterfill
-from uplinksim.model import QosParams, ServiceClass
+from uplinksim.engine import Scenario
+from uplinksim.model import ServiceClass
 
 
 def req(cid, n):
     return BandwidthRequest(cid=cid, requested_bytes=n)
 
 
+def plan_of(conns, frame_cfg=None):
+    """The allocation plan of the scenario of ``conns`` on ``frame_cfg``
+    (``frame()`` unless given)."""
+    return allocation_plan(Scenario(frame_cfg or frame(), tuple(conns)))
+
+
 def test_phase1_caps_at_request_and_minimum():
     # two 512 kbit/s reservations (640 B/frame each) against 5375 B capacity
     conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.NRTPS)]
     result = phase1_guarantee([req(1, 2000), req(2, 100)],
-                              allocation_plan(conns, frame(5375)))
+                              plan_of(conns, frame(5375)))
     assert result.allocated == {1: 640, 2: 100}
     assert result.remaining == 4635
 
 
 def test_phase1_zero_requests():
     conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.BE)]
-    result = phase1_guarantee([req(1, 0), req(2, 0)], allocation_plan(conns, frame()))
+    result = phase1_guarantee([req(1, 0), req(2, 0)], plan_of(conns))
     assert result.allocated == {1: 0, 2: 0}
     assert result.remaining == frame().uplink_capacity_bytes
 
 
 def test_phase1_single_request_below_minimum():
     conns = [spec(1, ServiceClass.NRTPS)]
-    result = phase1_guarantee([req(1, 17)], allocation_plan(conns, frame()))
+    result = phase1_guarantee([req(1, 17)], plan_of(conns))
     assert result.allocated == {1: 17}
 
 
@@ -75,12 +83,12 @@ def test_pool_gpss_sums_per_station():
         spec(3, ServiceClass.BE, ss=2),
     ]
     result = AllocationResult(allocated={1: 640, 2: 320, 3: 50}, remaining=0)
-    grants = pool_gpss(result, allocation_plan(conns, frame()))
+    grants = pool_gpss(result, plan_of(conns))
     assert grants == {1: 960, 2: 50}  # keyed by station, not connection
 
 
 def test_pool_gpss_empty():
-    assert pool_gpss(AllocationResult({}, 100), allocation_plan([], frame())) == {}
+    assert pool_gpss(AllocationResult({}, 100), plan_of([])) == {}
 
 
 def test_allocation_plan_is_aligned_in_cid_order():
@@ -89,7 +97,7 @@ def test_allocation_plan_is_aligned_in_cid_order():
         spec(3, ServiceClass.UGS, ss=1),
         spec(5, ServiceClass.RTPS, ss=2),
     ]
-    plan = allocation_plan(conns, frame(5375))
+    plan = plan_of(conns, frame(5375))
     assert plan.cids == (3, 5, 7)
     assert plan.minimums == (320, 640, 320)
     assert plan.weights == (1.0, 4.0, 1.0)
@@ -101,7 +109,7 @@ def test_allocate_gpc_equals_two_phase_pipeline():
     conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.NRTPS),
              spec(3, ServiceClass.BE)]
     requests = [req(1, 2000), req(2, 3000), req(3, 4000)]
-    plan = allocation_plan(conns, frame())
+    plan = plan_of(conns)
     expected = phase2_excess(
         phase1_guarantee(requests, plan), requests, plan.weights
     )
@@ -112,7 +120,7 @@ def test_allocate_gpc_equals_two_phase_pipeline():
 
 def test_allocate_gpc_ugs_fixed_grant_every_frame():
     conns = [spec(1, ServiceClass.UGS), spec(2, ServiceClass.UGS)]
-    plan = allocation_plan(conns, frame())
+    plan = plan_of(conns)
     for _ in range(5):
         grants = allocate_gpc([req(1, 320), req(2, 320)], plan)
         assert grants == {1: 320, 2: 320}
@@ -136,22 +144,15 @@ def random_instance(rng, max_conns=4, max_capacity=64):
 
 
 def run_pipeline(requested, bwmin, weights, capacity):
-    """Drive phase1+phase2 through the public surface with synthetic QoS
-    contracts whose reservations equal the requested minimums."""
-    conns = []
-    requests = []
-    f = frame(capacity=capacity)
-    for i, (r, m, w) in enumerate(zip(requested, bwmin, weights)):
-        # reservation of m bytes/frame <=> m * 8 / duration kbit/s
-        rate = m * 8 / f.frame_duration_ms
-        qos = QosParams(max_sustained_kbps=None,
-                        min_reserved_kbps=rate if rate > 0 else 1e-9,
-                        weight=w)
-        conns.append(spec(i, ServiceClass.BE, qos=qos))
-        requests.append(req(i, r))
-    plan = allocation_plan(conns, f)
+    """Drive phase1+phase2 through the public surface with a plan whose
+    guaranteed minimums are ``bwmin``."""
+    n = len(requested)
+    plan = AllocationPlan(cids=tuple(range(n)), minimums=tuple(bwmin),
+                          weights=tuple(map(float, weights)), ss_ids=(0,) * n,
+                          capacity=capacity)
+    requests = [req(i, r) for i, r in enumerate(requested)]
     result = phase2_excess(phase1_guarantee(requests, plan), requests, plan.weights)
-    return [result.allocated[i] for i in range(len(requested))], result.remaining
+    return [result.allocated[i] for i in range(n)], result.remaining
 
 
 def test_waterfill_exact_for_non_power_of_two_weights():

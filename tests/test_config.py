@@ -403,6 +403,9 @@ def test_a_matrix_built_in_code_is_checked(monkeypatch):
         ({"trace": "yes"}, ["trace must be a bool"]),
         ({"drop_expired": 1}, ["drop_expired must be a bool"]),
         ({"outdir": 5}, ["outdir must be a string"]),
+        # these raised AttributeError from the window check
+        ({"scenario": None}, ["scenario must be a Scenario"]),
+        ({"scenario": cfg.scenario.frame}, ["scenario must be a Scenario"]),
         # every field's rules are checked before the window and the ceiling
         ({"modes": (), "frames": 1.5, "rhos": (1e300,), "window_ms": 0.01},
          ["modes must list at least one value", "frames must be an integer"]),

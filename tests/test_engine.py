@@ -20,7 +20,7 @@ from uplinksim.engine import (
     draw_streams,
     run,
 )
-from uplinksim.model import QosParams, ServiceClass
+from uplinksim.model import QosParams, ServiceClass, bytes_per_frame
 from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource, draw_stream
 
 
@@ -43,6 +43,36 @@ def packet_key(result):
         for s in result.conns
         for p in result.history[s.cid]
     ]
+
+
+def test_each_rate_becomes_bytes_once_as_the_scenario_is_built(monkeypatch):
+    # the allocator and the stations read the budgets the check converted;
+    # the UGS grant and the BE reservation were once converted twice while
+    # checking and again for every cell
+    converted = []
+
+    def counted(rate, frame_cfg):
+        converted.append(rate)
+        return bytes_per_frame(rate, frame_cfg)
+
+    monkeypatch.setattr(engine, "bytes_per_frame", counted)
+    scenario = baseline_scenario()
+    rates = [rate for c in scenario.conns
+             for rate in (c.qos.max_sustained_kbps, c.qos.min_reserved_kbps)
+             if rate is not None]
+    assert 0 < len(converted) <= len(rates)
+    converted.clear()
+    at = {c.cid: k for k, c in enumerate(scenario.conns)}
+    for mode in SimMode:
+        sim = Simulation(scenario, mode, 20)
+        for _ in range(20):
+            sim.step()
+        assert sim.plan.minimums == scenario.minimums
+        for station in sim._stations.values():
+            assert station.drr_cids
+            assert station.quantum == [scenario.quanta[at[cid]]
+                                       for cid in station.drr_cids]
+    assert converted == []
 
 
 def test_frame0_issues_only_ugs_synthetic_grants():

@@ -1,10 +1,13 @@
 """Checks over the package source itself: no module imports a name it
-never reads, so a symbol left behind by a removal cannot linger."""
+never reads, and no module defines a top-level name that the package or
+the benchmark never reads, so a symbol left behind by a removal cannot
+linger."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uplinksim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "uplinksim"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,77 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = {path.name: problems for path in sorted(PACKAGE.glob("*.py"))
               if (problems := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def _listed(stmt) -> list[str]:
+    """What ``stmt`` lists in ``__all__``, if it assigns it."""
+    if (isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)):
+        return ast.literal_eval(stmt.value)
+    return []
+
+
+def unread_names(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module line N: name`` for each top-level function, class or
+    assigned name of a ``package`` module (name: source) that no statement
+    of ``package`` or ``readers`` reads, as a name or as an attribute,
+    outside the statement that defines it; dunder names aside, and a name
+    listed in ``__all__`` counts as read."""
+    # the names each top-level statement of each source reads
+    reads = {}
+    for label, source in {**package, **readers}.items():
+        for stmt in ast.parse(source).body:
+            read = set(_listed(stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+            reads[label, stmt.lineno] = read
+    unread = []
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            unread += [f"{module} line {stmt.lineno}: {name}" for name in names
+                       if not (name.startswith("__") and name.endswith("__"))
+                       and not any(name in read for where, read in reads.items()
+                                   if where != (module, stmt.lineno))]
+    return unread
+
+
+def test_the_scan_finds_an_unread_name():
+    package = {
+        "a.py": ("import math\n"
+                 "def used():\n    return math.pi\n"
+                 "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+                 "LIMIT, _SPARE = 1, 2\n"
+                 "_table: dict = {}\n"
+                 "class Listed:\n    pass\n"
+                 "__all__ = ['Listed']\n"),
+        "b.py": "from .a import used\nused()\n",
+    }
+    readers = {"bench.py": "import a\nprint(a.LIMIT)\n"}
+    assert unread_names(package, readers) == [
+        "a.py line 4: recursive", "a.py line 6: _SPARE", "a.py line 7: _table"]
+    assert unread_names(package, {}) == [
+        "a.py line 4: recursive", "a.py line 6: LIMIT", "a.py line 6: _SPARE",
+        "a.py line 7: _table"]
+
+
+def test_every_top_level_name_is_read():
+    # the benchmark reads some names the package does not, such as
+    # ``cli.run_matrix``; tests do not count as readers
+    def sources(paths):
+        return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+                for path in sorted(paths)
+                if not path.name.startswith("test_")}
+
+    assert unread_names(sources(PACKAGE.glob("*.py")),
+                        sources((ROOT / "perfbench").glob("*.py"))) == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,8 +10,8 @@ from uplinksim.model import (
     QosParams,
     ServiceClass,
     bytes_per_frame,
-    guaranteed_bytes,
 )
+from uplinksim.engine import Scenario
 
 
 def test_bytes_per_frame_table_values():
@@ -41,11 +42,19 @@ def test_service_class_priority_order():
 
 
 def test_guaranteed_bytes_per_class():
-    f = frame()
-    assert guaranteed_bytes(spec(1, ServiceClass.UGS), f) == 320
-    assert guaranteed_bytes(spec(2, ServiceClass.RTPS), f) == 640
-    assert guaranteed_bytes(spec(3, ServiceClass.NRTPS), f) == 640
-    assert guaranteed_bytes(spec(4, ServiceClass.BE), f) == 320
+    # the phase-1 minimum is the UGS grant or else the reservation; the
+    # deficit-round quantum the sustained rate or else the reservation
+    classes = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS,
+               ServiceClass.BE)
+    scenario = Scenario(frame(), tuple(spec(cid, cls)
+                                       for cid, cls in enumerate(classes, 1)))
+    assert scenario.minimums == (320, 640, 640, 320)
+    assert scenario.quanta == (320, 1280, 1280, 320)
+    # they derive from the frame and the contracts, so ``replace`` computes
+    # them anew
+    doubled = replace(scenario, frame=frame(duration=20.0))
+    assert doubled.minimums == (640, 1280, 1280, 640)
+    assert doubled.quanta == (640, 2560, 2560, 640)
 
 
 def test_validate_single_station_fits_default_capacity():

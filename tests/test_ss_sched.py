@@ -4,6 +4,7 @@ import pytest
 
 from conftest import frame, make_conn, rtps_conn
 from uplinksim._kernels_py import edf_take
+from uplinksim.engine import Scenario
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
     Station,
@@ -21,12 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 def station_for(conns, quanta=None):
     """Station over ``conns``, (spec, queue) pairs, whose deficit round uses
-    the ``quanta`` given by cid in place of the QoS-derived ones."""
+    the ``quanta`` given by cid in place of those its scenario keeps.  A
+    quantum does not depend on the capacity, so the scenario's is one that
+    every station a test draws fits."""
     specs, queues = zip(*conns)
-    station = Station(specs, queues, frame())
-    station.quantum = [(quanta or {}).get(cid, q)
-                       for cid, q in zip(station.drr_cids, station.quantum)]
-    return station
+    scenario = Scenario(frame(capacity=2**31), specs)
+    by_cid = dict(zip((s.cid for s in scenario.conns), scenario.quanta))
+    by_cid.update(quanta or {})
+    return Station(specs, queues, [by_cid[s.cid] for s in specs])
 
 
 def edf_lists(conns):
@@ -187,7 +190,9 @@ def test_station_partitions_classes_once_in_cid_order():
         make_conn(4, ServiceClass.UGS),
         rtps_conn(3, 12.0),
     ]
-    station = Station(*zip(*conns), frame())
+    specs, queues = zip(*conns)
+    # each quantum must follow its connection through the sort
+    station = Station(specs, queues, [10 * s.cid for s in specs])
     queue_of = {s.cid: q for s, q in conns}
 
     def holds(cids, queues):
@@ -205,7 +210,7 @@ def test_station_partitions_classes_once_in_cid_order():
                             [12.0, 30.0])
     assert station.drr_cids == [5, 8, 7, 9]  # nrtPS visited before BE
     assert holds(station.drr_cids, station.drr_queues)
-    assert station.quantum == [1280, 1280, 320, 320]
+    assert station.quantum == [50, 80, 70, 90]
     assert station.deficit == [0, 0, 0, 0]
     assert station.cursor == 0
 
