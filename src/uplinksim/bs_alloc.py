@@ -86,18 +86,34 @@ def phase2_excess(
     ``requests`` come in ascending cid order with ``weights`` aligned to
     them.  Allocations stay capped at the requests; leftover capacity
     survives only when every connection is fully satisfied.
+
+    When the unmet demand fits the residual capacity, as it does on most
+    frames below saturation, each short award is raised to its request
+    without calling the water-filling kernel.
     """
-    if result.remaining <= 0:
-        return AllocationResult(dict(result.allocated), result.remaining)
+    remaining = result.remaining
+    if remaining <= 0:
+        return AllocationResult(dict(result.allocated), remaining)
     allocated = dict(result.allocated)
     deficits = [r.requested_bytes - allocated[r.cid] for r in requests]
-    increments = _backend.kernels.waterfill(deficits, weights, result.remaining)
+    unmet = 0
+    for d in deficits:
+        if d > 0:
+            unmet += d
+            if unmet > remaining:  # contended: the kernel splits the rest
+                break
+    if unmet <= remaining:
+        for req, d in zip(requests, deficits):
+            if d > 0:
+                allocated[req.cid] = req.requested_bytes
+        return AllocationResult(allocated=allocated, remaining=remaining - unmet)
+    increments = _backend.kernels.waterfill(deficits, weights, remaining)
     given = 0
     for req, inc in zip(requests, increments):
         if inc:
             allocated[req.cid] += inc
             given += inc
-    return AllocationResult(allocated=allocated, remaining=result.remaining - given)
+    return AllocationResult(allocated=allocated, remaining=remaining - given)
 
 
 def pool_gpss(result: AllocationResult, plan: AllocationPlan) -> dict[int, int]:

@@ -288,10 +288,12 @@ _SECTIONS = {"frame": _FRAME, "run": _RUN, "connection": _CONN}
 
 def _value(spec: _Key, key: str, errors: list[str], text: str, where: str,
            sep: str | None = None):
-    """Parse one key's text, a list split on ``sep``, and check its rules."""
+    """Parse one key's text, a list split on ``sep``, and check its rules;
+    only the matrix fields have any."""
     value = spec.parse(text.split(sep) if spec.many else text, where, key, errors)
     # the parser gives the field's type, or holds a label it named as unknown
-    if problem := _broken(spec.field or key, value, skip=1):
+    if ((field := spec.field or key) in _RULES
+            and (problem := _broken(field, value, skip=1))):
         errors.append(f"{where}: {problem}")
     return value
 

@@ -2,8 +2,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from conftest import frame, spec
 from uplinksim.bs_alloc import (
     AllocationPlan,
@@ -15,6 +13,7 @@ from uplinksim.bs_alloc import (
     phase2_excess,
     pool_gpss,
 )
+from uplinksim import _kernels_py
 from uplinksim._kernels_py import waterfill
 from uplinksim.engine import Scenario
 from uplinksim.model import ServiceClass
@@ -74,6 +73,85 @@ def test_phase2_single_unmet_fully_satisfied():
     result = phase2_excess(start, requests, (3.0,))
     assert result.allocated == {1: 500}
     assert result.remaining == 600
+
+
+def counted_waterfill(monkeypatch):
+    """The list the kernel's calls are appended to while it is wrapped."""
+    calls = []
+
+    def wrapped(deficits, weights, remaining):
+        calls.append(remaining)
+        return waterfill(deficits, weights, remaining)
+
+    monkeypatch.setattr(_kernels_py, "waterfill", wrapped)
+    return calls
+
+
+def filled_by_kernel(start, requests, weights):
+    """Phase 2 as the kernel alone gives it: each award plus its
+    water-filling increment, and the capacity those leave."""
+    deficits = [r.requested_bytes - start.allocated[r.cid] for r in requests]
+    increments = waterfill(deficits, list(weights), start.remaining)
+    allocated = dict(start.allocated)
+    for r, inc in zip(requests, increments):
+        allocated[r.cid] += inc
+    return allocated, start.remaining - sum(increments)
+
+
+def test_phase2_grants_fitting_deficits_without_the_kernel(monkeypatch):
+    calls = counted_waterfill(monkeypatch)
+    requests = [req(1, 900), req(2, 0), req(3, 350), req(4, 40)]
+    start = AllocationResult(allocated={1: 640, 2: 0, 3: 320, 4: 40},
+                             remaining=1000)
+    result = phase2_excess(start, requests, (4.0, 2.0, 1.0, 1.0))
+    assert calls == []
+    assert result.allocated == {1: 900, 2: 0, 3: 350, 4: 40}
+    assert result.remaining == 1000 - 260 - 30
+    assert start.allocated == {1: 640, 2: 0, 3: 320, 4: 40}  # not mutated
+
+
+def test_phase2_deficits_equal_to_the_rest_end_at_zero(monkeypatch):
+    calls = counted_waterfill(monkeypatch)
+    requests = [req(1, 600), req(2, 600)]
+    start = AllocationResult(allocated={1: 0, 2: 300}, remaining=900)
+    result = phase2_excess(start, requests, (1.0, 2.0))
+    assert calls == []
+    assert result.allocated == {1: 600, 2: 600}
+    assert result.remaining == 0
+
+
+def test_phase2_contended_deficits_call_the_kernel_once(monkeypatch):
+    calls = counted_waterfill(monkeypatch)
+    requests = [req(1, 600), req(2, 600)]
+    start = AllocationResult(allocated={1: 0, 2: 300}, remaining=899)
+    result = phase2_excess(start, requests, (1.0, 2.0))
+    assert calls == [899]
+    assert (result.allocated, result.remaining) == filled_by_kernel(
+        start, requests, (1.0, 2.0))
+    assert result.remaining == 0
+
+
+def test_phase2_keeps_an_award_above_its_request(monkeypatch):
+    # no phase-1 result holds one; phase 2 leaves it as the kernel does,
+    # whether the other deficits fit or not
+    calls = counted_waterfill(monkeypatch)
+    requests = [req(1, 300), req(2, 400)]
+    for remaining in (1000, 300, 299):
+        start = AllocationResult(allocated={1: 500, 2: 100}, remaining=remaining)
+        result = phase2_excess(start, requests, (1.0, 1.0))
+        assert (result.allocated, result.remaining) == filled_by_kernel(
+            start, requests, (1.0, 1.0))
+    assert calls == [299]
+
+
+def test_allocate_gpc_skips_the_kernel_when_requests_fit(monkeypatch):
+    calls = counted_waterfill(monkeypatch)
+    conns = [spec(1, ServiceClass.RTPS), spec(2, ServiceClass.BE)]
+    plan = plan_of(conns, frame(5375))
+    assert allocate_gpc([req(1, 2000), req(2, 3000)], plan) == {1: 2000, 2: 3000}
+    assert calls == []
+    assert allocate_gpc([req(1, 2000), req(2, 4000)], plan) == {1: 2000, 2: 3375}
+    assert calls == [5375 - 640 - 320]
 
 
 def test_pool_gpss_sums_per_station():

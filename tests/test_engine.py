@@ -20,7 +20,7 @@ from uplinksim.engine import (
     draw_streams,
     run,
 )
-from uplinksim.model import QosParams, ServiceClass, bytes_per_frame
+from uplinksim.model import ServiceClass, bytes_per_frame
 from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource, draw_stream
 
 

@@ -1,7 +1,7 @@
-"""Checks over the package source itself: no module imports a name it
-never reads, and no module defines a top-level name that the package or
-the benchmark never reads, so a symbol left behind by a removal cannot
-linger."""
+"""Checks over the package source itself: no module of the package or of
+its tests imports a name it never reads, and no package module defines a
+top-level name that the package or the benchmark never reads, so a symbol
+left behind by a removal cannot linger."""
 
 import ast
 from pathlib import Path
@@ -45,7 +45,10 @@ def test_the_scan_finds_an_unused_import():
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    unused = {path.name: problems for path in sorted(PACKAGE.glob("*.py"))
+    # the package, its tests and the root conftest
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             ROOT / "conftest.py"]
+    unused = {str(path.relative_to(ROOT)): problems for path in sorted(paths)
               if (problems := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import frame, spec
 from reference import delay_stats, throughput
 from uplinksim.config import baseline_config
-from uplinksim.engine import RunResult, Scenario, SimMode, run
+from uplinksim.engine import RunResult, SimMode, run
 from uplinksim.metrics import (
     jain_index,
     run_summary,
