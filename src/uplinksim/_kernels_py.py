@@ -3,9 +3,11 @@
 These are the hot inner loops of the simulator: weighted excess filling,
 earliest-deadline selection (which with bounds of 0.0 is FIFO) and the
 deficit round.  Each works on plain aligned lists.  The excess filling
-takes integers, so its result is exact and reproducible; earliest-deadline
-selection and the deficit round take each queue's cid and live ``deque``,
-read the head packets in place and pop the packets they send.
+takes integers, so its result is exact and reproducible; it sees only the
+contended rests that ``bs_alloc.phase2_excess`` picks out, and hands each
+out whole.  Earliest-deadline selection and the deficit round take each
+queue's cid and live ``deque``, read the head packets in place and pop the
+packets they send.
 """
 
 from __future__ import annotations
@@ -44,7 +46,11 @@ def _key_steps(weights: tuple) -> tuple:
 
 
 def waterfill(deficits: list, weights: list, remaining: int) -> list:
-    """Distribute ``remaining`` (R) bytes over unmet demands by weight.
+    """Split a contended rest of ``remaining`` (R) bytes by weight.
+
+    The domain is ``0 < R <`` the sum of the positive deficits, weights > 0.
+    Outside it the split divides by zero or hands out negative bytes; inside
+    it the increments sum to exactly R.
 
     Byte-granular weighted filling: every next byte goes to the entry whose
     served excess per weight is smallest (ties to the lowest index), capped
@@ -53,7 +59,7 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     keys of ``_key_steps`` it is computed exactly.  Every key below the
     level of the continuous solution is taken, which overshoots R by fewer
     than n bytes, and the largest (key, index) pairs are given back.
-    Weights must be > 0.  Returns the per-index byte increments.
+    Returns the per-index byte increments.
 
     In overload most contended calls cap no entry; the split then depends
     only on the weights, R and which deficits are > 0.  Each weight set
@@ -64,16 +70,8 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     they are the R smallest capped pairs too; and a capped result in which
     no entry reached its deficit, the only kind stored, is the uncapped one.
     """
-    unmet = 0
-    for d in deficits:
-        if d > 0:
-            unmet += d
-    if remaining >= unmet:
-        return [d if d > 0 else 0 for d in deficits]
     n = len(deficits)
     inc = [0] * n
-    if remaining <= 0:
-        return inc
     lcm, steps, scaled, splits = _key_steps(tuple(weights))
     slot = (remaining, bytes(map((0).__lt__, deficits)))
     split = splits.get(slot)

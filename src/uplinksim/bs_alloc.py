@@ -87,9 +87,10 @@ def phase2_excess(
     them.  Allocations stay capped at the requests; leftover capacity
     survives only when every connection is fully satisfied.
 
-    When the unmet demand fits the residual capacity, as it does on most
-    frames below saturation, each short award is raised to its request
-    without calling the water-filling kernel.
+    It alone picks a frame's case: no rest leaves the awards as they are;
+    unmet demand that fits the rest, as on most frames below saturation,
+    raises each short award to its request; contention, the water-filling
+    kernel's only domain, hands out the whole rest by weight.
     """
     remaining = result.remaining
     if remaining <= 0:
@@ -108,12 +109,10 @@ def phase2_excess(
                 allocated[req.cid] = req.requested_bytes
         return AllocationResult(allocated=allocated, remaining=remaining - unmet)
     increments = _backend.kernels.waterfill(deficits, weights, remaining)
-    given = 0
     for req, inc in zip(requests, increments):
         if inc:
             allocated[req.cid] += inc
-            given += inc
-    return AllocationResult(allocated=allocated, remaining=remaining - given)
+    return AllocationResult(allocated=allocated, remaining=0)
 
 
 def pool_gpss(result: AllocationResult, plan: AllocationPlan) -> dict[int, int]:

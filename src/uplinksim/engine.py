@@ -478,7 +478,7 @@ class Simulation:
             for cid, q in zip(self.plan.cids, self.queues):
                 if not q:
                     continue
-                budget = grants.get(cid, 0)
+                budget = grants[cid]
                 log_departure = depart[cid]
                 while q and q[0].size <= budget:
                     size = q.popleft().size
@@ -490,7 +490,7 @@ class Simulation:
             schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
                         else schedule_frame_ss2)
             for ss, station in self._stations.items():
-                tx = schedule(station, grants.get(ss, 0))
+                tx = schedule(station, grants[ss])
                 for cid, pkt in tx.entries:
                     depart[cid](frame_end)
                     backlog[cid] -= pkt.size

@@ -87,17 +87,6 @@ def counted_waterfill(monkeypatch):
     return calls
 
 
-def filled_by_kernel(start, requests, weights):
-    """Phase 2 as the kernel alone gives it: each award plus its
-    water-filling increment, and the capacity those leave."""
-    deficits = [r.requested_bytes - start.allocated[r.cid] for r in requests]
-    increments = waterfill(deficits, list(weights), start.remaining)
-    allocated = dict(start.allocated)
-    for r, inc in zip(requests, increments):
-        allocated[r.cid] += inc
-    return allocated, start.remaining - sum(increments)
-
-
 def test_phase2_grants_fitting_deficits_without_the_kernel(monkeypatch):
     calls = counted_waterfill(monkeypatch)
     requests = [req(1, 900), req(2, 0), req(3, 350), req(4, 40)]
@@ -126,21 +115,21 @@ def test_phase2_contended_deficits_call_the_kernel_once(monkeypatch):
     start = AllocationResult(allocated={1: 0, 2: 300}, remaining=899)
     result = phase2_excess(start, requests, (1.0, 2.0))
     assert calls == [899]
-    assert (result.allocated, result.remaining) == filled_by_kernel(
-        start, requests, (1.0, 2.0))
+    assert result.allocated == {1: 599, 2: 600}
     assert result.remaining == 0
 
 
 def test_phase2_keeps_an_award_above_its_request(monkeypatch):
-    # no phase-1 result holds one; phase 2 leaves it as the kernel does,
-    # whether the other deficits fit or not
+    # no phase-1 result holds one; phase 2 leaves it as it is, whether the
+    # other deficits fit or not
     calls = counted_waterfill(monkeypatch)
     requests = [req(1, 300), req(2, 400)]
-    for remaining in (1000, 300, 299):
+    for remaining, expected, rest in ((1000, {1: 500, 2: 400}, 700),
+                                      (300, {1: 500, 2: 400}, 0),
+                                      (299, {1: 500, 2: 399}, 0)):
         start = AllocationResult(allocated={1: 500, 2: 100}, remaining=remaining)
         result = phase2_excess(start, requests, (1.0, 1.0))
-        assert (result.allocated, result.remaining) == filled_by_kernel(
-            start, requests, (1.0, 1.0))
+        assert (result.allocated, result.remaining) == (expected, rest)
     assert calls == [299]
 
 
@@ -234,10 +223,11 @@ def run_pipeline(requested, bwmin, weights, capacity):
 
 
 def test_waterfill_exact_for_non_power_of_two_weights():
-    # a float threshold counted 61 of 62 bytes, and split the exact tie
+    # a float threshold counted 61 of 62 bytes, as it counts 60 of a
+    # contended 61 (61 / 7 * 7 < 61), and split the exact tie
     # 3 * (1 / 0.3) == 5 * (1 / 1.5) toward the higher index
-    assert waterfill([62], [7], 293) == [62]
-    assert waterfill([62], [7.0], 293) == [62]
+    assert waterfill([62], [7], 61) == [61]
+    assert waterfill([62], [7.0], 61) == [61]
     assert waterfill([23, 24], [0.3, 1.5], 7) == [2, 5]
     assert waterfill([13, 25, 19], [9.0, 0.3, 3.0], 25) == [13, 2, 10]
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import frame, spec
 from perfbench.invariants import check_cell
-from uplinksim import engine
+from uplinksim import _kernels_py, engine
 from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
@@ -188,19 +188,32 @@ def test_a_cell_no_run_could_draw_is_refused_before_any_draw(monkeypatch, scenar
         assert str(info.value).startswith(message), entry.func
 
 
-def test_packet_conservation_every_mode():
+def test_packet_conservation_every_mode(monkeypatch):
     # every invariant of check_cell: bytes conserved, exits a FIFO prefix,
     # departures at frame ends, used <= granted <= capacity and each
-    # frame's departures summing to its used bytes
+    # frame's departures summing to its used bytes; and only phase 2's
+    # contended case reaches the water-filling kernel, whose domain is
+    # 0 < remaining < the sum of the positive deficits
+    waterfill = _kernels_py.waterfill
+    calls = []
+
+    def checked(deficits, weights, remaining):
+        assert 0 < remaining < sum(d for d in deficits if d > 0), (
+            deficits, remaining)
+        calls.append(remaining)
+        return waterfill(deficits, weights, remaining)
+
+    monkeypatch.setattr(_kernels_py, "waterfill", checked)
     scenario = baseline_scenario()
-    for mode, drop in product(SimMode, (False, True)):
-        result = run(scenario, mode, 300, seed=4, rho=1.2, drop_expired=drop)
-        assert check_cell(result) == [], (mode, drop)
+    for rho, mode, drop in product((0.4, 1.2, 3.0), SimMode, (False, True)):
+        result = run(scenario, mode, 300, seed=4, rho=rho, drop_expired=drop)
+        assert check_cell(result) == [], (rho, mode, drop)
         # stricter than check_cell, which allows a departure at the instant
         # of its packet's arrival: here none departs that early
         for log in result.logs.values():
             assert all(dep > arr for dep, arr in zip(log.departure, log.arrival)
                        if not math.isnan(dep))
+    assert calls
 
 
 def test_causality_and_grant_safety():
