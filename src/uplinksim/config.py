@@ -381,8 +381,6 @@ def parse_config(text: str,
 
     specs = [spec for raw, where in conn_raws
              if (spec := _build_conn(raw, where, errors)) is not None]
-    if not conn_raws:
-        errors.append("config defines no subscriber stations (no [connection] sections)")
 
     for key, (value, where) in (flags or {}).items():
         raws["run"][key] = (value, where, ",")  # lists are comma-separated

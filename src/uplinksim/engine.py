@@ -12,10 +12,12 @@ That asymmetry is the whole difference between the operating modes.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .bs_alloc import (
@@ -107,12 +109,13 @@ class Scenario:
         pass over the connections; empty when it can run.  The pass sets
         ``minimums`` and ``quanta``: the one place a rate becomes bytes.
 
-        The messages come in three runs, each in cid order: the frame, each
-        connection's id and QoS contract, and the reservation sum (which
-        includes the fixed UGS grants, so the guaranteed minimums always fit
-        one frame); each traffic model and UGS grant; each zero deficit-round
-        quantum.  On a capacity <= 0 the ids, contracts and reservation sum
-        go unreported; the traffic problems are still reported."""
+        The messages come in three runs, each in cid order: the frame, an
+        empty connection list, each connection's id and QoS contract, and
+        the reservation sum (which includes the fixed UGS grants, so the
+        guaranteed minimums always fit one frame); each traffic model and
+        UGS grant; each zero deficit-round quantum.  On a capacity <= 0 the
+        ids, contracts and reservation sum go unreported; the traffic
+        problems are still reported."""
         frame = self.frame
         dur, capacity = frame.frame_duration_ms, frame.uplink_capacity_bytes
         # only here do rates convert to finite byte counts per frame
@@ -127,6 +130,8 @@ class Scenario:
         elif capacity % 1:  # NaN, inf or a fraction of a byte
             contract.append("uplink capacity must be a whole number of bytes, "
                             f"got {capacity}")
+        if not self.conns:
+            contract.append("no subscriber stations: the scenario has no connections")
         # where the ids, contracts and reservation sum are reported: into
         # ``contract``, or nowhere on a capacity <= 0
         listed = [] if capacity <= 0 else contract
@@ -243,20 +248,21 @@ class CellStreams(NamedTuple):
 
 #: The most work one cell may be expected to cost: a unit per packet, per
 #: on/off phase change and per connection-frame.  A packet takes 24 B of its
-#: connection's log (size, arrival and departure, 8 B each) and a
+#: connection's log (size, arrival and departure, 8 B each), 8 B more of
+#: prefix sum while its cell runs if it is elastic (non-UGS), and a
 #: connection-frame an 8 B count and a pass of the frame loop, so a cell at
-#: the ceiling takes at most about 1 GiB; the largest shipped cells
-#: (fig2-delay and fig4-violation at rho 1.2) expect about 3.9e5, 115 times fewer.
+#: the ceiling takes at most about 1 GiB of log, 1.3 GiB while it runs; the
+#: largest shipped cells (fig2-delay and fig4-violation at rho 1.2) expect
+#: about 3.9e5, 115 times fewer.
 MAX_CELL_WORK = 2**30 // 24
 
 
 def frame_work(scenario: Scenario, rho: float) -> float:
-    """Connections (at least one: a frame without any is still a pass of
-    the frame loop), plus the packets and on/off phase changes their
+    """Connections, plus the packets and on/off phase changes their
     sources are expected to draw, per frame at intensity ``rho``.  It
     overflows to inf for rates no cell could draw."""
     dur = scenario.frame.frame_duration_ms
-    work = float(max(len(scenario.conns), 1))
+    work = float(len(scenario.conns))
     for spec in scenario.conns:
         model = spec.traffic
         rate = draw_rate(spec.service_class, model, rho)
@@ -350,11 +356,6 @@ class RunResult:
         edits to them stay visible."""
         return {cid: log.packets() for cid, log in self.logs.items()}
 
-    def backlog(self, cid: int) -> int:
-        """Bytes still queued at run end."""
-        log = self.logs[cid]
-        return sum(log.size[len(log.departure):])
-
 
 class Simulation:
     """Single deterministic run of ``frames`` frames; drive it with step(),
@@ -362,12 +363,12 @@ class Simulation:
 
     Everything that is fixed for the cell is built here once: the
     allocation plan, one request per connection in cid order (UGS requests
-    hold their fixed grant, the others are refreshed from the backlog after
-    every frame's transmission), the traffic feeds, the per-connection
-    packet logs and the per-station class partitions.  ``queues`` holds
-    each connection's live queue, a ``deque`` aligned with
-    ``scenario.conns``; the feeds, the rtPS drop-on-expiry rows, the gpc
-    drain and the stations all hold these same deques.
+    hold their fixed grant, the others are set to their queued log rows'
+    bytes after every frame's transmission), the traffic feeds, the
+    per-connection packet logs and the per-station class partitions.
+    ``queues`` holds each connection's live queue, a ``deque`` aligned with
+    ``scenario.conns``; the feeds, the requests' rows, the rtPS drop rows,
+    the gpc drain and the stations all hold these same deques.
 
     ``streams`` is what ``draw_streams`` draws for the same scenario,
     frames, seed and rho; without it the run draws its own, and a cell
@@ -412,10 +413,16 @@ class Simulation:
             self.plan.cids,
             [m if u else 0 for m, u in zip(self.plan.minimums, ugs)],
         ))
-        self._elastic = [r for r, u in zip(self.requests, ugs) if not u]
         self.logs = {c.cid: PacketLog(s.size, s.arrival)
                      for c, s in zip(conns, streams.streams)}
-        self._feeds = [(q, c.cid, s.counts, TrafficSource(c, s))
+        # per elastic connection: its request, its stream's prefix sums
+        # (``before[k]``, the bytes of its first k packets), its log's
+        # departures and its queue, the log rows from ``len(departure)`` on
+        self._elastic = [(r, array("q", accumulate(s.size, initial=0)),
+                          self.logs[r.cid].departure, q)
+                         for r, u, s, q in zip(self.requests, ugs, streams.streams,
+                                               self.queues) if not u]
+        self._feeds = [(q, s.counts, TrafficSource(c, s))
                        for c, q, s in zip(conns, self.queues, streams.streams)]
         # departure appends bound once per connection
         self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
@@ -428,13 +435,11 @@ class Simulation:
             by_ss.setdefault(row[0].ss_id, []).append(row)
         self._stations = {ss: Station(*zip(*by_ss[ss])) for ss in sorted(by_ss)}
         self.frame_index = 0
-        self._backlog: dict[int, int] = {c.cid: 0 for c in conns}
         self.granted: list[int] = []
         self.used: list[int] = []
 
     def step(self) -> None:
         fr = self.frame_index
-        backlog = self._backlog
 
         # (1) allocate against last frame's requests
         requests = self.requests
@@ -448,14 +453,9 @@ class Simulation:
             grants = pool_gpss(result, self.plan)
 
         # (2) this frame's arrivals join the live queues
-        for q, cid, counts, source in self._feeds:
+        for q, counts, source in self._feeds:
             if counts[fr]:
-                pkts = source.generate(fr)
-                q.extend(pkts)
-                nbytes = 0
-                for p in pkts:
-                    nbytes += p.size
-                backlog[cid] += nbytes
+                q.extend(source.generate(fr))
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
@@ -465,7 +465,7 @@ class Simulation:
             for cid, bound, q in self._rtps:
                 while q and q[0].arrival_time + bound < frame_end:
                     self._depart[cid](math.nan)
-                    backlog[cid] -= q.popleft().size
+                    q.popleft()
 
         # (3) transmission against the grants
         used = 0
@@ -485,20 +485,19 @@ class Simulation:
                     budget -= size
                     used += size
                     log_departure(frame_end)
-                    backlog[cid] -= size
         else:
             schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
                         else schedule_frame_ss2)
             for ss, station in self._stations.items():
                 tx = schedule(station, grants[ss])
-                for cid, pkt in tx.entries:
+                for cid, _ in tx.entries:
                     depart[cid](frame_end)
-                    backlog[cid] -= pkt.size
                 used += tx.total_bytes
 
         # (4) next frame's requests report the post-transmission backlog
-        for req in self._elastic:
-            req.requested_bytes = backlog[req.cid]
+        for req, before, departure, q in self._elastic:
+            head = len(departure)
+            req.requested_bytes = before[head + len(q)] - before[head]
 
         self.granted.append(sum(alloc.values()))
         self.used.append(used)

@@ -94,7 +94,8 @@ class PacketLog:
     rows from ``len(departure)`` up to the number arrived are the queue,
     and the rows after them are still to arrive; after the last frame every
     row has arrived.  Row ``k`` has departed or been dropped iff
-    ``k < len(departure)``.
+    ``k < len(departure)``.  An elastic (non-UGS) connection's bandwidth
+    request after each frame is its queue rows' bytes.
     """
 
     __slots__ = ("size", "arrival", "departure")

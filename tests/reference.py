@@ -8,7 +8,8 @@ the metric oracles make one pass over the packet history per statistic
 and service class, and the size-draw oracle calls ``random.randrange``.
 The one exception is the samples oracle: it is the metrics accumulator
 as a loop over every packet, before it read column slices, and it builds
-its samples with the package's statistics types and helpers.
+its samples with the package's statistics types and helpers.  ``backlog``
+is no oracle but a reading of a run's logs that several tests share.
 """
 
 from fractions import Fraction
@@ -183,6 +184,13 @@ def throughput(result, window):
             if dep is not None and start <= dep < end:
                 totals[spec.service_class] += pkt.size
     return {cls: bytes_ * 8.0 / span for cls, bytes_ in totals.items()}
+
+
+def backlog(result, cid):
+    """Bytes ``cid`` still has queued at run end: its log rows that have
+    neither departed nor been dropped."""
+    log = result.logs[cid]
+    return sum(log.size[len(log.departure):])
 
 
 def reference_draw_size(rng, lo, hi):

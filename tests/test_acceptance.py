@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from reference import brute_force_alloc, max_lateness, min_max_lateness, \
-    reference_dfpq
+from reference import backlog, brute_force_alloc, max_lateness, \
+    min_max_lateness, reference_dfpq
 from conftest import make_conn, recipe, rtps_conn
 from uplinksim.cli import matrix_cells, run_matrix, write_outputs
 from uplinksim.engine import Scenario, SimMode, run
@@ -251,7 +251,7 @@ def test_criterion_8_metric_identities():
             arrived = sum(p.size for p in hist)
             departed = sum(p.size for p in hist
                            if p.departure_time is not None)
-            assert arrived == departed + result.backlog(s.cid)
+            assert arrived == departed + backlog(result, s.cid)
     report(8, "fairness-index identities to 1e-12 and exact packet "
               "conservation in every mode")
 

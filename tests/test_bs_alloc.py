@@ -155,7 +155,9 @@ def test_pool_gpss_sums_per_station():
 
 
 def test_pool_gpss_empty():
-    assert pool_gpss(AllocationResult({}, 100), plan_of([])) == {}
+    # a Scenario has at least one connection, but a plan may be built empty
+    empty = AllocationPlan(cids=(), minimums=(), weights=(), ss_ids=(), capacity=100)
+    assert pool_gpss(AllocationResult({}, 100), empty) == {}
 
 
 def test_allocation_plan_is_aligned_in_cid_order():

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from array import array
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -9,10 +10,12 @@ import pytest
 
 from conftest import frame, spec
 from perfbench.invariants import check_cell
+from reference import backlog
 from uplinksim import _kernels_py, engine
 from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
 from uplinksim.engine import (
+    CellStreams,
     Scenario,
     ScenarioError,
     SimMode,
@@ -21,7 +24,8 @@ from uplinksim.engine import (
     run,
 )
 from uplinksim.model import ServiceClass, bytes_per_frame
-from uplinksim.traffic import TrafficKind, TrafficModel, TrafficSource, draw_stream
+from uplinksim.traffic import (Stream, TrafficKind, TrafficModel, TrafficSource,
+                               draw_stream)
 
 
 def cbr_scenario(rate_kbps=256.0, size=320, classes=(ServiceClass.NRTPS,),
@@ -156,36 +160,37 @@ BURSTY = Scenario(frame=frame(capacity=16000), conns=(spec(
                                              mean_on_ms=1e-9, mean_off_ms=1000.0)),))
 
 
-@pytest.mark.parametrize("scenario, frames, rho, message", [
+@pytest.mark.parametrize("conns, frames, rho, message", [
     # spun in the Poisson loop, about 2e297 chunks per frame
-    (baseline_scenario(), 10, 1e300, "rho 1e+300 over 10 frames: each frame "
-     "would cost 1.56e+301 connection passes, packets and on/off phase "
+    (baseline_scenario().conns, 10, 1e300, "rho 1e+300 over 10 frames: each "
+     "frame would cost 1.56e+301 connection passes, packets and on/off phase "
      "changes, above the ceiling of 44739242 per cell"),
     # would have filled memory: 3.6e13 connection-frames
-    (baseline_scenario(), 10**12, 1.0, "rho 1.0 over 1000000000000 frames: "
-     "each frame would cost 35.7 connection passes"),
+    (baseline_scenario().conns, 10**12, 1.0, "rho 1.0 over 1000000000000 "
+     "frames: each frame would cost 35.7 connection passes"),
     # appended packets at one instant until memory ran out
-    (BURSTY, 2000, 1.0, "rho 1.0 over 2000 frames: cid 0's on/off bursts "
-     "accrue its smallest packet in 8e-13 ms, not above the clock's "
+    (BURSTY.conns, 2000, 1.0, "rho 1.0 over 2000 frames: cid 0's on/off "
+     "bursts accrue its smallest packet in 8e-13 ms, not above the clock's "
      "resolution of 3.64e-12 ms"),
-    # a cell without connections counted no work, yet loops once per frame
-    (Scenario(frame=frame(capacity=16000), conns=()), 10**12, 1.0,
-     "rho 1.0 over 1000000000000 frames: each frame would cost 1 connection "
-     "passes"),
+    # a scenario without connections built, ran and failed its summary;
+    # now it cannot be built, so no entry is reached
+    ((), 10**12, 1.0, "no subscriber stations"),
 ], ids=["rho-1e300", "frames-1e12", "bursts-below-the-clock", "no-connections"])
-def test_a_cell_no_run_could_draw_is_refused_before_any_draw(monkeypatch, scenario,
+def test_a_cell_no_run_could_draw_is_refused_before_any_draw(monkeypatch, conns,
                                                             frames, rho, message):
     # the matrix was guarded, but ``run`` and ``Simulation`` called
     # directly reached ``draw_stream``; ``draw_streams`` now refuses the cell
     monkeypatch.setattr(engine, "draw_stream", None)
-    for entry in (partial(run, scenario, SimMode.SS1),
-                  partial(Simulation, scenario, SimMode.SS1),
-                  partial(draw_streams, scenario)):
+    for entry in (partial(run, mode=SimMode.SS1),
+                  partial(Simulation, mode=SimMode.SS1),
+                  draw_streams):
         start = time.perf_counter()
         with pytest.raises(ValueError) as info:
-            entry(frames, seed=1, rho=rho)
+            entry(Scenario(frame(capacity=16000), conns), frames=frames, seed=1,
+                  rho=rho)
         assert time.perf_counter() - start < 1.0
-        assert str(info.value).startswith(message), entry.func
+        assert str(info.value).startswith(message), entry
+        assert isinstance(info.value, ScenarioError) == (not conns)
 
 
 def test_packet_conservation_every_mode(monkeypatch):
@@ -268,9 +273,10 @@ def test_mode_equivalence_eventual_delivery_without_contention():
 
 
 def test_gpc_spends_grants_only_on_their_own_connection():
-    # hand-built frame: cid 0 holds packets but requested nothing, cid 1
-    # holds a grant-sized request but no packets; per-connection grants
-    # cannot be borrowed, the pooled scheduler reuses them freely
+    # hand-built frame: two packets arrive for cid 0, which requested
+    # nothing, and cid 1 holds a grant-sized request but no packets;
+    # per-connection grants cannot be borrowed, the pooled scheduler
+    # reuses them freely
     specs = (
         spec(0, ServiceClass.NRTPS,
              model=TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
@@ -278,15 +284,12 @@ def test_gpc_spends_grants_only_on_their_own_connection():
              model=TrafficModel(TrafficKind.CBR, 512.0, 640, 640)),
     )
     scenario = Scenario(frame=frame(capacity=5375), conns=specs)
-
-    from uplinksim.model import Packet
+    streams = CellStreams((scenario, 1, 1, 0.0), (
+        Stream(array("q", [640, 640]), array("d", [0.0, 1.0]), array("q", [2])),
+        Stream(array("q"), array("d"), array("q", [0]))))
 
     def prepared(mode):
-        sim = Simulation(scenario, mode, 1, seed=1, rho=0.0)  # no traffic
-        for k in range(2):
-            pkt = Packet(size=640, arrival_time=-10.0 + k)
-            sim.queues[0].append(pkt)
-            sim._backlog[0] += 640
+        sim = Simulation(scenario, mode, 1, seed=1, rho=0.0, streams=streams)
         for req in sim.requests:
             req.requested_bytes = {0: 0, 1: 1280}[req.cid]
         return sim
@@ -332,7 +335,7 @@ def test_drop_expired_removes_late_rtps():
         arrived = sum(p.size for p in hist)
         departed = sum(p.size for p in hist if p.departure_time is not None)
         lost = sum(p.size for p in hist if p.dropped)
-        assert arrived == departed + lost + dropped.backlog(s.cid)
+        assert arrived == departed + lost + backlog(dropped, s.cid)
 
 
 def test_be_flows_only_through_station_scheduler_vs_strict_priority():
@@ -404,7 +407,7 @@ def test_history_view_rebuilds_every_generated_packet(monkeypatch):
                         for p in view] == generated.get(s.cid, [])
                 queued = [p for p in view
                           if p.departure_time is None and not p.dropped]
-                assert result.backlog(s.cid) == sum(p.size for p in queued)
+                assert backlog(result, s.cid) == sum(p.size for p in queued)
                 states["sent"] += sum(p.departure_time is not None for p in view)
                 states["dropped"] += sum(p.dropped for p in view)
                 states["queued"] += len(queued)
@@ -476,42 +479,49 @@ def test_each_stream_is_drawn_for_its_own_connection():
         assert stream == draw_stream(spec, spec.traffic, scenario.frame, 1.0, 1, 300)
 
 
-@pytest.mark.parametrize("mode", [SimMode.SS1, SimMode.GPC])
+@pytest.mark.parametrize("mode", list(SimMode))
 def test_logs_are_complete_at_every_frame_boundary(mode):
     # a log holds its whole stream from the start, so between frames each
     # log's rows from its departures up to the packets arrived so far are
-    # exactly the live queue and its backlog; each frame's exits depart at
-    # its end or are dropped (NaN), so the finite departures never decrease
+    # exactly the live queue, and each elastic request is their bytes; each
+    # frame's exits depart at its end or are dropped (NaN), so the finite
+    # departures never decrease
     scenario = baseline_scenario()
     record = draw_streams(scenario, 300, seed=4, rho=1.4)
-    sim = Simulation(scenario, mode, 300, seed=4, rho=1.4, drop_expired=True,
-                     streams=record)
     counts = {spec.cid: s.counts for spec, s in zip(scenario.conns, record.streams)}
-    arrived = dict.fromkeys(counts, 0)
-    exited = dict.fromkeys(counts, 0)
-    for fr in range(300):
-        sim.step()
-        frame_end = (fr + 1) * scenario.frame.frame_duration_ms
-        for spec, queue in zip(scenario.conns, sim.queues):
-            cid = spec.cid
-            log = sim.logs[cid]
-            assert all(d == frame_end or math.isnan(d)
-                       for d in log.departure[exited[cid]:])
-            exited[cid] = len(log.departure)
-            arrived[cid] += counts[cid][fr]
-            head, end = len(log.departure), arrived[cid]
-            assert sum(log.size[head:end]) == sim._backlog[cid]
-            assert list(zip(log.size[head:end], log.arrival[head:end])) == [
-                (p.size, p.arrival_time) for p in queue]
-    assert any(sim._backlog.values())
-    assert all(arrived[cid] == len(log.size) for cid, log in sim.logs.items())
+    for drop_expired in (False, True):
+        sim = Simulation(scenario, mode, 300, seed=4, rho=1.4,
+                         drop_expired=drop_expired, streams=record)
+        requests = {req.cid: req for req in sim.requests}
+        arrived = dict.fromkeys(counts, 0)
+        exited = dict.fromkeys(counts, 0)
+        requested = 0
+        for fr in range(300):
+            sim.step()
+            frame_end = (fr + 1) * scenario.frame.frame_duration_ms
+            for spec, queue in zip(scenario.conns, sim.queues):
+                cid = spec.cid
+                log = sim.logs[cid]
+                assert all(d == frame_end or math.isnan(d)
+                           for d in log.departure[exited[cid]:])
+                exited[cid] = len(log.departure)
+                arrived[cid] += counts[cid][fr]
+                head, end = len(log.departure), arrived[cid]
+                assert list(zip(log.size[head:end], log.arrival[head:end])) == [
+                    (p.size, p.arrival_time) for p in queue]
+                if spec.service_class is not ServiceClass.UGS:
+                    assert requests[cid].requested_bytes == sum(log.size[head:end])
+                    requested += requests[cid].requested_bytes
+        assert requested
+        assert all(arrived[cid] == len(log.size) for cid, log in sim.logs.items())
 
 
 @pytest.mark.parametrize("mode", list(SimMode))
 def test_every_reader_shares_the_cells_queues(mode):
-    # the feeds, the rtPS drop rows, the gpc drain and every station triple
-    # hold the very deques of ``sim.queues``, each at its own cid; checked
-    # after a run, so a reader that rebinds a queue shows too
+    # the feeds, the elastic requests' rows, the rtPS drop rows, the gpc
+    # drain and every station triple hold the very deques of
+    # ``sim.queues``, each at its own cid; checked after a run, so a reader
+    # that rebinds a queue shows too
     scenario = baseline_scenario()
     sim = Simulation(scenario, mode, 50, seed=1, rho=1.4, drop_expired=True)
     for _ in range(50):
@@ -524,8 +534,10 @@ def test_every_reader_shares_the_cells_queues(mode):
         return len(cids) == len(queues) and all(
             queue is queue_of[cid] for cid, queue in zip(cids, queues))
 
-    assert [cid for _, cid, _, _ in sim._feeds] == cids
-    assert shares(cids, [q for q, _, _, _ in sim._feeds])
+    assert [source.conn.cid for _, _, source in sim._feeds] == cids
+    assert shares(cids, [q for q, _, _ in sim._feeds])
+    assert shares([req.cid for req, _, _, _ in sim._elastic],
+                  [q for _, _, _, q in sim._elastic])
     rtps = [s for s in scenario.conns if s.service_class is ServiceClass.RTPS]
     assert [row[:2] for row in sim._rtps] == [(s.cid, s.qos.max_latency_ms)
                                               for s in rtps]

@@ -67,8 +67,11 @@ def test_validate_single_station_fits_default_capacity():
     assert problems_of(frame(capacity=5375), *conns) == []
 
 
-def test_validate_empty_scenario_is_ok():
-    assert problems_of(frame()) == []
+def test_validate_empty_scenario_names_no_stations():
+    # a scenario without connections built, ran and then failed its
+    # summary's fairness index
+    assert problems_of(frame()) == [
+        "no subscriber stations: the scenario has no connections"]
 
 
 def test_validate_reports_reserved_sum_exceeding_capacity():
@@ -144,6 +147,6 @@ def test_frame_config_validation():
             == [f"frame duration must be finite, got {bad}"]
     # a capacity must be a whole number of bytes; 16000.0 is one
     for bad in (16000.5, math.nan, math.inf):
-        assert problems_of(FrameConfig(10.0, bad)) == [
+        assert problems_of(FrameConfig(10.0, bad), *baseline_scenario().conns) == [
             f"uplink capacity must be a whole number of bytes, got {bad}"]
     assert problems_of(FrameConfig(10.0, 16000.0), *baseline_scenario().conns) == []

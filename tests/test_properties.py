@@ -210,7 +210,8 @@ BE3 = BASE[3].traffic
     replace(BASE[1], qos=replace(RT1, weight=10**400)),) + BASE[2:])
 def test_a_scenario_builds_or_names_its_problems(frame_cfg, conns):
     # construction either names the problems or builds a scenario whose
-    # cells run; a cell that would draw too much is not run
+    # cells run and are reported, in one summary and in frame-long
+    # windows; a cell that would draw too much is not run
     try:
         scenario = Scenario(frame_cfg, tuple(conns))
     except ScenarioError as exc:
@@ -218,7 +219,10 @@ def test_a_scenario_builds_or_names_its_problems(frame_cfg, conns):
         return
     if 3 * frame_work(scenario, 1.0) <= 1e5:
         for mode in SimMode:
-            assert check_cell(run(scenario, mode, 3)) == []
+            result = run(scenario, mode, 3)
+            assert check_cell(result) == []
+            run_summary(result)
+            window_metrics(result, scenario.frame.frame_duration_ms)
 
 
 # an on/off source of duty 1e-12 whose bursts step below the clock from 410 frames
