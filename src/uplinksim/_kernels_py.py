@@ -6,8 +6,8 @@ deficit round.  Each works on plain aligned lists.  The excess filling
 takes integers, so its result is exact and reproducible; it sees only the
 contended rests that ``bs_alloc.phase2_excess`` picks out, and hands each
 out whole.  Earliest-deadline selection and the deficit round take each
-queue's cid and live ``deque``, read the head packets in place and pop the
-packets they send.
+queue's cid and live ``deque``, read the head packets in place, pop the
+packets they send and return the cid of each, in transmission order.
 """
 
 from __future__ import annotations
@@ -133,24 +133,23 @@ def edf_take(cids: list, queues: list, bounds: list, budget: int) -> tuple:
     so bounds of 0.0 give global arrival order, FIFO.  Repeatedly picks
     the head packet with the smallest (deadline, arrival, cid) and pops it;
     the phase ends at the first pick that does not fit the remaining budget
-    whole.  Returns (entries, used) where ``entries`` lists (cid, packet) in
-    transmission order.
+    whole.  Returns (sent, used) where ``sent`` lists the cid of each
+    packet popped, in transmission order.
     """
     if len(queues) == 1:
         # along one queue arrivals never decrease and the bound is shared,
         # so the head always holds the earliest deadline: drain it in order
         q = queues[0]
-        cid = cids[0]
-        entries = []
+        n = len(q)
         used = 0
         while q:
             size = q[0].size
             if size > budget:
                 break
+            q.popleft()
             budget -= size
             used += size
-            entries.append((cid, q.popleft()))
-        return entries, used
+        return [cids[0]] * (n - len(q)), used
     heap = []
     for cid, q, bound in zip(cids, queues, bounds):
         if q:
@@ -158,23 +157,23 @@ def edf_take(cids: list, queues: list, bounds: list, budget: int) -> tuple:
             # the cid is unique, so two heap items never compare their queues
             heap.append((arrival + bound, arrival, cid, bound, q))
     heapq.heapify(heap)
-    entries = []
+    sent = []
     used = 0
     while heap:
         _, _, cid, bound, q = heap[0]
-        pkt = q[0]
-        if pkt.size > budget:
+        size = q[0].size
+        if size > budget:
             break
         q.popleft()
-        budget -= pkt.size
-        used += pkt.size
-        entries.append((cid, pkt))
+        budget -= size
+        used += size
+        sent.append(cid)
         if q:
             arrival = q[0].arrival_time
             heapq.heapreplace(heap, (arrival + bound, arrival, cid, bound, q))
         else:
             heapq.heappop(heap)
-    return entries, used
+    return sent, used
 
 
 def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: int,
@@ -189,14 +188,14 @@ def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: in
     pending head fits the leftover budget.  ``deficits`` is updated in
     place.
 
-    Returns (entries, new_cursor, used) where ``entries`` lists
-    (cid, packet) in transmission order.
+    Returns (sent, new_cursor, used) where ``sent`` lists the cid of each
+    packet popped, in transmission order.
     """
     n = len(queues)
     if n == 0:
         return [], cursor, 0
     pos = cursor % n
-    entries = []
+    sent = []
     used = 0
     while True:
         # the round ends once no pending head fits the leftover budget; a
@@ -206,7 +205,7 @@ def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: in
             if q and q[0].size <= budget:
                 break
         else:
-            return entries, pos, used
+            return sent, pos, used
         while True:
             q = queues[pos]
             if q:
@@ -224,7 +223,8 @@ def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: in
             credit -= size
             budget -= size
             used += size
-            entries.append((cid, q.popleft()))
+            q.popleft()
+            sent.append(cid)
             if not q:
                 credit = 0
                 break

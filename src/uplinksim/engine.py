@@ -113,9 +113,7 @@ class Scenario:
         empty connection list, each connection's id and QoS contract, and
         the reservation sum (which includes the fixed UGS grants, so the
         guaranteed minimums always fit one frame); each traffic model and
-        UGS grant; each zero deficit-round quantum.  On a capacity <= 0 the
-        ids, contracts and reservation sum go unreported; the traffic
-        problems are still reported."""
+        UGS grant; each zero deficit-round quantum."""
         frame = self.frame
         dur, capacity = frame.frame_duration_ms, frame.uplink_capacity_bytes
         # only here do rates convert to finite byte counts per frame
@@ -132,17 +130,14 @@ class Scenario:
                             f"got {capacity}")
         if not self.conns:
             contract.append("no subscriber stations: the scenario has no connections")
-        # where the ids, contracts and reservation sum are reported: into
-        # ``contract``, or nowhere on a capacity <= 0
-        listed = [] if capacity <= 0 else contract
         seen: set[int] = set()
         minimums, quanta = [], []
         for spec in self.conns:
             cid, cls, qos, model = spec.cid, spec.service_class, spec.qos, spec.traffic
             if cid < 0:
-                listed.append(f"cid {cid}: connection ids must be non-negative")
+                contract.append(f"cid {cid}: connection ids must be non-negative")
             if cid in seen:
-                listed.append(f"cid {cid}: duplicate connection id")
+                contract.append(f"cid {cid}: duplicate connection id")
             seen.add(cid)
 
             required = _QOS_REQUIRED[cls]
@@ -180,7 +175,7 @@ class Scenario:
             sustained, reserve = budgets
             minimums.append(sustained if cls is ServiceClass.UGS else reserve)
             quanta.append(reserve if hi_rate is None else sustained)
-            listed += faults
+            contract += faults
 
             if not _finite(model.mean_rate_kbps):
                 traffic.append(f"cid {cid}: traffic mean rate must be finite")
@@ -225,8 +220,8 @@ class Scenario:
         object.__setattr__(self, "minimums", tuple(minimums))
         object.__setattr__(self, "quanta", tuple(quanta))
         if (reserved := sum(minimums)) > capacity:
-            listed.append(f"reserved sum exceeds uplink capacity: {reserved} > "
-                          f"{capacity} bytes/frame")
+            contract.append(f"reserved sum exceeds uplink capacity: {reserved} > "
+                            f"{capacity} bytes/frame")
         return contract + traffic + zero_quanta
 
 
@@ -339,9 +334,6 @@ class RunResult:
     ``Packet`` objects for callers that want them; the metrics and the CSV
     writer read the columns."""
 
-    mode: SimMode
-    seed: int
-    rho: float
     frames: int
     frame: FrameConfig
     conns: tuple[ConnSpec, ...]
@@ -490,7 +482,7 @@ class Simulation:
                         else schedule_frame_ss2)
             for ss, station in self._stations.items():
                 tx = schedule(station, grants[ss])
-                for cid, _ in tx.entries:
+                for cid in tx.entries:
                     depart[cid](frame_end)
                 used += tx.total_bytes
 
@@ -520,9 +512,6 @@ def run(
     for _ in range(frames):
         sim.step()
     return RunResult(
-        mode=mode,
-        seed=seed,
-        rho=rho,
         frames=frames,
         frame=scenario.frame,
         conns=scenario.conns,

@@ -15,17 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backend
-from .model import Packet, ServiceClass
-
-# (cid, packet) pairs in transmission order
-Entries = list[tuple[int, Packet]]
+from .model import ServiceClass
 
 
 @dataclass
 class TransmissionList:
-    """Packets chosen for one frame, in transmission order."""
+    """One frame's send order: the cid of each packet sent, in
+    transmission order, and their bytes."""
 
-    entries: Entries
+    entries: list[int]
     total_bytes: int
 
 
@@ -69,26 +67,27 @@ class Station:
         self.cursor = 0
 
 
-def serve_ugs(ugs, budget: int) -> tuple[Entries, int]:
+def serve_ugs(ugs, budget: int) -> tuple[list[int], int]:
     """Drain UGS queues in arrival order (cid breaking ties) while whole
     packets fit ``budget`` bytes: deadline selection over a station's
-    ``ugs`` triple, whose bounds are all 0.0.  Returns (entries, used)."""
+    ``ugs`` triple, whose bounds are all 0.0.  Returns (sent, used), the
+    cid of each packet sent in transmission order and their bytes."""
     return _backend.kernels.edf_take(*ugs, budget)
 
 
-def serve_rtps_edf(rtps, budget: int) -> tuple[Entries, int]:
+def serve_rtps_edf(rtps, budget: int) -> tuple[list[int], int]:
     """Send rtPS head-of-line packets in earliest-deadline order over a
     station's ``rtps`` triple.
 
     The key is (deadline, arrival time, cid), where a packet's deadline is
     its arrival time plus its connection's ``max_latency_ms``.  The phase
     ends at the first selected packet that does not fit the remaining
-    budget whole.  Returns (entries, used).
+    budget whole.  Returns (sent, used).
     """
     return _backend.kernels.edf_take(*rtps, budget)
 
 
-def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
+def dfpq_round(station: Station, budget: int) -> tuple[list[int], int]:
     """Deficit rounds over ``station.drr_queues`` (its nrtPS queues, then
     its BE queues, each by ascending cid), resuming at ``station.cursor``.
 
@@ -97,12 +96,12 @@ def dfpq_round(station: Station, budget: int) -> tuple[Entries, int]:
     forfeits its counter; non-empty queues keep theirs for later rounds.
     The round stops once no pending head fits the leftover budget.  Updates
     ``station.deficit`` in place and ``station.cursor``; returns
-    (entries, used).
+    (sent, used).
     """
-    entries, station.cursor, used = _backend.kernels.dfpq_take(
+    sent, station.cursor, used = _backend.kernels.dfpq_take(
         station.drr_cids, station.drr_queues, station.quantum, station.deficit,
         station.cursor, budget)
-    return entries, used
+    return sent, used
 
 
 def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
@@ -111,16 +110,16 @@ def schedule_frame_ss1(station: Station, grant: int) -> TransmissionList:
     A phase whose queues are all empty would send nothing and change no
     state, so it is skipped; UGS, which sends in almost every frame, is
     not checked."""
-    entries, used = serve_ugs(station.ugs, grant)
+    sent, used = serve_ugs(station.ugs, grant)
     if any(station.rtps[1]):
         more, spent = serve_rtps_edf(station.rtps, grant - used)
-        entries += more
+        sent += more
         used += spent
     if any(station.drr_queues):
         more, spent = dfpq_round(station, grant - used)
-        entries += more
+        sent += more
         used += spent
-    return TransmissionList(entries, used)
+    return TransmissionList(sent, used)
 
 
 def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
@@ -130,15 +129,15 @@ def schedule_frame_ss2(station: Station, grant: int) -> TransmissionList:
     budget blocks everything behind it, so a backlogged higher class starves
     all lower classes.  A class with nothing queued is skipped.
     """
-    entries: Entries = []
+    sent: list[int] = []
     used = 0
     for cids, queues, bounds in station.priority:
         if not any(queues):
             continue
         more, spent = _backend.kernels.edf_take(cids, queues, bounds, grant - used)
-        entries += more
+        sent += more
         used += spent
         if any(queues):
             # head-of-line packet did not fit: strict priority blocks the rest
             break
-    return TransmissionList(entries, used)
+    return TransmissionList(sent, used)

@@ -9,7 +9,8 @@ and service class, and the size-draw oracle calls ``random.randrange``.
 The one exception is the samples oracle: it is the metrics accumulator
 as a loop over every packet, before it read column slices, and it builds
 its samples with the package's statistics types and helpers.  ``backlog``
-is no oracle but a reading of a run's logs that several tests share.
+and ``sent_packets`` are no oracles but readings that several tests share:
+of a run's logs, and of a scheduler's send order.
 """
 
 from fractions import Fraction
@@ -191,6 +192,19 @@ def backlog(result, cid):
     neither departed nor been dropped."""
     log = result.logs[cid]
     return sum(log.size[len(log.departure):])
+
+
+def sent_packets(sent, before):
+    """The (cid, packet) pairs a scheduler's send order ``sent`` stands
+    for.  ``before`` maps each cid to a copy of its queue taken before the
+    call.  Every send pops its queue's head, so the k-th time a cid is sent
+    it sends the k-th packet of that copy."""
+    heads = dict.fromkeys(before, 0)
+    pairs = []
+    for cid in sent:
+        pairs.append((cid, before[cid][heads[cid]]))
+        heads[cid] += 1
+    return pairs
 
 
 def reference_draw_size(rng, lo, hi):

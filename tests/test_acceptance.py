@@ -4,19 +4,21 @@ Each test prints a single PASS line once its criterion holds (visible with
 ``pytest -s`` or in the captured output).  Criteria 1-4 and 9 run recipes
 from ``scenarios/`` exactly as parsed, so the matrices users run are the
 ones checked here.  Criteria 1 and 2 read their cells through one
-session-scoped cache, so a cell the two recipes share runs once.
+session-scoped cache, so a cell the two recipes share runs once, and
+consecutive modes of a (seed, rho) stream share its draw, as in the CLI.
 """
 
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
 from reference import backlog, brute_force_alloc, max_lateness, \
     min_max_lateness, reference_dfpq
 from conftest import make_conn, recipe, rtps_conn
-from uplinksim.cli import matrix_cells, run_matrix, write_outputs
-from uplinksim.engine import Scenario, SimMode, run
+from uplinksim.cli import cells, matrix_cells, run_matrix, write_outputs
+from uplinksim.engine import Scenario, SimMode, draw_streams, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import Station, dfpq_round, serve_rtps_edf
@@ -26,18 +28,23 @@ def report(criterion, text):
     print(f"ACCEPTANCE {criterion}: {text}: PASS")
 
 
-def simulate(cfg, mode, seed, rho, scenario=None):
-    """One cell of the recipe ``cfg``, optionally on another scenario."""
+def simulate(cfg, mode, seed, rho, scenario=None, streams=None):
+    """One cell of the recipe ``cfg``, optionally on another scenario;
+    ``streams`` are as in ``engine.run``."""
     return run(scenario or cfg.scenario, mode, cfg.frames, seed=seed, rho=rho,
-               drop_expired=cfg.drop_expired)
+               drop_expired=cfg.drop_expired, streams=streams)
 
 
 @pytest.fixture(scope="session")
 def summarize():
     """``summarize(cfg, mode, seed, rho, scenario=None)`` is the cell's
     (run summary, wall seconds), each distinct cell simulated once per
-    session: recipes that share a cell share its run."""
+    session: recipes that share a cell share its run.  Only the latest
+    draw is kept, so consecutive cells of one (scenario, frames, seed, rho)
+    stream share it while at most one stream is held.  A cell's wall time
+    includes the draw where the cell made it."""
     cache = {}
+    draw = lru_cache(maxsize=1)(draw_streams)
 
     def summarize(cfg, mode, seed, rho, scenario=None):
         scenario = scenario or cfg.scenario
@@ -45,7 +52,8 @@ def summarize():
                cfg.warmup)
         if key not in cache:
             t0 = time.perf_counter()
-            result = simulate(cfg, mode, seed, rho, scenario)
+            streams = draw(scenario, cfg.frames, seed, rho)
+            result = simulate(cfg, mode, seed, rho, scenario, streams)
             wall = time.perf_counter() - t0
             cache[key] = (run_summary(result, cfg.warmup), wall)
         return cache[key]
@@ -128,10 +136,11 @@ def test_criterion_3_be_starvation_contrast():
 def test_criterion_4_utilization_and_fairness_sweep():
     cfg = recipe("fig7-fig8-utilization-jfi")
     tolerance = 0.01  # the criterion's stated absolute tolerance
-    summaries = {
-        cell: run_summary(simulate(cfg, *cell), cfg.warmup)
-        for cell in matrix_cells(cfg)
-    }
+    summaries = {}
+    # the CLI's own cell loop: each (seed, rho) stream is drawn once
+    for cell, result in cells(cfg):
+        assert not isinstance(result, Exception), (cell, result)
+        summaries[cell] = run_summary(result, cfg.warmup)
 
     def mean(mode, rho, field):
         vals = [getattr(summaries[(mode, s, rho)], field) for s in cfg.seeds]
@@ -187,16 +196,17 @@ def test_criterion_6_deficit_round_oracle():
         cursor = rng.randint(0, nq - 1)
         budget = rng.randint(0, 150)
 
-        conns = [make_conn(q, ServiceClass.NRTPS, sizes=queues[q])
-                 for q in range(nq)]
+        cids = range(nq)
+        conns = [make_conn(cid, ServiceClass.NRTPS, sizes=queues[cid])
+                 for cid in cids]
         station = Station(*zip(*conns), quanta)
         station.deficit = list(deficits)
         station.cursor = cursor
-        entries, used = dfpq_round(station, budget)
+        order, used = dfpq_round(station, budget)
 
         sent, dc, pos, ref_used = reference_dfpq(queues, quanta, deficits,
                                                  cursor, budget)
-        assert [cid for cid, _ in entries] == sent
+        assert order == [cids[q] for q in sent]
         assert station.deficit == dc
         assert station.cursor == pos
         assert used == ref_used
@@ -221,9 +231,8 @@ def test_criterion_7_edf_minimal_max_lateness():
         conns = [rtps_conn(k, deadline, sizes=[size], arrivals=[0.0])
                  for k, (size, deadline) in enumerate(packets)]
         # rtPS only: no deficit round, so no quantum is read
-        entries, _ = serve_rtps_edf(Station(*zip(*conns), [0] * n).rtps, 10**9)
-        got = max_lateness([(p.size, p.arrival_time + conns[cid][0].qos.max_latency_ms)
-                            for cid, p in entries])
+        order, _ = serve_rtps_edf(Station(*zip(*conns), [0] * n).rtps, 10**9)
+        got = max_lateness([packets[cid] for cid in order])
         assert got == min_max_lateness(packets), packets
         checked += 1
     report(7, f"earliest-deadline order achieves the brute-force minimum "

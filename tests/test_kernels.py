@@ -116,20 +116,12 @@ def test_waterfill_reuses_a_split_only_where_it_fits(instance):
             assert len(splits) <= SPLITS_PER_WEIGHT_SET
 
 
-def oracle_split(sent, cids, originals):
-    """The (cid, packet) entries an oracle's list of queue indices stands
-    for, and the packets it leaves on each queue."""
+def oracle_leftovers(sent, originals):
+    """The packets an oracle's list of queue indices leaves on each queue."""
     heads = [0] * len(originals)
-    entries = []
     for q in sent:
-        entries.append((cids[q], originals[q][heads[q]]))
         heads[q] += 1
-    return entries, [orig[h:] for orig, h in zip(originals, heads)]
-
-
-def same_packets(got, expected):
-    return ([(cid, id(p)) for cid, p in got]
-            == [(cid, id(p)) for cid, p in expected])
+    return [orig[h:] for orig, h in zip(originals, heads)]
 
 
 @st.composite
@@ -167,13 +159,12 @@ def test_edf_take_matches_sorted_reference(instance):
     for given in (bounds, [0.0] * len(bounds)):
         queues = [deque(map(Packet, s, a)) for s, a in zip(sizes, arrivals)]
         originals = [list(q) for q in queues]
-        entries, used = edf_take(cids, queues, given, budget)
+        order, used = edf_take(cids, queues, given, budget)
         deadlines = [[a + bound for a in arr] for arr, bound in zip(arrivals, given)]
         sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
-        expected, leftovers = oracle_split(sent, cids, originals)
-        assert same_packets(entries, expected), given
+        assert order == [cids[q] for q in sent], given
         assert used == ref_used
-        assert [list(q) for q in queues] == leftovers
+        assert [list(q) for q in queues] == oracle_leftovers(sent, originals)
 
 
 @st.composite
@@ -206,11 +197,10 @@ def test_dfpq_take_matches_reference(instance):
     live = [deque(Packet(size, 0.0) for size in sizes) for sizes in queues]
     originals = [list(q) for q in live]
     dc = list(deficits)
-    entries, pos, used = dfpq_take(cids, live, quanta, dc, cursor, budget)
+    order, pos, used = dfpq_take(cids, live, quanta, dc, cursor, budget)
     sent, ref_dc, ref_pos, ref_used = reference_dfpq(
         queues, quanta, deficits, cursor, budget)
-    expected, leftovers = oracle_split(sent, cids, originals)
-    assert same_packets(entries, expected)
+    assert order == [cids[q] for q in sent]
     # the counters passed in are the ones updated
     assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
-    assert [list(q) for q in live] == leftovers
+    assert [list(q) for q in live] == oracle_leftovers(sent, originals)

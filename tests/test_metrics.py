@@ -37,7 +37,7 @@ def synthetic_result(packets_by_cid, classes, used=None, frames=100,
         for cid, cls in classes.items()
     )
     return RunResult(
-        mode=SimMode.SS1, seed=1, rho=1.0, frames=frames,
+        frames=frames,
         frame=frame(capacity=capacity),
         conns=conns,
         logs={cid: packet_log(pkts) for cid, pkts in packets_by_cid.items()},

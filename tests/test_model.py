@@ -150,3 +150,24 @@ def test_frame_config_validation():
         assert problems_of(FrameConfig(10.0, bad), *baseline_scenario().conns) == [
             f"uplink capacity must be a whole number of bytes, got {bad}"]
     assert problems_of(FrameConfig(10.0, 16000.0), *baseline_scenario().conns) == []
+
+
+def test_a_bad_capacity_hides_no_other_contract_problem():
+    # the built-in cell at capacity 0, with cid 1 renamed to 0 and cid 2's
+    # weight negative: the duplicate id and the weight are named beside the
+    # capacity, and so is the reservation sum that no capacity of 0 holds
+    conns = []
+    for s in baseline_scenario().conns:
+        if s.cid == 1:
+            s = replace(s, cid=0)
+        elif s.cid == 2:
+            s = replace(s, qos=replace(s.qos, weight=-1.0))
+        conns.append(s)
+    problems = problems_of(FrameConfig(10.0, 0), *conns)
+    assert problems[0] == "uplink capacity must be > 0, got 0"
+    assert "cid 0: duplicate connection id" in problems
+    assert "cid 2: weight must be > 0, got -1.0" in problems
+    assert any(p.startswith("reserved sum exceeds uplink capacity: ")
+               for p in problems)
+    assert sum("exceeds uplink capacity 0 bytes/frame" in p
+               for p in problems) == len(conns)

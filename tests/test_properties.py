@@ -101,7 +101,7 @@ def built_result(duration_ms, frames, conns):
         log.departure.extend(math.nan if dropped else end
                              for end, dropped, _, _ in exits)
         logs[cid] = log
-    return RunResult(mode=SimMode.SS1, seed=1, rho=1.0, frames=frames,
+    return RunResult(frames=frames,
                      frame=frame(duration=duration_ms), conns=tuple(specs),
                      logs=logs, granted=[0] * frames,
                      used=[(fr * 997) % 5376 for fr in range(frames)])

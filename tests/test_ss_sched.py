@@ -3,6 +3,7 @@ from copy import deepcopy
 import pytest
 
 from conftest import frame, make_conn, rtps_conn
+from reference import sent_packets
 from uplinksim._kernels_py import edf_take
 from uplinksim.engine import Scenario
 from uplinksim.model import ServiceClass
@@ -32,6 +33,11 @@ def station_for(conns, quanta=None):
     return Station(specs, queues, [by_cid[s.cid] for s in specs])
 
 
+def snapshot(conns):
+    """cid -> a copy of its queue, for ``sent_packets``."""
+    return {s.cid: list(q) for s, q in conns}
+
+
 def edf_lists(conns):
     """The (cids, queues, bounds) of ``conns``, (spec, queue) pairs, in the
     order given, with the bounds a Station gives them: 0.0 for UGS and the
@@ -44,8 +50,9 @@ def edf_lists(conns):
 
 def test_serve_ugs_basic_and_budget_decrement():
     conn = make_conn(1, ServiceClass.UGS, sizes=[320])
-    entries, used = serve_ugs(edf_lists([conn]), 5375)
-    assert [(cid, p.size) for cid, p in entries] == [(1, 320)]
+    before = snapshot([conn])
+    sent, used = serve_ugs(edf_lists([conn]), 5375)
+    assert [(cid, p.size) for cid, p in sent_packets(sent, before)] == [(1, 320)]
     assert used == 320
 
 
@@ -63,8 +70,8 @@ def test_serve_ugs_never_splits_a_packet():
 def test_serve_ugs_global_arrival_order_with_cid_ties():
     a = make_conn(2, ServiceClass.UGS, sizes=[10, 10], arrivals=[0.0, 5.0])
     b = make_conn(1, ServiceClass.UGS, sizes=[10], arrivals=[0.0])
-    entries, _ = serve_ugs(edf_lists([a, b]), 100)
-    assert [cid for cid, _ in entries] == [1, 2, 2]
+    sent, _ = serve_ugs(edf_lists([a, b]), 100)
+    assert sent == [1, 2, 2]
 
 
 # --- rtPS EDF phase ----------------------------------------------------------
@@ -72,8 +79,9 @@ def test_serve_ugs_global_arrival_order_with_cid_ties():
 def test_edf_orders_by_deadline():
     a = rtps_conn(1, 120.0, sizes=[100, 100], arrivals=[0.0, 10.0])
     b = rtps_conn(2, 94.5, sizes=[100], arrivals=[0.5])
-    entries, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
-    assert [(cid, p.arrival_time) for cid, p in entries] == [
+    before = snapshot([a, b])
+    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
+    assert [(cid, p.arrival_time) for cid, p in sent_packets(sent, before)] == [
         (2, 0.5), (1, 0.0), (1, 10.0),  # deadlines 95, 120 and 130
     ]
 
@@ -83,8 +91,9 @@ def test_edf_derives_each_deadline_from_its_connections_bound():
     # against 30 and 31, also once each queue's next head is keyed
     loose = rtps_conn(1, 30.0, sizes=[100, 100], arrivals=[0.0, 1.0])
     tight = rtps_conn(2, 5.0, sizes=[100, 100], arrivals=[10.0, 20.0])
-    entries, used = serve_rtps_edf(edf_lists([loose, tight]), 1000)
-    assert [(cid, p.arrival_time) for cid, p in entries] == [
+    before = snapshot([loose, tight])
+    sent, used = serve_rtps_edf(edf_lists([loose, tight]), 1000)
+    assert [(cid, p.arrival_time) for cid, p in sent_packets(sent, before)] == [
         (2, 10.0), (2, 20.0), (1, 0.0), (1, 1.0),
     ]
     assert used == 400
@@ -94,13 +103,13 @@ def test_edf_tie_breaks_on_arrival_then_cid():
     # equal deadlines of 100 ms
     a = rtps_conn(1, 97.0, sizes=[50], arrivals=[3.0])
     b = rtps_conn(2, 99.0, sizes=[50], arrivals=[1.0])
-    entries, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
-    assert [cid for cid, _ in entries] == [2, 1]
+    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
+    assert sent == [2, 1]
 
     c = rtps_conn(3, 99.0, sizes=[50], arrivals=[1.0])
     d = rtps_conn(4, 99.0, sizes=[50], arrivals=[1.0])
-    entries, _ = serve_rtps_edf(edf_lists([d, c]), 1000)
-    assert [cid for cid, _ in entries] == [3, 4]
+    sent, _ = serve_rtps_edf(edf_lists([d, c]), 1000)
+    assert sent == [3, 4]
 
 
 def test_edf_stops_at_first_nonfitting_candidate():
@@ -116,10 +125,11 @@ def test_edf_stops_at_first_nonfitting_candidate():
 def test_dfpq_two_visits_then_reset_on_empty():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     station = station_for([conn], quanta={1: 500})
-    entries, used = dfpq_round(station, 10_000)
+    before = snapshot([conn])
+    sent, used = dfpq_round(station, 10_000)
     # visit 1: counter 500, send 300 (200 left, next 300 too big);
     # visit 2: counter 700, send 300, queue drains, counter forfeited
-    assert [p.size for _, p in entries] == [300, 300]
+    assert [p.size for _, p in sent_packets(sent, before)] == [300, 300]
     assert used == 600
     assert station.deficit == [0]
     assert not conn[1]
@@ -135,8 +145,9 @@ def test_dfpq_untouched_empty_queue_keeps_zero_counter():
 def test_dfpq_counter_persists_for_backlogged_queue():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     station = station_for([conn], quanta={1: 500})
-    entries, used = dfpq_round(station, 300)  # only room for one packet
-    assert [p.size for _, p in entries] == [300]
+    before = snapshot([conn])
+    sent, used = dfpq_round(station, 300)  # only room for one packet
+    assert [p.size for _, p in sent_packets(sent, before)] == [300]
     assert station.deficit == [200]  # unspent credit carried, queue non-empty
     assert used == 300
 
@@ -145,15 +156,15 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     nrtps = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     station = station_for([nrtps, be])  # quanta 1280 / 320
-    entries, _ = dfpq_round(station, 2500)
+    sent, _ = dfpq_round(station, 2500)
     # BE's counter needs four rounds of credit for a 1250-byte packet, so the
     # scarce budget goes to nrtPS alone
-    assert [cid for cid, _ in entries] == [1, 1]
+    assert sent == [1, 1]
     nrtps2 = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be2 = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
-    entries2, _ = dfpq_round(station_for([nrtps2, be2]), 20_000)
+    sent2, _ = dfpq_round(station_for([nrtps2, be2]), 20_000)
     # ample budget: everything drains; nrtPS finishes while BE still accrues
-    assert [cid for cid, _ in entries2] == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert sent2 == [1, 1, 1, 1, 2, 2, 2, 2]
 
 
 def test_dfpq_long_run_fairness_equal_quanta():
@@ -161,11 +172,13 @@ def test_dfpq_long_run_fairness_equal_quanta():
     a = make_conn(1, ServiceClass.NRTPS, sizes=sizes)
     b = make_conn(2, ServiceClass.NRTPS, sizes=sizes)
     station = station_for([a, b], quanta={1: 150, 2: 150})
-    sent = {1: 0, 2: 0}
+    before = snapshot([a, b])
+    order = []
     for _ in range(1000):
-        entries, _ = dfpq_round(station, 300)
-        for cid, p in entries:
-            sent[cid] += p.size
+        order += dfpq_round(station, 300)[0]
+    sent = {1: 0, 2: 0}
+    for cid, p in sent_packets(order, before):
+        sent[cid] += p.size
     assert abs(sent[1] - sent[2]) <= 100  # within one packet
 
 
@@ -226,20 +239,22 @@ def test_ss1_only_be_uses_reserved_rate_quantum():
     be = make_conn(9, ServiceClass.BE, sizes=[100] * 5)
     station = station_for([be])
     assert station.quantum == [320]  # one frame at the 256 kbit/s reserved rate
+    before = snapshot([be])
     tx = schedule_frame_ss1(station, 5000)
-    assert [p.size for _, p in tx.entries] == [100] * 5
+    assert [p.size for _, p in sent_packets(tx.entries, before)] == [100] * 5
 
 
 def test_ss1_ample_grant_sends_everything_class_ordered():
     conns = four_class_station()
+    before = snapshot(conns)
     tx = schedule_frame_ss1(station_for(conns), 50_000)
     assert len(tx.entries) == 12
     # phase order: all UGS, then all rtPS, then the deficit round (which may
     # interleave nrtPS and BE)
     phase = {1: 0, 2: 1, 3: 2, 4: 2}
-    ranks = [phase[cid] for cid, _ in tx.entries]
+    ranks = [phase[cid] for cid in tx.entries]
     assert ranks == sorted(ranks)
-    assert tx.total_bytes == sum(p.size for _, p in tx.entries)
+    assert tx.total_bytes == sum(p.size for _, p in sent_packets(tx.entries, before))
     # every queued packet went out exactly once, whole
     assert all(not q for _, q in conns)
 
@@ -259,17 +274,21 @@ def class_queues(max_size, max_packets):
 def test_ss1_budget_safety_random(queues, grant):
     conns = [make_conn(cid, cls, sizes=sizes)
              for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
-    queued_before = {s.cid: list(q) for s, q in conns}
+    queued_before = snapshot(conns)
     tx = schedule_frame_ss1(station_for(conns), grant)
+    sent = sent_packets(tx.entries, queued_before)
     assert tx.total_bytes <= grant
-    assert tx.total_bytes == sum(p.size for _, p in tx.entries)
-    # no duplication, no fabrication
-    for cid, pkt in tx.entries:
+    assert tx.total_bytes == sum(p.size for _, p in sent)
+    # no duplication, no fabrication: the packets sent are exactly the ones
+    # that left each queue's head
+    for cid, pkt in sent:
         assert pkt in queued_before[cid]
     counts = {}
-    for _, pkt in tx.entries:
+    for _, pkt in sent:
         counts[id(pkt)] = counts.get(id(pkt), 0) + 1
     assert all(v == 1 for v in counts.values())
+    for s, q in conns:
+        assert list(q) == queued_before[s.cid][tx.entries.count(s.cid):]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -297,7 +316,7 @@ def test_ss2_starves_lower_classes_behind_backlog():
         make_conn(2, ServiceClass.BE, sizes=[50] * 10),
     ]
     tx = schedule_frame_ss2(station_for(conns), 3500)
-    assert [cid for cid, _ in tx.entries] == [1, 1, 1]
+    assert tx.entries == [1, 1, 1]
     # 500 bytes leftover would fit BE heads, but strict priority blocks them
     assert tx.total_bytes == 3000
     assert len(conns[1][1]) == 10
@@ -305,8 +324,9 @@ def test_ss2_starves_lower_classes_behind_backlog():
 
 def test_ss2_fifo_over_be_alone():
     be = make_conn(1, ServiceClass.BE, sizes=[10, 20, 30], arrivals=[0, 1, 2])
+    before = snapshot([be])
     tx = schedule_frame_ss2(station_for([be]), 1000)
-    assert [p.size for _, p in tx.entries] == [10, 20, 30]
+    assert [p.size for _, p in sent_packets(tx.entries, before)] == [10, 20, 30]
 
 
 def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
@@ -318,17 +338,22 @@ def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
 
     ss1 = schedule_frame_ss1(station_for(rtps_pair()), 1000)
     ss2 = schedule_frame_ss2(station_for(rtps_pair()), 1000)
-    assert [cid for cid, _ in ss1.entries] == [2, 1]
-    assert [cid for cid, _ in ss2.entries] == [1, 2]
+    assert ss1.entries == [2, 1]
+    assert ss2.entries == [1, 2]
 
 
 def test_ss2_matches_ss1_packet_set_when_uncontended():
     conns1 = four_class_station()
     conns2 = four_class_station()
+    before1, before2 = snapshot(conns1), snapshot(conns2)
     tx1 = schedule_frame_ss1(station_for(conns1), 50_000)
     tx2 = schedule_frame_ss2(station_for(conns2), 50_000)
-    key = lambda tx: sorted((cid, p.size, p.arrival_time) for cid, p in tx.entries)
-    assert key(tx1) == key(tx2)
+
+    def key(tx, before):
+        return sorted((cid, p.size, p.arrival_time)
+                      for cid, p in sent_packets(tx.entries, before))
+
+    assert key(tx1, before1) == key(tx2, before2)
 
 
 # --- skipped phases ----------------------------------------------------------
@@ -359,28 +384,30 @@ def stations(draw):
 
 
 def every_phase_ss1(station, grant):
-    entries, used = serve_ugs(station.ugs, grant)
+    sent, used = serve_ugs(station.ugs, grant)
     more, spent = serve_rtps_edf(station.rtps, grant - used)
-    entries += more
+    sent += more
     used += spent
     more, spent = dfpq_round(station, grant - used)
-    return entries + more, used + spent
+    return sent + more, used + spent
 
 
 def every_class_ss2(station, grant):
-    entries, used = [], 0
+    sent, used = [], 0
     for cids, queues, bounds in station.priority:
         more, spent = edf_take(cids, queues, bounds, grant - used)
-        entries += more
+        sent += more
         used += spent
         if any(queues):
             break
-    return entries, used
+    return sent, used
 
 
-def outcome(station, entries, used):
-    """Everything a schedule leaves behind, in comparable form."""
-    return ([(cid, p.size, p.arrival_time) for cid, p in entries], used,
+def outcome(station, sent, used):
+    """Everything a schedule leaves behind, in comparable form.  Two
+    copies of one station that send in the same cid order pop the same
+    head packets, so the order stands for the packets sent."""
+    return (list(sent), used,
             [[(p.size, p.arrival_time) for p in q]
              for queues in (station.ugs[1], station.rtps[1], station.drr_queues)
              for q in queues],
