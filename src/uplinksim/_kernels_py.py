@@ -6,8 +6,10 @@ deficit round.  Each works on plain aligned lists.  The excess filling
 takes integers, so its result is exact and reproducible; it sees only the
 contended rests that ``bs_alloc.phase2_excess`` picks out, and hands each
 out whole.  Earliest-deadline selection and the deficit round take each
-queue's cid and live ``deque``, read the head packets in place, pop the
-packets they send and return the cid of each, in transmission order.
+queue's cid and ``PacketLog``, whose rows ``len(departure)`` up to
+``arrived`` are the queue; they read the head rows' sizes and arrivals,
+append the frame's end to the departures of the packets they send and
+return the cid of each, in transmission order.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
+from itertools import repeat
 from operator import le
 
 BACKEND = "python"
@@ -125,92 +128,108 @@ def waterfill(deficits: list, weights: list, remaining: int) -> list:
     return inc
 
 
-def edf_take(cids: list, queues: list, bounds: list, budget: int) -> tuple:
-    """Earliest-deadline-first over live queues.
+def edf_take(cids: list, logs: list, bounds: list, budget: int,
+             frame_end: float) -> tuple:
+    """Earliest-deadline-first over queues held as ``PacketLog`` rows.
 
-    ``cids``, ``queues`` and ``bounds`` are aligned: a packet of
-    ``queues[i]`` has the deadline of its arrival time plus ``bounds[i]``,
-    so bounds of 0.0 give global arrival order, FIFO.  Repeatedly picks
-    the head packet with the smallest (deadline, arrival, cid) and pops it;
-    the phase ends at the first pick that does not fit the remaining budget
-    whole.  Returns (sent, used) where ``sent`` lists the cid of each
-    packet popped, in transmission order.
+    ``cids``, ``logs`` and ``bounds`` are aligned: queue ``i`` is rows
+    ``len(departure)`` up to ``arrived`` of ``logs[i]``, and its packet
+    ``k`` has the deadline ``arrival[k] + bounds[i]``, so bounds of 0.0
+    give global arrival order, FIFO.  Repeatedly picks the head packet with
+    the smallest (deadline, arrival, cid) and sends it, appending
+    ``frame_end`` to its log's departures; the phase ends at the first pick
+    that does not fit the remaining budget whole.  Returns (sent, used)
+    where ``sent`` lists the cid of each packet sent, in transmission
+    order.
     """
-    if len(queues) == 1:
+    if len(logs) == 1:
         # along one queue arrivals never decrease and the bound is shared,
         # so the head always holds the earliest deadline: drain it in order
-        q = queues[0]
-        n = len(q)
+        log = logs[0]
+        departure = log.departure
+        head = k = len(departure)
+        tail, sizes = log.arrived, log.size
         used = 0
-        while q:
-            size = q[0].size
+        while k < tail:
+            size = sizes[k]
             if size > budget:
                 break
-            q.popleft()
             budget -= size
             used += size
-        return [cids[0]] * (n - len(q)), used
+            k += 1
+        run = k - head
+        if run == 1:
+            departure.append(frame_end)
+        elif run:
+            departure.extend(repeat(frame_end, run))
+        return [cids[0]] * run, used
     heap = []
-    for cid, q, bound in zip(cids, queues, bounds):
-        if q:
-            arrival = q[0].arrival_time
-            # the cid is unique, so two heap items never compare their queues
-            heap.append((arrival + bound, arrival, cid, bound, q))
+    for i, log in enumerate(logs):
+        k = len(log.departure)
+        if k < log.arrived:
+            arrival = log.arrival[k]
+            # the cid is unique, so two heap items never compare their index
+            heap.append((arrival + bounds[i], arrival, cids[i], i))
     heapq.heapify(heap)
     sent = []
     used = 0
     while heap:
-        _, _, cid, bound, q = heap[0]
-        size = q[0].size
+        _, _, cid, i = heap[0]
+        log = logs[i]
+        departure = log.departure
+        k = len(departure)
+        size = log.size[k]
         if size > budget:
             break
-        q.popleft()
+        departure.append(frame_end)
         budget -= size
         used += size
         sent.append(cid)
-        if q:
-            arrival = q[0].arrival_time
-            heapq.heapreplace(heap, (arrival + bound, arrival, cid, bound, q))
+        k += 1
+        if k < log.arrived:
+            arrival = log.arrival[k]
+            heapq.heapreplace(heap, (arrival + bounds[i], arrival, cid, i))
         else:
             heapq.heappop(heap)
     return sent, used
 
 
-def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: int,
-              budget: int) -> tuple:
-    """Deficit rounds over live queues.
+def dfpq_take(cids: list, logs: list, quanta: list, deficits: list, cursor: int,
+              budget: int, frame_end: float) -> tuple:
+    """Deficit rounds over queues held as ``PacketLog`` rows.
 
-    ``cids``, ``queues``, ``quanta`` and ``deficits`` are aligned, one entry
-    per queue in visit order.  Visits cycle from ``cursor`` over
+    ``cids``, ``logs``, ``quanta`` and ``deficits`` are aligned, one entry
+    per queue in visit order; queue ``i`` is rows ``len(departure)`` up to
+    ``arrived`` of ``logs[i]``.  Visits cycle from ``cursor`` over
     non-empty queues: each visit adds the quantum to the deficit counter,
-    then pops head packets while they fit both counter and budget.  A queue
+    then sends head packets while they fit both counter and budget,
+    appending ``frame_end`` to the log's departures for each.  A queue
     left empty by its visit forfeits its counter.  The round stops when no
     pending head fits the leftover budget.  ``deficits`` is updated in
     place.
 
     Returns (sent, new_cursor, used) where ``sent`` lists the cid of each
-    packet popped, in transmission order.
+    packet sent, in transmission order.
     """
-    n = len(queues)
+    n = len(logs)
     if n == 0:
         return [], cursor, 0
+    # each queue's head size, or inf when it is empty: no budget fits that
+    fronts = []
+    for log in logs:
+        head = len(log.departure)
+        fronts.append(log.size[head] if head < log.arrived else math.inf)
     pos = cursor % n
     sent = []
     used = 0
-    while True:
-        # the round ends once no pending head fits the leftover budget; a
-        # visit that sends nothing changes neither the heads nor the budget,
-        # so the scan runs again only after a visit that sends
-        for q in queues:
-            if q and q[0].size <= budget:
-                break
-        else:
-            return sent, pos, used
+    # the round ends once no pending head fits the leftover budget; a visit
+    # that sends nothing changes neither the heads nor the budget, so the
+    # check runs again only after a visit that sends
+    while min(fronts) <= budget:
         while True:
-            q = queues[pos]
-            if q:
+            size = fronts[pos]
+            if size < math.inf:
                 credit = deficits[pos] + quanta[pos]
-                size = q[0].size
                 if size <= credit and size <= budget:
                     break
                 deficits[pos] = credit
@@ -218,20 +237,32 @@ def dfpq_take(cids: list, queues: list, quanta: list, deficits: list, cursor: in
             if pos == n:
                 pos = 0
         # this visit sends its head, then every next one that fits
-        cid = cids[pos]
+        log = logs[pos]
+        departure = log.departure
+        head = k = len(departure)
+        tail, sizes = log.arrived, log.size
         while True:
             credit -= size
             budget -= size
             used += size
-            q.popleft()
-            sent.append(cid)
-            if not q:
+            k += 1
+            if k == tail:
                 credit = 0
+                size = math.inf
                 break
-            size = q[0].size
+            size = sizes[k]
             if size > credit or size > budget:
                 break
+        fronts[pos] = size
         deficits[pos] = credit
+        run = k - head
+        if run == 1:
+            departure.append(frame_end)
+            sent.append(cids[pos])
+        else:
+            departure.extend(repeat(frame_end, run))
+            sent += repeat(cids[pos], run)
         pos += 1
         if pos == n:
             pos = 0
+    return sent, pos, used

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .bs_alloc import (
@@ -53,8 +52,8 @@ class SimMode(Enum):
 @dataclass(frozen=True)
 class ConnSpec:
     """Immutable description of one connection, its contract; a run keeps
-    the connection's live queue apart, in ``Simulation.queues``, so parallel
-    runs never share queues."""
+    the connection's queue apart, in its ``PacketLog`` in
+    ``Simulation.logs``, so parallel runs never share queues."""
 
     cid: int
     ss_id: int
@@ -358,9 +357,10 @@ class Simulation:
     hold their fixed grant, the others are set to their queued log rows'
     bytes after every frame's transmission), the traffic feeds, the
     per-connection packet logs and the per-station class partitions.
-    ``queues`` holds each connection's live queue, a ``deque`` aligned with
-    ``scenario.conns``; the feeds, the requests' rows, the rtPS drop rows,
-    the gpc drain and the stations all hold these same deques.
+    ``logs`` holds each connection's ``PacketLog``, in ``scenario.conns``
+    order, whose rows from ``len(departure)`` up to ``arrived`` are its
+    queue; the feeds, the requests' rows, the rtPS drop rows, the gpc
+    drain and the stations all hold these same logs.
 
     ``streams`` is what ``draw_streams`` draws for the same scenario,
     frames, seed and rho; without it the run draws its own, and a cell
@@ -369,9 +369,10 @@ class Simulation:
     differs, before any step.  Each log's ``size`` and ``arrival`` are its
     stream's columns, which no run writes, so cells, and connections
     with equal CBR sources, can share them.
-    Each ``step()`` appends a departure to the log of every packet that
-    leaves its queue, and the frame's bytes granted and used to
-    ``granted`` and ``used``.
+    Each ``step()`` raises each log's ``arrived`` past the frame's
+    arrivals, appends a departure to the log of every packet that leaves
+    its queue, and the frame's bytes granted and used to ``granted`` and
+    ``used``.
     """
 
     def __init__(
@@ -396,8 +397,6 @@ class Simulation:
                 if drawn != given)
             raise ValueError(f"streams drawn for another {part}")
         conns = scenario.conns
-        self.queues = [deque() for _ in conns]
-
         self.plan = allocation_plan(scenario)
         ugs = [c.service_class is ServiceClass.UGS for c in conns]
         self.requests = list(map(
@@ -405,25 +404,20 @@ class Simulation:
             self.plan.cids,
             [m if u else 0 for m, u in zip(self.plan.minimums, ugs)],
         ))
-        self.logs = {c.cid: PacketLog(s.size, s.arrival)
-                     for c, s in zip(conns, streams.streams)}
+        logs = [PacketLog(s.size, s.arrival) for s in streams.streams]
+        self.logs = {c.cid: log for c, log in zip(conns, logs)}
         # per elastic connection: its request, its stream's prefix sums
-        # (``before[k]``, the bytes of its first k packets), its log's
-        # departures and its queue, the log rows from ``len(departure)`` on
-        self._elastic = [(r, array("q", accumulate(s.size, initial=0)),
-                          self.logs[r.cid].departure, q)
-                         for r, u, s, q in zip(self.requests, ugs, streams.streams,
-                                               self.queues) if not u]
-        self._feeds = [(q, s.counts, TrafficSource(c, s))
-                       for c, q, s in zip(conns, self.queues, streams.streams)]
-        # departure appends bound once per connection
-        self._depart = {cid: log.departure.append for cid, log in self.logs.items()}
-        self._rtps = [(c.cid, c.qos.max_latency_ms, q)
-                      for c, q in zip(conns, self.queues)
+        # (``before[k]``, the bytes of its first k packets) and its log
+        self._elastic = [(r, array("q", accumulate(s.size, initial=0)), log)
+                         for r, u, s, log in zip(self.requests, ugs, streams.streams,
+                                                 logs) if not u]
+        self._feeds = [(log, s.counts, TrafficSource(c, s))
+                       for c, log, s in zip(conns, logs, streams.streams)]
+        self._rtps = [(log, c.qos.max_latency_ms) for c, log in zip(conns, logs)
                       if c.service_class is ServiceClass.RTPS]
-        # each station's (spec, queue, quantum) rows
+        # each station's (spec, log, quantum) rows
         by_ss: dict[int, list[tuple]] = {}
-        for row in zip(conns, self.queues, scenario.quanta):
+        for row in zip(conns, logs, scenario.quanta):
             by_ss.setdefault(row[0].ss_id, []).append(row)
         self._stations = {ss: Station(*zip(*by_ss[ss])) for ss in sorted(by_ss)}
         self.frame_index = 0
@@ -444,52 +438,61 @@ class Simulation:
             alloc = result.allocated
             grants = pool_gpss(result, self.plan)
 
-        # (2) this frame's arrivals join the live queues
-        for q, counts, source in self._feeds:
+        # (2) this frame's arrivals join the queues: each batch ends at the
+        # row after the connection's last arrival so far
+        for log, counts, source in self._feeds:
             if counts[fr]:
-                q.extend(source.generate(fr))
+                log.arrived = source.generate(fr).stop
 
         frame_end = (fr + 1) * self.frame_cfg.frame_duration_ms
 
         # optional drop-on-expiry: an rtPS packet that would miss its deadline
         # (arrival plus its connection's bound) even if sent now is discarded
         if self.drop_expired:
-            for cid, bound, q in self._rtps:
-                while q and q[0].arrival_time + bound < frame_end:
-                    self._depart[cid](math.nan)
-                    q.popleft()
+            for log, bound in self._rtps:
+                departure, arrival = log.departure, log.arrival
+                head = k = len(departure)
+                tail = log.arrived
+                while k < tail and arrival[k] + bound < frame_end:
+                    k += 1
+                if k > head:
+                    departure.extend(repeat(math.nan, k - head))
 
         # (3) transmission against the grants
         used = 0
-        depart = self._depart
         if self.mode is SimMode.GPC:
             # each connection drains its own FIFO against its own grant; a
             # one-connection station per cid through schedule_frame_ss2
             # sends the same packets, but its calls made a 3000-frame gpc
             # cell 1.5 to 1.8 times as slow
-            for cid, q in zip(self.plan.cids, self.queues):
-                if not q:
+            for cid, log in self.logs.items():
+                departure = log.departure
+                head = k = len(departure)
+                tail = log.arrived
+                if k == tail:
                     continue
-                budget = grants[cid]
-                log_departure = depart[cid]
-                while q and q[0].size <= budget:
-                    size = q.popleft().size
+                budget, sizes = grants[cid], log.size
+                while k < tail:
+                    size = sizes[k]
+                    if size > budget:
+                        break
                     budget -= size
                     used += size
-                    log_departure(frame_end)
+                    k += 1
+                run = k - head
+                if run == 1:
+                    departure.append(frame_end)
+                elif run:
+                    departure.extend(repeat(frame_end, run))
         else:
             schedule = (schedule_frame_ss1 if self.mode is SimMode.SS1
                         else schedule_frame_ss2)
             for ss, station in self._stations.items():
-                tx = schedule(station, grants[ss])
-                for cid in tx.entries:
-                    depart[cid](frame_end)
-                used += tx.total_bytes
+                used += schedule(station, grants[ss], frame_end).total_bytes
 
         # (4) next frame's requests report the post-transmission backlog
-        for req, before, departure, q in self._elastic:
-            head = len(departure)
-            req.requested_bytes = before[head + len(q)] - before[head]
+        for req, before, log in self._elastic:
+            req.requested_bytes = before[log.arrived] - before[len(log.departure)]
 
         self.granted.append(sum(alloc.values()))
         self.used.append(used)

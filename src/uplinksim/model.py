@@ -61,13 +61,11 @@ DEFAULT_QOS: dict[ServiceClass, QosParams] = {
 
 @dataclass(slots=True)
 class Packet:
-    """One uplink packet while it is queued.  An rtPS packet's deadline is
-    ``arrival_time`` plus its connection's ``max_latency_ms``.
-
-    The engine never writes ``departure_time`` or ``dropped``: a packet's
-    exit is recorded in its connection's ``PacketLog``.  Only the
-    ``Packet`` objects that ``RunResult.history`` rebuilds from the logs
-    carry them (``None``/``False`` while still queued)."""
+    """One uplink packet as a record, for callers that want objects: the
+    engine keeps packets as ``PacketLog`` rows and builds none.  Only
+    ``RunResult.history`` and an iterated ``traffic.Arrivals`` batch build
+    them, ``departure_time`` and ``dropped`` read from the log
+    (``None``/``False`` while still queued)."""
 
     size: int
     arrival_time: float
@@ -80,30 +78,34 @@ MAX_PACKET_BYTES = 2**63 - 1
 
 
 class PacketLog:
-    """One connection's packets in generation order, as columns.
+    """One connection's packets in generation order, as columns, and its
+    queue as a range of their rows.
 
     ``size`` and ``arrival`` are the connection's traffic stream, drawn
     whole before the run and shared, read only, by every cell of that
-    stream.  The cell's own column is ``departure``: the engine appends a
-    packet's departure when it leaves its queue, the end of the frame that
-    sent it, or NaN when it was dropped on deadline expiry.  Every exit is
-    a pop from the head of a FIFO queue, so the exited packets are a prefix
-    of the log.  Exits are appended frame by frame, in frame order, so the
-    finite departures never decrease; a NaN may sit anywhere among them.
-    The metrics' binary searches rely on that order.  Between frames the
-    rows from ``len(departure)`` up to the number arrived are the queue,
-    and the rows after them are still to arrive; after the last frame every
-    row has arrived.  Row ``k`` has departed or been dropped iff
-    ``k < len(departure)``.  An elastic (non-UGS) connection's bandwidth
-    request after each frame is its queue rows' bytes.
+    stream.  The cell's own state is ``departure`` and ``arrived``: the
+    engine raises ``arrived`` to the number of rows that have arrived by
+    the end of each frame's arrivals, and a packet's exit appends its
+    departure, the end of the frame that sent it, or NaN when it was
+    dropped on deadline expiry.  Every exit takes the head of a FIFO
+    queue, so the exited packets are a prefix of the log, and the queue
+    is rows ``len(departure)`` up to ``arrived``; the rows after it are
+    still to arrive, and after the last frame every row has arrived.  Row
+    ``k`` has departed or been dropped iff ``k < len(departure)``.  Exits
+    are appended frame by frame, in frame order, so the finite departures
+    never decrease; a NaN may sit anywhere among them.  The metrics'
+    binary searches rely on that order.  An elastic (non-UGS)
+    connection's bandwidth request after each frame is its queue rows'
+    bytes.
     """
 
-    __slots__ = ("size", "arrival", "departure")
+    __slots__ = ("size", "arrival", "departure", "arrived")
 
     def __init__(self, size: array, arrival: array):
         self.size = size
         self.arrival = arrival
         self.departure = array("d")
+        self.arrived = 0
 
     def packets(self) -> list[Packet]:
         """The log as ``Packet`` objects."""

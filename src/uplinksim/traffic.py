@@ -244,17 +244,40 @@ def draw_stream(spec, model: TrafficModel, frame: FrameConfig,
     return stream
 
 
+class Arrivals:
+    """One frame's arrivals of a connection: rows ``start`` up to ``stop``
+    of its ``Stream``.  Its length is their count, and iterating it builds
+    a ``Packet`` of each, so a caller that wants only the count builds
+    none."""
+
+    __slots__ = ("stream", "start", "stop")
+
+    def __init__(self, stream: Stream, start: int, stop: int):
+        self.stream = stream
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self):
+        stream, start, stop = self.stream, self.start, self.stop
+        return map(Packet, stream.size[start:stop], stream.arrival[start:stop])
+
+
 class TrafficSource:
-    """Hands one connection's ``Stream`` out frame by frame, as new
-    ``Packet`` objects; ``conn`` is the connection's ``ConnSpec``."""
+    """Hands one connection's ``Stream`` out frame by frame, as
+    ``Arrivals``; ``conn`` is the connection's ``ConnSpec``."""
 
     def __init__(self, spec, stream: Stream):
         self.conn = spec
-        self._counts = stream.counts
-        self._packets = map(Packet, stream.size, stream.arrival)
+        self._stream = stream
+        self._stop = 0  # the rows handed out so far
 
-    def generate(self, frame_index: int) -> list[Packet]:
+    def generate(self, frame_index: int) -> Arrivals:
         """Arrivals within frame ``frame_index``, timestamps non-decreasing;
         frames are handed out in order from 0, and a frame without arrivals
         may be passed over."""
-        return list(islice(self._packets, self._counts[frame_index]))
+        start = self._stop
+        self._stop = stop = start + self._stream.counts[frame_index]
+        return Arrivals(self._stream, start, stop)

@@ -1,5 +1,4 @@
 import sys
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,8 +6,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from uplinksim.config import DEFAULT_QOS, ScenarioConfig, parse_config
 from uplinksim.engine import ConnSpec, Scenario, ScenarioError
-from uplinksim.model import FrameConfig, Packet, ServiceClass
+from uplinksim.model import FrameConfig, ServiceClass
 from uplinksim.traffic import default_models
+
+from reference import queue_log
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -19,12 +20,11 @@ def recipe(name: str) -> ScenarioConfig:
 
 
 def make_conn(cid, cls, ss=0, sizes=(), arrivals=None, qos=None):
-    """(``ConnSpec``, queue) for scheduler-level tests: the queue holds a
-    packet of each of ``sizes``, arriving at ``arrivals`` (at 0, 1, 2, ...
-    ms unless given)."""
-    queue = deque(Packet(size=size, arrival_time=arrivals[k] if arrivals else float(k))
-                  for k, size in enumerate(sizes))
-    return spec(cid, cls, qos=qos, ss=ss), queue
+    """(``ConnSpec``, log) for scheduler-level tests: the log's queue holds
+    a packet of each of ``sizes``, arriving at ``arrivals`` (at 0, 1, 2,
+    ... ms unless given)."""
+    log = queue_log(sizes, arrivals if arrivals else range(len(sizes)))
+    return spec(cid, cls, qos=qos, ss=ss), log
 
 
 def spec(cid, cls, qos=None, model=None, ss=0):
@@ -46,7 +46,7 @@ def problems_of(frame_cfg, *specs):
 
 
 def rtps_conn(cid, bound, sizes=(), arrivals=None):
-    """(``ConnSpec``, queue) of an rtPS connection whose latency bound is
+    """(``ConnSpec``, log) of an rtPS connection whose latency bound is
     ``bound`` ms, so each queued packet's deadline is its arrival plus
     ``bound``."""
     qos = replace(DEFAULT_QOS[ServiceClass.RTPS], max_latency_ms=bound)

@@ -8,15 +8,18 @@ the metric oracles make one pass over the packet history per statistic
 and service class, and the size-draw oracle calls ``random.randrange``.
 The one exception is the samples oracle: it is the metrics accumulator
 as a loop over every packet, before it read column slices, and it builds
-its samples with the package's statistics types and helpers.  ``backlog``
-and ``sent_packets`` are no oracles but readings that several tests share:
-of a run's logs, and of a scheduler's send order.
+its samples with the package's statistics types and helpers.
+``queue_log``, ``queued_packets``, ``backlog`` and ``sent_packets`` are no
+oracles but what several tests share: a queue to schedule, and readings of
+a queue, of a run's logs and of a scheduler's send order.
 """
 
+from array import array
 from fractions import Fraction
 from itertools import permutations
 
 from uplinksim.metrics import ClassStats, MetricsSample, jain_index, utilization
+from uplinksim.model import Packet, PacketLog
 
 
 def brute_force_alloc(requested, bwmin, weights, capacity):
@@ -187,6 +190,29 @@ def throughput(result, window):
     return {cls: bytes_ * 8.0 / span for cls, bytes_ in totals.items()}
 
 
+def queue_log(sizes, arrivals, exited=0, pending=0):
+    """A ``PacketLog`` whose queue holds packets of ``sizes`` arriving at
+    ``arrivals``, head first: the queue a scheduler-level test hands out.
+    ``exited`` one-byte rows ahead of the queue have already departed, at
+    0.0, and ``pending`` one-byte rows after it are still to arrive, so a
+    reader that strays outside the queue's rows takes a packet that fits
+    any budget."""
+    arrivals = list(map(float, arrivals))
+    first, last = (arrivals[0], arrivals[-1]) if arrivals else (0.0, 0.0)
+    log = PacketLog(array("q", [1] * exited + list(sizes) + [1] * pending),
+                    array("d", [first] * exited + arrivals + [last] * pending))
+    log.departure.extend([0.0] * exited)
+    log.arrived = exited + len(arrivals)
+    return log
+
+
+def queued_packets(log):
+    """``log``'s queue, its rows from ``len(departure)`` up to ``arrived``,
+    as new ``Packet`` objects, head first."""
+    head, tail = len(log.departure), log.arrived
+    return list(map(Packet, log.size[head:tail], log.arrival[head:tail]))
+
+
 def backlog(result, cid):
     """Bytes ``cid`` still has queued at run end: its log rows that have
     neither departed nor been dropped."""
@@ -196,9 +222,9 @@ def backlog(result, cid):
 
 def sent_packets(sent, before):
     """The (cid, packet) pairs a scheduler's send order ``sent`` stands
-    for.  ``before`` maps each cid to a copy of its queue taken before the
-    call.  Every send pops its queue's head, so the k-th time a cid is sent
-    it sends the k-th packet of that copy."""
+    for.  ``before`` maps each cid to its ``queued_packets`` taken before
+    the call.  Every send takes its queue's head, so the k-th time a cid
+    is sent it sends the k-th packet of that copy."""
     heads = dict.fromkeys(before, 0)
     pairs = []
     for cid in sent:

@@ -15,9 +15,9 @@ from functools import lru_cache
 import pytest
 
 from reference import backlog, brute_force_alloc, max_lateness, \
-    min_max_lateness, reference_dfpq
+    min_max_lateness, queued_packets, reference_dfpq
 from conftest import make_conn, recipe, rtps_conn
-from uplinksim.cli import cells, matrix_cells, run_matrix, write_outputs
+from uplinksim.cli import cells, run_matrix, write_outputs
 from uplinksim.engine import Scenario, SimMode, draw_streams, run
 from uplinksim.metrics import jain_index, run_summary, window_metrics
 from uplinksim.model import ServiceClass
@@ -122,9 +122,10 @@ def test_criterion_3_be_starvation_contrast():
     assert flood_kbps * frame.frame_duration_ms / 8 \
         >= 0.8 * frame.uplink_capacity_bytes
     checks = {SimMode.SS1: lambda t: t > 0.0, SimMode.SS2: lambda t: t == 0.0}
-    for mode, seed, rho in matrix_cells(cfg):
-        windows = window_metrics(simulate(cfg, mode, seed, rho),
-                                 cfg.window_ms, cfg.warmup)
+    # the CLI's own cell loop: each (seed, rho) stream is drawn once
+    for (mode, seed, rho), result in cells(cfg):
+        assert not isinstance(result, Exception), (mode, seed, rho, result)
+        windows = window_metrics(result, cfg.window_ms, cfg.warmup)
         assert windows
         for w in windows:
             tput = w.per_class[ServiceClass.BE].throughput_kbps
@@ -202,7 +203,7 @@ def test_criterion_6_deficit_round_oracle():
         station = Station(*zip(*conns), quanta)
         station.deficit = list(deficits)
         station.cursor = cursor
-        order, used = dfpq_round(station, budget)
+        order, used = dfpq_round(station, budget, 10.0)
 
         sent, dc, pos, ref_used = reference_dfpq(queues, quanta, deficits,
                                                  cursor, budget)
@@ -212,7 +213,7 @@ def test_criterion_6_deficit_round_oracle():
         assert used == ref_used
         for q in range(nq):
             assert station.deficit[q] >= 0
-            if not conns[q][1]:
+            if not queued_packets(conns[q][1]):
                 assert station.deficit[q] == 0
         checked += 1
     assert checked >= 1000
@@ -231,7 +232,8 @@ def test_criterion_7_edf_minimal_max_lateness():
         conns = [rtps_conn(k, deadline, sizes=[size], arrivals=[0.0])
                  for k, (size, deadline) in enumerate(packets)]
         # rtPS only: no deficit round, so no quantum is read
-        order, _ = serve_rtps_edf(Station(*zip(*conns), [0] * n).rtps, 10**9)
+        order, _ = serve_rtps_edf(Station(*zip(*conns), [0] * n).rtps, 10**9,
+                                  10.0)
         got = max_lateness([packets[cid] for cid in order])
         assert got == min_max_lateness(packets), packets
         checked += 1

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import frame, spec
 from perfbench.invariants import check_cell
-from reference import backlog
+from reference import backlog, queued_packets
 from uplinksim import _kernels_py, engine
 from uplinksim.cli import run_matrix
 from uplinksim.config import baseline_config, baseline_scenario
@@ -23,7 +23,7 @@ from uplinksim.engine import (
     draw_streams,
     run,
 )
-from uplinksim.model import ServiceClass, bytes_per_frame
+from uplinksim.model import Packet, ServiceClass, bytes_per_frame
 from uplinksim.traffic import (Stream, TrafficKind, TrafficModel, TrafficSource,
                                draw_stream)
 
@@ -338,6 +338,18 @@ def test_drop_expired_removes_late_rtps():
         assert arrived == departed + lost + backlog(dropped, s.cid)
 
 
+def test_drop_expired_keeps_a_packet_due_at_the_frames_end():
+    # a CBR rtPS source's packet arrives at a frame's start and is granted
+    # in the next frame, so it departs at its deadline, arrival plus the
+    # 20 ms bound: it is on time, and drop-on-expiry keeps it
+    model = TrafficModel(TrafficKind.CBR, 256.0, 320, 320)
+    scenario = Scenario(frame=frame(),
+                        conns=(spec(0, ServiceClass.RTPS, model=model),))
+    for mode in SimMode:
+        log = run(scenario, mode, 50, drop_expired=True).logs[0]
+        assert [d - a for d, a in zip(log.departure, log.arrival)] == [20.0] * 49, mode
+
+
 def test_be_flows_only_through_station_scheduler_vs_strict_priority():
     # saturating nrtPS load: the deficit round keeps BE alive, strict
     # priority starves it
@@ -364,8 +376,8 @@ def test_be_flows_only_through_station_scheduler_vs_strict_priority():
 
 
 def test_finished_run_keeps_packets_as_columns():
-    # no Packet object outlives its queue: a finished run retains about the
-    # 24 bytes of its three log columns per generated packet
+    # a finished run retains about the 24 bytes of its three log columns
+    # per generated packet
     scenario = baseline_scenario()
     for mode in SimMode:
         for drop_expired in (False, True):
@@ -380,6 +392,46 @@ def test_finished_run_keeps_packets_as_columns():
             packets = sum(len(h) for h in result.history.values())
             assert retained / packets <= 32, (mode, drop_expired, retained,
                                                packets)
+
+
+def test_an_overloaded_run_peaks_at_its_columns():
+    # a queue is a row range of its log, so a gpc cell whose backlog holds
+    # most of its packets at the end peaks at about its columns: 16 B of
+    # stream, 8 B of departure and, for an elastic packet, 8 B of prefix sum
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(baseline_scenario(), SimMode.GPC, 2000, seed=1, rho=3.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    packets = sum(len(log.size) for log in result.logs.values())
+    queued = packets - sum(len(log.departure) for log in result.logs.values())
+    assert queued > packets // 2
+    assert peak / packets <= 40, (peak, packets)
+
+
+def test_a_run_builds_no_packet_objects(monkeypatch):
+    # the frame loop reads and writes log rows only; a Packet is built only
+    # for a caller that asks for one, as the history view does
+    built = 0
+    init = Packet.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Packet, "__init__", counting)
+    scenario = baseline_scenario()
+    for mode in SimMode:
+        for drop_expired in (False, True):
+            result = run(scenario, mode, 300, seed=2, rho=1.4,
+                         drop_expired=drop_expired)
+            assert built == 0, (mode, drop_expired)
+    # the counter sees the packets that are built
+    packets = sum(len(view) for view in result.history.values())
+    assert built == packets > 0
 
 
 def test_history_view_rebuilds_every_generated_packet(monkeypatch):
@@ -483,7 +535,7 @@ def test_each_stream_is_drawn_for_its_own_connection():
 def test_logs_are_complete_at_every_frame_boundary(mode):
     # a log holds its whole stream from the start, so between frames each
     # log's rows from its departures up to the packets arrived so far are
-    # exactly the live queue, and each elastic request is their bytes; each
+    # exactly its queue, and each elastic request is their bytes; each
     # frame's exits depart at its end or are dropped (NaN), so the finite
     # departures never decrease
     scenario = baseline_scenario()
@@ -499,7 +551,7 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
         for fr in range(300):
             sim.step()
             frame_end = (fr + 1) * scenario.frame.frame_duration_ms
-            for spec, queue in zip(scenario.conns, sim.queues):
+            for spec in scenario.conns:
                 cid = spec.cid
                 log = sim.logs[cid]
                 assert all(d == frame_end or math.isnan(d)
@@ -507,8 +559,9 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
                 exited[cid] = len(log.departure)
                 arrived[cid] += counts[cid][fr]
                 head, end = len(log.departure), arrived[cid]
+                assert log.arrived == end
                 assert list(zip(log.size[head:end], log.arrival[head:end])) == [
-                    (p.size, p.arrival_time) for p in queue]
+                    (p.size, p.arrival_time) for p in queued_packets(log)]
                 if spec.service_class is not ServiceClass.UGS:
                     assert requests[cid].requested_bytes == sum(log.size[head:end])
                     requested += requests[cid].requested_bytes
@@ -519,36 +572,38 @@ def test_logs_are_complete_at_every_frame_boundary(mode):
 @pytest.mark.parametrize("mode", list(SimMode))
 def test_every_reader_shares_the_cells_queues(mode):
     # the feeds, the elastic requests' rows, the rtPS drop rows, the gpc
-    # drain and every station triple hold the very deques of
-    # ``sim.queues``, each at its own cid; checked after a run, so a reader
-    # that rebinds a queue shows too
+    # drain and every station triple hold the very ``PacketLog``s of
+    # ``sim.logs``, whose rows are the queues, each at its own cid; checked
+    # after a run, so a reader that rebinds a log shows too
     scenario = baseline_scenario()
     sim = Simulation(scenario, mode, 50, seed=1, rho=1.4, drop_expired=True)
     for _ in range(50):
         sim.step()
     cids = [s.cid for s in scenario.conns]
-    assert len(sim.queues) == len({id(q) for q in sim.queues}) == len(cids)
-    queue_of = dict(zip(cids, sim.queues))
+    logs = list(sim.logs.values())
+    assert len(logs) == len({id(log) for log in logs}) == len(cids)
+    log_of = sim.logs
 
-    def shares(cids, queues):
-        return len(cids) == len(queues) and all(
-            queue is queue_of[cid] for cid, queue in zip(cids, queues))
+    def shares(cids, logs):
+        return len(cids) == len(logs) and all(
+            log is log_of[cid] for cid, log in zip(cids, logs))
 
     assert [source.conn.cid for _, _, source in sim._feeds] == cids
-    assert shares(cids, [q for q, _, _ in sim._feeds])
-    assert shares([req.cid for req, _, _, _ in sim._elastic],
-                  [q for _, _, _, q in sim._elastic])
+    assert shares(cids, [log for log, _, _ in sim._feeds])
+    assert shares([req.cid for req, _, _ in sim._elastic],
+                  [log for _, _, log in sim._elastic])
     rtps = [s for s in scenario.conns if s.service_class is ServiceClass.RTPS]
-    assert [row[:2] for row in sim._rtps] == [(s.cid, s.qos.max_latency_ms)
-                                              for s in rtps]
-    assert shares([cid for cid, _, _ in sim._rtps], [q for _, _, q in sim._rtps])
-    # the gpc drain reads ``sim.queues`` beside the plan's cids
-    assert list(sim.plan.cids) == cids
+    assert [bound for _, bound in sim._rtps] == [s.qos.max_latency_ms
+                                                 for s in rtps]
+    assert shares([s.cid for s in rtps], [log for log, _ in sim._rtps])
+    # the gpc drain reads ``sim.logs`` in the plan's cid order
+    assert list(sim.plan.cids) == list(sim.logs) == cids
     stationed = []
     for station in sim._stations.values():
-        for group_cids, queues, _ in (station.ugs, station.rtps, *station.priority):
-            assert shares(group_cids, queues)
-        assert shares(station.drr_cids, station.drr_queues)
+        for group_cids, group_logs, _ in (station.ugs, station.rtps,
+                                          *station.priority):
+            assert shares(group_cids, group_logs)
+        assert shares(station.drr_cids, station.drr_logs)
         stationed += [cid for group_cids, _, _ in station.priority
                       for cid in group_cids]
     assert sorted(stationed) == cids

@@ -4,14 +4,12 @@ allocation, earliest-deadline selection (and, with bounds of 0.0, FIFO)
 against one global sort, and the deficit round against a plain list
 simulation."""
 
-from collections import deque
-
 import pytest
 
-from reference import brute_force_alloc, reference_dfpq, reference_edf
+from reference import (brute_force_alloc, queue_log, queued_packets,
+                       reference_dfpq, reference_edf)
 from uplinksim._kernels_py import (SPLITS_PER_WEIGHT_SET, _key_steps, dfpq_take,
                                    edf_take, waterfill)
-from uplinksim.model import Packet
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -116,12 +114,30 @@ def test_waterfill_reuses_a_split_only_where_it_fits(instance):
             assert len(splits) <= SPLITS_PER_WEIGHT_SET
 
 
+# the end of the frame a kernel call sends in
+FRAME_END = 40.0
+
+
 def oracle_leftovers(sent, originals):
     """The packets an oracle's list of queue indices leaves on each queue."""
     heads = [0] * len(originals)
     for q in sent:
         heads[q] += 1
     return [orig[h:] for orig, h in zip(originals, heads)]
+
+
+def logs_of(sizes, arrivals):
+    """One ``queue_log`` per queue; queue ``q`` has ``q`` exited rows ahead
+    of it and two still to arrive after it."""
+    return [queue_log(s, a, exited=q, pending=2)
+            for q, (s, a) in enumerate(zip(sizes, arrivals))]
+
+
+def oracle_departures(sent, n):
+    """Each of ``n`` ``logs_of`` logs' departures once an oracle's list of
+    queue indices is sent: its exited rows', then ``FRAME_END`` for each
+    packet sent from it."""
+    return [[0.0] * q + [FRAME_END] * sent.count(q) for q in range(n)]
 
 
 @st.composite
@@ -157,14 +173,17 @@ def test_edf_take_matches_sorted_reference(instance):
     # bounds of 0.0, where a deadline is the arrival itself (FIFO)
     bounds, arrivals, sizes, cids, budget = instance
     for given in (bounds, [0.0] * len(bounds)):
-        queues = [deque(map(Packet, s, a)) for s, a in zip(sizes, arrivals)]
-        originals = [list(q) for q in queues]
-        order, used = edf_take(cids, queues, given, budget)
+        logs = logs_of(sizes, arrivals)
+        originals = list(map(queued_packets, logs))
+        order, used = edf_take(cids, logs, given, budget, FRAME_END)
         deadlines = [[a + bound for a in arr] for arr, bound in zip(arrivals, given)]
         sent, ref_used = reference_edf(deadlines, arrivals, sizes, cids, budget)
         assert order == [cids[q] for q in sent], given
         assert used == ref_used
-        assert [list(q) for q in queues] == oracle_leftovers(sent, originals)
+        assert list(map(queued_packets, logs)) == oracle_leftovers(sent, originals)
+        # exactly the rows sent got the frame's end
+        assert ([list(log.departure) for log in logs]
+                == oracle_departures(sent, len(logs)))
 
 
 @st.composite
@@ -194,13 +213,15 @@ def test_dfpq_take_matches_reference(instance):
     nq = len(queues)
     # descending cids: the visit order is the list order, not the cid's
     cids = [nq - q for q in range(nq)]
-    live = [deque(Packet(size, 0.0) for size in sizes) for sizes in queues]
-    originals = [list(q) for q in live]
+    logs = logs_of(queues, [[0.0] * len(sizes) for sizes in queues])
+    originals = list(map(queued_packets, logs))
     dc = list(deficits)
-    order, pos, used = dfpq_take(cids, live, quanta, dc, cursor, budget)
+    order, pos, used = dfpq_take(cids, logs, quanta, dc, cursor, budget, FRAME_END)
     sent, ref_dc, ref_pos, ref_used = reference_dfpq(
         queues, quanta, deficits, cursor, budget)
     assert order == [cids[q] for q in sent]
     # the counters passed in are the ones updated
     assert (dc, pos, used) == (ref_dc, ref_pos, ref_used)
-    assert [list(q) for q in live] == oracle_leftovers(sent, originals)
+    assert list(map(queued_packets, logs)) == oracle_leftovers(sent, originals)
+    # exactly the rows sent got the frame's end
+    assert [list(log.departure) for log in logs] == oracle_departures(sent, nq)

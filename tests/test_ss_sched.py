@@ -3,13 +3,14 @@ from copy import deepcopy
 import pytest
 
 from conftest import frame, make_conn, rtps_conn
-from reference import sent_packets
+from reference import queued_packets, sent_packets
 from uplinksim._kernels_py import edf_take
 from uplinksim.engine import Scenario
 from uplinksim.model import ServiceClass
 from uplinksim.ss_sched import (
     Station,
     dfpq_round,
+    queued,
     schedule_frame_ss1,
     schedule_frame_ss2,
     serve_rtps_edf,
@@ -21,28 +22,32 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
+# the end of the frame every schedule here sends in
+FRAME_END = 10.0
+
+
 def station_for(conns, quanta=None):
-    """Station over ``conns``, (spec, queue) pairs, whose deficit round uses
+    """Station over ``conns``, (spec, log) pairs, whose deficit round uses
     the ``quanta`` given by cid in place of those its scenario keeps.  A
     quantum does not depend on the capacity, so the scenario's is one that
     every station a test draws fits."""
-    specs, queues = zip(*conns)
+    specs, logs = zip(*conns)
     scenario = Scenario(frame(capacity=2**31), specs)
     by_cid = dict(zip((s.cid for s in scenario.conns), scenario.quanta))
     by_cid.update(quanta or {})
-    return Station(specs, queues, [by_cid[s.cid] for s in specs])
+    return Station(specs, logs, [by_cid[s.cid] for s in specs])
 
 
 def snapshot(conns):
-    """cid -> a copy of its queue, for ``sent_packets``."""
-    return {s.cid: list(q) for s, q in conns}
+    """cid -> its queued packets, for ``sent_packets``."""
+    return {s.cid: queued_packets(log) for s, log in conns}
 
 
 def edf_lists(conns):
-    """The (cids, queues, bounds) of ``conns``, (spec, queue) pairs, in the
+    """The (cids, logs, bounds) of ``conns``, (spec, log) pairs, in the
     order given, with the bounds a Station gives them: 0.0 for UGS and the
     connection's ``max_latency_ms`` for rtPS."""
-    return ([s.cid for s, _ in conns], [q for _, q in conns],
+    return ([s.cid for s, _ in conns], [log for _, log in conns],
             [s.qos.max_latency_ms or 0.0 for s, _ in conns])
 
 
@@ -51,26 +56,26 @@ def edf_lists(conns):
 def test_serve_ugs_basic_and_budget_decrement():
     conn = make_conn(1, ServiceClass.UGS, sizes=[320])
     before = snapshot([conn])
-    sent, used = serve_ugs(edf_lists([conn]), 5375)
+    sent, used = serve_ugs(edf_lists([conn]), 5375, FRAME_END)
     assert [(cid, p.size) for cid, p in sent_packets(sent, before)] == [(1, 320)]
     assert used == 320
 
 
 def test_serve_ugs_empty_queues():
     conn = make_conn(1, ServiceClass.UGS)
-    assert serve_ugs(edf_lists([conn]), 100) == ([], 0)
+    assert serve_ugs(edf_lists([conn]), 100, FRAME_END) == ([], 0)
 
 
 def test_serve_ugs_never_splits_a_packet():
     conn = make_conn(1, ServiceClass.UGS, sizes=[400])
-    assert serve_ugs(edf_lists([conn]), 399) == ([], 0)
-    assert len(conn[1]) == 1
+    assert serve_ugs(edf_lists([conn]), 399, FRAME_END) == ([], 0)
+    assert len(queued_packets(conn[1])) == 1
 
 
 def test_serve_ugs_global_arrival_order_with_cid_ties():
     a = make_conn(2, ServiceClass.UGS, sizes=[10, 10], arrivals=[0.0, 5.0])
     b = make_conn(1, ServiceClass.UGS, sizes=[10], arrivals=[0.0])
-    sent, _ = serve_ugs(edf_lists([a, b]), 100)
+    sent, _ = serve_ugs(edf_lists([a, b]), 100, FRAME_END)
     assert sent == [1, 2, 2]
 
 
@@ -80,7 +85,7 @@ def test_edf_orders_by_deadline():
     a = rtps_conn(1, 120.0, sizes=[100, 100], arrivals=[0.0, 10.0])
     b = rtps_conn(2, 94.5, sizes=[100], arrivals=[0.5])
     before = snapshot([a, b])
-    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
+    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000, FRAME_END)
     assert [(cid, p.arrival_time) for cid, p in sent_packets(sent, before)] == [
         (2, 0.5), (1, 0.0), (1, 10.0),  # deadlines 95, 120 and 130
     ]
@@ -92,7 +97,7 @@ def test_edf_derives_each_deadline_from_its_connections_bound():
     loose = rtps_conn(1, 30.0, sizes=[100, 100], arrivals=[0.0, 1.0])
     tight = rtps_conn(2, 5.0, sizes=[100, 100], arrivals=[10.0, 20.0])
     before = snapshot([loose, tight])
-    sent, used = serve_rtps_edf(edf_lists([loose, tight]), 1000)
+    sent, used = serve_rtps_edf(edf_lists([loose, tight]), 1000, FRAME_END)
     assert [(cid, p.arrival_time) for cid, p in sent_packets(sent, before)] == [
         (2, 10.0), (2, 20.0), (1, 0.0), (1, 1.0),
     ]
@@ -103,12 +108,12 @@ def test_edf_tie_breaks_on_arrival_then_cid():
     # equal deadlines of 100 ms
     a = rtps_conn(1, 97.0, sizes=[50], arrivals=[3.0])
     b = rtps_conn(2, 99.0, sizes=[50], arrivals=[1.0])
-    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000)
+    sent, _ = serve_rtps_edf(edf_lists([a, b]), 1000, FRAME_END)
     assert sent == [2, 1]
 
     c = rtps_conn(3, 99.0, sizes=[50], arrivals=[1.0])
     d = rtps_conn(4, 99.0, sizes=[50], arrivals=[1.0])
-    sent, _ = serve_rtps_edf(edf_lists([d, c]), 1000)
+    sent, _ = serve_rtps_edf(edf_lists([d, c]), 1000, FRAME_END)
     assert sent == [3, 4]
 
 
@@ -116,8 +121,8 @@ def test_edf_stops_at_first_nonfitting_candidate():
     # the most urgent packet is too big: the whole phase ends, even though
     # the later packet would fit
     a = rtps_conn(1, 10.0, sizes=[500, 50], arrivals=[0.0, 1.0])
-    assert serve_rtps_edf(edf_lists([a]), 499) == ([], 0)
-    assert len(a[1]) == 2
+    assert serve_rtps_edf(edf_lists([a]), 499, FRAME_END) == ([], 0)
+    assert len(queued_packets(a[1])) == 2
 
 
 # --- DFPQ phase --------------------------------------------------------------
@@ -126,19 +131,19 @@ def test_dfpq_two_visits_then_reset_on_empty():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     station = station_for([conn], quanta={1: 500})
     before = snapshot([conn])
-    sent, used = dfpq_round(station, 10_000)
+    sent, used = dfpq_round(station, 10_000, FRAME_END)
     # visit 1: counter 500, send 300 (200 left, next 300 too big);
     # visit 2: counter 700, send 300, queue drains, counter forfeited
     assert [p.size for _, p in sent_packets(sent, before)] == [300, 300]
     assert used == 600
     assert station.deficit == [0]
-    assert not conn[1]
+    assert not queued_packets(conn[1])
 
 
 def test_dfpq_untouched_empty_queue_keeps_zero_counter():
     conn = make_conn(1, ServiceClass.NRTPS)
     station = station_for([conn])
-    assert dfpq_round(station, 1000) == ([], 0)
+    assert dfpq_round(station, 1000, FRAME_END) == ([], 0)
     assert station.deficit == [0]
 
 
@@ -146,7 +151,7 @@ def test_dfpq_counter_persists_for_backlogged_queue():
     conn = make_conn(1, ServiceClass.NRTPS, sizes=[300, 300])
     station = station_for([conn], quanta={1: 500})
     before = snapshot([conn])
-    sent, used = dfpq_round(station, 300)  # only room for one packet
+    sent, used = dfpq_round(station, 300, FRAME_END)  # only room for one packet
     assert [p.size for _, p in sent_packets(sent, before)] == [300]
     assert station.deficit == [200]  # unspent credit carried, queue non-empty
     assert used == 300
@@ -156,13 +161,13 @@ def test_dfpq_nrtps_before_be_and_quantum_shares():
     nrtps = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
     station = station_for([nrtps, be])  # quanta 1280 / 320
-    sent, _ = dfpq_round(station, 2500)
+    sent, _ = dfpq_round(station, 2500, FRAME_END)
     # BE's counter needs four rounds of credit for a 1250-byte packet, so the
     # scarce budget goes to nrtPS alone
     assert sent == [1, 1]
     nrtps2 = make_conn(1, ServiceClass.NRTPS, sizes=[1250] * 4)
     be2 = make_conn(2, ServiceClass.BE, sizes=[1250] * 4)
-    sent2, _ = dfpq_round(station_for([nrtps2, be2]), 20_000)
+    sent2, _ = dfpq_round(station_for([nrtps2, be2]), 20_000, FRAME_END)
     # ample budget: everything drains; nrtPS finishes while BE still accrues
     assert sent2 == [1, 1, 1, 1, 2, 2, 2, 2]
 
@@ -175,7 +180,7 @@ def test_dfpq_long_run_fairness_equal_quanta():
     before = snapshot([a, b])
     order = []
     for _ in range(1000):
-        order += dfpq_round(station, 300)[0]
+        order += dfpq_round(station, 300, FRAME_END)[0]
     sent = {1: 0, 2: 0}
     for cid, p in sent_packets(order, before):
         sent[cid] += p.size
@@ -203,26 +208,26 @@ def test_station_partitions_classes_once_in_cid_order():
         make_conn(4, ServiceClass.UGS),
         rtps_conn(3, 12.0),
     ]
-    specs, queues = zip(*conns)
+    specs, logs = zip(*conns)
     # each quantum must follow its connection through the sort
-    station = Station(specs, queues, [10 * s.cid for s in specs])
-    queue_of = {s.cid: q for s, q in conns}
+    station = Station(specs, logs, [10 * s.cid for s in specs])
+    log_of = {s.cid: log for s, log in conns}
 
-    def holds(cids, queues):
-        # each cid's own queue, the very deque, in the same position
-        return len(cids) == len(queues) and all(
-            queue is queue_of[cid] for cid, queue in zip(cids, queues))
+    def holds(cids, logs):
+        # each cid's own queue, the very log, in the same position
+        return len(cids) == len(logs) and all(
+            log is log_of[cid] for cid, log in zip(cids, logs))
 
     # ss2's FIFO triples: UGS, rtPS, nrtPS, BE, each by ascending cid
     assert [cids for cids, _, _ in station.priority] == [[4], [3, 6], [5, 8], [7, 9]]
-    assert all(holds(cids, queues) and bounds == [0.0] * len(cids)
-               for cids, queues, bounds in station.priority)
+    assert all(holds(cids, logs) and bounds == [0.0] * len(cids)
+               for cids, logs, bounds in station.priority)
     assert station.ugs == station.priority[0]
     # ss1's rtPS triple holds the connections' own bounds
     assert station.rtps == (station.priority[1][0], station.priority[1][1],
                             [12.0, 30.0])
     assert station.drr_cids == [5, 8, 7, 9]  # nrtPS visited before BE
-    assert holds(station.drr_cids, station.drr_queues)
+    assert holds(station.drr_cids, station.drr_logs)
     assert station.quantum == [50, 80, 70, 90]
     assert station.deficit == [0, 0, 0, 0]
     assert station.cursor == 0
@@ -230,7 +235,7 @@ def test_station_partitions_classes_once_in_cid_order():
 
 def test_ss1_zero_grant_schedules_nothing():
     conns = four_class_station()
-    tx = schedule_frame_ss1(station_for(conns), 0)
+    tx = schedule_frame_ss1(station_for(conns), 0, FRAME_END)
     assert tx.entries == []
     assert tx.total_bytes == 0
 
@@ -240,14 +245,14 @@ def test_ss1_only_be_uses_reserved_rate_quantum():
     station = station_for([be])
     assert station.quantum == [320]  # one frame at the 256 kbit/s reserved rate
     before = snapshot([be])
-    tx = schedule_frame_ss1(station, 5000)
+    tx = schedule_frame_ss1(station, 5000, FRAME_END)
     assert [p.size for _, p in sent_packets(tx.entries, before)] == [100] * 5
 
 
 def test_ss1_ample_grant_sends_everything_class_ordered():
     conns = four_class_station()
     before = snapshot(conns)
-    tx = schedule_frame_ss1(station_for(conns), 50_000)
+    tx = schedule_frame_ss1(station_for(conns), 50_000, FRAME_END)
     assert len(tx.entries) == 12
     # phase order: all UGS, then all rtPS, then the deficit round (which may
     # interleave nrtPS and BE)
@@ -256,7 +261,7 @@ def test_ss1_ample_grant_sends_everything_class_ordered():
     assert ranks == sorted(ranks)
     assert tx.total_bytes == sum(p.size for _, p in sent_packets(tx.entries, before))
     # every queued packet went out exactly once, whole
-    assert all(not q for _, q in conns)
+    assert not any(queued_packets(log) for _, log in conns)
 
 
 CLASSES = (ServiceClass.UGS, ServiceClass.RTPS, ServiceClass.NRTPS,
@@ -275,7 +280,7 @@ def test_ss1_budget_safety_random(queues, grant):
     conns = [make_conn(cid, cls, sizes=sizes)
              for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
     queued_before = snapshot(conns)
-    tx = schedule_frame_ss1(station_for(conns), grant)
+    tx = schedule_frame_ss1(station_for(conns), grant, FRAME_END)
     sent = sent_packets(tx.entries, queued_before)
     assert tx.total_bytes <= grant
     assert tx.total_bytes == sum(p.size for _, p in sent)
@@ -287,8 +292,9 @@ def test_ss1_budget_safety_random(queues, grant):
     for _, pkt in sent:
         counts[id(pkt)] = counts.get(id(pkt), 0) + 1
     assert all(v == 1 for v in counts.values())
-    for s, q in conns:
-        assert list(q) == queued_before[s.cid][tx.entries.count(s.cid):]
+    for s, log in conns:
+        assert (queued_packets(log)
+                == queued_before[s.cid][tx.entries.count(s.cid):])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -297,10 +303,11 @@ def test_ss1_weak_work_conservation(queues, grant):
     conns = [make_conn(cid, cls, sizes=sizes)
              for cid, (cls, sizes) in enumerate(zip(CLASSES, queues), start=1)]
     station = station_for(conns)
-    tx = schedule_frame_ss1(station, grant)
+    tx = schedule_frame_ss1(station, grant, FRAME_END)
     deficit = dict(zip(station.drr_cids, station.deficit))
     leftover = grant - tx.total_bytes
-    for s, q in conns:
+    for s, log in conns:
+        q = queued_packets(log)
         if not q:
             continue
         head = q[0].size
@@ -315,17 +322,17 @@ def test_ss2_starves_lower_classes_behind_backlog():
         make_conn(1, ServiceClass.NRTPS, sizes=[1000] * 10),
         make_conn(2, ServiceClass.BE, sizes=[50] * 10),
     ]
-    tx = schedule_frame_ss2(station_for(conns), 3500)
+    tx = schedule_frame_ss2(station_for(conns), 3500, FRAME_END)
     assert tx.entries == [1, 1, 1]
     # 500 bytes leftover would fit BE heads, but strict priority blocks them
     assert tx.total_bytes == 3000
-    assert len(conns[1][1]) == 10
+    assert len(queued_packets(conns[1][1])) == 10
 
 
 def test_ss2_fifo_over_be_alone():
     be = make_conn(1, ServiceClass.BE, sizes=[10, 20, 30], arrivals=[0, 1, 2])
     before = snapshot([be])
-    tx = schedule_frame_ss2(station_for([be]), 1000)
+    tx = schedule_frame_ss2(station_for([be]), 1000, FRAME_END)
     assert [p.size for _, p in sent_packets(tx.entries, before)] == [10, 20, 30]
 
 
@@ -336,8 +343,8 @@ def test_ss2_serves_rtps_in_arrival_order_whatever_the_deadlines():
         return [rtps_conn(1, 120.0, sizes=[100], arrivals=[0.0]),
                 rtps_conn(2, 10.0, sizes=[100], arrivals=[5.0])]
 
-    ss1 = schedule_frame_ss1(station_for(rtps_pair()), 1000)
-    ss2 = schedule_frame_ss2(station_for(rtps_pair()), 1000)
+    ss1 = schedule_frame_ss1(station_for(rtps_pair()), 1000, FRAME_END)
+    ss2 = schedule_frame_ss2(station_for(rtps_pair()), 1000, FRAME_END)
     assert ss1.entries == [2, 1]
     assert ss2.entries == [1, 2]
 
@@ -346,8 +353,8 @@ def test_ss2_matches_ss1_packet_set_when_uncontended():
     conns1 = four_class_station()
     conns2 = four_class_station()
     before1, before2 = snapshot(conns1), snapshot(conns2)
-    tx1 = schedule_frame_ss1(station_for(conns1), 50_000)
-    tx2 = schedule_frame_ss2(station_for(conns2), 50_000)
+    tx1 = schedule_frame_ss1(station_for(conns1), 50_000, FRAME_END)
+    tx2 = schedule_frame_ss2(station_for(conns2), 50_000, FRAME_END)
 
     def key(tx, before):
         return sorted((cid, p.size, p.arrival_time)
@@ -384,33 +391,34 @@ def stations(draw):
 
 
 def every_phase_ss1(station, grant):
-    sent, used = serve_ugs(station.ugs, grant)
-    more, spent = serve_rtps_edf(station.rtps, grant - used)
+    sent, used = serve_ugs(station.ugs, grant, FRAME_END)
+    more, spent = serve_rtps_edf(station.rtps, grant - used, FRAME_END)
     sent += more
     used += spent
-    more, spent = dfpq_round(station, grant - used)
+    more, spent = dfpq_round(station, grant - used, FRAME_END)
     return sent + more, used + spent
 
 
 def every_class_ss2(station, grant):
     sent, used = [], 0
-    for cids, queues, bounds in station.priority:
-        more, spent = edf_take(cids, queues, bounds, grant - used)
+    for cids, logs, bounds in station.priority:
+        more, spent = edf_take(cids, logs, bounds, grant - used, FRAME_END)
         sent += more
         used += spent
-        if any(queues):
+        if queued(logs):
             break
     return sent, used
 
 
 def outcome(station, sent, used):
     """Everything a schedule leaves behind, in comparable form.  Two
-    copies of one station that send in the same cid order pop the same
+    copies of one station that send in the same cid order take the same
     head packets, so the order stands for the packets sent."""
     return (list(sent), used,
-            [[(p.size, p.arrival_time) for p in q]
-             for queues in (station.ugs[1], station.rtps[1], station.drr_queues)
-             for q in queues],
+            [([(p.size, p.arrival_time) for p in queued_packets(log)],
+              list(log.departure))
+             for logs in (station.ugs[1], station.rtps[1], station.drr_logs)
+             for log in logs],
             list(station.deficit), station.cursor)
 
 
@@ -423,6 +431,6 @@ def test_skipping_an_empty_phase_changes_nothing(instance):
     for schedule, every in ((schedule_frame_ss1, every_phase_ss1),
                             (schedule_frame_ss2, every_class_ss2)):
         mine, theirs = deepcopy(station), deepcopy(station)
-        tx = schedule(mine, grant)
+        tx = schedule(mine, grant, FRAME_END)
         assert (outcome(mine, tx.entries, tx.total_bytes)
                 == outcome(theirs, *every(theirs, grant))), schedule.__name__
