@@ -201,6 +201,10 @@ class Scenario:
                     traffic.append(f"cid {cid}: on/off mean durations must be finite")
                 elif min(means) <= 0:
                     traffic.append(f"cid {cid}: on/off mean durations must be > 0")
+                elif model.mean_on_ms / sum(means) == 0:
+                    # ``draw_rate`` divides by the duty cycle
+                    traffic.append(f"cid {cid}: on/off duty cycle on_ms / (on_ms "
+                                   "+ off_ms) must be > 0, got 0")
 
             # the grant and quantum below hold a rate's bytes only on a timed
             # frame and a sound contract, whatever the capacity
@@ -276,9 +280,10 @@ def burst_steps(scenario: Scenario, rho: float) -> dict[int, float]:
     for spec in scenario.conns:
         model = spec.traffic
         rate = draw_rate(spec.service_class, model, rho)
-        if model.kind is TrafficKind.ONOFF_VBR and rate > 0:
-            # as ``draw_stream`` steps: size over bytes per ms
-            steps[spec.cid] = model.size_lo / (rate / 8.0)
+        # as ``draw_stream`` steps: size over bytes per ms, which draws
+        # nothing when they are 0
+        if model.kind is TrafficKind.ONOFF_VBR and (per_ms := rate / 8.0) > 0:
+            steps[spec.cid] = model.size_lo / per_ms
     return steps
 
 

@@ -75,26 +75,22 @@ class Station:
         self.cursor = 0
 
 
-def serve_ugs(ugs, budget: int, frame_end: float) -> tuple[list[int], int]:
-    """Drain UGS queues in arrival order (cid breaking ties) while whole
-    packets fit ``budget`` bytes: deadline selection over a station's
-    ``ugs`` triple, whose bounds are all 0.0.  Each packet sent departs at
-    ``frame_end``.  Returns (sent, used), the cid of each packet sent in
-    transmission order and their bytes."""
-    return _backend.kernels.edf_take(*ugs, budget, frame_end)
-
-
-def serve_rtps_edf(rtps, budget: int, frame_end: float) -> tuple[list[int], int]:
-    """Send rtPS head-of-line packets in earliest-deadline order over a
-    station's ``rtps`` triple.
+def serve_ugs(queues, budget: int, frame_end: float) -> tuple[list[int], int]:
+    """Send one class of a station's head-of-line packets in
+    earliest-deadline order over its (cids, logs, bounds) triple.
 
     The key is (deadline, arrival time, cid), where a packet's deadline is
-    its arrival time plus its connection's ``max_latency_ms``.  The phase
-    ends at the first selected packet that does not fit the remaining
-    budget whole.  Each packet sent departs at ``frame_end``.  Returns
-    (sent, used).
-    """
-    return _backend.kernels.edf_take(*rtps, budget, frame_end)
+    its arrival time plus its queue's bound: 0.0 on the ``ugs`` triple,
+    which drains UGS in arrival order, and ``max_latency_ms`` on the
+    ``rtps`` one.  The phase ends at the first selected packet that does not
+    fit the remaining budget whole; on empty queues it sends nothing.  Each
+    packet sent departs at ``frame_end``.  Returns (sent, used), the cid of
+    each packet sent in transmission order and their bytes."""
+    return _backend.kernels.edf_take(*queues, budget, frame_end)
+
+
+# the rtPS phase is the same selection, named apart so each phase can be timed
+serve_rtps_edf = serve_ugs
 
 
 def dfpq_round(station: Station, budget: int,
@@ -118,21 +114,14 @@ def dfpq_round(station: Station, budget: int,
 def schedule_frame_ss1(station: Station, grant: int,
                        frame_end: float) -> TransmissionList:
     """Full per-frame schedule for one SS under the proposed discipline;
-    each packet sent departs at ``frame_end``.
-
-    A phase whose queues are all empty would send nothing and change no
-    state, so it is skipped; UGS, which sends in almost every frame, is
-    not checked."""
+    each packet sent departs at ``frame_end``.  Every phase runs: one whose
+    queues are all empty sends nothing and changes no state."""
     sent, used = serve_ugs(station.ugs, grant, frame_end)
-    if queued(station.rtps[1]):
-        more, spent = serve_rtps_edf(station.rtps, grant - used, frame_end)
-        sent += more
-        used += spent
-    if queued(station.drr_logs):
-        more, spent = dfpq_round(station, grant - used, frame_end)
-        sent += more
-        used += spent
-    return TransmissionList(sent, used)
+    more, spent = serve_rtps_edf(station.rtps, grant - used, frame_end)
+    sent += more
+    used += spent
+    more, spent = dfpq_round(station, grant - used, frame_end)
+    return TransmissionList(sent + more, used + spent)
 
 
 def schedule_frame_ss2(station: Station, grant: int,
@@ -141,14 +130,11 @@ def schedule_frame_ss2(station: Station, grant: int,
 
     The first packet (in priority order) that does not fit the remaining
     budget blocks everything behind it, so a backlogged higher class starves
-    all lower classes.  A class with nothing queued is skipped.  Each
-    packet sent departs at ``frame_end``.
+    all lower classes.  Each packet sent departs at ``frame_end``.
     """
     sent: list[int] = []
     used = 0
     for cids, logs, bounds in station.priority:
-        if not queued(logs):
-            continue
         more, spent = _backend.kernels.edf_take(cids, logs, bounds, grant - used,
                                                 frame_end)
         sent += more

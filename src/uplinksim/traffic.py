@@ -69,8 +69,10 @@ _POISSON_CHUNK = 500.0
 
 def _poisson_chunks(lam: float) -> tuple[int, float]:
     """How many chunks a Poisson count of mean ``lam`` is summed from, and
-    the ``exp(-mean)`` each chunk's product of uniforms stops at."""
-    chunks = math.ceil(lam / _POISSON_CHUNK)
+    the ``exp(-mean)`` each chunk's product of uniforms stops at.  A mean
+    too small to divide into chunks is one chunk; if it is 0, that chunk
+    draws nothing."""
+    chunks = math.ceil(lam / _POISSON_CHUNK) or 1
     return chunks, math.exp(-lam / chunks)
 
 
@@ -228,7 +230,8 @@ def draw_stream(spec, model: TrafficModel, frame: FrameConfig,
     stream = Stream(array("q"), array("d"), array("q"))
     rate_kbps = draw_rate(spec.service_class, model, rho)
     dur = frame.frame_duration_ms
-    if rate_kbps <= 0:
+    # no bytes per ms, at rho 0 or on a rate so small that they underflow
+    if rate_kbps / 8.0 <= 0:
         stream.counts.extend(repeat(0, frames))
     elif model.kind is TrafficKind.CBR:
         _cbr(stream, frames, model.size_lo, rate_kbps * dur / 8.0, dur)

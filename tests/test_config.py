@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import time
 from dataclasses import replace
 
@@ -20,6 +21,8 @@ from uplinksim.engine import (
     ScenarioError,
     SimMode,
     burst_steps,
+    cell_problems,
+    draw_streams,
     frame_work,
 )
 from uplinksim.model import ServiceClass
@@ -713,3 +716,86 @@ def test_non_finite_numbers_rejected_with_their_line():
             token = bad.split()[-1]
             assert (f"line {line_no}: {key} must be finite, got {token!r}"
                     in errors_of(text)), (key, bad)
+
+
+BUILTIN = serialize_config(baseline_config())
+
+
+def builtin_with(key, value, occurrence=0):
+    """The built-in cell's text with the ``occurrence``-th ``key`` line,
+    counted from 0, set to ``value``."""
+    lines = BUILTIN.splitlines()
+    at = [n for n, line in enumerate(lines) if line.startswith(f"{key} =")][occurrence]
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def run_builtin(tmp_path, text, *flags):
+    (tmp_path / "cell.cfg").write_text(text)
+    return main(["--config", str(tmp_path / "cell.cfg"), "--frames", "3",
+                 "--seeds", "1", "--out", str(tmp_path / "out"), *flags])
+
+
+def test_an_on_time_that_underflows_the_duty_cycle_is_refused(tmp_path, capsys):
+    # 5e-324 / 1000.0 is 0: draw_rate divided by it at parse time, and the
+    # CLI printed a ZeroDivisionError traceback (exit 1)
+    assert run_builtin(tmp_path, builtin_with("on_ms", "5e-324")) == 2
+    assert capsys.readouterr().err == (
+        "config error: cid 1: on/off duty cycle on_ms / (on_ms + off_ms) "
+        "must be > 0, got 0\n")
+
+
+def test_an_onoff_rate_whose_bytes_per_ms_underflow_draws_nothing(tmp_path, capsys):
+    # 5e-324 kbit/s at duty 0.5 is 1e-323, and 1e-323 / 8 bytes per ms is
+    # 0: burst_steps divided by it (ZeroDivisionError, exit 1).  Like rho
+    # 0, the source now draws nothing
+    text = builtin_with("rate_kbps", "5e-324", occurrence=1)
+    assert run_builtin(tmp_path, text) == 0
+    assert capsys.readouterr().err == ""
+    cfg = parse_config(text)
+    assert cfg.scenario.conns[1].traffic.mean_rate_kbps == 5e-324
+    assert burst_steps(cfg.scenario, 1.0).keys() == {5, 9, 13}
+    assert len(draw_streams(cfg.scenario, 3, 1, 1.0).streams[1].size) == 0
+
+
+def test_a_rho_whose_poisson_mean_underflows_draws_nothing(tmp_path, capsys):
+    # --rho 5e-324 gives every Poisson source a mean of 0 packets per
+    # frame, which was summed from 0 chunks: every cell failed with
+    # "float division by zero" (exit 3).  It now draws nothing, as rho 0
+    assert run_builtin(tmp_path, BUILTIN, "--rho", "5e-324") == 0
+    assert capsys.readouterr().err == ""
+    streams = draw_streams(baseline_scenario(), 3, 1, 5e-324).streams
+    assert [len(s.size) for s in streams] == [0] * 16
+
+
+# the sweep's values: zeros, subnormals, the smallest normal, tiny, one,
+# huge and the largest float
+EDGE_VALUES = ("0", "-0.0", "5e-324", "1e-320", repr(sys.float_info.min), "1e-300",
+               "1e-09", "1", "1e+300", repr(sys.float_info.max))
+
+
+def test_every_edge_value_is_refused_or_draws():
+    # each numeric key of the built-in cell, at its first two occurrences,
+    # set to each edge value: the config is refused, or its cells pass
+    # cell_problems and draw two frames.  Anything else it raises fails
+    keys = dict.fromkeys(line.split(" =")[0] for line in BUILTIN.splitlines()
+                         if " = " in line)
+    numeric = [key for key in keys if key not in
+               ("modes", "drop_expired", "trace", "outdir", "class", "model")]
+    assert len(numeric) == 18
+    refused = drawn = 0
+    for key in numeric:
+        for occurrence in range(min(2, BUILTIN.count(f"\n{key} ="))):
+            for value in EDGE_VALUES:
+                try:
+                    cfg = parse_config(builtin_with(key, value, occurrence))
+                except ConfigError:
+                    refused += 1
+                    continue
+                for seed in cfg.seeds:
+                    for rho in cfg.rhos:
+                        where = (key, occurrence, value, seed, rho)
+                        assert cell_problems(cfg.scenario, 2, rho) == [], where
+                        draw_streams(cfg.scenario, 2, seed, rho)
+                drawn += 1
+    assert refused and drawn

@@ -243,6 +243,38 @@ def test_departures_quantized_to_frame_end():
                 assert p.departure_time % dur == 0
 
 
+# Whole-loop metamorphic relations: each relates runs of this simulator to
+# one another, on the built-in cell at the rhos below, drop-on-expiry off
+# and on, and compares every log's departures (NaN, a drop, read as None),
+# ``granted`` and ``used`` exactly
+RELATION_FRAMES, RELATION_SEED, RELATION_RHOS = 600, 3, (0.4, 1.2, 3.0)
+
+
+def outcome(result):
+    """A run's departures per cid, then its per-frame grants and use."""
+    return ({cid: [None if math.isnan(d) else d for d in log.departure]
+             for cid, log in result.logs.items()},
+            list(result.granted), list(result.used))
+
+
+def regrouped(scenario, station_of):
+    """``scenario`` with connection ``cid`` on station ``station_of(cid)``."""
+    return replace(scenario, conns=tuple(replace(s, ss_id=station_of(s.cid))
+                                         for s in scenario.conns))
+
+
+def relation_runs(scenario, modes):
+    """(rho, drop_expired, mode) -> the outcome of that run of ``scenario``."""
+    runs = {}
+    for rho in RELATION_RHOS:
+        streams = draw_streams(scenario, RELATION_FRAMES, RELATION_SEED, rho)
+        for drop, mode in product((False, True), modes):
+            runs[rho, drop, mode] = outcome(run(
+                scenario, mode, RELATION_FRAMES, seed=RELATION_SEED, rho=rho,
+                drop_expired=drop, streams=streams))
+    return runs
+
+
 def test_mode_equivalence_single_connection_stations():
     # with one connection per station the pooled grant IS the per-connection
     # grant, so both modes must behave identically frame by frame
@@ -251,6 +283,44 @@ def test_mode_equivalence_single_connection_stations():
     a = run(scenario, SimMode.SS1, 200, seed=5)
     b = run(scenario, SimMode.GPC, 200, seed=5)
     assert packet_key(a) == packet_key(b)
+    # R1: so too on the built-in cell, every class and source on a station
+    # of its own, where ss1 and ss2 run their kernels on empty classes in
+    # every frame and ss1's deficit round on no queue at all or on one
+    runs = relation_runs(regrouped(baseline_scenario(), lambda cid: cid),
+                         tuple(SimMode))
+    for rho, drop in product(RELATION_RHOS, (False, True)):
+        assert (runs[rho, drop, SimMode.SS1] == runs[rho, drop, SimMode.GPC]
+                == runs[rho, drop, SimMode.SS2]), (rho, drop)
+
+
+def test_gpc_ignores_how_connections_are_grouped_into_stations():
+    # R2: per-connection grants never pool, so moving connections between
+    # stations changes nothing in gpc
+    scenario = baseline_scenario()
+    base = relation_runs(scenario, (SimMode.GPC,))
+    for station_of in (lambda cid: cid, lambda cid: 0, lambda cid: cid % 3):
+        assert relation_runs(regrouped(scenario, station_of), (SimMode.GPC,)) == base
+
+
+def test_a_ugs_station_with_its_grant_added_to_the_capacity_changes_no_other():
+    # R3: a UGS contract is a fixed grant in phase 1 and no share of phase
+    # 2, so a new station of one UGS connection on a capacity raised by
+    # exactly that grant leaves every other connection as it was, and adds
+    # the grant to every frame's ``granted``
+    scenario = baseline_scenario()
+    ugs = next(s for s in scenario.conns if s.service_class is ServiceClass.UGS)
+    new = replace(ugs, cid=max(s.cid for s in scenario.conns) + 1,
+                  ss_id=max(s.ss_id for s in scenario.conns) + 1)
+    grant = Scenario(scenario.frame, (new,)).minimums[0]
+    assert grant == 320
+    frame_cfg = replace(scenario.frame, uplink_capacity_bytes=(
+        scenario.frame.uplink_capacity_bytes + grant))
+    base = relation_runs(scenario, tuple(SimMode))
+    more = relation_runs(Scenario(frame_cfg, (*scenario.conns, new)), tuple(SimMode))
+    for key, (departures, granted, _) in base.items():
+        grown, grown_granted, _ = more[key]
+        assert {cid: grown[cid] for cid in departures} == departures, key
+        assert grown_granted == [g + grant for g in granted], key
 
 
 def test_mode_equivalence_eventual_delivery_without_contention():
